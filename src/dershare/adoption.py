@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .curves import SavingsCurve
-from .market import MarketEquilibrium, clear_market
+from .market import ClearingTable, MarketEquilibrium
 from .model import DomainError
 
 
@@ -95,8 +95,9 @@ def default_t_grid(n_points: int = 200, lo: float = 0.001, hi: float = 0.999) ->
 
 
 def sweep_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
-                   t_grid) -> DemandCurves:
-    """Clear the market at every adoption rate in t_grid."""
+                   t_grid, solver: LongRunSolver | None = None) -> DemandCurves:
+    """Market outcomes at every adoption rate in t_grid."""
+    solver = solver or LongRunSolver(order, curves)
     t_grid = np.asarray(t_grid, dtype=float)
     cols: dict[str, list] = {name: [] for name in (
         "owners", "adopted_quantity", "short_run_price", "clearing_price", "volume",
@@ -104,7 +105,7 @@ def sweep_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
         "total_participation", "owner_surplus", "renter_surplus", "total_surplus")}
     for t in t_grid:
         k = order.count_at_rate(float(t))
-        eq = clear_market(curves, order.owners_at(k))
+        eq = solver.equilibrium_at(k)
         quantity = float(order.cumulative_quantity[k])
         cols["owners"].append(k)
         cols["adopted_quantity"].append(quantity)
@@ -123,20 +124,28 @@ def sweep_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
 
 
 class LongRunSolver:
-    """Caches clearing prices per owner count across purchase-price queries."""
+    """Market equilibria at every owner count k along the adoption order.
+
+    The constructor clears the market for every k at once from one
+    ClearingTable; equilibrium_at(k) builds the full equilibrium the
+    first time k is asked for and keeps it.
+    """
 
     def __init__(self, order: AdoptionOrder, curves: Mapping[str, SavingsCurve]):
         self.order = order
         self.curves = curves
-        self._price: dict[int, float | None] = {}
+        self._table = ClearingTable(curves)
+        self._prices = self._table.prices_along(order.ranking)
+        self._equilibria: dict[int, MarketEquilibrium] = {}
 
     def equilibrium_at(self, k: int) -> MarketEquilibrium:
-        return clear_market(self.curves, self.order.owners_at(k))
+        if k not in self._equilibria:
+            self._equilibria[k] = self._table.equilibrium(self.order.owners_at(k),
+                                                          self._prices[k])
+        return self._equilibria[k]
 
     def clearing_price_at(self, k: int) -> float | None:
-        if k not in self._price:
-            self._price[k] = self.equilibrium_at(k).clearing_price
-        return self._price[k]
+        return self._prices[k]
 
     def _price_or(self, k: int, when_none: float) -> float:
         r = self.clearing_price_at(k)
@@ -150,7 +159,8 @@ class LongRunResult:
     k_long resolves the long-run equilibrium to one household: the
     smallest adoption count at or beyond the short-run one where the
     rental price no longer exceeds the purchase price. r_at_long and
-    r_before_long bracket the purchase price from below and above.
+    r_before_long bracket the purchase price from below and above, and
+    equilibrium is the rental market at k_long.
     """
 
     price: float
@@ -163,6 +173,7 @@ class LongRunResult:
     delta_q: float
     r_at_long: float | None
     r_before_long: float | None
+    equilibrium: MarketEquilibrium
     saturated: bool = False  # rental price stayed above p out to full adoption
     contraction: bool = False  # rental price below p already at short-run adoption
     no_adoption: bool = False  # p above every household's normalized savings
@@ -189,7 +200,8 @@ def long_run_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
             k_long=k_long, t_long=k_long / n,
             d_long=float(order.cumulative_quantity[k_long]),
             delta_q=float(order.cumulative_quantity[k_long]) - d_short,
-            r_at_long=r_at, r_before_long=r_before, **flags)
+            r_at_long=r_at, r_before_long=r_before,
+            equilibrium=solver.equilibrium_at(k_long), **flags)
 
     if k0 == 0:
         # nobody owns, so no rental market exists to pull adoption up

@@ -38,13 +38,13 @@ from . import __version__
 from .adoption import (DemandCurves, LongRunSolver, build_order, default_t_grid,
                        equivalent_subsidy, long_run_adoption, sweep_adoption)
 from .dispatch import ScenarioContext
-from .curves import fit_all
+from .curves import FitError, fit_all
 from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE,
-                 TARIFF_BUY_FILE, TARIFF_SELL_FILE, load_scenario, read_purchases_curves,
-                 read_savings_curves, write_exclusions, write_purchases_curves, write_rows,
-                 write_savings_curves, write_scenario)
+                 TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError, load_scenario,
+                 read_purchases_curves, read_savings_curves, write_exclusions,
+                 write_purchases_curves, write_rows, write_savings_curves, write_scenario)
 from .localness import distance_matrix, min_cost_flow, regional_excess
-from .market import clear_market
+from .lp import LPError
 from .model import AssetSpec, DomainError, ValidationError, validate_scenario
 from .stakeholders import regime_boundary
 from .synth import SynthConfig, generate_scenario
@@ -129,7 +129,13 @@ def _finish_stage(out_dir: Path, manifest: dict, stage: str, input_hash: str,
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ParseError(path, 0, "file not found") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno,
+                         f"invalid JSON: {exc.msg} (column {exc.colno})") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config", "root", "config file must hold a JSON object")
     return cfg
@@ -262,12 +268,11 @@ EQUILIBRIUM_SUMMARY_HEADER = ["t", "clearing_price", "volume", "owner_participat
                               "owner_surplus", "renter_surplus", "total_surplus"]
 
 
-def _write_equilibrium(out_dir: Path, rel: str, order, curves, t: float):
+def _write_equilibrium(out_dir: Path, rel: str, solver: LongRunSolver, t: float):
     """Per-household allocations and surpluses at one adoption rate."""
-    k = order.count_at_rate(t)
-    eq = clear_market(curves, order.owners_at(k))
+    eq = solver.equilibrium_at(solver.order.count_at_rate(t))
     rows = [[hid, "owner" if hid in eq.owner_ids else "renter",
-             eq.allocations[hid], eq.surpluses[hid]] for hid in sorted(curves)]
+             eq.allocations[hid], eq.surpluses[hid]] for hid in sorted(eq.allocations)]
     path = write_rows(out_dir / rel, ["household_id", "role", "y_star", "surplus"], rows)
     summary = [t, math.nan if eq.clearing_price is None else eq.clearing_price,
                eq.volume, eq.owner_participation, eq.non_owner_participation,
@@ -289,7 +294,8 @@ def cmd_sweep(out_dir: Path, cfg: dict, t_grid_spec, equilibrium_at=()) -> None:
     if _stage_cached(out_dir, manifest, "sweep", input_hash, output_rels):
         print("sweep: cached")
         return
-    table = sweep_adoption(order, curves, t_grid)
+    solver = LongRunSolver(order, curves)
+    table = sweep_adoption(order, curves, t_grid, solver)
     rows = zip(table.t, table.owners, table.adopted_quantity, table.short_run_price,
                table.clearing_price, table.volume, table.fraction_rented_out,
                table.owner_participation, table.non_owner_participation,
@@ -301,7 +307,7 @@ def cmd_sweep(out_dir: Path, cfg: dict, t_grid_spec, equilibrium_at=()) -> None:
     if equilibrium_at:
         summaries = []
         for t, rel in zip(equilibrium_at, eq_rels):
-            path, summary = _write_equilibrium(out_dir, rel, order, curves, t)
+            path, summary = _write_equilibrium(out_dir, rel, solver, t)
             outputs.append(path)
             summaries.append(summary)
         outputs.append(write_rows(out_dir / "equilibrium_summary.csv",
@@ -402,10 +408,10 @@ def cmd_localness(out_dir: Path, cfg: dict, flows_at) -> None:
     scenario = load_scenario(out_dir / DATA_SUBDIR, _asset_from(cfg)).scenario
     dmat = distance_matrix(scenario.regions)
     region_ids = tuple(r.id for r in scenario.regions)
+    solver = LongRunSolver(order, curves)
 
     def flow_at(t: float):
-        k = order.count_at_rate(t)
-        eq = clear_market(curves, order.owners_at(k))
+        eq = solver.equilibrium_at(order.count_at_rate(t))
         s = regional_excess(eq, scenario.households, scenario.regions)
         return min_cost_flow(s, dmat, eq.volume, region_ids)
 
@@ -512,8 +518,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _load_config(getattr(args, "config", None))
     try:
+        cfg = _load_config(getattr(args, "config", None))
         if args.command == "gen-data":
             cmd_gen(out_dir, cfg, args.seed)
         elif args.command == "validate":
@@ -543,7 +549,7 @@ def main(argv=None) -> int:
             flows_at = [v for v in args.flows_at.split(",") if v]
             cmd_localness(out_dir, cfg, flows_at)
             cmd_stakeholders(out_dir, cfg, args.p_grid, None)
-    except (StageError, DomainError, ValidationError) as exc:
+    except (StageError, DomainError, ValidationError, ParseError, LPError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dispatch import ScenarioContext
+from .lp import LPError
 from .model import DomainError, HouseholdRecord, Scenario
 
 log = logging.getLogger(__name__)
@@ -313,7 +314,10 @@ def sample_household(ctx: ScenarioContext, household: HouseholdRecord,
     purchases = np.empty(grid.size)
     credits = np.empty(grid.size)
     for i, y in enumerate(grid):
-        totals = ctx.annual_bill(household, float(y))
+        try:
+            totals = ctx.annual_bill(household, float(y))
+        except LPError as exc:
+            raise LPError(f"household {household.id}, capacity {y:g} kW: {exc}") from exc
         bills[i], purchases[i], credits[i] = totals
     return HouseholdSamples(y=grid, savings=bills[0] - bills,
                             purchases=purchases, sale_credit=credits)

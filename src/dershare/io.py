@@ -55,7 +55,7 @@ _HOUR_COLS = [f"h{h}" for h in range(HOURS)]
 
 
 class ParseError(ValueError):
-    """A CSV file violates its schema; names the file and 1-based line."""
+    """An input file violates its format; names the file and 1-based line."""
 
     def __init__(self, path, line: int, message: str):
         self.path = str(path)

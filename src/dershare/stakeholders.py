@@ -85,10 +85,9 @@ def regime_point(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
                  purchases: Mapping[str, PurchasesCurve], price: float,
                  solver: LongRunSolver | None = None,
                  long_run: LongRunResult | None = None) -> RegimePoint:
-    solver = solver or LongRunSolver(order, curves)
     lr = long_run or long_run_adoption(order, curves, price, solver)
     gain = vendor_gain(price, lr.d_short, lr.d_long)
-    loss = utility_loss(purchases, order, lr.k_short, solver.equilibrium_at(lr.k_long))
+    loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium)
     if gain <= 0:
         threshold = None
     elif loss <= 0:

@@ -2,16 +2,20 @@
 
 These deliberately avoid the production code paths they check: the
 dispatch oracle is a dynamic program over a discretized state of
-charge, and the transportation oracle is a direct LP formulation fed to
-the generic solver wrapper.
+charge, the transportation oracle is a direct LP formulation fed to
+the generic solver wrapper, and the clearing oracle bisects the sorted
+slopes for the zero of the excess supply, summing every household's
+argmax interval at each probe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dershare.adoption import LongRunSolver
 from dershare.curves import SavingsCurve
 from dershare.lp import solve_lp
+from dershare.market import PARTICIPATION_TOL, MarketEquilibrium
 from dershare.model import HOURS, AssetSpec
 
 SOC_GRID_POINTS = 200
@@ -97,3 +101,155 @@ def random_concave_curve(rng: np.random.Generator, household_id: str,
 
 def random_curve_population(rng: np.random.Generator, n: int) -> dict[str, SavingsCurve]:
     return {f"H{i:03d}": random_concave_curve(rng, f"H{i:03d}") for i in range(n)}
+
+
+def _excess_bounds(ids, curves, owner_ids, r: float):
+    """(E_low, E_high, intervals): excess supply using the largest and the
+    smallest maximizer for every household, plus each argmax interval."""
+    e_low = 0.0
+    e_high = 0.0
+    intervals = {}
+    for hid in ids:
+        lo, hi = curves[hid].argmax_interval(r)
+        intervals[hid] = (lo, hi)
+        if hid in owner_ids:
+            e_low += curves[hid].max_size - hi
+            e_high += curves[hid].max_size - lo
+        else:
+            e_low -= hi
+            e_high -= lo
+    return e_low, e_high, intervals
+
+
+def bisection_clear_market(curves, owners) -> MarketEquilibrium:
+    """Clear the market by bisecting the sorted slopes for the zero of the
+    excess supply, re-summing every household's argmax interval at each
+    probe. Same conventions as `dershare.market.clear_market`: the midpoint
+    of the clearing interval, proportional rationing at a jump."""
+    ids = sorted(curves)
+    owner_ids = frozenset(owners)
+    if not owner_ids or len(owner_ids) == len(ids):
+        allocations = {hid: (curves[hid].max_size if hid in owner_ids else 0.0) for hid in ids}
+        return MarketEquilibrium(
+            clearing_price=None, volume=0.0, allocations=allocations,
+            surpluses={hid: 0.0 for hid in ids}, owner_ids=owner_ids,
+            owner_surplus_total=0.0, renter_surplus_total=0.0, total_surplus=0.0,
+            owner_participation=0.0, non_owner_participation=0.0, total_participation=0.0,
+            residual=0.0, degenerate=True)
+
+    total_size = sum(curves[hid].max_size for hid in ids)
+    tol = max(1e-6, 1e-9 * total_size)
+
+    # candidate prices: every segment slope of every curve
+    breakpoints = np.unique(np.concatenate([curves[hid].slopes for hid in ids]))
+
+    def e_high(r):
+        return _excess_bounds(ids, curves, owner_ids, r)[1]
+
+    def e_low(r):
+        return _excess_bounds(ids, curves, owner_ids, r)[0]
+
+    # smallest breakpoint where the optimistic excess turns nonnegative
+    lo_i, hi_i = 0, breakpoints.size - 1
+    if e_high(breakpoints[lo_i]) >= 0:
+        r_a = breakpoints[lo_i]
+    else:
+        while hi_i - lo_i > 1:  # invariant: e_high(lo) < 0 <= e_high(hi)
+            mid = (lo_i + hi_i) // 2
+            if e_high(breakpoints[mid]) >= 0:
+                hi_i = mid
+            else:
+                lo_i = mid
+        r_a = breakpoints[hi_i]
+
+    # largest breakpoint where the pessimistic excess is still nonpositive
+    lo_i, hi_i = 0, breakpoints.size - 1
+    if e_low(breakpoints[hi_i]) <= 0:
+        r_b = breakpoints[hi_i]
+    else:
+        while hi_i - lo_i > 1:  # invariant: e_low(lo) <= 0 < e_low(hi)
+            mid = (lo_i + hi_i) // 2
+            if e_low(breakpoints[mid]) <= 0:
+                lo_i = mid
+            else:
+                hi_i = mid
+        r_b = breakpoints[lo_i]
+
+    if r_a > r_b:
+        raise AssertionError(f"clearing interval is empty: [{r_a}, {r_b}]")
+
+    price = 0.5 * (r_a + r_b)
+    e_lo, e_hi, intervals = _excess_bounds(ids, curves, owner_ids, price)
+    allocations = {}
+    if e_hi - e_lo > 0 and e_lo < 0:
+        # jump straddling zero: ration the indifferent households
+        ratio = min(1.0, -e_lo / (e_hi - e_lo))
+        for hid in ids:
+            lo, hi = intervals[hid]
+            allocations[hid] = hi - ratio * (hi - lo)
+    else:
+        for hid in ids:
+            allocations[hid] = intervals[hid][1]
+
+    supply = sum(curves[hid].max_size - allocations[hid] for hid in ids if hid in owner_ids)
+    demand = sum(allocations[hid] for hid in ids if hid not in owner_ids)
+    residual = supply - demand
+    if abs(residual) > tol:
+        raise AssertionError(f"market failed to balance: residual {residual} > {tol}")
+
+    surpluses = {}
+    owner_total = 0.0
+    renter_total = 0.0
+    n_owner_part = 0
+    n_renter_part = 0
+    for hid in ids:
+        c = curves[hid]
+        y = allocations[hid]
+        if hid in owner_ids:
+            w = c.eval(y) + price * (c.max_size - y) - c.total
+            owner_total += w
+            if c.max_size - y > PARTICIPATION_TOL * max(c.max_size, 1.0):
+                n_owner_part += 1
+        else:
+            w = c.eval(y) - price * y
+            renter_total += w
+            if y > PARTICIPATION_TOL * max(c.max_size, 1.0):
+                n_renter_part += 1
+        surpluses[hid] = w
+
+    n_owners = len(owner_ids)
+    n_renters = len(ids) - n_owners
+    return MarketEquilibrium(
+        clearing_price=float(price),
+        volume=float(supply),
+        allocations=allocations,
+        surpluses=surpluses,
+        owner_ids=owner_ids,
+        owner_surplus_total=float(owner_total),
+        renter_surplus_total=float(renter_total),
+        total_surplus=float(owner_total + renter_total),
+        owner_participation=n_owner_part / n_owners,
+        non_owner_participation=n_renter_part / n_renters,
+        total_participation=(n_owner_part + n_renter_part) / len(ids),
+        residual=float(residual),
+    )
+
+
+def random_tied_curve_population(rng: np.random.Generator, n: int) -> dict[str, SavingsCurve]:
+    """Curves whose slopes come from five shared values, so many households are
+    indifferent at the same price and clearing often has to ration."""
+    curves = {}
+    for i in range(n):
+        hid = f"T{i:03d}"
+        m = int(rng.integers(1, 5))
+        slopes = np.sort(rng.choice([40.0, 80.0, 120.0, 160.0, 200.0], m, replace=False))[::-1]
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, m))])
+        curves[hid] = SavingsCurve(hid, knots, slopes)
+    return curves
+
+
+class BisectionSolver(LongRunSolver):
+    """Long-run solver whose clearing prices come from the bisection oracle."""
+
+    def clearing_price_at(self, k: int) -> float | None:
+        return bisection_clear_market(self.curves, self.order.owners_at(k)).clearing_price

@@ -26,7 +26,8 @@ from dershare.model import AssetSpec
 from dershare.stakeholders import (autarky_assignment, billed_sales, market_emerges,
                                    regime_boundary, total_baseline)
 from dershare.synth import SynthConfig, generate_scenario
-from oracles import dp_dispatch_cost, random_dispatch_instance, random_curve_population
+from oracles import (BisectionSolver, bisection_clear_market, dp_dispatch_cost,
+                     random_curve_population, random_dispatch_instance)
 
 
 def test_criterion_1_savings_monotone_concave_strict():
@@ -75,7 +76,8 @@ def test_criterion_2_lp_dp_oracle_sandwich():
 
 def test_criterion_3_clearing_identities():
     with criterion(3, "market balance, voluntary participation, and rent "
-                      "cancellation on 20 random populations"):
+                      "cancellation on 20 random populations; same price as the "
+                      "bisection oracle"):
         for seed in range(20):
             rng = np.random.default_rng(3000 + seed)
             n = int(rng.integers(20, 70))
@@ -84,6 +86,10 @@ def test_criterion_3_clearing_identities():
             k = int(rng.integers(1, n))
             owners = set(ids[i] for i in rng.permutation(n)[:k])
             eq = clear_market(curves, owners)
+            oracle = bisection_clear_market(curves, owners)
+            assert eq.clearing_price == oracle.clearing_price
+            assert eq.allocations == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
+            assert eq.surpluses == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
             total_size = sum(c.max_size for c in curves.values())
             supply = sum(curves[h].max_size - eq.allocations[h] for h in sorted(owners))
             demand = sum(eq.allocations[h] for h in ids if h not in owners)
@@ -112,14 +118,18 @@ def test_criterion_4_monotone_price_path_and_volume_hump(medium_population):
 
 def test_criterion_5_long_run_consistency(medium_population):
     with criterion(5, "long-run adoption brackets the purchase price and never "
-                      "falls below short-run adoption"):
+                      "falls below short-run adoption; same counts as with "
+                      "bisection-oracle prices"):
         order = medium_population.order
         curves = medium_population.curves
         solver = LongRunSolver(order, curves)
+        oracle_solver = BisectionSolver(order, curves)
         p_grid = np.quantile(order.normalized, np.linspace(0.05, 0.95, 19))
         grew = 0
         for p in p_grid:
             lr = long_run_adoption(order, curves, float(p), solver)
+            oracle = long_run_adoption(order, curves, float(p), oracle_solver)
+            assert (lr.k_short, lr.k_long) == (oracle.k_short, oracle.k_long)
             assert lr.d_long >= lr.d_short - 1e-12
             if lr.delta_q > 0:
                 grew += 1
@@ -189,6 +199,7 @@ def test_criterion_8_stakeholder_identities(medium_population):
                 assert not market_emerges(pt.vendor_gain, pt.utility_loss, pt.threshold)
 
 
+@pytest.mark.slow
 def test_criterion_9_desk_scale_determinism(tmp_path):
     with criterion(9, "desk-scale pipeline under 10 minutes and byte-identical "
                       "across 1 vs 8 worker processes"):

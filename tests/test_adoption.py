@@ -158,7 +158,8 @@ def _linear_table(n=11, q_max=10.0, p0=400.0, p1=100.0):
 def _lr(price, d_short, d_long):
     return LongRunResult(price=price, k_short=0, t_short=0.0, d_short=d_short,
                          k_long=0, t_long=0.0, d_long=d_long,
-                         delta_q=d_long - d_short, r_at_long=None, r_before_long=None)
+                         delta_q=d_long - d_short, r_at_long=None, r_before_long=None,
+                         equilibrium=None)
 
 
 def test_subsidy_zero_when_no_increase():

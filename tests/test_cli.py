@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import child_env
@@ -121,3 +122,60 @@ def test_validate_reports_exclusions(tmp_path, config_path, capsys):
     assert _run("validate", "--config", config_path, "--out", out) == 0
     assert "10 households retained" in capsys.readouterr().out
     assert (out / "exclusions.csv").read_text().startswith("household_id,reason")
+
+
+def _assert_input_error(capsys, code, *expected):
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for text in expected:
+        assert text in err
+
+
+def test_malformed_config_exits_2_naming_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "synth": {"n_households": 10,}\n}\n')
+    code = _run("gen-data", "--config", bad, "--out", tmp_path / "run")
+    _assert_input_error(capsys, code, f"{bad}:2: invalid JSON")
+    missing = tmp_path / "missing.json"
+    code = _run("gen-data", "--config", missing, "--out", tmp_path / "run")
+    _assert_input_error(capsys, code, f"{missing}:0: file not found")
+
+
+def test_short_loads_row_exits_2_naming_file_and_line(tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    _run("gen-data", "--config", config_path, "--out", out)
+    loads = out / "data" / "loads.csv"
+    lines = loads.read_text().splitlines(keepends=True)
+    lines[3] = ",".join(lines[3].split(",")[:3]) + "\n"
+    loads.write_text("".join(lines))
+    capsys.readouterr()
+    code = _run("validate", "--config", config_path, "--out", out)
+    _assert_input_error(capsys, code, f"{loads}:4: expected 27 fields, got 3")
+
+
+def test_lp_failure_exits_2_naming_the_household(tmp_path, config_path, capsys, monkeypatch):
+    import dershare.dispatch
+    from dershare.lp import LPError
+
+    def failing_solve(*args, **kwargs):
+        raise LPError("LP not solved to optimality (status 2): infeasible")
+    out = tmp_path / "run"
+    _run("gen-data", "--config", config_path, "--out", out)
+    monkeypatch.setattr(dershare.dispatch, "solve_lp", failing_solve)
+    capsys.readouterr()
+    code = _run("fit", "--config", config_path, "--out", out)
+    _assert_input_error(capsys, code, "household H", "status 2")
+
+
+def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys, monkeypatch):
+    import dershare.curves
+    # a projection that flattens every slope moves the samples far beyond the
+    # repair tolerance, so the real fit check rejects the first household
+    monkeypatch.setattr(dershare.curves, "pava_nonincreasing",
+                        lambda values, weights=None: np.zeros_like(values))
+    out = tmp_path / "run"
+    _run("gen-data", "--config", config_path, "--out", out)
+    capsys.readouterr()
+    code = _run("fit", "--config", config_path, "--out", out)
+    _assert_input_error(capsys, code, "household H", "concavity repair moved a sample")

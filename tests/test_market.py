@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from dershare.adoption import LongRunSolver, build_order
 from dershare.curves import SavingsCurve
 from dershare.market import aggregate_demand, aggregate_supply, clear_market
-from oracles import random_concave_curve, random_curve_population
+from oracles import (bisection_clear_market, random_concave_curve, random_curve_population,
+                     random_tied_curve_population)
+
+EQUILIBRIUM_TOTALS = ("volume", "owner_surplus_total", "renter_surplus_total", "total_surplus",
+                      "owner_participation", "non_owner_participation", "total_participation")
 
 
 def linear_curve(hid, slope, y_bar=1.0):
@@ -142,3 +147,54 @@ def test_marginal_households_ration_proportionally():
     frac2 = (4.0 - eq.allocations["o2"]) / 2.0
     assert frac1 == pytest.approx(frac2)
     assert abs(eq.residual) <= 1e-9
+
+
+def assert_matches_oracle(eq, oracle):
+    assert eq.clearing_price == oracle.clearing_price
+    assert eq.owner_ids == oracle.owner_ids and eq.degenerate == oracle.degenerate
+    assert eq.allocations == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
+    assert eq.surpluses == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
+    for name in EQUILIBRIUM_TOTALS:
+        assert getattr(eq, name) == pytest.approx(getattr(oracle, name), rel=1e-12, abs=1e-12)
+
+
+def _rationed(curves, eq) -> bool:
+    return any(y not in curves[hid].knots for hid, y in eq.allocations.items())
+
+
+@pytest.mark.parametrize("population", ["medium", "random", "tied"])
+def test_table_matches_bisection_oracle_at_every_k(population, medium_population):
+    if population == "medium":
+        instances = [medium_population.curves]
+    else:
+        make = random_curve_population if population == "random" else random_tied_curve_population
+        instances = [make(np.random.default_rng(4000 + seed), 12 + 9 * seed) for seed in range(4)]
+    rationed = 0
+    for curves in instances:
+        order = build_order(curves)
+        solver = LongRunSolver(order, curves)
+        for k in range(order.n + 1):
+            oracle = bisection_clear_market(curves, order.owners_at(k))
+            assert solver.clearing_price_at(k) == oracle.clearing_price, k
+            assert_matches_oracle(solver.equilibrium_at(k), oracle)
+            rationed += _rationed(curves, oracle)
+    if population == "tied":
+        assert rationed > 0  # shared slopes put the price on a jump
+
+
+def test_no_trade_market_clears_at_the_midpoint():
+    # the owners value every kW above every non-owner: E is exactly zero
+    # from the steepest non-owner slope (100) to the flattest owner slope
+    # (250). Summed in floats, the owners' sizes come to 0.8999999999999999
+    # and their segment widths to 0.9, which would move r_a up to 250.
+    curves = {
+        "a": SavingsCurve("a", np.array([0.0, 0.1, 0.2]), np.array([300.0, 250.0])),
+        "b": SavingsCurve("b", np.array([0.0, 0.1, 0.7]), np.array([280.0, 260.0])),
+        "c": SavingsCurve("c", np.array([0.0, 0.4]), np.array([100.0])),
+        "d": SavingsCurve("d", np.array([0.0, 0.2, 0.5]), np.array([90.0, 60.0])),
+    }
+    eq = clear_market(curves, {"a", "b"})
+    assert eq.clearing_price == 175.0
+    assert eq.volume == 0.0 and eq.total_surplus == 0.0
+    assert eq.total_participation == 0.0
+    assert_matches_oracle(eq, bisection_clear_market(curves, {"a", "b"}))
