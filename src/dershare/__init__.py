@@ -14,10 +14,9 @@ from .adoption import (AdoptionOrder, DemandCurves, LongRunResult, LongRunSolver
                        long_run_adoption, sweep_adoption)
 from .curves import (FitError, HouseholdFit, HouseholdSamples, PurchasesCurve, SavingsCurve,
                      fit_all, fit_household, fit_purchases_curve, fit_savings_curve,
-                     pava_nondecreasing, pava_nonincreasing, sample_and_fit, sample_grid,
-                     sample_household)
-from .dispatch import (DailyDispatchResult, PeriodTotals, ScenarioContext, annual_bill,
-                       dispatch_period, solve_day)
+                     pava_nondecreasing, pava_nonincreasing, sample_grid, sample_household)
+from .dispatch import (DailyDispatchResult, PeriodTotals, ScenarioContext, dispatch_period,
+                       solve_day)
 from .localness import (RegionalFlow, distance_matrix, haversine_km, min_cost_flow,
                         regional_excess, solve_transport)
 from .market import MarketEquilibrium, aggregate_demand, aggregate_supply, clear_market

@@ -17,6 +17,14 @@ the fitted-curve CSVs.
 
 `all` runs the full chain. Results are identical for any --threads
 value; the default worker count comes from DERSHARE_THREADS.
+
+Each stage is declared once in STAGES (flags, input files with the
+stage that writes each, hashed params, outputs, body), and run_stage
+gives every stage the same require, hash, cache check and manifest
+record. A subcommand runs one entry and `all` runs them in order on one
+Run, which loads each artifact from the run directory on first use and
+keeps it: a stage reads its inputs from disk whether their stage ran in
+this process or was cached, and a fully cached `all` parses no scenario.
 """
 
 from __future__ import annotations
@@ -29,8 +37,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +61,12 @@ from .synth import SynthConfig, generate_scenario
 
 DATA_SUBDIR = "data"
 MANIFEST_FILE = "manifest.json"
-DATA_FILES = (LOADS_FILE, IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE, REGIONS_FILE)
+DATA_RELS = [f"{DATA_SUBDIR}/{name}" for name in
+             (LOADS_FILE, IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE, REGIONS_FILE)]
+SAVINGS_FILE = "savings_curves.csv"
+PURCHASES_FILE = "purchases_curves.csv"
+SWEEP_FILE = "sweep.csv"
+SUMMARY_FILE = "equilibrium_summary.csv"
 
 
 class StageError(RuntimeError):
@@ -75,20 +90,11 @@ def _read_manifest(out_dir: Path) -> dict:
     return {"version": __version__, "stages": {}, "outputs": {}}
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    path = out_dir / MANIFEST_FILE
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
-
-
-def _require(out_dir: Path, relpaths, producer: str) -> list[Path]:
-    paths = [out_dir / rel for rel in relpaths]
-    missing = [p for p in paths if not p.exists()]
-    if missing:
-        raise StageError(f"missing {missing[0].relative_to(out_dir)}; "
-                         f"run `dershare {producer}` first")
-    return paths
+def _require(out_dir: Path, inputs) -> list[Path]:
+    for rel, producer in inputs:
+        if not (out_dir / rel).exists():
+            raise StageError(f"missing {rel}; run `dershare {producer}` first")
+    return [out_dir / rel for rel, _ in inputs]
 
 
 def _input_hash(params: dict, input_files: list[Path]) -> str:
@@ -109,19 +115,20 @@ def _stage_cached(out_dir: Path, manifest: dict, stage: str, input_hash: str,
 
 
 def _finish_stage(out_dir: Path, manifest: dict, stage: str, input_hash: str,
-                  outputs: list[Path], started: float) -> None:
-    for p in outputs:
-        rel = str(p.relative_to(out_dir))
-        manifest.setdefault("outputs", {})[rel] = _file_sha(p)
+                  output_rels: list[str], started: float) -> None:
+    for rel in output_rels:
+        manifest.setdefault("outputs", {})[rel] = _file_sha(out_dir / rel)
     manifest.setdefault("stages", {})[stage] = {
         "input_hash": input_hash,
         "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_s": round(time.time() - started, 3),
     }
     manifest["version"] = __version__
-    _write_manifest(out_dir, manifest)
-    print(f"{stage}: wrote {', '.join(str(p.relative_to(out_dir)) for p in outputs)} "
-          f"({time.time() - started:.1f}s)")
+    path = out_dir / MANIFEST_FILE
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp, path)
+    print(f"{stage}: wrote {', '.join(output_rels)} ({time.time() - started:.1f}s)")
 
 
 # ---------------------------------------------------------------- config
@@ -142,14 +149,26 @@ def _load_config(path: str | None) -> dict:
 
 
 def _asset_from(cfg: dict) -> AssetSpec:
-    return AssetSpec(**cfg.get("asset", {}))
+    section = cfg.get("asset", {})
+    unknown = set(section) - set(AssetSpec.__dataclass_fields__)
+    if unknown:
+        raise ValidationError("asset config", sorted(unknown)[0], "unknown config key")
+    return AssetSpec(**section)
 
 
-def _synth_from(cfg: dict, seed: int | None) -> SynthConfig:
-    section = dict(cfg.get("synth", {}))
-    if seed is not None:
-        section["rng_seed"] = seed
-    return SynthConfig.from_dict(section)
+def _checked(source: tuple[str, str], parse, *args):
+    """parse(*args); a malformed value raises a ValidationError naming its source."""
+    try:
+        return parse(*args)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(*source, str(exc)) from None
+
+
+def _flag_or_config(value, flag: str, cfg: dict, section: str, key: str):
+    """The flag's value if given, else the config's, with where it came from."""
+    if value:
+        return value, ("command line", flag)
+    return cfg.get(section, {}).get(key), ("config", f"{section}.{key}")
 
 
 def _parse_grid(spec, default) -> np.ndarray:
@@ -160,9 +179,16 @@ def _parse_grid(spec, default) -> np.ndarray:
         return np.asarray(spec, dtype=float)
     text = str(spec)
     if ":" in text:
-        a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"expected 'a:b:n', got {text!r}")
+        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
     return np.asarray([float(v) for v in text.split(",")], dtype=float)
+
+
+def _parse_rates(text: str | None) -> list[float]:
+    """Comma list of adoption rates; empty entries are skipped."""
+    return [float(v) for v in (text or "").split(",") if v]
 
 
 def _auto_p_grid(order) -> np.ndarray:
@@ -172,346 +198,360 @@ def _auto_p_grid(order) -> np.ndarray:
     return np.linspace(lo, hi, 21)
 
 
+def _p_grid_for(out_dir: Path, cfg: dict, p_grid_spec, price, order) -> np.ndarray:
+    if price is not None:
+        return np.asarray([price], dtype=float)
+    spec, source = _flag_or_config(p_grid_spec, "--p-grid", cfg, "prices", "p_grid")
+    if spec in (None, "auto"):
+        return _auto_p_grid(order)
+    return _checked(source, _parse_grid, spec, None)
+
+
+def _load_context(out_dir: Path, cfg: dict, days: int | None) -> ScenarioContext:
+    return Run(out_dir, argparse.Namespace(days=days), cfg).context
+
+
 def _fmt_bool(b) -> str:
     return "true" if b else "false"
 
 
-# ---------------------------------------------------------------- stages
+# ---------------------------------------------------------------- run
 
-def cmd_gen(out_dir: Path, cfg: dict, seed: int | None) -> None:
-    started = time.time()
-    synth_cfg = _synth_from(cfg, seed)
-    asset = _asset_from(cfg)
-    manifest = _read_manifest(out_dir)
-    input_hash = _hash_obj({"synth": synth_cfg.to_dict(), "asset": asdict(asset)})
-    output_rels = [f"{DATA_SUBDIR}/{name}" for name in DATA_FILES]
-    if _stage_cached(out_dir, manifest, "gen-data", input_hash, output_rels):
-        print("gen-data: cached")
-        return
-    scenario = generate_scenario(synth_cfg, asset)
-    validate_scenario(scenario)
-    outputs = write_scenario(scenario, out_dir / DATA_SUBDIR)
-    _finish_stage(out_dir, manifest, "gen-data", input_hash, outputs, started)
+class Run:
+    """One invocation on one run directory.
+
+    Flags and config values are read when a stage asks for them, and
+    each artifact is loaded from the run directory on first use and then
+    kept, so the stages of one `all` share a single scenario, curve set
+    and LongRunSolver.
+    """
+
+    def __init__(self, out: Path, args: argparse.Namespace, cfg: dict):
+        self.out = out
+        self.args = args
+        self.cfg = cfg
+
+    def flag(self, name: str):
+        """A flag's value; None when this subcommand does not take it."""
+        return getattr(self.args, name, None)
+
+    @cached_property
+    def manifest(self) -> dict:
+        return _read_manifest(self.out)
+
+    @cached_property
+    def asset(self) -> AssetSpec:
+        return _asset_from(self.cfg)
+
+    @cached_property
+    def synth(self) -> SynthConfig:
+        section = dict(self.cfg.get("synth", {}))
+        if self.flag("seed") is not None:
+            section["rng_seed"] = self.flag("seed")
+        return SynthConfig.from_dict(section)
+
+    @cached_property
+    def require_terminal_soc(self) -> bool:
+        return bool(self.cfg.get("require_terminal_soc", False))
+
+    @cached_property
+    def n_samples(self) -> int:
+        return self.flag("samples") or _checked(
+            ("config", "fit.n_samples"), int, self.cfg.get("fit", {}).get("n_samples", 30))
+
+    @cached_property
+    def threads(self) -> int:
+        return max(1, self.flag("threads") or _checked(
+            ("environment", "DERSHARE_THREADS"), int, os.environ.get("DERSHARE_THREADS", "1")))
+
+    @cached_property
+    def loaded(self):
+        return load_scenario(self.out / DATA_SUBDIR, self.asset)
+
+    @cached_property
+    def context(self) -> ScenarioContext:
+        scenario = self.loaded.scenario
+        days = self.flag("days")
+        day_indices = None
+        if days is not None and days < scenario.n_days:
+            day_indices = np.round(np.linspace(0, scenario.n_days - 1, days)).astype(int)
+        return ScenarioContext(scenario, day_indices,
+                               require_terminal_soc=self.require_terminal_soc)
+
+    @cached_property
+    def curves(self):
+        return read_savings_curves(self.out / SAVINGS_FILE)
+
+    @cached_property
+    def order(self):
+        return build_order(self.curves)
+
+    @cached_property
+    def solver(self) -> LongRunSolver:
+        return LongRunSolver(self.order, self.curves)
+
+    @cached_property
+    def purchases(self):
+        return read_purchases_curves(self.out / PURCHASES_FILE)
+
+    @cached_property
+    def sweep_table(self) -> DemandCurves:
+        with open(self.out / SWEEP_FILE, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return DemandCurves(**{name: np.asarray([(int if name == "owners" else float)(r[name])
+                                                 for r in rows])
+                               for name in SWEEP_HEADER})
+
+    @cached_property
+    def t_grid(self) -> np.ndarray:
+        spec, source = _flag_or_config(self.flag("t_grid"), "--t-grid", self.cfg,
+                                       "sweep", "t_grid")
+        return _checked(source, _parse_grid, spec, default_t_grid)
+
+    @cached_property
+    def equilibrium_at(self) -> list[float]:
+        return _checked(("command line", "--equilibrium-at"), _parse_rates,
+                        self.flag("equilibrium_at"))
+
+    @cached_property
+    def flows_at(self) -> list[float]:
+        return _checked(("command line", "--flows-at"), _parse_rates, self.flag("flows_at"))
+
+    @cached_property
+    def p_grid(self) -> np.ndarray:
+        return _p_grid_for(self.out, self.cfg, self.flag("p_grid"), self.flag("price"),
+                           self.order)
+
+    @cached_property
+    def long_run(self) -> list:
+        return [long_run_adoption(self.order, self.curves, float(p), self.solver)
+                for p in self.p_grid]
 
 
-def _data_files(out_dir: Path) -> list[Path]:
-    return _require(out_dir, [f"{DATA_SUBDIR}/{n}" for n in DATA_FILES], "gen-data")
+# ---------------------------------------------------------------- stage bodies
 
-
-def cmd_validate(out_dir: Path, cfg: dict) -> None:
-    started = time.time()
-    data = _data_files(out_dir)
-    asset = _asset_from(cfg)
-    manifest = _read_manifest(out_dir)
-    input_hash = _input_hash({"asset": asdict(asset)}, data)
-    if _stage_cached(out_dir, manifest, "validate", input_hash, [EXCLUSIONS_FILE]):
-        print("validate: cached")
-        return
-    result = load_scenario(out_dir / DATA_SUBDIR, asset)
-    validate_scenario(result.scenario)
-    path = write_exclusions(out_dir / EXCLUSIONS_FILE, result.exclusions)
-    print(f"validate: {len(result.scenario.households)} households retained, "
-          f"{len(result.exclusions)} excluded")
-    _finish_stage(out_dir, manifest, "validate", input_hash, [path], started)
-
-
-def _load_context(out_dir: Path, cfg: dict, days: int | None) -> ScenarioContext:
-    asset = _asset_from(cfg)
-    scenario = load_scenario(out_dir / DATA_SUBDIR, asset).scenario
-    day_indices = None
-    if days is not None and days < scenario.n_days:
-        day_indices = np.round(np.linspace(0, scenario.n_days - 1, days)).astype(int)
-    return ScenarioContext(scenario, day_indices,
-                           require_terminal_soc=bool(cfg.get("require_terminal_soc", False)))
-
-
-def cmd_fit(out_dir: Path, cfg: dict, samples: int | None, days: int | None,
-            threads: int) -> None:
-    started = time.time()
-    data = _data_files(out_dir)
-    n_samples = samples or int(cfg.get("fit", {}).get("n_samples", 30))
-    manifest = _read_manifest(out_dir)
-    params = {"n_samples": n_samples, "days": days, "asset": asdict(_asset_from(cfg)),
-              "require_terminal_soc": bool(cfg.get("require_terminal_soc", False))}
-    input_hash = _input_hash(params, data)
-    output_rels = ["savings_curves.csv", "purchases_curves.csv"]
-    if _stage_cached(out_dir, manifest, "fit", input_hash, output_rels):
-        print("fit: cached")
-        return
-    ctx = _load_context(out_dir, cfg, days)
-    n = len(ctx.scenario.households)
-    print(f"fit: {n} households x {n_samples + 1} capacity samples x "
-          f"{ctx.day_indices.size} days on {threads} worker(s)")
-    fits = fit_all(ctx, n_samples, workers=threads)
-    outputs = [
-        write_savings_curves(out_dir / "savings_curves.csv",
-                             [f.savings for f in fits.values()]),
-        write_purchases_curves(out_dir / "purchases_curves.csv",
-                               [f.purchases for f in fits.values()]),
-    ]
-    _finish_stage(out_dir, manifest, "fit", input_hash, outputs, started)
-
-
-def _load_curves(out_dir: Path):
-    path = _require(out_dir, ["savings_curves.csv"], "fit")[0]
-    curves = read_savings_curves(path)
-    return curves, build_order(curves), path
-
-
-SWEEP_HEADER = ["t", "owners", "adopted_quantity", "short_run_price", "clearing_price",
-                "volume", "fraction_rented_out", "owner_participation",
-                "non_owner_participation", "total_participation",
-                "owner_surplus", "renter_surplus", "total_surplus"]
+SWEEP_HEADER = [f.name for f in fields(DemandCurves)]
 
 EQUILIBRIUM_SUMMARY_HEADER = ["t", "clearing_price", "volume", "owner_participation",
                               "non_owner_participation", "total_participation",
                               "owner_surplus", "renter_surplus", "total_surplus"]
-
-
-def _write_equilibrium(out_dir: Path, rel: str, solver: LongRunSolver, t: float):
-    """Per-household allocations and surpluses at one adoption rate."""
-    eq = solver.equilibrium_at(solver.order.count_at_rate(t))
-    rows = [[hid, "owner" if hid in eq.owner_ids else "renter",
-             eq.allocations[hid], eq.surpluses[hid]] for hid in sorted(eq.allocations)]
-    path = write_rows(out_dir / rel, ["household_id", "role", "y_star", "surplus"], rows)
-    summary = [t, math.nan if eq.clearing_price is None else eq.clearing_price,
-               eq.volume, eq.owner_participation, eq.non_owner_participation,
-               eq.total_participation, eq.owner_surplus_total, eq.renter_surplus_total,
-               eq.total_surplus]
-    return path, summary
-
-
-def cmd_sweep(out_dir: Path, cfg: dict, t_grid_spec, equilibrium_at=()) -> None:
-    started = time.time()
-    curves, order, curves_path = _load_curves(out_dir)
-    t_grid = _parse_grid(t_grid_spec or cfg.get("sweep", {}).get("t_grid"), default_t_grid)
-    equilibrium_at = [float(t) for t in equilibrium_at]
-    manifest = _read_manifest(out_dir)
-    input_hash = _input_hash({"t_grid": t_grid.tolist(), "equilibrium_at": equilibrium_at},
-                             [curves_path])
-    eq_rels = [f"equilibrium_t{t:g}.csv" for t in equilibrium_at]
-    output_rels = ["sweep.csv"] + (eq_rels + ["equilibrium_summary.csv"] if eq_rels else [])
-    if _stage_cached(out_dir, manifest, "sweep", input_hash, output_rels):
-        print("sweep: cached")
-        return
-    solver = LongRunSolver(order, curves)
-    table = sweep_adoption(order, curves, t_grid, solver)
-    rows = zip(table.t, table.owners, table.adopted_quantity, table.short_run_price,
-               table.clearing_price, table.volume, table.fraction_rented_out,
-               table.owner_participation, table.non_owner_participation,
-               table.total_participation, table.owner_surplus, table.renter_surplus,
-               table.total_surplus)
-    outputs = [write_rows(out_dir / "sweep.csv", SWEEP_HEADER,
-                          [[float(v) if isinstance(v, (np.floating, float)) else int(v)
-                            for v in row] for row in rows])]
-    if equilibrium_at:
-        summaries = []
-        for t, rel in zip(equilibrium_at, eq_rels):
-            path, summary = _write_equilibrium(out_dir, rel, solver, t)
-            outputs.append(path)
-            summaries.append(summary)
-        outputs.append(write_rows(out_dir / "equilibrium_summary.csv",
-                                  EQUILIBRIUM_SUMMARY_HEADER, summaries))
-    _finish_stage(out_dir, manifest, "sweep", input_hash, outputs, started)
-
-
-def _read_sweep_table(out_dir: Path):
-    """Reconstruct the sweep arrays needed downstream from sweep.csv."""
-    path = _require(out_dir, ["sweep.csv"], "sweep")[0]
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-
-    def col(name, dtype=float):
-        return np.asarray([dtype(r[name]) for r in rows])
-    return DemandCurves(
-        t=col("t"), owners=col("owners", int), adopted_quantity=col("adopted_quantity"),
-        short_run_price=col("short_run_price"), clearing_price=col("clearing_price"),
-        volume=col("volume"), fraction_rented_out=col("fraction_rented_out"),
-        owner_participation=col("owner_participation"),
-        non_owner_participation=col("non_owner_participation"),
-        total_participation=col("total_participation"), owner_surplus=col("owner_surplus"),
-        renter_surplus=col("renter_surplus"), total_surplus=col("total_surplus")), path
-
-
-def _p_grid_for(out_dir: Path, cfg: dict, p_grid_spec, price, order) -> np.ndarray:
-    if price is not None:
-        return np.asarray([price], dtype=float)
-    spec = p_grid_spec or cfg.get("prices", {}).get("p_grid")
-    if spec in (None, "auto"):
-        return _auto_p_grid(order)
-    return _parse_grid(spec, None)
-
 
 LONGRUN_HEADER = ["price", "k_short", "t_short", "d_short", "k_long", "t_long", "d_long",
                   "delta_q", "r_at_long", "r_before_long", "saturated", "contraction",
                   "no_adoption"]
 
 
-def _longrun_rows(order, curves, p_grid):
-    solver = LongRunSolver(order, curves)
-    results = [long_run_adoption(order, curves, float(p), solver) for p in p_grid]
+def _equilibrium_rels(run: Run) -> list[str]:
+    return [f"equilibrium_t{t:g}.csv" for t in run.equilibrium_at]
+
+
+def _flow_rels(run: Run) -> list[str]:
+    return [f"flows_t{t:g}.csv" for t in run.flows_at]
+
+
+def _gen_data(run: Run) -> None:
+    scenario = generate_scenario(run.synth, run.asset)
+    validate_scenario(scenario)
+    write_scenario(scenario, run.out / DATA_SUBDIR)
+
+
+def _validate(run: Run) -> None:
+    result = run.loaded
+    validate_scenario(result.scenario)
+    write_exclusions(run.out / EXCLUSIONS_FILE, result.exclusions)
+    print(f"validate: {len(result.scenario.households)} households retained, "
+          f"{len(result.exclusions)} excluded")
+
+
+def _fit(run: Run) -> None:
+    threads = run.threads
+    ctx = run.context
+    print(f"fit: {len(ctx.scenario.households)} households x {run.n_samples + 1} capacity "
+          f"samples x {ctx.day_indices.size} days on {threads} worker(s)")
+    fits = fit_all(ctx, run.n_samples, workers=threads)
+    write_savings_curves(run.out / SAVINGS_FILE, [f.savings for f in fits.values()])
+    write_purchases_curves(run.out / PURCHASES_FILE, [f.purchases for f in fits.values()])
+
+
+def _sweep(run: Run) -> None:
+    table = sweep_adoption(run.order, run.curves, run.t_grid, run.solver)
+    write_rows(run.out / SWEEP_FILE, SWEEP_HEADER,
+               zip(*(getattr(table, name) for name in SWEEP_HEADER)))
+    if not run.equilibrium_at:
+        return
+    summaries = []
+    for t, rel in zip(run.equilibrium_at, _equilibrium_rels(run)):
+        # per-household allocations and surpluses at one adoption rate
+        eq = run.solver.equilibrium_at(run.order.count_at_rate(t))
+        write_rows(run.out / rel, ["household_id", "role", "y_star", "surplus"],
+                   [[hid, "owner" if hid in eq.owner_ids else "renter",
+                     eq.allocations[hid], eq.surpluses[hid]] for hid in sorted(eq.allocations)])
+        summaries.append([t, math.nan if eq.clearing_price is None else eq.clearing_price,
+                          eq.volume, eq.owner_participation, eq.non_owner_participation,
+                          eq.total_participation, eq.owner_surplus_total,
+                          eq.renter_surplus_total, eq.total_surplus])
+    write_rows(run.out / SUMMARY_FILE, EQUILIBRIUM_SUMMARY_HEADER, summaries)
+
+
+def _longrun(run: Run) -> None:
     rows = [[lr.price, lr.k_short, lr.t_short, lr.d_short, lr.k_long, lr.t_long, lr.d_long,
              lr.delta_q,
              math.nan if lr.r_at_long is None else lr.r_at_long,
              math.nan if lr.r_before_long is None else lr.r_before_long,
              _fmt_bool(lr.saturated), _fmt_bool(lr.contraction), _fmt_bool(lr.no_adoption)]
-            for lr in results]
-    return results, rows
+            for lr in run.long_run]
+    write_rows(run.out / "longrun.csv", LONGRUN_HEADER, rows)
 
 
-def cmd_longrun(out_dir: Path, cfg: dict, p_grid_spec, price) -> None:
-    started = time.time()
-    curves, order, curves_path = _load_curves(out_dir)
-    p_grid = _p_grid_for(out_dir, cfg, p_grid_spec, price, order)
-    manifest = _read_manifest(out_dir)
-    input_hash = _input_hash({"p_grid": p_grid.tolist()}, [curves_path])
-    if _stage_cached(out_dir, manifest, "longrun", input_hash, ["longrun.csv"]):
-        print("longrun: cached")
-        return
-    _, rows = _longrun_rows(order, curves, p_grid)
-    path = write_rows(out_dir / "longrun.csv", LONGRUN_HEADER, rows)
-    _finish_stage(out_dir, manifest, "longrun", input_hash, [path], started)
-
-
-def cmd_subsidy(out_dir: Path, cfg: dict, p_grid_spec, price) -> None:
-    started = time.time()
-    curves, order, curves_path = _load_curves(out_dir)
-    table, sweep_path = _read_sweep_table(out_dir)
-    p_grid = _p_grid_for(out_dir, cfg, p_grid_spec, price, order)
-    manifest = _read_manifest(out_dir)
-    input_hash = _input_hash({"p_grid": p_grid.tolist()}, [curves_path, sweep_path])
-    if _stage_cached(out_dir, manifest, "subsidy", input_hash, ["subsidy.csv"]):
-        print("subsidy: cached")
-        return
-    results, _ = _longrun_rows(order, curves, p_grid)
+def _subsidy(run: Run) -> None:
     rows = []
-    for lr in results:
-        sub = equivalent_subsidy(table, lr)
+    for lr in run.long_run:
+        sub = equivalent_subsidy(run.sweep_table, lr)
         rows.append([sub.price, sub.delta_q, sub.subsidy, _fmt_bool(sub.no_increase)])
-    path = write_rows(out_dir / "subsidy.csv", ["price", "delta_q", "subsidy", "no_increase"], rows)
-    _finish_stage(out_dir, manifest, "subsidy", input_hash, [path], started)
+    write_rows(run.out / "subsidy.csv", ["price", "delta_q", "subsidy", "no_increase"], rows)
 
 
-def cmd_localness(out_dir: Path, cfg: dict, flows_at) -> None:
-    started = time.time()
-    data = _data_files(out_dir)
-    curves, order, curves_path = _load_curves(out_dir)
-    table, sweep_path = _read_sweep_table(out_dir)
-    flows_at = [float(t) for t in flows_at]
-    manifest = _read_manifest(out_dir)
-    input_hash = _input_hash({"flows_at": flows_at}, data + [curves_path, sweep_path])
-    flow_rels = [f"flows_t{t:g}.csv" for t in flows_at]
-    if _stage_cached(out_dir, manifest, "localness", input_hash,
-                     ["localness.csv"] + flow_rels):
-        print("localness: cached")
-        return
-    scenario = load_scenario(out_dir / DATA_SUBDIR, _asset_from(cfg)).scenario
+def _localness(run: Run) -> None:
+    scenario = run.loaded.scenario
     dmat = distance_matrix(scenario.regions)
     region_ids = tuple(r.id for r in scenario.regions)
-    solver = LongRunSolver(order, curves)
 
     def flow_at(t: float):
-        eq = solver.equilibrium_at(order.count_at_rate(t))
+        eq = run.solver.equilibrium_at(run.order.count_at_rate(t))
         s = regional_excess(eq, scenario.households, scenario.regions)
         return min_cost_flow(s, dmat, eq.volume, region_ids)
 
     rows = []
-    for t in table.t:
+    for t in run.sweep_table.t:
         rf = flow_at(float(t))
         rows.append([float(t), rf.volume, rf.objective, rf.fraction_local,
                      _fmt_bool(rf.degenerate)])
-    outputs = [write_rows(out_dir / "localness.csv",
-                          ["t", "volume", "objective", "fraction_local", "degenerate"], rows)]
-    for t, rel in zip(flows_at, flow_rels):
+    write_rows(run.out / "localness.csv",
+               ["t", "volume", "objective", "fraction_local", "degenerate"], rows)
+    for t, rel in zip(run.flows_at, _flow_rels(run)):
         rf = flow_at(t)
-        frows = [[region_ids[i], region_ids[j], rf.flow[i, j]]
-                 for i in range(len(region_ids)) for j in range(len(region_ids))
-                 if rf.flow[i, j] > 0]
-        outputs.append(write_rows(out_dir / rel, ["from_region", "to_region", "kw"], frows))
-    _finish_stage(out_dir, manifest, "localness", input_hash, outputs, started)
+        write_rows(run.out / rel, ["from_region", "to_region", "kw"],
+                   [[region_ids[i], region_ids[j], rf.flow[i, j]]
+                    for i in range(len(region_ids)) for j in range(len(region_ids))
+                    if rf.flow[i, j] > 0])
 
 
-def cmd_stakeholders(out_dir: Path, cfg: dict, p_grid_spec, price) -> None:
-    started = time.time()
-    curves, order, curves_path = _load_curves(out_dir)
-    purchases_path = _require(out_dir, ["purchases_curves.csv"], "fit")[0]
-    purchases = read_purchases_curves(purchases_path)
-    p_grid = _p_grid_for(out_dir, cfg, p_grid_spec, price, order)
-    manifest = _read_manifest(out_dir)
-    input_hash = _input_hash({"p_grid": p_grid.tolist()}, [curves_path, purchases_path])
-    if _stage_cached(out_dir, manifest, "stakeholders", input_hash, ["stakeholders.csv"]):
-        print("stakeholders: cached")
-        return
-    points = regime_boundary(order, curves, purchases, p_grid)
+def _stakeholders(run: Run) -> None:
+    points = regime_boundary(run.order, run.curves, run.purchases, run.p_grid, run.solver)
     rows = [[pt.price, pt.delta_q, pt.vendor_gain, pt.utility_loss,
              ("" if pt.threshold is None else pt.threshold),
              _fmt_bool(pt.emerges_at_unit_ratio)] for pt in points]
-    path = write_rows(out_dir / "stakeholders.csv",
-                      ["price", "delta_q", "vendor_gain", "utility_loss",
-                       "threshold", "emerges_at_unit_ratio"], rows)
-    _finish_stage(out_dir, manifest, "stakeholders", input_hash, [path], started)
+    write_rows(run.out / "stakeholders.csv",
+               ["price", "delta_q", "vendor_gain", "utility_loss",
+                "threshold", "emerges_at_unit_ratio"], rows)
+
+
+# ---------------------------------------------------------------- stage table
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, declared once.
+
+    inputs pairs each file the stage reads with the stage that writes
+    it. The input hash covers params(run) and the inputs' contents (a
+    stage without input files hashes its params alone); body(run) writes
+    exactly outputs(run).
+    """
+
+    name: str
+    help: str
+    flags: tuple[str, ...]
+    inputs: tuple[tuple[str, str], ...]
+    params: Callable[[Run], dict]
+    outputs: Callable[[Run], list[str]]
+    body: Callable[[Run], None]
+
+
+_DATA_INPUTS = tuple((rel, "gen-data") for rel in DATA_RELS)
+_CURVES_INPUT = ((SAVINGS_FILE, "fit"),)
+_SWEEP_INPUT = ((SWEEP_FILE, "sweep"),)
+_PRICE_FLAGS = ("--p-grid", "--price")
+
+STAGES = (
+    Stage("gen-data", "generate a synthetic scenario", ("--seed",), (),
+          lambda run: {"synth": run.synth.to_dict(), "asset": asdict(run.asset)},
+          lambda run: DATA_RELS, _gen_data),
+    Stage("validate", "ingest and validate the data directory", (), _DATA_INPUTS,
+          lambda run: {"asset": asdict(run.asset)},
+          lambda run: [EXCLUSIONS_FILE], _validate),
+    Stage("fit", "sample and fit savings and purchases curves",
+          ("--samples", "--days", "--threads"), _DATA_INPUTS,
+          lambda run: {"n_samples": run.n_samples, "days": run.flag("days"),
+                       "asset": asdict(run.asset),
+                       "require_terminal_soc": run.require_terminal_soc},
+          lambda run: [SAVINGS_FILE, PURCHASES_FILE], _fit),
+    Stage("sweep", "clear the market along the adoption order",
+          ("--t-grid", "--equilibrium-at"), _CURVES_INPUT,
+          lambda run: {"t_grid": run.t_grid.tolist(), "equilibrium_at": run.equilibrium_at},
+          lambda run: [SWEEP_FILE] + ([*_equilibrium_rels(run), SUMMARY_FILE]
+                                      if run.equilibrium_at else []),
+          _sweep),
+    Stage("longrun", "short- and long-run adoption over purchase prices", _PRICE_FLAGS,
+          _CURVES_INPUT, lambda run: {"p_grid": run.p_grid.tolist()},
+          lambda run: ["longrun.csv"], _longrun),
+    Stage("subsidy", "equivalent direct subsidy over purchase prices", _PRICE_FLAGS,
+          _CURVES_INPUT + _SWEEP_INPUT, lambda run: {"p_grid": run.p_grid.tolist()},
+          lambda run: ["subsidy.csv"], _subsidy),
+    Stage("localness", "regional excesses and min-cost matching", ("--flows-at",),
+          _DATA_INPUTS + _CURVES_INPUT + _SWEEP_INPUT,
+          lambda run: {"flows_at": run.flows_at},
+          lambda run: ["localness.csv"] + _flow_rels(run), _localness),
+    Stage("stakeholders", "vendor gains against utility losses over purchase prices",
+          _PRICE_FLAGS, _CURVES_INPUT + ((PURCHASES_FILE, "fit"),),
+          lambda run: {"p_grid": run.p_grid.tolist()},
+          lambda run: ["stakeholders.csv"], _stakeholders),
+)
+
+
+def run_stage(run: Run, stage: Stage) -> None:
+    started = time.time()
+    inputs = _require(run.out, stage.inputs)
+    params = stage.params(run)
+    input_hash = _input_hash(params, inputs) if inputs else _hash_obj(params)
+    outputs = stage.outputs(run)
+    if _stage_cached(run.out, run.manifest, stage.name, input_hash, outputs):
+        print(f"{stage.name}: cached")
+        return
+    stage.body(run)
+    _finish_stage(run.out, run.manifest, stage.name, input_hash, outputs, started)
 
 
 # ---------------------------------------------------------------- entry
+
+FLAGS = {
+    "--seed": dict(type=int, help="override the generator seed"),
+    "--samples": dict(type=int, help="capacity sample count (default 30)"),
+    "--days": dict(type=int, help="subsample this many representative days"),
+    "--threads": dict(type=int, help="worker processes"),
+    "--t-grid": dict(help="adoption rates: 'a:b:n', comma list, or default"),
+    "--equilibrium-at": dict(
+        default="", help="comma list of adoption rates to dump per-household allocations for"),
+    "--p-grid": dict(help="purchase prices: 'a:b:n', comma list, or 'auto'"),
+    "--price": dict(type=float, help="single purchase price"),
+    "--flows-at": dict(default="", help="comma list of adoption rates to dump flows for"),
+}
+# `all` takes every stage's flags except --price: it runs the whole p-grid
+ALL_FLAGS = tuple(dict.fromkeys(f for s in STAGES for f in s.flags if f != "--price"))
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dershare", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config=True):
+    for name, help_, flags in ([(s.name, s.help, s.flags) for s in STAGES]
+                               + [("all", "run the full pipeline", ALL_FLAGS)]):
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--out", required=True, help="run directory for data and outputs")
-        if config:
-            p.add_argument("--config", help="JSON config file")
-
-    p = sub.add_parser("gen-data", help="generate a synthetic scenario")
-    common(p)
-    p.add_argument("--seed", type=int, help="override the generator seed")
-
-    p = sub.add_parser("validate", help="ingest and validate the data directory")
-    common(p)
-
-    p = sub.add_parser("fit", help="sample and fit savings and purchases curves")
-    common(p)
-    p.add_argument("--samples", type=int, help="capacity sample count (default 30)")
-    p.add_argument("--days", type=int, help="subsample this many representative days")
-    p.add_argument("--threads", type=int, default=None, help="worker processes")
-
-    p = sub.add_parser("sweep", help="clear the market along the adoption order")
-    common(p)
-    p.add_argument("--t-grid", help="adoption rates: 'a:b:n', comma list, or default")
-    p.add_argument("--equilibrium-at", default="",
-                   help="comma list of adoption rates to dump per-household allocations for")
-
-    for name, needs_price in (("longrun", True), ("subsidy", True), ("stakeholders", True)):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("--p-grid", help="purchase prices: 'a:b:n', comma list, or 'auto'")
-        if needs_price:
-            p.add_argument("--price", type=float, help="single purchase price")
-
-    p = sub.add_parser("localness", help="regional excesses and min-cost matching")
-    common(p)
-    p.add_argument("--flows-at", default="", help="comma list of adoption rates to dump flows for")
-
-    p = sub.add_parser("all", help="run the full pipeline")
-    common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--days", type=int)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--t-grid")
-    p.add_argument("--p-grid")
-    p.add_argument("--flows-at", default="")
-    p.add_argument("--equilibrium-at", default="")
+        p.add_argument("--config", help="JSON config file")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
-
-
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    return max(1, int(os.environ.get("DERSHARE_THREADS", "1")))
 
 
 def main(argv=None) -> int:
@@ -519,36 +559,10 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        if args.command == "gen-data":
-            cmd_gen(out_dir, cfg, args.seed)
-        elif args.command == "validate":
-            cmd_validate(out_dir, cfg)
-        elif args.command == "fit":
-            cmd_fit(out_dir, cfg, args.samples, args.days, _threads(args))
-        elif args.command == "sweep":
-            cmd_sweep(out_dir, cfg, args.t_grid,
-                      [v for v in args.equilibrium_at.split(",") if v])
-        elif args.command == "longrun":
-            cmd_longrun(out_dir, cfg, args.p_grid, args.price)
-        elif args.command == "subsidy":
-            cmd_subsidy(out_dir, cfg, args.p_grid, args.price)
-        elif args.command == "localness":
-            flows_at = [v for v in args.flows_at.split(",") if v]
-            cmd_localness(out_dir, cfg, flows_at)
-        elif args.command == "stakeholders":
-            cmd_stakeholders(out_dir, cfg, args.p_grid, args.price)
-        elif args.command == "all":
-            cmd_gen(out_dir, cfg, args.seed)
-            cmd_validate(out_dir, cfg)
-            cmd_fit(out_dir, cfg, args.samples, args.days, _threads(args))
-            cmd_sweep(out_dir, cfg, args.t_grid,
-                      [v for v in args.equilibrium_at.split(",") if v])
-            cmd_longrun(out_dir, cfg, args.p_grid, None)
-            cmd_subsidy(out_dir, cfg, args.p_grid, None)
-            flows_at = [v for v in args.flows_at.split(",") if v]
-            cmd_localness(out_dir, cfg, flows_at)
-            cmd_stakeholders(out_dir, cfg, args.p_grid, None)
+        run = Run(out_dir, args, _load_config(args.config))
+        for stage in STAGES:
+            if args.command in ("all", stage.name):
+                run_stage(run, stage)
     except (StageError, DomainError, ValidationError, ParseError, LPError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -332,11 +332,6 @@ def fit_household(ctx: ScenarioContext, household: HouseholdRecord,
     )
 
 
-def sample_and_fit(ctx: ScenarioContext, household: HouseholdRecord,
-                   n_samples: int = DEFAULT_SAMPLES) -> SavingsCurve:
-    return fit_household(ctx, household, n_samples).savings
-
-
 _WORKER_CTX: ScenarioContext | None = None
 _WORKER_SAMPLES: int = DEFAULT_SAMPLES
 

@@ -30,7 +30,6 @@ solves and gives bit-identical totals regardless of worker count.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -213,8 +212,7 @@ def dispatch_period(load, irr, buy, sell, asset: AssetSpec, y: float,
 
 
 class ScenarioContext:
-    """Shared dispatch context: a scenario, optional day subsampling, and a
-    per-(household, y) bill cache.
+    """Shared dispatch context: a scenario and optional day subsampling.
 
     day_indices selects a representative subset of days; totals are then
     scaled by n_days / len(day_indices) so period-level figures remain
@@ -235,8 +233,6 @@ class ScenarioContext:
         self._sell = scenario.tariff.sell[self.day_indices]
         self._irr = scenario.irradiance.values[self.day_indices]
         self._households = scenario.household_map()
-        self._cache: dict[tuple[str, float], PeriodTotals] = {}
-        self._lock = threading.Lock()
 
     def _resolve(self, household) -> HouseholdRecord:
         if isinstance(household, HouseholdRecord):
@@ -244,26 +240,14 @@ class ScenarioContext:
         return self._households[household]
 
     def annual_bill(self, household, y: float) -> PeriodTotals:
-        """Period bill (and decomposition) for the household at capacity y, cached."""
+        """Period bill (and decomposition) for the household at capacity y."""
         hh = self._resolve(household)
-        key = (hh.id, float(y))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         totals = dispatch_period(hh.load[self.day_indices], self._irr,
                                  self._buy, self._sell,
                                  self.scenario.asset, y,
                                  self.require_terminal_soc)
-        totals = PeriodTotals(*(self.scale * np.array(totals)))
-        with self._lock:
-            self._cache[key] = totals
-        return totals
+        return PeriodTotals(*(self.scale * np.array(totals)))
 
     def baseline_bill(self, household) -> float:
         """Bill at y = 0; the exact closed form load . buy."""
         return self.annual_bill(household, 0.0).bill
-
-
-def annual_bill(ctx: ScenarioContext, household, y: float) -> PeriodTotals:
-    return ctx.annual_bill(household, y)

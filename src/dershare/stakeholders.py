@@ -102,7 +102,8 @@ def regime_point(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
 
 def regime_boundary(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
                     purchases: Mapping[str, PurchasesCurve],
-                    p_grid: Sequence[float]) -> list[RegimePoint]:
+                    p_grid: Sequence[float],
+                    solver: LongRunSolver | None = None) -> list[RegimePoint]:
     """Trace the blocking-threshold curve over a purchase-price grid."""
-    solver = LongRunSolver(order, curves)
+    solver = solver or LongRunSolver(order, curves)
     return [regime_point(order, curves, purchases, float(p), solver) for p in p_grid]

@@ -1,6 +1,9 @@
+import argparse
 import json
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 
 from conftest import child_env
 from dershare import __version__
+from dershare import cli
+from dershare.adoption import LongRunSolver
 from dershare.cli import main
 
 TINY = {
@@ -24,8 +29,36 @@ def config_path(tmp_path):
     return path
 
 
+STAGES = ("gen-data", "validate", "fit", "sweep", "longrun", "subsidy", "localness",
+          "stakeholders")
+
+# every option of every subcommand; a change to the CLI surface must change this
+CLI_SURFACE = {
+    "gen-data": ["--config", "--out", "--seed"],
+    "validate": ["--config", "--out"],
+    "fit": ["--config", "--days", "--out", "--samples", "--threads"],
+    "sweep": ["--config", "--equilibrium-at", "--out", "--t-grid"],
+    "longrun": ["--config", "--out", "--p-grid", "--price"],
+    "subsidy": ["--config", "--out", "--p-grid", "--price"],
+    "localness": ["--config", "--flows-at", "--out"],
+    "stakeholders": ["--config", "--out", "--p-grid", "--price"],
+    "all": ["--config", "--days", "--equilibrium-at", "--flows-at", "--out", "--p-grid",
+            "--samples", "--seed", "--t-grid", "--threads"],
+}
+
+
 def _run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A TINY run on which every stage has completed."""
+    root = tmp_path_factory.mktemp("finished")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY))
+    assert _run("all", "--config", config, "--out", root / "run") == 0
+    return root / "run"
 
 
 def test_full_pipeline(tmp_path, config_path):
@@ -179,3 +212,83 @@ def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys,
     capsys.readouterr()
     code = _run("fit", "--config", config_path, "--out", out)
     _assert_input_error(capsys, code, "household H", "concavity repair moved a sample")
+
+
+@pytest.mark.parametrize("argv, env, config, expected", [
+    (["sweep", "--t-grid", "0.1:0.9"], {}, {},
+     "command line: field '--t-grid': expected 'a:b:n', got '0.1:0.9'"),
+    (["longrun", "--p-grid", "1:2:x"], {}, {}, "command line: field '--p-grid'"),
+    (["sweep", "--equilibrium-at", "abc"], {}, {}, "command line: field '--equilibrium-at'"),
+    (["localness", "--flows-at", "abc"], {}, {}, "command line: field '--flows-at'"),
+    # --samples 6 misses the cache, so the fit body reads the variable
+    (["fit", "--samples", "6"], {"DERSHARE_THREADS": "abc"}, {},
+     "environment: field 'DERSHARE_THREADS'"),
+    (["gen-data"], {}, {"asset": {"bogus": 1}},
+     "asset config: field 'bogus': unknown config key"),
+    (["sweep"], {}, {"sweep": {"t_grid": "0.1:0.9"}}, "config: field 'sweep.t_grid'"),
+    (["subsidy"], {}, {"prices": {"p_grid": "1,x"}}, "config: field 'prices.p_grid'"),
+    (["fit"], {}, {"fit": {"n_samples": "many"}}, "config: field 'fit.n_samples'"),
+], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
+        "config-t-grid", "config-p-grid", "config-n-samples"])
+def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
+                                             argv, env, config, expected):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, **config}))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    capsys.readouterr()
+    code = _run(*argv, "--config", path, "--out", out)
+    _assert_input_error(capsys, code, expected)
+
+
+def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(cli, "load_scenario", counted("load_scenario", cli.load_scenario))
+    monkeypatch.setattr(cli, "read_savings_curves",
+                        counted("read_savings_curves", cli.read_savings_curves))
+    monkeypatch.setattr(LongRunSolver, "__init__",
+                        counted("LongRunSolver", LongRunSolver.__init__))
+    flags = {"sweep": ["--equilibrium-at", "0.4"], "localness": ["--flows-at", "0.5"]}
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    assert _run("all", "--config", config_path, "--out", a,
+                "--flows-at", "0.5", "--equilibrium-at", "0.4") == 0
+    assert calls == {"load_scenario": 1, "read_savings_curves": 1, "LongRunSolver": 1}
+
+    for stage in STAGES:
+        assert _run(stage, "--config", config_path, "--out", b, *flags.get(stage, [])) == 0
+    csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
+    assert len(csvs) == 16
+    assert csvs == sorted(p.relative_to(b) for p in b.rglob("*.csv"))
+    for rel in csvs:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    capsys.readouterr()
+    for stage in STAGES:
+        assert _run(stage, "--config", config_path, "--out", a, *flags.get(stage, [])) == 0
+        assert capsys.readouterr().out == f"{stage}: cached\n"
+
+    calls.clear()
+    assert _run("all", "--config", config_path, "--out", a,
+                "--flows-at", "0.5", "--equilibrium-at", "0.4") == 0
+    assert calls["load_scenario"] == 0 and calls["LongRunSolver"] == 0
+    assert capsys.readouterr().out == "".join(f"{stage}: cached\n" for stage in STAGES)
+
+
+def test_cli_surface_is_pinned():
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def options(p):
+        return sorted(o for a in p._actions for o in a.option_strings
+                      if o not in ("-h", "--help"))
+    assert options(parser) == ["--version"]
+    assert {name: options(p) for name, p in sub.choices.items()} == CLI_SURFACE
