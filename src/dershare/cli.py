@@ -30,7 +30,6 @@ this process or was cached, and a fully cached `all` parses no scenario.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -51,8 +50,9 @@ from .dispatch import ScenarioContext
 from .curves import FitError, fit_all
 from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE,
                  TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError, load_scenario,
-                 read_purchases_curves, read_savings_curves, write_exclusions,
-                 write_purchases_curves, write_rows, write_savings_curves, write_scenario)
+                 read_number_columns, read_purchases_curves, read_savings_curves,
+                 write_exclusions, write_purchases_curves, write_rows, write_savings_curves,
+                 write_scenario)
 from .localness import distance_matrix, min_cost_flow, regional_excess
 from .lp import LPError
 from .model import AssetSpec, DomainError, ValidationError, validate_scenario
@@ -148,11 +148,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """The config's `name` section; {} when absent."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError("config", name, f"expected a JSON object, got {section!r}")
+    return section
+
+
 def _asset_from(cfg: dict) -> AssetSpec:
-    section = cfg.get("asset", {})
+    section = _section(cfg, "asset")
     unknown = set(section) - set(AssetSpec.__dataclass_fields__)
     if unknown:
         raise ValidationError("asset config", sorted(unknown)[0], "unknown config key")
+    for key, value in section.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError("config", f"asset.{key}", f"expected a number, got {value!r}")
     return AssetSpec(**section)
 
 
@@ -168,7 +179,7 @@ def _flag_or_config(value, flag: str, cfg: dict, section: str, key: str):
     """The flag's value if given, else the config's, with where it came from."""
     if value:
         return value, ("command line", flag)
-    return cfg.get(section, {}).get(key), ("config", f"{section}.{key}")
+    return _section(cfg, section).get(key), ("config", f"{section}.{key}")
 
 
 def _parse_grid(spec, default) -> np.ndarray:
@@ -245,7 +256,7 @@ class Run:
 
     @cached_property
     def synth(self) -> SynthConfig:
-        section = dict(self.cfg.get("synth", {}))
+        section = dict(_section(self.cfg, "synth"))
         if self.flag("seed") is not None:
             section["rng_seed"] = self.flag("seed")
         return SynthConfig.from_dict(section)
@@ -257,7 +268,7 @@ class Run:
     @cached_property
     def n_samples(self) -> int:
         return self.flag("samples") or _checked(
-            ("config", "fit.n_samples"), int, self.cfg.get("fit", {}).get("n_samples", 30))
+            ("config", "fit.n_samples"), int, _section(self.cfg, "fit").get("n_samples", 30))
 
     @cached_property
     def threads(self) -> int:
@@ -296,11 +307,8 @@ class Run:
 
     @cached_property
     def sweep_table(self) -> DemandCurves:
-        with open(self.out / SWEEP_FILE, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        return DemandCurves(**{name: np.asarray([(int if name == "owners" else float)(r[name])
-                                                 for r in rows])
-                               for name in SWEEP_HEADER})
+        return DemandCurves(**read_number_columns(self.out / SWEEP_FILE, SWEEP_HEADER,
+                                                  int_columns=("owners",)))
 
     @cached_property
     def t_grid(self) -> np.ndarray:

@@ -140,6 +140,16 @@ def _parse_float(path, lineno, name, raw) -> float:
         raise ParseError(path, lineno, f"field '{name}': not a number: {raw!r}") from None
 
 
+def read_number_columns(path: Path, header: Sequence[str],
+                        int_columns: Sequence[str] = ()) -> dict[str, np.ndarray]:
+    """A CSV of numbers with exactly this header, one array per column."""
+    rows = [[_parse_float(path, lineno, name, raw) for name, raw in zip(header, row)]
+            for lineno, row in _read_csv(path, header)]
+    columns = np.array(rows, dtype=float).reshape(len(rows), len(header)).T
+    return {name: col.astype(int) if name in int_columns else col
+            for name, col in zip(header, columns)}
+
+
 def _read_day_matrix(path: Path) -> np.ndarray:
     rows = {}
     for lineno, row in _read_csv(path, ["day", *_HOUR_COLS]):

@@ -1,20 +1,22 @@
 """Independent oracles and instance generators used by the test suite.
 
 These deliberately avoid the production code paths they check: the
-dispatch oracle is a dynamic program over a discretized state of
-charge, the transportation oracle is a direct LP formulation fed to
-the generic solver wrapper, and the clearing oracle bisects the sorted
-slopes for the zero of the excess supply, summing every household's
-argmax interval at each probe.
+dispatch oracles are a dynamic program over a discretized state of
+charge and a cold scipy `linprog` solve of the block LP written out row
+by row, the transportation oracle is a direct LP formulation fed to
+`linprog`, and the clearing oracle bisects the sorted slopes for the
+zero of the excess supply, summing every household's argmax interval at
+each probe.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from dershare.adoption import LongRunSolver
 from dershare.curves import SavingsCurve
-from dershare.lp import solve_lp
 from dershare.market import PARTICIPATION_TOL, MarketEquilibrium
 from dershare.model import HOURS, AssetSpec
 
@@ -70,8 +72,64 @@ def transport_lp_objective(supply, demand, cost) -> float:
     for j in range(n):
         a_eq[m + j, j::n] = 1.0
     b_eq = np.concatenate([supply, demand])
-    bounds = np.column_stack([np.zeros(m * n), np.full(m * n, np.inf)])
-    return solve_lp(cost.ravel(), a_eq=a_eq, b_eq=b_eq, bounds=bounds).objective
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def block_lp_bill(load, irr, buy, sell, asset: AssetSpec, y: float,
+                  require_terminal_soc: bool = False) -> tuple[float, float]:
+    """(bill, purchases) of a block of days from one cold `linprog` solve.
+
+    Per day and hour the variables are charge, discharge, state of charge,
+    import and export; the rows are the bus balance and the storage
+    recursion, plus x_24 >= x0 * alpha * y per day when the terminal
+    charge is required. The storage split is netted and the grid rebuilt
+    from the bus balance before pricing, as the dispatch module reports it.
+    """
+    load, irr, buy, sell = (np.atleast_2d(np.asarray(a, dtype=float))
+                            for a in (load, irr, buy, sell))
+    if y == 0.0:
+        purchases = float(np.sum(load * buy))
+        return purchases, purchases
+    n_days = load.shape[0]
+    hour = np.arange(n_days * HOURS)  # (day, hour) flattened
+    day, h = np.divmod(hour, HOURS)
+    charge, discharge, soc, imp, exp = (5 * HOURS * day + k * HOURS + h for k in range(5))
+    bus, rec = 2 * HOURS * day + h, 2 * HOURS * day + HOURS + h
+    later = h > 0
+    rows = np.concatenate([bus, bus, bus, bus, rec, rec, rec, rec[later]])
+    cols = np.concatenate([imp, exp, charge, discharge, soc, charge, discharge, soc[later] - 1])
+    vals = np.concatenate([np.ones_like(bus), -np.ones_like(bus),
+                           np.full(bus.size, -1.0 / (asset.eta_c * asset.eta_i)),
+                           np.full(bus.size, asset.eta_d * asset.eta_i),
+                           np.ones_like(rec), -np.ones_like(rec), np.ones_like(rec),
+                           np.full(int(later.sum()), -asset.eta_s)])
+    n = 5 * HOURS * n_days
+    a_eq = sp.csc_matrix((vals, (rows, cols)), shape=(2 * HOURS * n_days, n))
+    b_eq = np.zeros(2 * HOURS * n_days)
+    b_eq[bus] = (load - asset.eta_i * irr * y).ravel()
+    b_eq[rec[~later]] = asset.eta_s * asset.x0 * asset.alpha * y
+    c = np.zeros(n)
+    c[imp] = buy.ravel()
+    c[exp] = -sell.ravel()
+    upper = np.full(n, np.inf)
+    upper[charge] = asset.u_charge_max * y
+    upper[discharge] = asset.u_discharge_max * y
+    upper[soc] = asset.alpha * y
+    a_ub = b_ub = None
+    if require_terminal_soc:
+        last = soc[h == HOURS - 1]
+        a_ub = sp.csc_matrix((-np.ones(n_days), (np.arange(n_days), last)), shape=(n_days, n))
+        b_ub = np.full(n_days, -asset.x0 * asset.alpha * y)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=np.column_stack([np.zeros(n), upper]), method="highs")
+    assert res.status == 0, res.message
+    u = (res.x[charge] - res.x[discharge]).reshape(n_days, HOURS)
+    grid = (load - asset.eta_i * irr * y + np.maximum(u, 0.0) / (asset.eta_c * asset.eta_i)
+            + asset.eta_d * asset.eta_i * np.minimum(u, 0.0))
+    purchases = float(np.sum(np.maximum(grid, 0.0) * buy))
+    return purchases + float(np.sum(np.minimum(grid, 0.0) * sell)), purchases
 
 
 def random_dispatch_instance(rng: np.random.Generator):

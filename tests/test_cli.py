@@ -188,17 +188,16 @@ def test_short_loads_row_exits_2_naming_file_and_line(tmp_path, config_path, cap
 
 
 def test_lp_failure_exits_2_naming_the_household(tmp_path, config_path, capsys, monkeypatch):
-    import dershare.dispatch
-    from dershare.lp import LPError
+    from dershare.lp import LPError, LPModel
 
-    def failing_solve(*args, **kwargs):
-        raise LPError("LP not solved to optimality (status 2): infeasible")
+    def failing_solve(self, *bounds):
+        raise LPError("LP not solved to optimality: Infeasible")
     out = tmp_path / "run"
     _run("gen-data", "--config", config_path, "--out", out)
-    monkeypatch.setattr(dershare.dispatch, "solve_lp", failing_solve)
+    monkeypatch.setattr(LPModel, "solve", failing_solve)
     capsys.readouterr()
     code = _run("fit", "--config", config_path, "--out", out)
-    _assert_input_error(capsys, code, "household H", "status 2")
+    _assert_input_error(capsys, code, "household H", "Infeasible")
 
 
 def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys, monkeypatch):
@@ -228,8 +227,16 @@ def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys,
     (["sweep"], {}, {"sweep": {"t_grid": "0.1:0.9"}}, "config: field 'sweep.t_grid'"),
     (["subsidy"], {}, {"prices": {"p_grid": "1,x"}}, "config: field 'prices.p_grid'"),
     (["fit"], {}, {"fit": {"n_samples": "many"}}, "config: field 'fit.n_samples'"),
+    (["validate"], {}, {"asset": {"alpha": "x"}},
+     "config: field 'asset.alpha': expected a number, got 'x'"),
+    (["sweep"], {}, {"sweep": 5}, "config: field 'sweep': expected a JSON object, got 5"),
+    (["longrun"], {}, {"prices": "auto"}, "config: field 'prices': expected a JSON object"),
+    (["fit"], {}, {"fit": [5]}, "config: field 'fit': expected a JSON object"),
+    (["gen-data"], {}, {"synth": 3}, "config: field 'synth': expected a JSON object"),
+    (["validate"], {}, {"asset": None}, "config: field 'asset': expected a JSON object"),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
-        "config-t-grid", "config-p-grid", "config-n-samples"])
+        "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
+        "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section"])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"
@@ -241,6 +248,24 @@ def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, mo
     capsys.readouterr()
     code = _run(*argv, "--config", path, "--out", out)
     _assert_input_error(capsys, code, expected)
+
+
+def test_edited_sweep_csv_exits_2_naming_file_and_line(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    sweep = out / "sweep.csv"
+    original = sweep.read_text()
+    sweep.write_text(original.replace("owners", "ownerz", 1))
+    capsys.readouterr()
+    code = _run("subsidy", "--config", path, "--out", out)
+    _assert_input_error(capsys, code, f"{sweep}:1: expected header [", "'ownerz'")
+    lines = original.splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+    sweep.write_text("".join(lines))
+    code = _run("subsidy", "--config", path, "--out", out)
+    _assert_input_error(capsys, code, f"{sweep}:3: expected 13 fields, got 12")
 
 
 def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from dershare.dispatch import ScenarioContext, dispatch_period, solve_day
 from dershare.model import HOURS, AssetSpec, DomainError
-from oracles import dp_dispatch_cost, random_dispatch_instance
+from oracles import block_lp_bill, dp_dispatch_cost, random_dispatch_instance
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +162,55 @@ def test_day_subsampling_scales_totals():
         2.0 * float(hh.load[[0, 2, 4]].sum(axis=0) @ sc.tariff.buy[0]), rel=1e-12)
     # the subsample approximates the full-period bill
     assert half.annual_bill(hh, 0.0).bill == pytest.approx(full.annual_bill(hh, 0.0).bill, rel=0.2)
+
+
+def _assert_matches_oracle(totals, oracle, scale=1.0):
+    bill, purchases = oracle
+    assert totals.bill == pytest.approx(scale * bill, rel=1e-9, abs=1e-12)
+    assert totals.purchases == pytest.approx(scale * purchases, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+def test_block_lp_matches_cold_linprog_oracle(terminal):
+    # criterion 2's instances, one day at a time and as five-day blocks; a
+    # half-charged start makes the terminal rows bind
+    asset = AssetSpec(x0=0.5) if terminal else AssetSpec()
+    rng = np.random.default_rng(7001)
+    days = [random_dispatch_instance(rng) for _ in range(40)]
+    for load, irr, buy, sell, y in days:
+        if not terminal:
+            res = solve_day(load, irr, buy, sell, asset, y)
+            _assert_matches_oracle(dispatch_period(load[None], irr[None], buy[None],
+                                                   sell[None], asset, y), (res.cost, res.purchases))
+        _assert_matches_oracle(dispatch_period(load[None], irr[None], buy[None], sell[None],
+                                               asset, y, terminal),
+                               block_lp_bill(load, irr, buy, sell, asset, y, terminal))
+    for block in range(0, len(days), 5):
+        load, irr, buy, sell = (np.stack([d[k] for d in days[block:block + 5]])
+                                for k in range(4))
+        y = days[block][4]
+        _assert_matches_oracle(dispatch_period(load, irr, buy, sell, asset, y, terminal),
+                               block_lp_bill(load, irr, buy, sell, asset, y, terminal))
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+def test_warm_started_bills_match_cold_oracle_in_any_order(terminal):
+    from dershare.synth import SynthConfig, generate_scenario
+    asset = AssetSpec(x0=0.5) if terminal else AssetSpec()
+    sc = generate_scenario(SynthConfig(n_households=2, n_days=6, rng_seed=43), asset)
+    days = np.array([0, 2, 3, 5])
+    ctx = ScenarioContext(sc, day_indices=days, require_terminal_soc=terminal)
+    a, b = sc.households
+    grids = {hh.id: np.linspace(0.0, hh.net_zero_size, 9) for hh in (a, b)}
+
+    def oracle(hh, y):
+        return block_lp_bill(hh.load[days], sc.irradiance.values[days], sc.tariff.buy[days],
+                             sc.tariff.sell[days], asset, y, terminal)
+    expected = {(hh.id, y): oracle(hh, y) for hh in (a, b) for y in grids[hh.id]}
+
+    ascending = [(a, y) for y in grids[a.id]]
+    shuffled = [ascending[i] for i in np.random.default_rng(3).permutation(len(ascending))]
+    interleaved = [pair for ya, yb in zip(grids[a.id], grids[b.id]) for pair in ((a, ya), (b, yb))]
+    for order in (ascending, ascending[::-1], shuffled, interleaved):
+        for hh, y in order:
+            _assert_matches_oracle(ctx.annual_bill(hh, float(y)), expected[hh.id, y], ctx.scale)
