@@ -175,6 +175,15 @@ def _checked(source: tuple[str, str], parse, *args):
         raise ValidationError(*source, str(exc)) from None
 
 
+def _whole_number(value) -> int:
+    """A JSON integer, or a float with no fractional part."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected a whole number, got {value!r}")
+
+
 def _flag_or_config(value, flag: str, cfg: dict, section: str, key: str):
     """The flag's value if given, else the config's, with where it came from."""
     if value:
@@ -263,12 +272,17 @@ class Run:
 
     @cached_property
     def require_terminal_soc(self) -> bool:
-        return bool(self.cfg.get("require_terminal_soc", False))
+        value = self.cfg.get("require_terminal_soc", False)
+        if not isinstance(value, bool):
+            raise ValidationError("config", "require_terminal_soc",
+                                  f"expected true or false, got {value!r}")
+        return value
 
     @cached_property
     def n_samples(self) -> int:
         return self.flag("samples") or _checked(
-            ("config", "fit.n_samples"), int, _section(self.cfg, "fit").get("n_samples", 30))
+            ("config", "fit.n_samples"), _whole_number,
+            _section(self.cfg, "fit").get("n_samples", 30))
 
     @cached_property
     def threads(self) -> int:

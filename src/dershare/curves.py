@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -358,6 +357,8 @@ def fit_all(ctx: ScenarioContext, n_samples: int = DEFAULT_SAMPLES,
     ids = sorted(h.id for h in ctx.scenario.households)
     if workers <= 1:
         return {hid: fit_household(ctx, ctx._resolve(hid), n_samples) for hid in ids}
+    # imported here so that a single-worker process never loads it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
             max_workers=workers, initializer=_fit_worker_init,
             initargs=(ctx.scenario, ctx.day_indices, ctx.require_terminal_soc, n_samples),

@@ -49,7 +49,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lp import LPError, LPModel
 from .model import HOURS, AssetSpec, DomainError, HouseholdRecord, Scenario
@@ -83,8 +82,8 @@ class DailyDispatchResult:
 
 
 @lru_cache(maxsize=8)
-def _day_matrix(asset: AssetSpec) -> sp.coo_matrix:
-    """Equality constraint matrix of a single day (48 x 120)."""
+def _day_matrix(asset: AssetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equality constraint matrix of a single day (48 x 120) as (rows, cols, values)."""
     rows, cols, vals = [], [], []
 
     def add(r, c, v):
@@ -106,12 +105,28 @@ def _day_matrix(asset: AssetSpec) -> sp.coo_matrix:
         add(24 + h, 24 + h, 1.0)
         if h > 0:
             add(24 + h, 48 + h - 1, -asset.eta_s)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(2 * HOURS, _N_VARS))
+    return np.array(rows), np.array(cols), np.array(vals, dtype=float)
 
 
 @lru_cache(maxsize=32)
-def _period_matrix(asset: AssetSpec, n_days: int) -> sp.csc_matrix:
-    return sp.block_diag([_day_matrix(asset)] * n_days, format="csc")
+def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
+    """The block-diagonal matrix of n_days days, in LPModel's column-compressed form."""
+    rows, cols, vals = _day_matrix(asset)
+    day = np.arange(n_days)[:, None]
+    rows = (rows + 2 * HOURS * day).ravel()
+    cols = (cols + _N_VARS * day).ravel()
+    vals = np.tile(vals, n_days)
+    n_rows, n_cols = 2 * HOURS * n_days, _N_VARS * n_days
+    if require_terminal_soc:
+        # one row per day: -x_24 <= -x0 * alpha * y
+        rows = np.concatenate([rows, n_rows + np.arange(n_days)])
+        cols = np.concatenate([cols, np.arange(n_days) * _N_VARS + (_X.stop - 1)])
+        vals = np.concatenate([vals, -np.ones(n_days)])
+        n_rows += n_days
+    order = np.lexsort((rows, cols))
+    start = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
+    return (n_rows, n_cols), (start, rows[order].astype(np.int32), vals[order])
 
 
 def _check_inputs(buy: np.ndarray, sell: np.ndarray, y: float) -> None:
@@ -152,14 +167,7 @@ def _objective(buy: np.ndarray, sell: np.ndarray) -> np.ndarray:
 def _period_model(buy: np.ndarray, sell: np.ndarray, asset: AssetSpec,
                   require_terminal_soc: bool) -> LPModel:
     """The D-day block LP of these prices; only its bounds depend on the load and y."""
-    n_days = buy.shape[0]
-    a = _period_matrix(asset, n_days)
-    if require_terminal_soc:
-        # one row per day: -x_24 <= -x0 * alpha * y
-        last_soc = np.arange(n_days) * _N_VARS + (_X.stop - 1)
-        terminal = sp.csc_matrix((-np.ones(n_days), (np.arange(n_days), last_soc)),
-                                 shape=(n_days, n_days * _N_VARS))
-        a = sp.vstack([a, terminal], format="csc")
+    a = _period_matrix(asset, buy.shape[0], require_terminal_soc)
     return LPModel(_objective(buy, sell), a)
 
 

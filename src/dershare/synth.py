@@ -115,10 +115,35 @@ class SynthConfig:
             raise ValidationError("synth config", sorted(unknown)[0], "unknown config key")
         kwargs = {}
         for key, value in d.items():
+            default = cls.__dataclass_fields__[key].default
+            if not _matches(value, default):
+                raise ValidationError("config", f"synth.{key}",
+                                      f"expected {_kind(default)}, got {value!r}")
             kwargs[key] = tuple(value) if isinstance(value, list) else value
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
+
+
+def _matches(value, default) -> bool:
+    """Whether a config value has the type of a field's default: an int may
+    stand for a float, a list for a tuple, a bool for neither, and a float
+    must be finite (JSON input may spell NaN and Infinity)."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and all(map(_matches, value, default)))
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, int)
+
+
+def _kind(default) -> str:
+    if isinstance(default, tuple):
+        items = "integers" if isinstance(default[0], int) else "finite numbers"
+        return f"a list of {len(default)} {items}"
+    return "an integer" if isinstance(default, int) else "a finite number"
 
 
 def _window_mask(window: tuple[int, int]) -> np.ndarray:

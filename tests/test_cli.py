@@ -84,6 +84,31 @@ def test_module_entry_point_runs_from_any_directory(tmp_path):
     assert proc.stdout.strip() == __version__
 
 
+_IMPORT_PROBE = """
+import sys
+import dershare, dershare.cli
+heavy = [m for m in sys.modules
+         if m.startswith(("scipy.optimize", "scipy.sparse", "concurrent.futures.process"))
+         and not m.startswith("scipy.optimize._highspy._core")]
+assert not heavy, heavy
+assert "scipy.optimize._highspy._core" in sys.modules
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+from dershare.lp import highs
+assert _core is highs
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+assert res.status == 0 and res.fun == 1.0, res
+"""
+
+
+def test_import_loads_highs_without_scipy_optimize(tmp_path):
+    """Importing the package loads scipy's HiGHS binding on its own, and a
+    later scipy.optimize import in the same process reuses it."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                          text=True, cwd=tmp_path, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
 def test_missing_upstream_is_actionable(tmp_path, config_path, capsys):
     out = tmp_path / "run"
     assert _run("sweep", "--config", config_path, "--out", out) == 2
@@ -234,9 +259,16 @@ def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys,
     (["fit"], {}, {"fit": [5]}, "config: field 'fit': expected a JSON object"),
     (["gen-data"], {}, {"synth": 3}, "config: field 'synth': expected a JSON object"),
     (["validate"], {}, {"asset": None}, "config: field 'asset': expected a JSON object"),
+    (["fit"], {}, {"require_terminal_soc": "false"},
+     "config: field 'require_terminal_soc': expected true or false, got 'false'"),
+    (["gen-data"], {}, {"synth": {"n_households": "x"}},
+     "config: field 'synth.n_households': expected an integer, got 'x'"),
+    (["fit"], {}, {"fit": {"n_samples": 2.5}},
+     "config: field 'fit.n_samples': expected a whole number, got 2.5"),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
         "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
-        "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section"])
+        "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section",
+        "terminal-soc-string", "synth-value-type", "n-samples-fraction"])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"

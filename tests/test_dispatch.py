@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,40 @@ def test_day_subsampling_scales_totals():
         2.0 * float(hh.load[[0, 2, 4]].sum(axis=0) @ sc.tariff.buy[0]), rel=1e-12)
     # the subsample approximates the full-period bill
     assert half.annual_bill(hh, 0.0).bill == pytest.approx(full.annual_bill(hh, 0.0).bill, rel=0.2)
+
+
+@pytest.mark.parametrize("terminal", [False, True])
+@pytest.mark.parametrize("n_days", [1, 7, 30])
+def test_period_matrix_equals_scipy_sparse_build(asset, n_days, terminal):
+    # the numpy build hands HiGHS exactly the arrays scipy.sparse would
+    import scipy.sparse as sp
+    from dershare.dispatch import _day_matrix, _period_matrix
+    rows, cols, vals = _day_matrix(asset)
+    day = sp.coo_matrix((vals, (rows, cols)), shape=(2 * HOURS, 5 * HOURS))
+    expected = sp.block_diag([day] * n_days, format="csc")
+    if terminal:
+        last_soc = np.arange(n_days) * 5 * HOURS + 3 * HOURS - 1
+        terminal_rows = sp.csc_matrix((-np.ones(n_days), (np.arange(n_days), last_soc)),
+                                      shape=(n_days, n_days * 5 * HOURS))
+        expected = sp.vstack([expected, terminal_rows], format="csc")
+    shape, arrays = _period_matrix(asset, n_days, terminal)
+    assert shape == expected.shape
+    for got, want in zip(arrays, (expected.indptr, expected.indices, expected.data)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_missing_highs_binding_names_the_directory(monkeypatch):
+    import importlib.machinery
+    import scipy
+    from dershare import lp
+    monkeypatch.delitem(sys.modules, lp._HIGHS_MODULE)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError) as exc:
+        lp._load_highs()
+    assert str(Path(scipy.__file__).parent / "optimize" / "_highspy") in str(exc.value)
+    assert f"scipy {scipy.__version__}" in str(exc.value)
+    assert lp._HIGHS_MODULE not in sys.modules
 
 
 def _assert_matches_oracle(totals, oracle, scale=1.0):

@@ -43,6 +43,19 @@ def test_from_dict_rejects_unknown_keys():
         SynthConfig.from_dict({"n_households": 5, "voltage": 240})
 
 
+def test_from_dict_checks_value_types():
+    for bad in ({"n_households": "x"}, {"n_days": 2.5}, {"rng_seed": True},
+                {"peak_price": "0.5"}, {"sell_mean": float("nan")},
+                {"load_peak_window": [16]}, {"base_load_range": [0.3, "1.2"]},
+                {"region_center": [36.8, float("inf")]}):
+        with pytest.raises(ValidationError) as exc:
+            SynthConfig.from_dict(bad)
+        assert exc.value.fieldname == f"synth.{next(iter(bad))}"
+    # an int stands for a float and a list for a tuple
+    cfg = SynthConfig.from_dict({"peak_price": 1, "region_center": [36, -119.5]})
+    assert cfg.peak_price == 1 and cfg.region_center == (36, -119.5)
+
+
 def test_balanced_region_assignment():
     sc = generate_scenario(SynthConfig(n_households=100, n_days=2, n_regions=5, rng_seed=9))
     counts = collections.Counter(h.region_id for h in sc.households)
