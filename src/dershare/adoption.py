@@ -147,10 +147,6 @@ class LongRunSolver:
     def clearing_price_at(self, k: int) -> float | None:
         return self._prices[k]
 
-    def _price_or(self, k: int, when_none: float) -> float:
-        r = self.clearing_price_at(k)
-        return when_none if r is None else r
-
 
 @dataclass(frozen=True)
 class LongRunResult:
@@ -217,7 +213,8 @@ def long_run_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
     lo, hi = k0, n
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if solver._price_or(mid, -math.inf) <= p:
+        r = solver.clearing_price_at(mid)
+        if r is None or r <= p:
             hi = mid
         else:
             lo = mid

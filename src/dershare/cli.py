@@ -133,6 +133,11 @@ def _finish_stage(out_dir: Path, manifest: dict, stage: str, input_hash: str,
 
 # ---------------------------------------------------------------- config
 
+# every top-level key, with the keys of its section; None where the reader checks them
+CONFIG_KEYS = {"synth": None, "asset": None, "fit": ("n_samples",), "sweep": ("t_grid",),
+               "prices": ("p_grid",), "require_terminal_soc": None}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -145,6 +150,11 @@ def _load_config(path: str | None) -> dict:
                          f"invalid JSON: {exc.msg} (column {exc.colno})") from None
     if not isinstance(cfg, dict):
         raise ValidationError("config", "root", "config file must hold a JSON object")
+    for name in cfg:
+        if name not in CONFIG_KEYS:
+            raise ValidationError("config", name, "unknown config key")
+        if CONFIG_KEYS[name]:
+            _section(cfg, name)  # a misspelled key fails every stage, not only its reader
     return cfg
 
 
@@ -153,6 +163,9 @@ def _section(cfg: dict, name: str) -> dict:
     section = cfg.get(name, {})
     if not isinstance(section, dict):
         raise ValidationError("config", name, f"expected a JSON object, got {section!r}")
+    unknown = sorted(set(section) - set(CONFIG_KEYS[name] or section))
+    if unknown:
+        raise ValidationError("config", f"{name}.{unknown[0]}", "unknown config key")
     return section
 
 
@@ -162,7 +175,7 @@ def _asset_from(cfg: dict) -> AssetSpec:
     if unknown:
         raise ValidationError("asset config", sorted(unknown)[0], "unknown config key")
     for key, value in section.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if type(value) not in (int, float) or not math.isfinite(value):  # bool is not int here
             raise ValidationError("config", f"asset.{key}", f"expected a number, got {value!r}")
     return AssetSpec(**section)
 

@@ -86,6 +86,14 @@ def _check_knots(knots: np.ndarray) -> np.ndarray:
     return knots
 
 
+def _in_domain(y: float, max_size: float) -> float:
+    """y clipped to [0, max_size]; DomainError beyond rounding slack."""
+    y = float(y)
+    if not (-1e-9 * max_size <= y <= max_size * (1 + 1e-9) + 1e-12):
+        raise DomainError(f"y={y} outside [0, {max_size}]")
+    return min(max(y, 0.0), max_size)
+
+
 @dataclass(frozen=True)
 class SavingsCurve:
     """Monotone concave piecewise-linear savings vs. capacity.
@@ -128,15 +136,8 @@ class SavingsCurve:
     def normalized_savings(self) -> float:
         return self.total / self.max_size
 
-    def _check_domain(self, y: float) -> float:
-        y = float(y)
-        if not (-1e-9 * self.max_size <= y <= self.max_size * (1 + 1e-9) + 1e-12):
-            raise DomainError(f"y={y} outside [0, {self.max_size}]")
-        return min(max(y, 0.0), self.max_size)
-
     def eval(self, y: float) -> float:
-        y = self._check_domain(y)
-        return float(np.interp(y, self.knots, self.values))
+        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
 
     def deriv_range(self, y: float) -> tuple[float, float]:
         """Supergradient interval (left slope, right slope) at y.
@@ -144,7 +145,7 @@ class SavingsCurve:
         Equal in segment interiors; (+inf, first slope) at 0 and
         (last slope, -inf) at the upper end.
         """
-        y = self._check_domain(y)
+        y = _in_domain(y, self.max_size)
         if y == 0.0:
             return (math.inf, float(self.slopes[0]))
         if y == self.max_size:
@@ -201,10 +202,7 @@ class PurchasesCurve:
         return float(self.values[0])
 
     def eval(self, y: float) -> float:
-        y = float(y)
-        if not (-1e-9 * self.max_size <= y <= self.max_size * (1 + 1e-9) + 1e-12):
-            raise DomainError(f"y={y} outside [0, {self.max_size}]")
-        return float(np.interp(y, self.knots, self.values))
+        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
 
 
 def sample_grid(y_bar: float, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:

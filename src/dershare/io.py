@@ -1,7 +1,8 @@
 """CSV serialization for scenarios, exclusions, and fitted curves.
 
 File schemas (all CSV with a header row, floats written with repr so a
-read-back reproduces the exact same values):
+read-back reproduces the exact same values; a reader refuses nan and inf
+everywhere but in read_number_columns):
 
   loads.csv        household_id, region_id, day, h0..h23   (kWh)
   irradiance.csv   day, h0..h23                            (kWh per kW)
@@ -21,6 +22,7 @@ leaves a truncated CSV behind.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,17 +135,20 @@ def _read_csv(path: Path, expected_header: Sequence[str]):
             yield lineno, row
 
 
-def _parse_float(path, lineno, name, raw) -> float:
+def _parse_float(path, lineno, name, raw, finite: bool = True) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(path, lineno, f"field '{name}': not a number: {raw!r}") from None
+    if finite and not math.isfinite(value):
+        raise ParseError(path, lineno, f"field '{name}': not a finite number: {raw!r}")
+    return value
 
 
 def read_number_columns(path: Path, header: Sequence[str],
                         int_columns: Sequence[str] = ()) -> dict[str, np.ndarray]:
-    """A CSV of numbers with exactly this header, one array per column."""
-    rows = [[_parse_float(path, lineno, name, raw) for name, raw in zip(header, row)]
+    """A CSV of numbers (nan and inf allowed) with this header, one array per column."""
+    rows = [[_parse_float(path, lineno, name, raw, finite=False) for name, raw in zip(header, row)]
             for lineno, row in _read_csv(path, header)]
     columns = np.array(rows, dtype=float).reshape(len(rows), len(header)).T
     return {name: col.astype(int) if name in int_columns else col

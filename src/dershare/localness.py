@@ -7,9 +7,9 @@ squared great-circle distance as the cost; its optimum measures how far
 capacity must travel. Independently of any flow, the fraction of market
 volume that clears within regions is 1 - sum|s_k| / (2 v).
 
-The transportation problem is solved exactly with the classic
-u-v (MODI) simplex on the bipartite surplus/deficit graph; region
-counts are small, so exactness is cheap.
+The transportation problem is solved exactly as one linear program on a
+cold lp.LPModel; with a single surplus or shortage region the flow is
+fixed by the other side, and no LP is built.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .lp import LPModel
 from .market import MarketEquilibrium
 from .model import DomainError, HouseholdRecord, Region
 
@@ -73,89 +74,10 @@ def regional_excess(equilibrium: MarketEquilibrium,
     return s
 
 
-def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
-    """Initial basic feasible solution with exactly m + n - 1 basic cells."""
-    m, n = supply.size, demand.size
-    flow = np.zeros((m, n))
-    basis = []
-    s = supply.copy()
-    d = demand.copy()
-    i = j = 0
-    while True:
-        q = min(s[i], d[j])
-        flow[i, j] = q
-        basis.append((i, j))
-        s[i] -= q
-        d[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        # advance one index per step so the basis stays a spanning tree
-        if (s[i] <= d[j] and i < m - 1) or j == n - 1:
-            i += 1
-        else:
-            j += 1
-    return flow, basis
-
-
-def _duals(cost: np.ndarray, basis: list[tuple[int, int]], m: int, n: int):
-    """Solve u_i + v_j = c_ij over the basis tree (u_0 anchored at 0)."""
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    rows_adj: dict[int, list[tuple[int, int]]] = {}
-    cols_adj: dict[int, list[tuple[int, int]]] = {}
-    for (i, j) in basis:
-        rows_adj.setdefault(i, []).append((i, j))
-        cols_adj.setdefault(j, []).append((i, j))
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, idx = stack.pop()
-        if kind == "r":
-            for (i, j) in rows_adj.get(idx, ()):
-                if math.isnan(v[j]):
-                    v[j] = cost[i, j] - u[i]
-                    stack.append(("c", j))
-        else:
-            for (i, j) in cols_adj.get(idx, ()):
-                if math.isnan(u[i]):
-                    u[i] = cost[i, j] - v[j]
-                    stack.append(("r", i))
-    if np.isnan(u).any() or np.isnan(v).any():
-        raise AssertionError("basis is not a spanning tree")
-    return u, v
-
-
-def _find_cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int):
-    """Unique alternating cycle closed by the entering cell: the tree path
-    from the entering row to the entering column, plus the entering cell."""
-    adj: dict[tuple[str, int], list[tuple[tuple[str, int], tuple[int, int]]]] = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
-        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
-    start, goal = ("r", enter[0]), ("c", enter[1])
-    prev: dict[tuple[str, int], tuple[tuple[str, int], tuple[int, int]]] = {start: (start, enter)}
-    queue = [start]
-    while queue:
-        node = queue.pop()
-        if node == goal:
-            break
-        for nxt, cell in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = (node, cell)
-                queue.append(nxt)
-    if goal not in prev:
-        raise AssertionError("entering cell closes no cycle; basis corrupt")
-    path = []
-    node = goal
-    while node != start:
-        node, cell = prev[node]
-        path.append(cell)
-    return [enter] + path[::-1]  # signs alternate +, -, +, ... around the cycle
-
-
-def solve_transport(supply, demand, cost, max_iter: int = 100000):
+def solve_transport(supply, demand, cost):
     """Exact minimum of sum(flow * cost) subject to row sums = supply and
-    column sums = demand (which must balance). Returns (flow, objective)."""
+    column sums = demand (which must balance). Returns (flow, objective).
+    Arc (i, j) is LP column i*n + j, with a 1 in rows i and m + j."""
     supply = np.asarray(supply, dtype=float)
     demand = np.asarray(demand, dtype=float)
     cost = np.asarray(cost, dtype=float)
@@ -166,30 +88,17 @@ def solve_transport(supply, demand, cost, max_iter: int = 100000):
         raise DomainError("supplies and demands do not balance")
     if m == 0 or n == 0:
         return np.zeros((m, n)), 0.0
+    if m == 1 or n == 1:
+        flow = (demand[None, :] if m == 1 else supply[:, None]).copy()
+        return flow, float(np.sum(flow * cost))
 
-    flow, basis = _northwest_corner(supply, demand)
-    tol = 1e-11 * (1.0 + float(np.max(np.abs(cost))))
-    for _ in range(max_iter):
-        u, v = _duals(cost, basis, m, n)
-        reduced = cost - u[:, None] - v[None, :]
-        basic = np.zeros((m, n), dtype=bool)
-        for (i, j) in basis:
-            basic[i, j] = True
-        candidates = np.argwhere(~basic & (reduced < -tol))
-        if candidates.size == 0:
-            return flow, float(np.sum(flow * cost))
-        enter = tuple(candidates[0])  # first in row-major order (Bland-style)
-        cycle = _find_cycle(basis, enter, m, n)
-        minus = cycle[1::2]
-        theta_idx = min(range(len(minus)), key=lambda idx: (flow[minus[idx]], minus[idx]))
-        leave = minus[theta_idx]
-        theta = flow[leave]
-        for pos, cell in enumerate(cycle):
-            flow[cell] += theta if pos % 2 == 0 else -theta
-        flow[leave] = 0.0
-        basis.remove(leave)
-        basis.append(enter)
-    raise AssertionError("transportation simplex failed to converge")
+    arcs = np.arange(m * n)
+    rows = np.column_stack([arcs // n, m + arcs % n]).ravel().astype(np.int32)
+    start = np.arange(0, 2 * m * n + 1, 2, dtype=np.int32)
+    model = LPModel(cost.ravel(), ((m + n, m * n), (start, rows, np.ones(2 * m * n))))
+    sums = np.concatenate([supply, demand])
+    solution = model.solve(sums, sums, np.zeros(m * n), np.full(m * n, np.inf))
+    return solution.x.reshape(m, n), solution.objective
 
 
 @dataclass(frozen=True)

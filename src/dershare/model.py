@@ -83,12 +83,10 @@ class AssetSpec:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ValidationError("asset", name, f"must be in (0, 1], got {v}")
-        if self.alpha <= 0:
-            raise ValidationError("asset", "alpha", f"must be > 0, got {self.alpha}")
-        if self.u_charge_max <= 0:
-            raise ValidationError("asset", "u_charge_max", f"must be > 0, got {self.u_charge_max}")
-        if self.u_discharge_max <= 0:
-            raise ValidationError("asset", "u_discharge_max", f"must be > 0, got {self.u_discharge_max}")
+        for name in ("alpha", "u_charge_max", "u_discharge_max"):
+            v = getattr(self, name)
+            if not (0.0 < v < np.inf):
+                raise ValidationError("asset", name, f"must be > 0 and finite, got {v}")
         if not (0.0 <= self.x0 <= 1.0):
             raise ValidationError("asset", "x0", f"must be in [0, 1], got {self.x0}")
 
@@ -194,7 +192,7 @@ def validate_scenario(scenario: Scenario, sizing_rtol: float = 1e-9) -> None:
 
     Checks performed:
       * day counts agree across loads, tariff, and irradiance
-      * loads, prices, irradiance all nonnegative
+      * loads, prices, irradiance all nonnegative (NaN fails)
       * buy >= sell in every hour (no-arbitrage precondition)
       * household ids unique; each region_id appears in the region list
       * net_zero_size > 0 and consistent with compute_net_zero_size
@@ -203,12 +201,11 @@ def validate_scenario(scenario: Scenario, sizing_rtol: float = 1e-9) -> None:
     if scenario.irradiance.n_days != n_days:
         raise ValidationError("irradiance", "values",
                               f"{scenario.irradiance.n_days} days, tariff has {n_days}")
-    if np.min(scenario.irradiance.values) < 0:
-        raise ValidationError("irradiance", "values", "negative entry")
-    if np.min(scenario.tariff.buy) < 0:
-        raise ValidationError("tariff", "buy", "negative price")
-    if np.min(scenario.tariff.sell) < 0:
-        raise ValidationError("tariff", "sell", "negative price")
+    for entity, name, values in (("irradiance", "values", scenario.irradiance.values),
+                                 ("tariff", "buy", scenario.tariff.buy),
+                                 ("tariff", "sell", scenario.tariff.sell)):
+        if not np.all(values >= 0):
+            raise ValidationError(entity, name, "negative or NaN entry")
     if np.min(scenario.tariff.buy - scenario.tariff.sell) < 0:
         d, h = np.unravel_index(int(np.argmin(scenario.tariff.buy - scenario.tariff.sell)),
                                 scenario.tariff.buy.shape)
@@ -227,9 +224,9 @@ def validate_scenario(scenario: Scenario, sizing_rtol: float = 1e-9) -> None:
         seen.add(hh.id)
         if hh.n_days != n_days:
             raise ValidationError(ent, "load", f"{hh.n_days} days, tariff has {n_days}")
-        if np.min(hh.load) < 0:
+        if not np.all(hh.load >= 0):
             d, h = np.unravel_index(int(np.argmin(hh.load)), hh.load.shape)
-            raise ValidationError(ent, "load", f"negative entry on day {d} hour {h}")
+            raise ValidationError(ent, "load", f"negative or NaN entry on day {d} hour {h}")
         if scenario.regions and hh.region_id not in region_ids:
             raise ValidationError(ent, "region_id", f"unknown region '{hh.region_id}'")
         if hh.net_zero_size <= 0:

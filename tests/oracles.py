@@ -3,13 +3,16 @@
 These deliberately avoid the production code paths they check: the
 dispatch oracles are a dynamic program over a discretized state of
 charge and a cold scipy `linprog` solve of the block LP written out row
-by row, the transportation oracle is a direct LP formulation fed to
-`linprog`, and the clearing oracle bisects the sorted slopes for the
-zero of the excess supply, summing every household's argmax interval at
-each probe.
+by row, the transportation oracles are a direct LP formulation fed to
+`linprog` and a hand-written u-v (MODI) transportation simplex that
+uses no LP solver at all, and the clearing oracle bisects the sorted
+slopes for the zero of the excess supply, summing every household's
+argmax interval at each probe.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +78,127 @@ def transport_lp_objective(supply, demand, cost) -> float:
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+MODI_MAX_PIVOTS = 100000
+
+
+def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
+    """Initial basic feasible solution with exactly m + n - 1 basic cells."""
+    m, n = supply.size, demand.size
+    flow = np.zeros((m, n))
+    basis = []
+    s = supply.copy()
+    d = demand.copy()
+    i = j = 0
+    while True:
+        q = min(s[i], d[j])
+        flow[i, j] = q
+        basis.append((i, j))
+        s[i] -= q
+        d[j] -= q
+        if i == m - 1 and j == n - 1:
+            break
+        # advance one index per step so the basis stays a spanning tree
+        if (s[i] <= d[j] and i < m - 1) or j == n - 1:
+            i += 1
+        else:
+            j += 1
+    return flow, basis
+
+
+def _duals(cost: np.ndarray, basis: list[tuple[int, int]], m: int, n: int):
+    """Solve u_i + v_j = c_ij over the basis tree (u_0 anchored at 0)."""
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    rows_adj: dict[int, list[tuple[int, int]]] = {}
+    cols_adj: dict[int, list[tuple[int, int]]] = {}
+    for (i, j) in basis:
+        rows_adj.setdefault(i, []).append((i, j))
+        cols_adj.setdefault(j, []).append((i, j))
+    u[0] = 0.0
+    stack = [("r", 0)]
+    while stack:
+        kind, idx = stack.pop()
+        if kind == "r":
+            for (i, j) in rows_adj.get(idx, ()):
+                if math.isnan(v[j]):
+                    v[j] = cost[i, j] - u[i]
+                    stack.append(("c", j))
+        else:
+            for (i, j) in cols_adj.get(idx, ()):
+                if math.isnan(u[i]):
+                    u[i] = cost[i, j] - v[j]
+                    stack.append(("r", i))
+    if np.isnan(u).any() or np.isnan(v).any():
+        raise AssertionError("basis is not a spanning tree")
+    return u, v
+
+
+def _find_cycle(basis: list[tuple[int, int]], enter: tuple[int, int], m: int, n: int):
+    """Unique alternating cycle closed by the entering cell: the tree path
+    from the entering row to the entering column, plus the entering cell."""
+    adj: dict[tuple[str, int], list[tuple[tuple[str, int], tuple[int, int]]]] = {}
+    for (i, j) in basis:
+        adj.setdefault(("r", i), []).append((("c", j), (i, j)))
+        adj.setdefault(("c", j), []).append((("r", i), (i, j)))
+    start, goal = ("r", enter[0]), ("c", enter[1])
+    prev: dict[tuple[str, int], tuple[tuple[str, int], tuple[int, int]]] = {start: (start, enter)}
+    queue = [start]
+    while queue:
+        node = queue.pop()
+        if node == goal:
+            break
+        for nxt, cell in adj.get(node, ()):
+            if nxt not in prev:
+                prev[nxt] = (node, cell)
+                queue.append(nxt)
+    if goal not in prev:
+        raise AssertionError("entering cell closes no cycle; basis corrupt")
+    path = []
+    node = goal
+    while node != start:
+        node, cell = prev[node]
+        path.append(cell)
+    return [enter] + path[::-1]  # signs alternate +, -, +, ... around the cycle
+
+
+def modi_transport(supply, demand, cost):
+    """Transportation optimum from the u-v (MODI) simplex on the bipartite
+    supply/demand graph: a northwest-corner start, duals from the basis
+    tree, and Bland-style entering cells. Returns (flow, objective)."""
+    supply = np.asarray(supply, dtype=float)
+    demand = np.asarray(demand, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    m, n = supply.size, demand.size
+    assert cost.shape == (m, n)
+    assert abs(supply.sum() - demand.sum()) <= 1e-7 * (1.0 + supply.sum())
+    if m == 0 or n == 0:
+        return np.zeros((m, n)), 0.0
+
+    flow, basis = _northwest_corner(supply, demand)
+    tol = 1e-11 * (1.0 + float(np.max(np.abs(cost))))
+    for _ in range(MODI_MAX_PIVOTS):
+        u, v = _duals(cost, basis, m, n)
+        reduced = cost - u[:, None] - v[None, :]
+        basic = np.zeros((m, n), dtype=bool)
+        for (i, j) in basis:
+            basic[i, j] = True
+        candidates = np.argwhere(~basic & (reduced < -tol))
+        if candidates.size == 0:
+            return flow, float(np.sum(flow * cost))
+        enter = tuple(candidates[0])  # first in row-major order (Bland-style)
+        cycle = _find_cycle(basis, enter, m, n)
+        minus = cycle[1::2]
+        theta_idx = min(range(len(minus)), key=lambda idx: (flow[minus[idx]], minus[idx]))
+        leave = minus[theta_idx]
+        theta = flow[leave]
+        for pos, cell in enumerate(cycle):
+            flow[cell] += theta if pos % 2 == 0 else -theta
+        flow[leave] = 0.0
+        basis.remove(leave)
+        basis.append(enter)
+    raise AssertionError("transportation simplex failed to converge")
 
 
 def block_lp_bill(load, irr, buy, sell, asset: AssetSpec, y: float,

@@ -3,9 +3,9 @@ PASS/FAIL line in the terminal summary.
 
 The suite favors independent checks: dispatch optimality is bounded by a
 dynamic-programming oracle on a discretized state of charge, transport
-optima are compared against a direct LP formulation, and market
-identities are verified against their defining sums rather than the
-clearing engine's own bookkeeping.
+optima are compared against a direct LP formulation and a hand-written
+transportation simplex, and market identities are verified against
+their defining sums rather than the clearing engine's own bookkeeping.
 """
 
 import subprocess
@@ -160,9 +160,9 @@ def test_criterion_6_subsidy_integral(medium_population):
 
 
 def test_criterion_7_flow_optimality():
-    with criterion(7, "transportation solver matches the independent LP oracle "
-                      "to 1e-7 on 20 instances; balanced regions clear locally"):
-        from oracles import transport_lp_objective
+    with criterion(7, "transportation solver matches the independent LP and MODI "
+                      "oracles to 1e-7 on 20 instances; balanced regions clear locally"):
+        from oracles import modi_transport, transport_lp_objective
         rng = np.random.default_rng(7700)
         for _ in range(20):
             nz = int(rng.integers(2, 9))
@@ -174,8 +174,12 @@ def test_criterion_7_flow_optimality():
             supply = np.maximum(s, 0.0)
             demand = np.maximum(-s, 0.0)
             demand *= supply.sum() / demand.sum()
-            oracle = transport_lp_objective(supply, demand, d ** 2)
-            assert rf.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+            _, objective = solve_transport(supply, demand, d ** 2)
+            oracles = (transport_lp_objective(supply, demand, d ** 2),
+                       modi_transport(supply, demand, d ** 2)[1])
+            for oracle in oracles:
+                assert rf.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+                assert objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
         balanced = min_cost_flow(np.zeros(5), rng.uniform(1, 10, (5, 5)), volume=3.0)
         assert balanced.objective == 0.0
         assert balanced.fraction_local == 1.0

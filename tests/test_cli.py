@@ -238,6 +238,23 @@ def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys,
     _assert_input_error(capsys, code, "household H", "concavity repair moved a sample")
 
 
+def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
+    from dershare.lp import LPError, LPModel
+
+    def failing_solve(self, *bounds):
+        raise LPError("LP not solved to optimality: Infeasible")
+    # with TINY's two regions every transport problem is 1x1 and needs no LP;
+    # four regions give 2x2 problems along the sweep
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, "synth": {**TINY["synth"], "n_regions": 4}}))
+    out = tmp_path / "run"
+    assert _run("all", "--config", config, "--out", out) == 0
+    monkeypatch.setattr(LPModel, "solve", failing_solve)
+    capsys.readouterr()
+    code = _run("localness", "--config", config, "--out", out, "--flows-at", "0.5")
+    _assert_input_error(capsys, code, "Infeasible")
+
+
 @pytest.mark.parametrize("argv, env, config, expected", [
     (["sweep", "--t-grid", "0.1:0.9"], {}, {},
      "command line: field '--t-grid': expected 'a:b:n', got '0.1:0.9'"),
@@ -265,10 +282,25 @@ def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys,
      "config: field 'synth.n_households': expected an integer, got 'x'"),
     (["fit"], {}, {"fit": {"n_samples": 2.5}},
      "config: field 'fit.n_samples': expected a whole number, got 2.5"),
+    (["validate"], {}, {"asset": {"alpha": float("nan")}},
+     "config: field 'asset.alpha': expected a number, got nan"),
+    (["fit"], {}, {"asset": {"u_charge_max": float("inf")}},
+     "config: field 'asset.u_charge_max': expected a number, got inf"),
+    (["fit"], {}, {"fit": {"samples": 100}}, "config: field 'fit.samples': unknown config key"),
+    (["sweep"], {}, {"sweep": {"t-grid": "0.1:0.9:9"}},
+     "config: field 'sweep.t-grid': unknown config key"),
+    (["longrun"], {}, {"prices": {"pgrid": "auto"}},
+     "config: field 'prices.pgrid': unknown config key"),
+    # a misspelled key is refused by every stage, not only the one that reads it
+    (["localness"], {}, {"fit": {"samples": 100}},
+     "config: field 'fit.samples': unknown config key"),
+    (["gen-data"], {}, {"fitt": {"n_samples": 5}}, "config: field 'fitt': unknown config key"),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
         "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
         "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section",
-        "terminal-soc-string", "synth-value-type", "n-samples-fraction"])
+        "terminal-soc-string", "synth-value-type", "n-samples-fraction", "asset-nan",
+        "asset-infinity", "fit-key", "sweep-key", "prices-key", "key-read-elsewhere",
+        "top-level-key"])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from dershare.curves import PurchasesCurve, SavingsCurve
-from dershare.io import (Exclusion, LOADS_FILE, ParseError, load_scenario,
-                         read_purchases_curves, read_savings_curves, write_exclusions,
-                         write_purchases_curves, write_savings_curves, write_scenario)
+from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, TARIFF_BUY_FILE,
+                         TARIFF_SELL_FILE, Exclusion, ParseError, load_scenario,
+                         read_number_columns, read_purchases_curves, read_savings_curves,
+                         write_exclusions, write_purchases_curves, write_savings_curves,
+                         write_scenario)
 from dershare.model import EmptyScenarioError
 from dershare.synth import SynthConfig, generate_scenario
 
@@ -89,6 +91,32 @@ def test_parse_error_names_file_and_line(tmp_path, scenario):
         load_scenario(tmp_path, scenario.asset)
     assert exc.value.line == 3
     assert LOADS_FILE in exc.value.path
+
+
+@pytest.mark.parametrize("name, column, raw", [
+    (LOADS_FILE, -1, "inf"), (IRRADIANCE_FILE, -1, "nan"), (IRRADIANCE_FILE, 0, "nan"),
+    (TARIFF_BUY_FILE, -1, "-inf"), (TARIFF_SELL_FILE, -1, "nan"), (REGIONS_FILE, -1, "nan"),
+], ids=["loads", "irradiance", "irradiance-day", "tariff-buy", "tariff-sell", "regions"])
+def test_non_finite_cell_names_file_and_line(tmp_path, scenario, name, column, raw):
+    write_scenario(scenario, tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = raw
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"not a finite number: '{raw}'") as exc:
+        load_scenario(tmp_path, scenario.asset)
+    assert exc.value.line == 3
+    assert exc.value.path == str(path)
+
+
+def test_number_columns_keep_nan(tmp_path):
+    # sweep.csv writes nan for a rate at which nothing trades
+    path = tmp_path / "sweep.csv"
+    path.write_text("t,clearing_price\n0.1,nan\n0.2,0.5\n")
+    columns = read_number_columns(path, ["t", "clearing_price"])
+    np.testing.assert_array_equal(columns["clearing_price"], [np.nan, 0.5])
 
 
 def test_exclusions_csv(tmp_path):

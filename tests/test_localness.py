@@ -6,7 +6,7 @@ from dershare.localness import (distance_matrix, haversine_km, min_cost_flow,
                                 regional_excess, solve_transport)
 from dershare.market import clear_market
 from dershare.model import DomainError, Region
-from oracles import transport_lp_objective
+from oracles import modi_transport, transport_lp_objective
 
 
 def test_haversine_basics():
@@ -74,8 +74,26 @@ def test_transport_matches_lp_oracle(rng):
         assert np.all(flow >= -1e-12)
         np.testing.assert_allclose(flow.sum(axis=1), supply, atol=1e-8)
         np.testing.assert_allclose(flow.sum(axis=0), demand, atol=1e-8)
-        oracle = transport_lp_objective(supply, demand, cost)
-        assert obj == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+        # the same problem as regions: sources first, sinks after, cost = distance^2
+        d = np.zeros((m + n, m + n))
+        d[:m, m:] = np.sqrt(cost)
+        d[m:, :m] = d[:m, m:].T
+        rf = min_cost_flow(np.concatenate([supply, -demand]), d, volume=float(supply.sum()))
+        for oracle in (transport_lp_objective(supply, demand, cost),
+                       modi_transport(supply, demand, cost)[1]):
+            assert obj == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+            assert rf.objective == pytest.approx(oracle, rel=1e-7, abs=1e-9)
+
+
+def test_transport_rejects_bad_input_and_passes_empty_sides():
+    with pytest.raises(DomainError, match="cost shape"):
+        solve_transport([1.0, 2.0], [3.0], np.ones((1, 2)))
+    with pytest.raises(DomainError, match="do not balance"):
+        solve_transport([1.0, 2.0], [2.0, 2.0], np.ones((2, 2)))
+    for supply, demand in (([], []), ([], [0.0, 0.0]), ([0.0], [])):
+        flow, obj = solve_transport(supply, demand, np.ones((len(supply), len(demand))))
+        assert flow.shape == (len(supply), len(demand))
+        assert obj == 0.0
 
 
 def test_transport_degenerate_ties():

@@ -38,7 +38,8 @@ def test_net_zero_size_rejects_zero_irradiance():
 @pytest.mark.parametrize("field,value", [
     ("eta_c", 0.0), ("eta_c", 1.2), ("eta_d", -0.1), ("eta_s", 0.0), ("eta_i", 1.5),
     ("alpha", 0.0), ("alpha", -1.0), ("u_charge_max", 0.0), ("u_discharge_max", -2.0),
-    ("x0", -0.1), ("x0", 1.5),
+    ("x0", -0.1), ("x0", 1.5), ("alpha", float("nan")), ("u_charge_max", float("inf")),
+    ("u_discharge_max", float("nan")),
 ])
 def test_asset_spec_invariants(field, value):
     with pytest.raises(ValidationError) as exc:
@@ -100,6 +101,26 @@ def test_validate_scenario_rejects_negative_load():
     with pytest.raises(ValidationError) as exc:
         validate_scenario(_tiny_scenario(households=(hh,)))
     assert "day 1 hour 3" in str(exc.value)
+
+
+def test_validate_scenario_rejects_nan():
+    sc = _tiny_scenario()
+    sell = np.full((2, 24), 0.05)
+    sell[1, 5] = np.nan
+    with pytest.raises(ValidationError, match="NaN") as exc:
+        validate_scenario(_tiny_scenario(tariff=TariffSet(np.full((2, 24), 0.3), sell)))
+    assert exc.value.fieldname == "sell"
+    irr = sc.irradiance.values.copy()
+    irr[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="NaN") as exc:
+        validate_scenario(_tiny_scenario(irradiance=IrradianceSeries(irr)))
+    assert exc.value.entity == "irradiance"
+    load = sc.households[0].load.copy()
+    load[1, 3] = np.nan
+    hh = HouseholdRecord("A", "R0", load, sc.households[0].net_zero_size)
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(_tiny_scenario(households=(hh,)))
+    assert "NaN entry on day 1 hour 3" in str(exc.value)
 
 
 def test_records_are_immutable():
