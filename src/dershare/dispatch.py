@@ -29,17 +29,23 @@ solves and gives bit-identical totals regardless of worker count.
 
 Warm starts: the objective and the matrix of a block depend only on the
 prices and the asset, so y and the household's load reach the LP only
-through its bounds. ScenarioContext keeps one LPModel for the household
-it billed last, and each further capacity of that household starts the
-dual simplex from the previous capacity's optimal basis, which takes
-about a tenth of the time of a cold solve. Another household starts
-cold, so a household's results depend only on its own capacity
-sequence, never on the worker that fits it. Bills and purchases match
-a cold solve to a few ulps, not bit for bit, because a warm start
-reaches the optimum by other pivots (on the desk-scale defaults, 1.4e-14
-relative at worst over the fitted curves); tests/oracles.py keeps the
-cold solve as the reference. Input checks, the y = 0 closed form and
-the objective-consistency check run on every call.
+through its bounds. ScenarioContext keeps one LPModel, one HiGHS
+instance, for all its households. Each further capacity of a household
+starts the dual simplex from the previous capacity's optimal basis,
+which takes about a tenth of the time of a cold solve. Another household
+starts from the template basis: the optimum the scenario's first
+household reaches at 1% of its net-zero size, solved cold once per
+context. On a 30-day block that basis is typically already optimal at
+another household's first capacity (0 pivots, against ~880 for a cold
+solve). Every worker computes the same template, so a household's
+results depend only on the capacities billed for it since the context
+last turned to it, never on the worker that fits it or on the
+households billed before it. Bills and purchases match a cold solve to
+a few ulps, not bit for bit, because a warm start reaches the optimum
+by other pivots (on the desk-scale defaults, 1.4e-14 relative at worst
+over the fitted curves); tests/oracles.py keeps the cold solve as the
+reference. Input checks, the y = 0 closed form and the
+objective-consistency check run on every call.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ _N_VARS = 5 * HOURS  # per-day decision vector: charge, discharge, soc, import, 
 _UP, _UM, _X, _GP, _GM = (slice(0, 24), slice(24, 48), slice(48, 72), slice(72, 96), slice(96, 120))
 
 _OBJ_CONSISTENCY_TOL = 1e-6
+_TEMPLATE_SHARE = 0.01  # the template's capacity per kW of net-zero size, sample_grid's first
 
 
 class PeriodTotals(NamedTuple):
@@ -126,7 +133,10 @@ def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
     order = np.lexsort((rows, cols))
     start = np.zeros(n_cols + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
-    return (n_rows, n_cols), (start, rows[order].astype(np.int32), vals[order])
+    arrays = (start, rows[order].astype(np.int32), vals[order])
+    for array in arrays:  # cached and shared by every model built from it
+        array.setflags(write=False)
+    return (n_rows, n_cols), arrays
 
 
 def _check_inputs(buy: np.ndarray, sell: np.ndarray, y: float) -> None:
@@ -183,11 +193,13 @@ class _Period(NamedTuple):
 
 
 def _solve_period(load, irr, buy, sell, asset: AssetSpec, y: float,
-                  require_terminal_soc: bool, model: LPModel | None = None) -> _Period:
+                  require_terminal_soc: bool, model: LPModel | None = None,
+                  start=None) -> _Period:
     """Optimal dispatch of a D-day block; y = 0 is the closed form load . buy.
 
     model is the block LP of (buy, sell, asset, require_terminal_soc),
-    possibly warm from an earlier capacity; None builds a cold one.
+    possibly warm from an earlier capacity; None builds a cold one. start
+    is the basis to begin from in place of the model's last one.
     """
     load, irr, buy, sell = (np.asarray(a, dtype=float) for a in (load, irr, buy, sell))
     _check_inputs(buy, sell, y)
@@ -205,7 +217,7 @@ def _solve_period(load, irr, buy, sell, asset: AssetSpec, y: float,
         row_lower = np.concatenate([b, np.full(n_days, -np.inf)])
         row_upper = np.concatenate([b, np.full(n_days, -asset.x0 * asset.alpha * y)])
     col_lower, col_upper = _bounds(asset, y, n_days)
-    sol = model.solve(row_lower, row_upper, col_lower, col_upper)
+    sol = model.solve(row_lower, row_upper, col_lower, col_upper, start)
     blocks = sol.x.reshape(n_days, _N_VARS)
     u = blocks[:, _UP] - blocks[:, _UM]  # netting the charge/discharge split
     soc = blocks[:, _X]
@@ -242,9 +254,10 @@ class ScenarioContext:
     scaled by n_days / len(day_indices) so period-level figures remain
     comparable (a documented approximation for quick runs).
 
-    The context keeps the block LP of the household it billed last, so
-    consecutive capacities of one household warm-start from each other;
-    billing another household starts it a cold model.
+    The context keeps one block LP for all its households. Consecutive
+    capacities of one household warm-start from each other; billing
+    another household starts it from the template basis, which the
+    first positive capacity billed computes once.
     """
 
     def __init__(self, scenario: Scenario, day_indices=None,
@@ -261,25 +274,40 @@ class ScenarioContext:
         self._sell = scenario.tariff.sell[self.day_indices]
         self._irr = scenario.irradiance.values[self.day_indices]
         self._households = scenario.household_map()
-        self._model: tuple[str, LPModel] | None = None
+        self._model: LPModel | None = None
+        self._template = None  # the model's optimal basis for the template household
+        self._billed: str | None = None  # the household the model last solved
 
     def _resolve(self, household) -> HouseholdRecord:
         if isinstance(household, HouseholdRecord):
             return household
         return self._households[household]
 
-    def _model_for(self, household_id: str) -> LPModel:
-        if self._model is None or self._model[0] != household_id:
-            self._model = (household_id, _period_model(self._buy, self._sell, self.scenario.asset,
-                                                       self.require_terminal_soc))
-        return self._model[1]
+    def _solve(self, hh: HouseholdRecord, y: float, model=None, start=None) -> _Period:
+        return _solve_period(hh.load[self.day_indices], self._irr, self._buy, self._sell,
+                             self.scenario.asset, y, self.require_terminal_soc, model, start)
+
+    def _warm_model(self, household_id: str):
+        """The context's model and the basis this household's solve starts from
+        (None: the model's last basis, this household's previous capacity)."""
+        if self._template is None:
+            model = _period_model(self._buy, self._sell, self.scenario.asset,
+                                  self.require_terminal_soc)
+            first = self.scenario.households[0]
+            self._solve(first, _TEMPLATE_SHARE * first.net_zero_size, model)
+            self._model, self._template = model, model.basis
+        if household_id == self._billed:
+            return self._model, None
+        self._billed = household_id
+        return self._model, self._template
 
     def annual_bill(self, household, y: float) -> PeriodTotals:
         """Period bill (and decomposition) for the household at capacity y."""
         hh = self._resolve(household)
-        model = self._model_for(hh.id) if y > 0 else None
-        p = _solve_period(hh.load[self.day_indices], self._irr, self._buy, self._sell,
-                          self.scenario.asset, y, self.require_terminal_soc, model)
+        model = start = None
+        if y > 0:
+            model, start = self._warm_model(hh.id)
+        p = self._solve(hh, y, model, start)
         return PeriodTotals(*(self.scale * np.array(p.totals())))
 
     def baseline_bill(self, household) -> float:

@@ -93,10 +93,9 @@ def write_scenario(scenario: Scenario, out_dir: Path) -> list[Path]:
     """Write the five scenario CSVs; returns the written paths."""
     out_dir = Path(out_dir)
     written = []
-    rows = []
-    for hh in scenario.households:
-        for d in range(hh.n_days):
-            rows.append([hh.id, hh.region_id, d, *hh.load[d]])
+    # a generator: a list of every row holds ~2 MB of numpy scalars at 60 households x 30 days
+    rows = ([hh.id, hh.region_id, d, *hh.load[d]]
+            for hh in scenario.households for d in range(hh.n_days))
     written.append(write_rows(out_dir / LOADS_FILE, ["household_id", "region_id", "day", *_HOUR_COLS], rows))
 
     for name, mat in ((IRRADIANCE_FILE, scenario.irradiance.values),
@@ -259,21 +258,44 @@ def write_savings_curves(path: Path, curves: Iterable[SavingsCurve]) -> Path:
     return write_rows(path, ["household_id", "knot_index", "y", "f", "slope"], rows)
 
 
-def read_savings_curves(path: Path) -> dict[str, SavingsCurve]:
-    per_hh: dict[str, dict[int, tuple[float, str, int]]] = {}
-    for lineno, row in _read_csv(path, ["household_id", "knot_index", "y", "f", "slope"]):
-        hid = row[0]
+def _curve_rows(path: Path, header: Sequence[str], parse) -> dict[str, list[tuple[int, tuple]]]:
+    """Each household's (line, parse(line, row)) pairs in knot order; its
+    knot indices must run 0..n-1, each exactly once."""
+    per_hh: dict[str, dict[int, tuple[int, tuple]]] = {}
+    for lineno, row in _read_csv(path, header):
         k = int(_parse_float(path, lineno, "knot_index", row[1]))
-        per_hh.setdefault(hid, {})[k] = (_parse_float(path, lineno, "y", row[2]), row[4], lineno)
+        knots = per_hh.setdefault(row[0], {})
+        if k in knots:
+            raise ParseError(path, lineno, f"household {row[0]!r}: duplicate knot_index {k}")
+        knots[k] = (lineno, parse(lineno, row))
+    for hid, knots in per_hh.items():
+        # n distinct indices miss one of 0..n-1 only if one lies outside it
+        misplaced = next((k for k in knots if not 0 <= k < len(knots)), None)
+        if misplaced is not None:
+            raise ParseError(path, knots[misplaced][0], f"household {hid!r}: knot_index "
+                             f"{misplaced} outside 0..{len(knots) - 1}")
+    return {hid: [knots[k] for k in range(len(knots))] for hid, knots in sorted(per_hh.items())}
+
+
+def _curve(path: Path, line: int, cls, hid: str, *arrays):
+    """The curve cls(hid, *arrays); one that breaks the curve's rules is a
+    ParseError at line, the household's first."""
+    try:
+        return cls(hid, *arrays)
+    except ValueError as exc:
+        raise ParseError(path, line, f"household {hid!r}: {exc}") from None
+
+
+def read_savings_curves(path: Path) -> dict[str, SavingsCurve]:
+    # the last knot has no slope, so slopes are parsed once the knots are known
+    per_hh = _curve_rows(path, ["household_id", "knot_index", "y", "f", "slope"],
+                         lambda lineno, row: (_parse_float(path, lineno, "y", row[2]), row[4]))
     out = {}
-    for hid, knots in sorted(per_hh.items()):
-        ks = sorted(knots)
-        if ks != list(range(len(ks))):
-            raise ParseError(path, 2, f"household {hid!r}: knot indices must be 0..{len(ks) - 1}")
-        ys = np.array([knots[k][0] for k in ks])
-        slopes = np.array([_parse_float(path, knots[k][2], "slope", knots[k][1])
-                           for k in ks[:-1]])
-        out[hid] = SavingsCurve(hid, ys, slopes)
+    for hid, rows in per_hh.items():
+        ys = np.array([y for _, (y, _) in rows])
+        slopes = np.array([_parse_float(path, lineno, "slope", raw)
+                           for lineno, (_, raw) in rows[:-1]])
+        out[hid] = _curve(path, rows[0][0], SavingsCurve, hid, ys, slopes)
     return out
 
 
@@ -286,16 +308,12 @@ def write_purchases_curves(path: Path, curves: Iterable[PurchasesCurve]) -> Path
 
 
 def read_purchases_curves(path: Path) -> dict[str, PurchasesCurve]:
-    per_hh: dict[str, dict[int, tuple[float, float]]] = {}
-    for lineno, row in _read_csv(path, ["household_id", "knot_index", "y", "purchases"]):
-        hid = row[0]
-        k = int(_parse_float(path, lineno, "knot_index", row[1]))
-        per_hh.setdefault(hid, {})[k] = (_parse_float(path, lineno, "y", row[2]),
-                                         _parse_float(path, lineno, "purchases", row[3]))
+    per_hh = _curve_rows(path, ["household_id", "knot_index", "y", "purchases"],
+                         lambda lineno, row: (_parse_float(path, lineno, "y", row[2]),
+                                              _parse_float(path, lineno, "purchases", row[3])))
     out = {}
-    for hid, knots in sorted(per_hh.items()):
-        ks = sorted(knots)
-        ys = np.array([knots[k][0] for k in ks])
-        vals = np.array([knots[k][1] for k in ks])
-        out[hid] = PurchasesCurve(hid, ys, vals)
+    for hid, rows in per_hh.items():
+        ys = np.array([y for _, (y, _) in rows])
+        purchases = np.array([p for _, (_, p) in rows])
+        out[hid] = _curve(path, rows[0][0], PurchasesCurve, hid, ys, purchases)
     return out

@@ -332,6 +332,24 @@ def test_edited_sweep_csv_exits_2_naming_file_and_line(finished_run, tmp_path, c
     _assert_input_error(capsys, code, f"{sweep}:3: expected 13 fields, got 12")
 
 
+def test_edited_curve_csv_exits_2_naming_file_and_line(finished_run, tmp_path, capsys):
+    # a slope edited to -5.0 breaks concavity; the reader names the household's first line
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    curves = out / "savings_curves.csv"
+    lines = curves.read_text().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[-1] = "-5.0\n"
+    lines[3] = ",".join(cells)
+    curves.write_text("".join(lines))
+    capsys.readouterr()
+    code = _run("sweep", "--config", path, "--out", out)
+    _assert_input_error(capsys, code, f"{curves}:2: household {cells[0]!r}: slopes must be "
+                        "nonincreasing (concavity)")
+
+
 def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkeypatch):
     calls = Counter()
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dershare import dispatch
 from dershare.dispatch import ScenarioContext, dispatch_period, solve_day
 from dershare.model import HOURS, AssetSpec, DomainError
 from oracles import block_lp_bill, dp_dispatch_cost, random_dispatch_instance
@@ -201,6 +202,22 @@ def test_missing_highs_binding_names_the_directory(monkeypatch):
     assert lp._HIGHS_MODULE not in sys.modules
 
 
+def test_lp_model_checks_array_lengths():
+    # HiGHS reads the arrays through bare pointers, so a short one must never reach it
+    from dershare.lp import LPModel
+    start, index, value = np.array([0, 1, 2]), np.array([0, 0]), np.ones(2)
+    model = LPModel([1.0, 2.0], ((1, 2), (start, index, value)))
+    assert model.solve([1.0], [1.0], np.zeros(2), np.full(2, np.inf)).objective == 1.0
+    with pytest.raises(ValueError, match="bounds do not fit a 1 x 2 model"):
+        model.solve([1.0], [1.0], np.zeros(1), np.full(2, np.inf))
+    with pytest.raises(ValueError, match="bounds do not fit a 1 x 2 model"):
+        model.solve([1.0, 1.0], [1.0], np.zeros(2), np.full(2, np.inf))
+    for c, arrays in (([1.0], (start, index, value)), ([1.0, 2.0], (start[:-1], index, value)),
+                      ([1.0, 2.0], (start, index[:1], value))):
+        with pytest.raises(ValueError, match="do not fit a 1 x 2 model"):
+            LPModel(c, ((1, 2), arrays))
+
+
 def _assert_matches_oracle(totals, oracle, scale=1.0):
     bill, purchases = oracle
     assert totals.bill == pytest.approx(scale * bill, rel=1e-9, abs=1e-12)
@@ -251,3 +268,55 @@ def test_warm_started_bills_match_cold_oracle_in_any_order(terminal):
     for order in (ascending, ascending[::-1], shuffled, interleaved):
         for hh, y in order:
             _assert_matches_oracle(ctx.annual_bill(hh, float(y)), expected[hh.id, y], ctx.scale)
+
+
+def test_bills_are_bit_identical_whatever_was_billed_before():
+    # a household starts from the template basis whichever household the
+    # context's one model solved last, so its bills never depend on them
+    from dershare.curves import sample_grid
+    from dershare.synth import SynthConfig, generate_scenario
+    sc = generate_scenario(SynthConfig(n_households=3, n_days=4, rng_seed=47))
+    a, b, c = sc.households
+    grids = {hh.id: [float(y) for y in sample_grid(hh.net_zero_size, 4)[1:]]
+             for hh in sc.households}
+
+    def bills(ctx, hh):
+        return [tuple(ctx.annual_bill(hh, y)) for y in grids[hh.id]]
+    fresh = {hh.id: bills(ScenarioContext(sc), hh) for hh in sc.households}
+    after_others = ScenarioContext(sc)
+    for hh in (c, b, a, c):
+        assert bills(after_others, hh) == fresh[hh.id]
+    interleaved = ScenarioContext(sc)
+    for hh in (b, c, a) * 2:
+        assert tuple(interleaved.annual_bill(hh, grids[hh.id][0])) == fresh[hh.id][0]
+
+
+def test_fit_is_bit_identical_for_any_worker_count():
+    from dershare.curves import fit_all
+    from dershare.synth import SynthConfig, generate_scenario
+    sc = generate_scenario(SynthConfig(n_households=6, n_days=5, rng_seed=53))
+    one, two = (fit_all(ScenarioContext(sc), n_samples=6, workers=w) for w in (1, 2))
+    assert list(one) == list(two)
+    for hid, fit in one.items():
+        other = two[hid]
+        for got, want in ((other.savings.knots, fit.savings.knots),
+                          (other.savings.slopes, fit.savings.slopes),
+                          (other.purchases.values, fit.purchases.values)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_template_basis_skips_the_cold_solve():
+    # on a 30-day block a household's first capacity solved cold takes
+    # ~880 pivots; from the template basis it takes none or a handful
+    from dershare.synth import SynthConfig, generate_scenario
+    sc = generate_scenario(SynthConfig(n_households=2, n_days=30, rng_seed=59))
+    second = sc.households[1]
+    y = 0.01 * second.net_zero_size
+    ctx = ScenarioContext(sc)
+    totals = ctx.annual_bill(second, y)
+    cold = dispatch._period_model(sc.tariff.buy, sc.tariff.sell, sc.asset, False)
+    ScenarioContext(sc)._solve(second, y, cold)
+    assert cold.simplex_iteration_count > 500
+    assert ctx._model.simplex_iteration_count <= cold.simplex_iteration_count // 20
+    _assert_matches_oracle(totals, block_lp_bill(second.load, sc.irradiance.values,
+                                                 sc.tariff.buy, sc.tariff.sell, sc.asset, y))

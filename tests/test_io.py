@@ -145,3 +145,49 @@ def test_curve_csv_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(back_s[c.household_id].values, c.values)
     for c in purchases:
         np.testing.assert_array_equal(back_p[c.household_id].values, c.values)
+
+
+def _curve_files(tmp_path):
+    knots = np.array([0.0, 0.5, 1.0, 1.5])
+    s = write_savings_curves(tmp_path / "s.csv", [SavingsCurve("H0", knots, [3.0, 2.0, 1.0])])
+    p = write_purchases_curves(tmp_path / "p.csv",
+                               [PurchasesCurve("H0", knots, [9.0, 8.0, 7.0, 6.0])])
+    return s, p
+
+
+def _edit_cell(path, line, column, raw):
+    lines = path.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = raw
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("index, line, message", [
+    ("7", 4, "household 'H0': knot_index 7 outside 0..3"),
+    ("1", 4, "household 'H0': duplicate knot_index 1"),
+])
+@pytest.mark.parametrize("kind", ["savings", "purchases"])
+def test_curve_knot_indices_must_run_0_to_n(tmp_path, kind, index, line, message):
+    # knot 2 edited to 7 would otherwise drop a knot, and to 1 overwrite one
+    s, p = _curve_files(tmp_path)
+    path, read = (s, read_savings_curves) if kind == "savings" else (p, read_purchases_curves)
+    _edit_cell(path, 4, 1, index)
+    with pytest.raises(ParseError, match=message) as exc:
+        read(path)
+    assert (exc.value.path, exc.value.line) == (str(path), line)
+
+
+@pytest.mark.parametrize("kind, line, column, raw, message", [
+    ("savings", 3, 4, "-5.0", "slopes must be nonincreasing"),
+    ("savings", 4, 4, "-5.0", "slopes must be nonnegative"),
+    ("savings", 4, 2, "0.25", "knots must be strictly ascending"),
+    ("purchases", 4, 3, "10.0", "purchases must be nonincreasing"),
+])
+def test_curve_breaking_its_rules_is_a_parse_error(tmp_path, kind, line, column, raw, message):
+    s, p = _curve_files(tmp_path)
+    path, read = (s, read_savings_curves) if kind == "savings" else (p, read_purchases_curves)
+    _edit_cell(path, line, column, raw)
+    with pytest.raises(ParseError, match=f"household 'H0': {message}") as exc:
+        read(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 2)
