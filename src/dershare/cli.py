@@ -39,25 +39,26 @@ import time
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
 from .adoption import (DemandCurves, LongRunSolver, build_order, default_t_grid,
                        equivalent_subsidy, long_run_adoption, sweep_adoption)
-from .dispatch import ScenarioContext
-from .curves import FitError, fit_all
+from .curves import DEFAULT_SAMPLES, FitError, fit_all
 from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE,
                  TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError, load_scenario,
                  read_number_columns, read_purchases_curves, read_savings_curves,
                  write_exclusions, write_purchases_curves, write_rows, write_savings_curves,
                  write_scenario)
-from .localness import distance_matrix, min_cost_flow, regional_excess
 from .lp import LPError
 from .model import AssetSpec, DomainError, ValidationError, validate_scenario
 from .stakeholders import regime_boundary
 from .synth import SynthConfig, generate_scenario
+
+if TYPE_CHECKING:  # the dispatch LP and the transport solver load in the stages that run them
+    from .dispatch import ScenarioContext
 
 DATA_SUBDIR = "data"
 MANIFEST_FILE = "manifest.json"
@@ -197,9 +198,17 @@ def _whole_number(value) -> int:
     raise ValueError(f"expected a whole number, got {value!r}")
 
 
+def _count(minimum: int, value) -> int:
+    """A whole number no smaller than minimum."""
+    count = _whole_number(value)
+    if count < minimum:
+        raise ValueError(f"expected a whole number >= {minimum}, got {value!r}")
+    return count
+
+
 def _flag_or_config(value, flag: str, cfg: dict, section: str, key: str):
     """The flag's value if given, else the config's, with where it came from."""
-    if value:
+    if value is not None:
         return value, ("command line", flag)
     return _section(cfg, section).get(key), ("config", f"{section}.{key}")
 
@@ -224,10 +233,20 @@ def _parse_rates(text: str | None) -> list[float]:
     return [float(v) for v in (text or "").split(",") if v]
 
 
+def _quantile(ascending: np.ndarray, q: float) -> float:
+    """np.quantile(ascending, q) by numpy's "linear" method, term for term,
+    without the numpy.ma import that np.quantile pays for on first use."""
+    index = (ascending.size - 1) * q
+    lo = math.floor(index)
+    a, b = ascending[lo], ascending[min(lo + 1, ascending.size - 1)]
+    t = index - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def _auto_p_grid(order) -> np.ndarray:
-    ns = order.normalized
-    lo = max(float(np.quantile(ns, 0.05)), 1e-9)
-    hi = max(float(np.quantile(ns, 0.95)), lo)
+    ns = np.sort(order.normalized)
+    lo = max(_quantile(ns, 0.05), 1e-9)
+    hi = max(_quantile(ns, 0.95), lo)
     return np.linspace(lo, hi, 21)
 
 
@@ -293,9 +312,14 @@ class Run:
 
     @cached_property
     def n_samples(self) -> int:
-        return self.flag("samples") or _checked(
-            ("config", "fit.n_samples"), _whole_number,
-            _section(self.cfg, "fit").get("n_samples", 30))
+        value, source = _flag_or_config(self.flag("samples"), "--samples", self.cfg,
+                                        "fit", "n_samples")
+        return _checked(source, _count, 2, DEFAULT_SAMPLES if value is None else value)
+
+    @cached_property
+    def days(self) -> int | None:
+        days = self.flag("days")
+        return None if days is None else _checked(("command line", "--days"), _count, 1, days)
 
     @cached_property
     def threads(self) -> int:
@@ -308,8 +332,9 @@ class Run:
 
     @cached_property
     def context(self) -> ScenarioContext:
+        from .dispatch import ScenarioContext
         scenario = self.loaded.scenario
-        days = self.flag("days")
+        days = self.days
         day_indices = None
         if days is not None and days < scenario.n_days:
             day_indices = np.round(np.linspace(0, scenario.n_days - 1, days)).astype(int)
@@ -447,6 +472,7 @@ def _subsidy(run: Run) -> None:
 
 
 def _localness(run: Run) -> None:
+    from .localness import distance_matrix, min_cost_flow, regional_excess
     scenario = run.loaded.scenario
     dmat = distance_matrix(scenario.regions)
     region_ids = tuple(r.id for r in scenario.regions)
@@ -516,7 +542,7 @@ STAGES = (
           lambda run: [EXCLUSIONS_FILE], _validate),
     Stage("fit", "sample and fit savings and purchases curves",
           ("--samples", "--days", "--threads"), _DATA_INPUTS,
-          lambda run: {"n_samples": run.n_samples, "days": run.flag("days"),
+          lambda run: {"n_samples": run.n_samples, "days": run.days,
                        "asset": asdict(run.asset),
                        "require_terminal_soc": run.require_terminal_soc},
           lambda run: [SAVINGS_FILE, PURCHASES_FILE], _fit),

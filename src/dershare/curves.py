@@ -20,13 +20,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dispatch import ScenarioContext
 from .lp import LPError
 from .model import DomainError, HouseholdRecord, Scenario
+
+if TYPE_CHECKING:  # the curve types load without the dispatch LP
+    from .dispatch import ScenarioContext
 
 log = logging.getLogger(__name__)
 
@@ -336,6 +338,7 @@ _WORKER_SAMPLES: int = DEFAULT_SAMPLES
 def _fit_worker_init(scenario: Scenario, day_indices, require_terminal_soc: bool,
                      n_samples: int) -> None:
     global _WORKER_CTX, _WORKER_SAMPLES
+    from .dispatch import ScenarioContext
     _WORKER_CTX = ScenarioContext(scenario, day_indices, require_terminal_soc)
     _WORKER_SAMPLES = n_samples
 

@@ -12,7 +12,8 @@ everywhere but in read_number_columns):
   exclusions.csv   household_id, reason
   savings_curves.csv    household_id, knot_index, y, f, slope
                         (slope of the segment starting at the knot;
-                         empty on the last knot)
+                         empty on the last knot; f must agree with the
+                         knots and slopes to 1e-9 relative)
   purchases_curves.csv  household_id, knot_index, y, purchases
 
 Files are written atomically (temp file + rename) so a crashed run never
@@ -289,13 +290,23 @@ def _curve(path: Path, line: int, cls, hid: str, *arrays):
 def read_savings_curves(path: Path) -> dict[str, SavingsCurve]:
     # the last knot has no slope, so slopes are parsed once the knots are known
     per_hh = _curve_rows(path, ["household_id", "knot_index", "y", "f", "slope"],
-                         lambda lineno, row: (_parse_float(path, lineno, "y", row[2]), row[4]))
+                         lambda lineno, row: (_parse_float(path, lineno, "y", row[2]),
+                                              _parse_float(path, lineno, "f", row[3]), row[4]))
     out = {}
     for hid, rows in per_hh.items():
-        ys = np.array([y for _, (y, _) in rows])
+        ys = np.array([y for _, (y, _, _) in rows])
         slopes = np.array([_parse_float(path, lineno, "slope", raw)
-                           for lineno, (_, raw) in rows[:-1]])
-        out[hid] = _curve(path, rows[0][0], SavingsCurve, hid, ys, slopes)
+                           for lineno, (_, _, raw) in rows[:-1]])
+        curve = _curve(path, rows[0][0], SavingsCurve, hid, ys, slopes)
+        # f is derived from the knots and slopes, so an edited f must not pass silently
+        fs = [f for _, (_, f, _) in rows]
+        off = np.abs(fs - curve.values) > 1e-9 * np.maximum(np.abs(curve.values), 1.0)
+        if off.any():
+            k = int(np.argmax(off))
+            raise ParseError(path, rows[k][0], f"household {hid!r}: f {fs[k]!r} at knot {k} "
+                             f"differs from {float(curve.values[k])!r}, the value its knots "
+                             "and slopes give")
+        out[hid] = curve
     return out
 
 

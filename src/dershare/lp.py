@@ -12,11 +12,16 @@ error handling live here; a failed solve raises LPError and is never
 retried cold.
 
 The solver is scipy's compiled HiGHS binding, loaded straight from its
-extension file. Importing it as `scipy.optimize._highspy._core` would
-first run the whole `scipy.optimize` package, which imports linprog,
-linalg, fft and special and costs a process several hundred
-milliseconds before any work. The module is registered under its real
-name, so a later `import scipy.optimize` reuses it.
+extension file the first time an LPModel is built, so a process that
+builds none (a `--version`, or a rerun whose fit and localness stages
+are cache hits) never maps it. The file is found through scipy's import
+spec, which runs no scipy package: importing it as
+`scipy.optimize._highspy._core` would first run the whole
+`scipy.optimize` package (linprog, linalg, fft and special, several
+hundred milliseconds), and even `import scipy` alone pulls in its test
+and version helpers. The module is registered under its real name, so a
+later `import scipy.optimize` reuses it; `lp.highs` names the same
+module.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
 def _load_highs():
-    """scipy's HiGHS binding, without running the scipy.optimize package."""
+    """scipy's HiGHS binding, without running any scipy package."""
     if _HIGHS_MODULE in sys.modules:
         return sys.modules[_HIGHS_MODULE]
-    import scipy
-    directory = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = Path(scipy.submodule_search_locations[0]) / "optimize" / "_highspy"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = directory / f"_core{suffix}"
         if path.is_file():
@@ -46,13 +53,16 @@ def _load_highs():
             sys.modules[_HIGHS_MODULE] = module
             spec.loader.exec_module(module)
             return module
+    from importlib.metadata import version
     raise ImportError(f"no compiled HiGHS binding _core in {directory} "
-                      f"(scipy {scipy.__version__})")
+                      f"(scipy {version('scipy')})")
 
 
-highs = _load_highs()
-_COLWISE = int(highs.MatrixFormat.kColwise)
-_MINIMIZE = int(highs.ObjSense.kMinimize)
+def __getattr__(name):
+    # `highs` is the binding, loaded on first access
+    if name == "highs":
+        return _load_highs()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class LPError(RuntimeError):
@@ -91,9 +101,14 @@ class LPModel:
         if (start.shape != (n_col + 1,) or self._cost.shape != (n_col,)
                 or not index.shape == value.shape == (start[-1],)):
             raise ValueError(f"cost or matrix arrays do not fit a {n_row} x {n_col} model")
-        self._shape = (n_col, n_row, int(start[-1]))
+        self._shape = (n_col, n_row)
+        highs = _load_highs()
+        self._layout = (n_col, n_row, int(start[-1]), int(highs.MatrixFormat.kColwise),
+                        int(highs.ObjSense.kMinimize), 0.0)
         self._matrix = (start[:-1], index, value)
         self._continuous = np.zeros(n_col, dtype=np.int32)
+        self._error = highs.HighsStatus.kError
+        self._optimal = highs.HighsModelStatus.kOptimal
         self._highs = highs._Highs()
         self._highs.setOptionValue("output_flag", False)
         dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -118,20 +133,20 @@ class LPModel:
         the previous solve's optimal basis, else cold.
         """
         h = self._highs
-        n_col, n_row, n_nz = self._shape
+        n_col, n_row = self._shape
         bounds = [np.ascontiguousarray(b, dtype=float)
                   for b in (col_lower, col_upper, row_lower, row_upper)]
         if [b.shape for b in bounds] != [(n_col,)] * 2 + [(n_row,)] * 2:
             raise ValueError(f"bounds do not fit a {n_row} x {n_col} model")
-        if h.passModel(n_col, n_row, n_nz, _COLWISE, _MINIMIZE, 0.0, self._cost, *bounds,
-                       *self._matrix, self._continuous) == highs.HighsStatus.kError:
+        if h.passModel(*self._layout, self._cost, *bounds, *self._matrix,
+                       self._continuous) == self._error:
             raise LPError("HiGHS rejected the model")
         start = self._basis if start is None else start
-        if start is not None and h.setBasis(start) == highs.HighsStatus.kError:
+        if start is not None and h.setBasis(start) == self._error:
             raise LPError("HiGHS rejected the starting basis")
         h.run()
         status = h.getModelStatus()
-        if status != highs.HighsModelStatus.kOptimal:
+        if status != self._optimal:
             raise LPError(f"LP not solved to optimality: {h.modelStatusToString(status)}")
         info = h.getInfo()
         self._basis = h.getBasis()

@@ -168,7 +168,12 @@ class ClearingTable:
         self.total_units = sum(self.size_units.values())
 
         all_slopes = np.concatenate([np.empty(0)] + [c.slopes for c in rows])
-        self.breakpoints = np.unique(all_slopes)[::-1]  # steepest first
+        # np.unique's own sort and adjacent-duplicate mask, without the
+        # numpy.ma import that np.unique pays for on first use
+        ascending = np.sort(all_slopes)
+        first = np.ones(ascending.size, dtype=bool)
+        first[1:] = ascending[1:] != ascending[:-1]
+        self.breakpoints = ascending[first][::-1]  # steepest first
         width_at = [0] * self.breakpoints.size
         for j, w in zip(np.searchsorted(-self.breakpoints, -all_slopes).tolist(), widths):
             width_at[j] += w

@@ -12,8 +12,9 @@ import pytest
 from conftest import child_env
 from dershare import __version__
 from dershare import cli
-from dershare.adoption import LongRunSolver
+from dershare.adoption import LongRunSolver, build_order
 from dershare.cli import main
+from oracles import random_curve_population, random_tied_curve_population
 
 TINY = {
     "synth": {"n_households": 10, "n_days": 3, "n_regions": 2, "rng_seed": 13},
@@ -86,27 +87,85 @@ def test_module_entry_point_runs_from_any_directory(tmp_path):
 
 _IMPORT_PROBE = """
 import sys
+def loaded(*packages):
+    return [m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in packages)]
 import dershare, dershare.cli
-heavy = [m for m in sys.modules
-         if m.startswith(("scipy.optimize", "scipy.sparse", "concurrent.futures.process"))
-         and not m.startswith("scipy.optimize._highspy._core")]
-assert not heavy, heavy
-assert "scipy.optimize._highspy._core" in sys.modules
+assert not loaded("scipy", "numpy.ma", "concurrent.futures.process"), loaded("scipy", "numpy.ma")
+from dershare.lp import LPModel
+LPModel([1.0], ((1, 1), ([0, 1], [0], [1.0])))
+# the binding and the submodules it registers itself, and no other scipy module
+assert "scipy.optimize._highspy._core" in sys.modules, loaded("scipy")
+assert loaded("scipy") == loaded("scipy.optimize._highspy._core"), loaded("scipy")
+core = sys.modules["scipy.optimize._highspy._core"]
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 from dershare.lp import highs
-assert _core is highs
+assert _core is core and highs is core
 res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
 assert res.status == 0 and res.fun == 1.0, res
 """
 
 
 def test_import_loads_highs_without_scipy_optimize(tmp_path):
-    """Importing the package loads scipy's HiGHS binding on its own, and a
-    later scipy.optimize import in the same process reuses it."""
+    """Importing the package loads no scipy module at all; the first LPModel
+    loads scipy's HiGHS binding on its own, and a later scipy.optimize
+    import in the same process reuses it."""
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
                           text=True, cwd=tmp_path, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+_MODULES_PROBE = """
+import json, sys
+from dershare.cli import main
+code = main(sys.argv[1:])
+watched = ("scipy", "numpy.ma", "scipy.optimize._highspy._core", "dershare.dispatch",
+           "dershare.localness")
+print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
+"""
+
+
+def _modules_loaded_by(cwd, *argv):
+    """Which of scipy's package, numpy.ma, the HiGHS binding, the dispatch LP
+    and the transport solver a dershare child has loaded by the time its
+    command returns, with its output."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *map(str, argv)],
+                          capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stderr + proc.stdout
+    return sorted(result["loaded"]), proc.stdout
+
+
+def test_runs_load_only_the_modules_their_stages_use(tmp_path, config_path):
+    out = tmp_path / "run"
+    loaded, _ = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
+                                   "--equilibrium-at", "0.5", "--flows-at", "0.5")
+    assert loaded == ["dershare.dispatch", "dershare.localness", "scipy.optimize._highspy._core"]
+    # a new p-grid: five stages are cache hits, and no LP module is loaded
+    loaded, stdout = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
+                                        "--equilibrium-at", "0.5", "--flows-at", "0.5",
+                                        "--p-grid", "0.5:2:4")
+    assert loaded == []
+    assert [line.split(":")[0] for line in stdout.splitlines() if ": wrote" in line] == [
+        "longrun", "subsidy", "stakeholders"]
+
+
+def test_quantile_is_numpys_linear_quantile():
+    rng = np.random.default_rng(77)
+    for n in range(1, 61):
+        for x in (rng.uniform(0, 50, n), np.round(rng.uniform(0, 5, n))):  # ties when rounded
+            for q in (0.0, 0.05, 0.25, 0.5, 0.95, 1.0):
+                assert cli._quantile(np.sort(x), q) == np.quantile(x, q), (n, q)
+
+
+@pytest.mark.parametrize("make", [random_curve_population, random_tied_curve_population])
+def test_auto_p_grid_matches_numpy_quantile(make):
+    for seed in range(6):
+        order = build_order(make(np.random.default_rng(6000 + seed), 1 + 11 * seed))
+        lo = max(float(np.quantile(order.normalized, 0.05)), 1e-9)
+        hi = max(float(np.quantile(order.normalized, 0.95)), lo)
+        assert cli._auto_p_grid(order).tolist() == np.linspace(lo, hi, 21).tolist()
 
 
 def test_missing_upstream_is_actionable(tmp_path, config_path, capsys):
@@ -295,12 +354,21 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
     (["localness"], {}, {"fit": {"samples": 100}},
      "config: field 'fit.samples': unknown config key"),
     (["gen-data"], {}, {"fitt": {"n_samples": 5}}, "config: field 'fitt': unknown config key"),
+    # a flag of 0 is a value, not a missing flag
+    (["fit", "--samples", "0"], {}, {},
+     "command line: field '--samples': expected a whole number >= 2, got 0"),
+    (["fit"], {}, {"fit": {"n_samples": 1}},
+     "config: field 'fit.n_samples': expected a whole number >= 2, got 1"),
+    (["fit", "--days", "-3"], {}, {},
+     "command line: field '--days': expected a whole number >= 1, got -3"),
+    (["fit", "--days", "0"], {}, {},
+     "command line: field '--days': expected a whole number >= 1, got 0"),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
         "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
         "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section",
         "terminal-soc-string", "synth-value-type", "n-samples-fraction", "asset-nan",
         "asset-infinity", "fit-key", "sweep-key", "prices-key", "key-read-elsewhere",
-        "top-level-key"])
+        "top-level-key", "samples-zero", "n-samples-one", "days-negative", "days-zero"])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"
@@ -330,6 +398,24 @@ def test_edited_sweep_csv_exits_2_naming_file_and_line(finished_run, tmp_path, c
     sweep.write_text("".join(lines))
     code = _run("subsidy", "--config", path, "--out", out)
     _assert_input_error(capsys, code, f"{sweep}:3: expected 13 fields, got 12")
+
+
+def test_edited_curve_value_exits_2_naming_file_and_line(finished_run, tmp_path, capsys):
+    # f is derived from the knots and slopes, so an edited f is refused, not ignored
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    curves = out / "savings_curves.csv"
+    lines = curves.read_text().splitlines(keepends=True)
+    cells = lines[4].split(",")
+    cells[3] = "999999.0"
+    lines[4] = ",".join(cells)
+    curves.write_text("".join(lines))
+    capsys.readouterr()
+    code = _run("sweep", "--config", path, "--out", out, "--t-grid", "0.1:0.9:5")
+    _assert_input_error(capsys, code, f"{curves}:5: household {cells[0]!r}: f 999999.0 at knot 3 "
+                        "differs from ")
 
 
 def test_edited_curve_csv_exits_2_naming_file_and_line(finished_run, tmp_path, capsys):

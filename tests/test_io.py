@@ -163,6 +163,23 @@ def _edit_cell(path, line, column, raw):
     path.write_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("line, raw", [(2, "0.5"), (4, "2.5000001"), (5, "3.5")])
+def test_savings_value_must_match_knots_and_slopes(tmp_path, line, raw):
+    # f at knots 0..3 is 0.0, 1.5, 2.5, 3.0; an f that disagrees is refused at its own line
+    s, _ = _curve_files(tmp_path)
+    _edit_cell(s, line, 3, raw)
+    with pytest.raises(ParseError, match=f"household 'H0': f {raw} at knot {line - 2} "
+                       "differs from") as exc:
+        read_savings_curves(s)
+    assert (exc.value.path, exc.value.line) == (str(s), line)
+
+
+def test_savings_value_within_rounding_is_accepted(tmp_path):
+    s, _ = _curve_files(tmp_path)
+    _edit_cell(s, 4, 3, "2.5000000001")
+    np.testing.assert_array_equal(read_savings_curves(s)["H0"].values, [0.0, 1.5, 2.5, 3.0])
+
+
 @pytest.mark.parametrize("index, line, message", [
     ("7", 4, "household 'H0': knot_index 7 outside 0..3"),
     ("1", 4, "household 'H0': duplicate knot_index 1"),

@@ -3,7 +3,7 @@ import pytest
 
 from dershare.adoption import LongRunSolver, build_order
 from dershare.curves import SavingsCurve
-from dershare.market import aggregate_demand, aggregate_supply, clear_market
+from dershare.market import ClearingTable, aggregate_demand, aggregate_supply, clear_market
 from oracles import (bisection_clear_market, random_concave_curve, random_curve_population,
                      random_tied_curve_population)
 
@@ -198,3 +198,14 @@ def test_no_trade_market_clears_at_the_midpoint():
     assert eq.volume == 0.0 and eq.total_surplus == 0.0
     assert eq.total_participation == 0.0
     assert_matches_oracle(eq, bisection_clear_market(curves, {"a", "b"}))
+
+
+@pytest.mark.parametrize("population", ["random", "tied"])
+def test_breakpoints_are_the_distinct_slopes_steepest_first(population):
+    # the table sorts and dedups the slopes itself; the result must be np.unique's
+    make = random_curve_population if population == "random" else random_tied_curve_population
+    for seed in range(6):
+        curves = make(np.random.default_rng(5000 + seed), 1 + 15 * seed)
+        expected = np.unique(np.concatenate([c.slopes for c in curves.values()]))[::-1]
+        assert ClearingTable(curves).breakpoints.tolist() == expected.tolist()
+    assert ClearingTable({}).breakpoints.size == 0
