@@ -183,8 +183,8 @@ def long_run_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
     level) is detected and flagged, not simulated; the reported long-run
     level then equals the short-run one.
     """
-    if p <= 0:
-        raise DomainError(f"purchase price must be positive, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"purchase price must be finite and positive, got {p}")
     solver = solver or LongRunSolver(order, curves)
     n = order.n
     k0 = order.rate_demand_count(p)

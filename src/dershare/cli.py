@@ -16,7 +16,9 @@ the fitted-curve CSVs.
     dershare stakeholders --out runs/demo
 
 `all` runs the full chain. Results are identical for any --threads
-value; the default worker count comes from DERSHARE_THREADS.
+value. Every flag, config key and DERSHARE_THREADS is declared once in
+SETTINGS; a value comes from its flag, else its variable, else the
+config (all checked at load), else its default, and is checked once.
 
 Each stage is declared once in STAGES (flags, input files with the
 stage that writes each, hashed params, outputs, body), and run_stage
@@ -36,8 +38,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from contextlib import suppress
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -53,7 +56,7 @@ from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE,
                  write_exclusions, write_purchases_curves, write_rows, write_savings_curves,
                  write_scenario)
 from .lp import LPError
-from .model import AssetSpec, DomainError, ValidationError, validate_scenario
+from .model import AssetSpec, DomainError, ValidationError, from_config, validate_scenario
 from .stakeholders import regime_boundary
 from .synth import SynthConfig, generate_scenario
 
@@ -132,85 +135,27 @@ def _finish_stage(out_dir: Path, manifest: dict, stage: str, input_hash: str,
     print(f"{stage}: wrote {', '.join(output_rels)} ({time.time() - started:.1f}s)")
 
 
-# ---------------------------------------------------------------- config
+# ---------------------------------------------------------------- settings
 
-# every top-level key, with the keys of its section; None where the reader checks them
-CONFIG_KEYS = {"synth": None, "asset": None, "fit": ("n_samples",), "sweep": ("t_grid",),
-               "prices": ("p_grid",), "require_terminal_soc": None}
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ParseError(path, 0, "file not found") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno,
-                         f"invalid JSON: {exc.msg} (column {exc.colno})") from None
-    if not isinstance(cfg, dict):
-        raise ValidationError("config", "root", "config file must hold a JSON object")
-    for name in cfg:
-        if name not in CONFIG_KEYS:
-            raise ValidationError("config", name, "unknown config key")
-        if CONFIG_KEYS[name]:
-            _section(cfg, name)  # a misspelled key fails every stage, not only its reader
-    return cfg
-
-
-def _section(cfg: dict, name: str) -> dict:
-    """The config's `name` section; {} when absent."""
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ValidationError("config", name, f"expected a JSON object, got {section!r}")
-    unknown = sorted(set(section) - set(CONFIG_KEYS[name] or section))
-    if unknown:
-        raise ValidationError("config", f"{name}.{unknown[0]}", "unknown config key")
-    return section
-
-
-def _asset_from(cfg: dict) -> AssetSpec:
-    section = _section(cfg, "asset")
-    unknown = set(section) - set(AssetSpec.__dataclass_fields__)
-    if unknown:
-        raise ValidationError("asset config", sorted(unknown)[0], "unknown config key")
-    for key, value in section.items():
-        if type(value) not in (int, float) or not math.isfinite(value):  # bool is not int here
-            raise ValidationError("config", f"asset.{key}", f"expected a number, got {value!r}")
-    return AssetSpec(**section)
-
-
-def _checked(source: tuple[str, str], parse, *args):
-    """parse(*args); a malformed value raises a ValidationError naming its source."""
-    try:
-        return parse(*args)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(*source, str(exc)) from None
-
-
-def _whole_number(value) -> int:
-    """A JSON integer, or a float with no fractional part."""
+def _whole(least: int, value) -> int:
+    """A whole number >= least: an int, or a float with no fractional part."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"expected a whole number, got {value!r}")
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    if value < least:
+        raise ValueError(f"expected a whole number >= {least}, got {value!r}")
+    return value
 
 
-def _count(minimum: int, value) -> int:
-    """A whole number no smaller than minimum."""
-    count = _whole_number(value)
-    if count < minimum:
-        raise ValueError(f"expected a whole number >= {minimum}, got {value!r}")
-    return count
+def _json(cls: type, what: str, value):
+    """A JSON value of type cls (a bool, an object)."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
 
 
-def _flag_or_config(value, flag: str, cfg: dict, section: str, key: str):
-    """The flag's value if given, else the config's, with where it came from."""
-    if value is not None:
-        return value, ("command line", flag)
-    return _section(cfg, section).get(key), ("config", f"{section}.{key}")
+_object = partial(_json, dict, "a JSON object")
 
 
 def _parse_grid(spec, default) -> np.ndarray:
@@ -228,9 +173,116 @@ def _parse_grid(spec, default) -> np.ndarray:
     return np.asarray([float(v) for v in text.split(",")], dtype=float)
 
 
-def _parse_rates(text: str | None) -> list[float]:
+def _prices(spec) -> np.ndarray | None:
+    """A grid of finite purchase prices > 0; None for 'auto', set from the curves."""
+    if spec in (None, "auto"):
+        return None
+    grid = _parse_grid(spec, None)
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError(f"expected finite prices > 0, got {spec!r}")
+    return grid
+
+
+def _rates(text: str) -> list[float]:
     """Comma list of adoption rates; empty entries are skipped."""
-    return [float(v) for v in (text or "").split(",") if v]
+    return [float(v) for v in text.split(",") if v]
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One user-settable value: kind(value) checks it or raises ValueError;
+    text converts a flag's or variable's text first, if it can; a callable
+    default is called; key is `section.key` or a top-level config key."""
+
+    kind: Callable
+    default: object = None
+    flag: str | None = None
+    env: str | None = None
+    key: str | None = None
+    text: Callable | None = None
+    help: str | None = None
+
+
+SETTINGS = {
+    "synth": Setting(lambda v: SynthConfig.from_dict(_object(v)), SynthConfig, key="synth"),
+    "asset": Setting(lambda v: from_config(AssetSpec, "asset", _object(v)), AssetSpec,
+                     key="asset"),
+    "require_terminal_soc": Setting(partial(_json, bool, "true or false"), False,
+                                    key="require_terminal_soc"),
+    "seed": Setting(partial(_whole, 0), None, "--seed", text=int,
+                    help="override the generator seed"),
+    "n_samples": Setting(partial(_whole, 2), DEFAULT_SAMPLES, "--samples", key="fit.n_samples",
+                         text=int, help=f"capacity sample count (default {DEFAULT_SAMPLES})"),
+    "days": Setting(partial(_whole, 1), None, "--days", text=int,
+                    help="subsample this many representative days"),
+    "threads": Setting(partial(_whole, 1), 1, "--threads", env="DERSHARE_THREADS", text=int,
+                       help="worker processes"),
+    "t_grid": Setting(partial(_parse_grid, default=default_t_grid), default_t_grid, "--t-grid",
+                      key="sweep.t_grid", help="adoption rates: 'a:b:n', comma list, or default"),
+    "equilibrium_at": Setting(_rates, list, "--equilibrium-at", help="comma list of adoption "
+                              "rates to dump per-household allocations for"),
+    "p_grid": Setting(_prices, None, "--p-grid", key="prices.p_grid",
+                      help="purchase prices: 'a:b:n', comma list, or 'auto'"),
+    "price": Setting(lambda v: _prices([v]), None, "--price", text=float,
+                     help="single purchase price"),
+    "flows_at": Setting(_rates, list, "--flows-at",
+                        help="comma list of adoption rates to dump flows for"),
+}
+_BY_KEY = {s.key: name for name, s in SETTINGS.items() if s.key}
+_SECTIONS = {key.split(".")[0] for key in _BY_KEY if "." in key}
+
+
+def _check(kind: Callable, value, source: tuple[str, str]):
+    """kind(value); a value it refuses raises a ValidationError naming source."""
+    try:
+        return kind(value)
+    except ValidationError:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:  # OverflowError: an int past float range
+        raise ValidationError(*source, str(exc)) from None
+
+
+def _load_config(path: str | None) -> dict:
+    """The config file's values by setting name, each checked by its kind,
+    so a bad or unknown key fails every stage, not only its reader."""
+    if not path:
+        return {}
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ParseError(path, 0, "file not found") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno,
+                         f"invalid JSON: {exc.msg} (column {exc.colno})") from None
+    config = {}
+    for top, value in _check(_object, cfg, ("config", "root")).items():
+        entries = [(top, value)]
+        if top in _SECTIONS:
+            entries = [(f"{top}.{key}", v)
+                       for key, v in _check(_object, value, ("config", top)).items()]
+        for key, v in entries:
+            if key not in _BY_KEY:
+                raise ValidationError("config", key, "unknown config key")
+            config[_BY_KEY[key]] = _check(SETTINGS[_BY_KEY[key]].kind, v, ("config", key))
+    return config
+
+
+def _resolve(name: str, args: argparse.Namespace, config: dict):
+    """A setting's value from its flag, else its environment variable, else
+    the loaded config, else its default."""
+    setting = SETTINGS[name]
+    flag = getattr(args, setting.flag[2:].replace("-", "_"), None) if setting.flag else None
+    env = os.environ.get(setting.env) if setting.env else None
+    for value, source in ((flag, ("command line", setting.flag)),
+                          (env, ("environment", setting.env))):
+        if value is not None:
+            if isinstance(value, str) and setting.text:
+                with suppress(ValueError):
+                    value = setting.text(value)
+            return _check(setting.kind, value, source)
+    if name in config:
+        return config[name]
+    return setting.default() if callable(setting.default) else setting.default
 
 
 def _quantile(ascending: np.ndarray, q: float) -> float:
@@ -251,12 +303,9 @@ def _auto_p_grid(order) -> np.ndarray:
 
 
 def _p_grid_for(out_dir: Path, cfg: dict, p_grid_spec, price, order) -> np.ndarray:
-    if price is not None:
-        return np.asarray([price], dtype=float)
-    spec, source = _flag_or_config(p_grid_spec, "--p-grid", cfg, "prices", "p_grid")
-    if spec in (None, "auto"):
-        return _auto_p_grid(order)
-    return _checked(source, _parse_grid, spec, None)
+    run = Run(out_dir, argparse.Namespace(p_grid=p_grid_spec, price=price), cfg)
+    run.order = order  # stands in for the order Run would build from the savings curves
+    return run.p_grid
 
 
 def _load_context(out_dir: Path, cfg: dict, days: int | None) -> ScenarioContext:
@@ -269,62 +318,42 @@ def _fmt_bool(b) -> str:
 
 # ---------------------------------------------------------------- run
 
+def _resolved(name: str) -> cached_property:
+    """A Run attribute holding the setting `name`, resolved on first use."""
+    return cached_property(lambda run: _resolve(name, run.args, run.cfg))
+
+
+@dataclass
 class Run:
     """One invocation on one run directory.
 
-    Flags and config values are read when a stage asks for them, and
-    each artifact is loaded from the run directory on first use and then
-    kept, so the stages of one `all` share a single scenario, curve set
-    and LongRunSolver.
+    Settings are resolved when a stage asks for them, and each artifact
+    is loaded from the run directory on first use and then kept, so the
+    stages of one `all` share a single scenario, curve set and
+    LongRunSolver. cfg holds the values _load_config checked.
     """
 
-    def __init__(self, out: Path, args: argparse.Namespace, cfg: dict):
-        self.out = out
-        self.args = args
-        self.cfg = cfg
+    out: Path
+    args: argparse.Namespace
+    cfg: dict
 
-    def flag(self, name: str):
-        """A flag's value; None when this subcommand does not take it."""
-        return getattr(self.args, name, None)
+    asset = _resolved("asset")
+    require_terminal_soc = _resolved("require_terminal_soc")
+    n_samples = _resolved("n_samples")
+    days = _resolved("days")
+    threads = _resolved("threads")
+    t_grid = _resolved("t_grid")
+    equilibrium_at = _resolved("equilibrium_at")
+    flows_at = _resolved("flows_at")
 
     @cached_property
     def manifest(self) -> dict:
         return _read_manifest(self.out)
 
     @cached_property
-    def asset(self) -> AssetSpec:
-        return _asset_from(self.cfg)
-
-    @cached_property
     def synth(self) -> SynthConfig:
-        section = dict(_section(self.cfg, "synth"))
-        if self.flag("seed") is not None:
-            section["rng_seed"] = self.flag("seed")
-        return SynthConfig.from_dict(section)
-
-    @cached_property
-    def require_terminal_soc(self) -> bool:
-        value = self.cfg.get("require_terminal_soc", False)
-        if not isinstance(value, bool):
-            raise ValidationError("config", "require_terminal_soc",
-                                  f"expected true or false, got {value!r}")
-        return value
-
-    @cached_property
-    def n_samples(self) -> int:
-        value, source = _flag_or_config(self.flag("samples"), "--samples", self.cfg,
-                                        "fit", "n_samples")
-        return _checked(source, _count, 2, DEFAULT_SAMPLES if value is None else value)
-
-    @cached_property
-    def days(self) -> int | None:
-        days = self.flag("days")
-        return None if days is None else _checked(("command line", "--days"), _count, 1, days)
-
-    @cached_property
-    def threads(self) -> int:
-        return max(1, self.flag("threads") or _checked(
-            ("environment", "DERSHARE_THREADS"), int, os.environ.get("DERSHARE_THREADS", "1")))
+        synth, seed = _resolve("synth", self.args, self.cfg), _resolve("seed", self.args, self.cfg)
+        return synth if seed is None else replace(synth, rng_seed=seed)
 
     @cached_property
     def loaded(self):
@@ -333,13 +362,10 @@ class Run:
     @cached_property
     def context(self) -> ScenarioContext:
         from .dispatch import ScenarioContext
-        scenario = self.loaded.scenario
-        days = self.days
-        day_indices = None
-        if days is not None and days < scenario.n_days:
-            day_indices = np.round(np.linspace(0, scenario.n_days - 1, days)).astype(int)
-        return ScenarioContext(scenario, day_indices,
-                               require_terminal_soc=self.require_terminal_soc)
+        scenario, days = self.loaded.scenario, self.days
+        day_indices = (None if days is None or days >= scenario.n_days
+                       else np.round(np.linspace(0, scenario.n_days - 1, days)).astype(int))
+        return ScenarioContext(scenario, day_indices, require_terminal_soc=self.require_terminal_soc)
 
     @cached_property
     def curves(self):
@@ -363,24 +389,11 @@ class Run:
                                                   int_columns=("owners",)))
 
     @cached_property
-    def t_grid(self) -> np.ndarray:
-        spec, source = _flag_or_config(self.flag("t_grid"), "--t-grid", self.cfg,
-                                       "sweep", "t_grid")
-        return _checked(source, _parse_grid, spec, default_t_grid)
-
-    @cached_property
-    def equilibrium_at(self) -> list[float]:
-        return _checked(("command line", "--equilibrium-at"), _parse_rates,
-                        self.flag("equilibrium_at"))
-
-    @cached_property
-    def flows_at(self) -> list[float]:
-        return _checked(("command line", "--flows-at"), _parse_rates, self.flag("flows_at"))
-
-    @cached_property
     def p_grid(self) -> np.ndarray:
-        return _p_grid_for(self.out, self.cfg, self.flag("p_grid"), self.flag("price"),
-                           self.order)
+        grid = _resolve("price", self.args, self.cfg)
+        if grid is None:
+            grid = _resolve("p_grid", self.args, self.cfg)
+        return _auto_p_grid(self.order) if grid is None else grid
 
     @cached_property
     def long_run(self) -> list:
@@ -535,7 +548,7 @@ _PRICE_FLAGS = ("--p-grid", "--price")
 
 STAGES = (
     Stage("gen-data", "generate a synthetic scenario", ("--seed",), (),
-          lambda run: {"synth": run.synth.to_dict(), "asset": asdict(run.asset)},
+          lambda run: {"synth": asdict(run.synth), "asset": asdict(run.asset)},
           lambda run: DATA_RELS, _gen_data),
     Stage("validate", "ingest and validate the data directory", (), _DATA_INPUTS,
           lambda run: {"asset": asdict(run.asset)},
@@ -584,20 +597,9 @@ def run_stage(run: Run, stage: Stage) -> None:
 
 # ---------------------------------------------------------------- entry
 
-FLAGS = {
-    "--seed": dict(type=int, help="override the generator seed"),
-    "--samples": dict(type=int, help="capacity sample count (default 30)"),
-    "--days": dict(type=int, help="subsample this many representative days"),
-    "--threads": dict(type=int, help="worker processes"),
-    "--t-grid": dict(help="adoption rates: 'a:b:n', comma list, or default"),
-    "--equilibrium-at": dict(
-        default="", help="comma list of adoption rates to dump per-household allocations for"),
-    "--p-grid": dict(help="purchase prices: 'a:b:n', comma list, or 'auto'"),
-    "--price": dict(type=float, help="single purchase price"),
-    "--flows-at": dict(default="", help="comma list of adoption rates to dump flows for"),
-}
 # `all` takes every stage's flags except --price: it runs the whole p-grid
 ALL_FLAGS = tuple(dict.fromkeys(f for s in STAGES for f in s.flags if f != "--price"))
+_HELP = {s.flag: s.help for s in SETTINGS.values() if s.flag}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -611,7 +613,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="run directory for data and outputs")
         p.add_argument("--config", help="JSON config file")
         for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
+            p.add_argument(flag, help=_HELP[flag])
     return parser
 
 

@@ -269,6 +269,8 @@ def _curve_rows(path: Path, header: Sequence[str], parse) -> dict[str, list[tupl
         if k in knots:
             raise ParseError(path, lineno, f"household {row[0]!r}: duplicate knot_index {k}")
         knots[k] = (lineno, parse(lineno, row))
+    if not per_hh:
+        raise ParseError(path, 1, "no households")
     for hid, knots in per_hh.items():
         # n distinct indices miss one of 0..n-1 only if one lies outside it
         misplaced = next((k for k in knots if not 0 <= k < len(knots)), None)

@@ -12,6 +12,7 @@ share between threads. Numpy array fields are marked read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,33 @@ class ValidationError(ValueError):
         self.entity = entity
         self.fieldname = fieldname
         super().__init__(f"{entity}: field '{fieldname}': {message}")
+
+
+def from_config(cls, section: str, values: dict):
+    """cls(**values) for the config section that sets the dataclass cls's fields.
+    Each value must have the type of its field's default: an int may stand for
+    a float and a list for a tuple, a bool is never a number, and a float must
+    be finite (JSON may spell NaN). Errors name `section.key`."""
+    def fits(value, default) -> bool:
+        if isinstance(default, tuple):
+            return (isinstance(value, (list, tuple)) and len(value) == len(default)
+                    and all(map(fits, value, default)))
+        return type(value) in (int, float) and math.isfinite(value) and (
+            isinstance(default, float) or type(value) is int)
+
+    def kind(default) -> str:
+        if isinstance(default, tuple):
+            return f"a list of {len(default)} {kind(default[0]).split()[1]}s"
+        return "an integer" if isinstance(default, int) else "a number"
+
+    for key, value in values.items():
+        name = f"{section}.{key}"
+        if key not in cls.__dataclass_fields__:
+            raise ValidationError("config", name, "unknown config key")
+        default = cls.__dataclass_fields__[key].default
+        if not fits(value, default):
+            raise ValidationError("config", name, f"expected {kind(default)}, got {value!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 class EmptyScenarioError(ValidationError):

@@ -17,7 +17,7 @@ platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .model import (
     TariffSet,
     ValidationError,
     compute_net_zero_size,
+    from_config,
 )
 
 
@@ -72,9 +73,10 @@ class SynthConfig:
     region_spread_deg: float = 0.25
 
     def validate(self) -> None:
-        for name in ("n_households", "n_days", "n_regions"):
-            if getattr(self, name) < 1:
-                raise ValidationError("synth config", name, f"must be >= 1, got {getattr(self, name)}")
+        # rng_seed: numpy seeds only from nonnegative integers
+        for name, least in (("n_households", 1), ("n_days", 1), ("n_regions", 1), ("rng_seed", 0)):
+            if getattr(self, name) < least:
+                raise ValidationError("synth config", name, f"must be >= {least}, got {getattr(self, name)}")
         for name in ("load_peak_window", "tou_peak_window", "daylight_window"):
             lo, hi = getattr(self, name)
             if not (0 <= lo < hi <= HOURS):
@@ -104,46 +106,11 @@ class SynthConfig:
             raise ValidationError("synth config", "offpeak_price",
                                   "must be >= sell_mean + sell_amplitude to preserve buy >= sell")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError("synth config", sorted(unknown)[0], "unknown config key")
-        kwargs = {}
-        for key, value in d.items():
-            default = cls.__dataclass_fields__[key].default
-            if not _matches(value, default):
-                raise ValidationError("config", f"synth.{key}",
-                                      f"expected {_kind(default)}, got {value!r}")
-            kwargs[key] = tuple(value) if isinstance(value, list) else value
-        cfg = cls(**kwargs)
+        cfg = from_config(cls, "synth", d)
         cfg.validate()
         return cfg
-
-
-def _matches(value, default) -> bool:
-    """Whether a config value has the type of a field's default: an int may
-    stand for a float, a list for a tuple, a bool for neither, and a float
-    must be finite (JSON input may spell NaN and Infinity)."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, tuple):
-        return (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and all(map(_matches, value, default)))
-    if isinstance(default, float):
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, int)
-
-
-def _kind(default) -> str:
-    if isinstance(default, tuple):
-        items = "integers" if isinstance(default[0], int) else "finite numbers"
-        return f"a list of {len(default)} {items}"
-    return "an integer" if isinstance(default, int) else "a finite number"
 
 
 def _window_mask(window: tuple[int, int]) -> np.ndarray:

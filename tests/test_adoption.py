@@ -104,6 +104,13 @@ def test_long_run_above_everything_means_nobody_adopts(rng):
     assert lr.delta_q == 0.0
 
 
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+def test_long_run_refuses_a_price_that_is_not_finite_and_positive(rng, p):
+    curves = random_curve_population(rng, 5)
+    with pytest.raises(DomainError, match="purchase price must be finite and positive"):
+        long_run_adoption(build_order(curves), curves, p)
+
+
 def test_long_run_saturates_when_price_below_all_rents():
     # owners all value capacity at 390; the one remaining renter at 150; any
     # purchase price in between keeps own-to-rent profitable to the very end

@@ -12,8 +12,9 @@ import pytest
 from conftest import child_env
 from dershare import __version__
 from dershare import cli
-from dershare.adoption import LongRunSolver, build_order
+from dershare.adoption import LongRunSolver, build_order, default_t_grid
 from dershare.cli import main
+from dershare.synth import SynthConfig
 from oracles import random_curve_population, random_tied_curve_population
 
 TINY = {
@@ -257,6 +258,9 @@ def test_malformed_config_exits_2_naming_file_and_line(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code = _run("gen-data", "--config", missing, "--out", tmp_path / "run")
     _assert_input_error(capsys, code, f"{missing}:0: file not found")
+    bad.write_text("[1]\n")
+    code = _run("gen-data", "--config", bad, "--out", tmp_path / "run")
+    _assert_input_error(capsys, code, "config: field 'root': expected a JSON object, got [1]")
 
 
 def test_short_loads_row_exits_2_naming_file_and_line(tmp_path, config_path, capsys):
@@ -324,7 +328,7 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
     (["fit", "--samples", "6"], {"DERSHARE_THREADS": "abc"}, {},
      "environment: field 'DERSHARE_THREADS'"),
     (["gen-data"], {}, {"asset": {"bogus": 1}},
-     "asset config: field 'bogus': unknown config key"),
+     "config: field 'asset.bogus': unknown config key"),
     (["sweep"], {}, {"sweep": {"t_grid": "0.1:0.9"}}, "config: field 'sweep.t_grid'"),
     (["subsidy"], {}, {"prices": {"p_grid": "1,x"}}, "config: field 'prices.p_grid'"),
     (["fit"], {}, {"fit": {"n_samples": "many"}}, "config: field 'fit.n_samples'"),
@@ -363,12 +367,40 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
      "command line: field '--days': expected a whole number >= 1, got -3"),
     (["fit", "--days", "0"], {}, {},
      "command line: field '--days': expected a whole number >= 1, got 0"),
+    (["longrun", "--price", "nan"], {}, {},
+     "command line: field '--price': expected finite prices > 0, got [nan]"),
+    (["subsidy", "--p-grid", "inf,1"], {}, {},
+     "command line: field '--p-grid': expected finite prices > 0, got 'inf,1'"),
+    (["stakeholders"], {}, {"prices": {"p_grid": [float("nan"), 1.0]}},
+     "config: field 'prices.p_grid': expected finite prices > 0, got [nan, 1.0]"),
+    # --threads 0 does not fall back to the variable
+    (["fit", "--samples", "6", "--threads", "0"], {"DERSHARE_THREADS": "2"}, {},
+     "command line: field '--threads': expected a whole number >= 1, got 0"),
+    (["fit", "--samples", "6", "--threads", "-4"], {}, {},
+     "command line: field '--threads': expected a whole number >= 1, got -4"),
+    (["fit", "--samples", "6"], {"DERSHARE_THREADS": "0"}, {},
+     "environment: field 'DERSHARE_THREADS': expected a whole number >= 1, got 0"),
+    # every config value is checked at load, by every stage
+    (["gen-data"], {}, {"sweep": {"t_grid": "0.1:0.9"}},
+     "config: field 'sweep.t_grid': expected 'a:b:n', got '0.1:0.9'"),
+    (["gen-data"], {}, {"synth": {"voltage": 1}},
+     "config: field 'synth.voltage': unknown config key"),
+    (["validate"], {}, {"asset": {"alpha": 10 ** 400}},
+     "config: field 'asset': int too large to convert to float"),
+    (["gen-data", "--seed", "-1"], {}, {},
+     "command line: field '--seed': expected a whole number >= 0, got -1"),
+    # a flag overrides a valid config value
+    (["fit", "--samples", "1"], {}, {"fit": {"n_samples": 5}},
+     "command line: field '--samples': expected a whole number >= 2, got 1"),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
         "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
         "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section",
         "terminal-soc-string", "synth-value-type", "n-samples-fraction", "asset-nan",
         "asset-infinity", "fit-key", "sweep-key", "prices-key", "key-read-elsewhere",
-        "top-level-key", "samples-zero", "n-samples-one", "days-negative", "days-zero"])
+        "top-level-key", "samples-zero", "n-samples-one", "days-negative", "days-zero",
+        "price-nan", "p-grid-inf", "config-p-grid-nan", "threads-zero", "threads-negative",
+        "threads-env-zero", "t-grid-refused-by-gen-data", "synth-key", "asset-huge-int",
+        "seed-negative", "flag-over-config"])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"
@@ -380,6 +412,38 @@ def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, mo
     capsys.readouterr()
     code = _run(*argv, "--config", path, "--out", out)
     _assert_input_error(capsys, code, expected)
+
+
+def test_curve_file_without_households_exits_2(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    curves = out / "savings_curves.csv"
+    curves.write_text(curves.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    code = _run("longrun", "--config", path, "--out", out)
+    _assert_input_error(capsys, code, f"{curves}:1: no households")
+
+
+def test_helpers_of_the_traced_benchmark_match_the_run(finished_run):
+    """The cli helpers that perfbench/tracing.py calls with a plain {} config
+    give what a Run gives for the same flags and config."""
+    config = cli._load_config(finished_run.parent / "config.json")
+
+    def run(**flags):
+        return cli.Run(finished_run, argparse.Namespace(**flags), config)
+    order = run().order
+    assert cli._p_grid_for(finished_run, {}, None, None, order).tolist() == run().p_grid.tolist()
+    assert (cli._p_grid_for(finished_run, {}, "0.5:2:4", None, order).tolist()
+            == run(p_grid="0.5:2:4").p_grid.tolist() == [0.5, 1.0, 1.5, 2.0])
+    plain, ctx = cli._load_context(finished_run, {}, 2), run(days=2).context
+    assert plain.day_indices.tolist() == ctx.day_indices.tolist() == [0, 2]
+    assert plain.scenario.household_map().keys() == ctx.scenario.household_map().keys()
+    assert plain.require_terminal_soc is ctx.require_terminal_soc is False
+    assert (cli._parse_grid("0.1:0.9:9", default_t_grid).tolist() == run().t_grid.tolist()
+            == np.linspace(0.1, 0.9, 9).tolist())
+    assert SynthConfig.from_dict(TINY["synth"]) == run().synth
 
 
 def test_edited_sweep_csv_exits_2_naming_file_and_line(finished_run, tmp_path, capsys):

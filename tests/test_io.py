@@ -180,6 +180,16 @@ def test_savings_value_within_rounding_is_accepted(tmp_path):
     np.testing.assert_array_equal(read_savings_curves(s)["H0"].values, [0.0, 1.5, 2.5, 3.0])
 
 
+@pytest.mark.parametrize("kind", ["savings", "purchases"])
+def test_curve_file_without_households_is_a_parse_error(tmp_path, kind):
+    s, p = _curve_files(tmp_path)
+    path, read = (s, read_savings_curves) if kind == "savings" else (p, read_purchases_curves)
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    with pytest.raises(ParseError, match="no households") as exc:
+        read(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 1)
+
+
 @pytest.mark.parametrize("index, line, message", [
     ("7", 4, "household 'H0': knot_index 7 outside 0..3"),
     ("1", 4, "household 'H0': duplicate knot_index 1"),

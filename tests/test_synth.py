@@ -39,8 +39,15 @@ def test_config_validation_buy_sell_ordering():
 
 
 def test_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         SynthConfig.from_dict({"n_households": 5, "voltage": 240})
+    assert exc.value.fieldname == "synth.voltage"
+
+
+def test_seed_must_be_nonnegative():
+    with pytest.raises(ValidationError) as exc:
+        SynthConfig.from_dict({"rng_seed": -1})
+    assert exc.value.fieldname == "rng_seed"
 
 
 def test_from_dict_checks_value_types():
