@@ -22,16 +22,15 @@ _EXPORTS = {
                "SavingsCurve", "fit_all", "fit_household", "fit_purchases_curve",
                "fit_savings_curve", "pava_nondecreasing", "pava_nonincreasing", "sample_grid",
                "sample_household"),
-    "dispatch": ("DailyDispatchResult", "PeriodTotals", "ScenarioContext", "dispatch_period",
-                 "solve_day"),
+    "dispatch": ("PeriodTotals", "ScenarioContext"),
     "localness": ("RegionalFlow", "distance_matrix", "haversine_km", "min_cost_flow",
                   "regional_excess", "solve_transport"),
-    "market": ("MarketEquilibrium", "aggregate_demand", "aggregate_supply", "clear_market"),
+    "market": ("MarketEquilibrium", "clear_market"),
     "model": ("AssetSpec", "DomainError", "EmptyScenarioError", "HouseholdRecord",
               "IrradianceSeries", "Region", "Scenario", "TariffSet", "ValidationError",
               "compute_net_zero_size", "validate_scenario"),
     "stakeholders": ("RegimePoint", "billed_sales", "market_emerges", "regime_boundary",
-                     "regime_point", "total_baseline", "utility_loss", "vendor_gain"),
+                     "utility_loss", "vendor_gain"),
     "synth": ("SynthConfig", "generate_scenario"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

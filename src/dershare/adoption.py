@@ -88,9 +88,9 @@ class DemandCurves:
     total_surplus: np.ndarray
 
 
-def default_t_grid(n_points: int = 200, lo: float = 0.001, hi: float = 0.999) -> np.ndarray:
-    """Adoption-rate grid, log-odds spaced so both endpoints are dense."""
-    x = np.linspace(math.log(lo / (1 - lo)), math.log(hi / (1 - hi)), n_points)
+def default_t_grid(n_points: int = 200) -> np.ndarray:
+    """Adoption rates from 0.001 to 0.999, log-odds spaced so both endpoints are dense."""
+    x = np.linspace(math.log(0.001 / (1 - 0.001)), math.log(0.999 / (1 - 0.999)), n_points)
     return 1.0 / (1.0 + np.exp(-x))
 
 

@@ -18,7 +18,8 @@ the fitted-curve CSVs.
 `all` runs the full chain. Results are identical for any --threads
 value. Every flag, config key and DERSHARE_THREADS is declared once in
 SETTINGS; a value comes from its flag, else its variable, else the
-config (all checked at load), else its default, and is checked once.
+config (all checked at load), else its default. The command's flags and
+their variables are checked before its first stage, cached or not.
 
 Each stage is declared once in STAGES (flags, input files with the
 stage that writes each, hashed params, outputs, body), and run_stage
@@ -159,18 +160,23 @@ _object = partial(_json, dict, "a JSON object")
 
 
 def _parse_grid(spec, default) -> np.ndarray:
-    """Grid spec: 'a:b:n' for linspace, a comma list, a JSON list, or None."""
+    """Grid spec: 'a:b:n' for linspace, a comma list, a JSON list, or None.
+    A grid has at least one point."""
     if spec is None:
         return default() if callable(default) else default
-    if isinstance(spec, (list, tuple)):
-        return np.asarray(spec, dtype=float)
     text = str(spec)
-    if ":" in text:
+    if isinstance(spec, (list, tuple)):
+        grid = np.asarray(spec, dtype=float)
+    elif ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"expected 'a:b:n', got {text!r}")
-        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
-    return np.asarray([float(v) for v in text.split(",")], dtype=float)
+        grid = np.linspace(float(parts[0]), float(parts[1]), int(parts[2]))
+    else:
+        grid = np.asarray([float(v) for v in text.split(",")], dtype=float)
+    if grid.size == 0:
+        raise ValueError(f"expected at least one point, got {spec!r}")
+    return grid
 
 
 def _prices(spec) -> np.ndarray | None:
@@ -183,9 +189,16 @@ def _prices(spec) -> np.ndarray | None:
     return grid
 
 
+def _adoption_rates(rates, spec):
+    """The rates, each in [0, 1]; NaN is refused."""
+    if not all(0.0 <= t <= 1.0 for t in rates):
+        raise ValueError(f"expected adoption rates in [0, 1], got {spec!r}")
+    return rates
+
+
 def _rates(text: str) -> list[float]:
     """Comma list of adoption rates; empty entries are skipped."""
-    return [float(v) for v in text.split(",") if v]
+    return _adoption_rates([float(v) for v in text.split(",") if v], text)
 
 
 @dataclass(frozen=True)
@@ -217,8 +230,9 @@ SETTINGS = {
                     help="subsample this many representative days"),
     "threads": Setting(partial(_whole, 1), 1, "--threads", env="DERSHARE_THREADS", text=int,
                        help="worker processes"),
-    "t_grid": Setting(partial(_parse_grid, default=default_t_grid), default_t_grid, "--t-grid",
-                      key="sweep.t_grid", help="adoption rates: 'a:b:n', comma list, or default"),
+    "t_grid": Setting(lambda v: _adoption_rates(_parse_grid(v, default_t_grid), v),
+                      default_t_grid, "--t-grid", key="sweep.t_grid",
+                      help="adoption rates: 'a:b:n', comma list, or default"),
     "equilibrium_at": Setting(_rates, list, "--equilibrium-at", help="comma list of adoption "
                               "rates to dump per-household allocations for"),
     "p_grid": Setting(_prices, None, "--p-grid", key="prices.p_grid",
@@ -229,6 +243,7 @@ SETTINGS = {
                         help="comma list of adoption rates to dump flows for"),
 }
 _BY_KEY = {s.key: name for name, s in SETTINGS.items() if s.key}
+_BY_FLAG = {s.flag: name for name, s in SETTINGS.items() if s.flag}
 _SECTIONS = {key.split(".")[0] for key in _BY_KEY if "." in key}
 
 
@@ -599,6 +614,8 @@ def run_stage(run: Run, stage: Stage) -> None:
 
 # `all` takes every stage's flags except --price: it runs the whole p-grid
 ALL_FLAGS = tuple(dict.fromkeys(f for s in STAGES for f in s.flags if f != "--price"))
+_COMMANDS = {**{s.name: (s.help, s.flags) for s in STAGES},
+             "all": ("run the full pipeline", ALL_FLAGS)}
 _HELP = {s.flag: s.help for s in SETTINGS.values() if s.flag}
 
 
@@ -607,8 +624,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_, flags in ([(s.name, s.help, s.flags) for s in STAGES]
-                               + [("all", "run the full pipeline", ALL_FLAGS)]):
+    for name, (help_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--out", required=True, help="run directory for data and outputs")
         p.add_argument("--config", help="JSON config file")
@@ -623,6 +639,9 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         run = Run(out_dir, args, _load_config(args.config))
+        # a cached stage never reads its flags, so they are checked here
+        for flag in _COMMANDS[args.command][1]:
+            _resolve(_BY_FLAG[flag], args, run.cfg)
         for stage in STAGES:
             if args.command in ("all", stage.name):
                 run_stage(run, stage)

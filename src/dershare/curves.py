@@ -18,7 +18,6 @@ and costs no extra LP solves.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -34,6 +33,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_SAMPLES = 30
 SLOPE_SEPARATION = 1e-6  # $/period/kW per segment step
+MAX_REPAIR_SHARE = 0.01  # largest concavity repair of a sample, per unit of terminal savings
+MIN_R2 = 0.999  # least R^2 of a fitted curve against its samples
 
 
 class FitError(ValueError):
@@ -141,39 +142,6 @@ class SavingsCurve:
     def eval(self, y: float) -> float:
         return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
 
-    def deriv_range(self, y: float) -> tuple[float, float]:
-        """Supergradient interval (left slope, right slope) at y.
-
-        Equal in segment interiors; (+inf, first slope) at 0 and
-        (last slope, -inf) at the upper end.
-        """
-        y = _in_domain(y, self.max_size)
-        if y == 0.0:
-            return (math.inf, float(self.slopes[0]))
-        if y == self.max_size:
-            return (float(self.slopes[-1]), -math.inf)
-        idx = int(np.searchsorted(self.knots, y))
-        if self.knots[idx] == y:  # interior knot
-            return (float(self.slopes[idx - 1]), float(self.slopes[idx]))
-        return (float(self.slopes[idx - 1]), float(self.slopes[idx - 1]))
-
-    def argmax_interval(self, r: float) -> tuple[float, float]:
-        """The set of maximizers of f(y) - r*y over [0, max_size].
-
-        A closed interval: a single point unless r equals one of the
-        segment slopes, in which case it is that whole segment.
-        """
-        if r < 0:
-            raise DomainError(f"rental price must be >= 0, got {r}")
-        neg = -self.slopes  # ascending
-        n_ge = int(np.searchsorted(neg, -r, side="right"))  # slopes >= r
-        n_gt = int(np.searchsorted(neg, -r, side="left"))  # slopes > r
-        return float(self.knots[n_gt]), float(self.knots[n_ge])
-
-    def inverse_marginal(self, r: float) -> float:
-        """Largest maximizer of f(y) - r*y: the capacity demanded at price r."""
-        return self.argmax_interval(r)[1]
-
 
 @dataclass(frozen=True)
 class PurchasesCurve:
@@ -198,11 +166,6 @@ class PurchasesCurve:
     def max_size(self) -> float:
         return float(self.knots[-1])
 
-    @property
-    def baseline(self) -> float:
-        """Buy-side bill with no asset (y = 0)."""
-        return float(self.values[0])
-
     def eval(self, y: float) -> float:
         return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
 
@@ -217,15 +180,12 @@ def sample_grid(y_bar: float, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     return np.concatenate([[0.0], np.linspace(0.01 * y_bar, y_bar, n_samples)])
 
 
-def fit_savings_curve(household_id: str, y_samples, f_samples, *,
-                      epsilon: float = SLOPE_SEPARATION,
-                      max_violation_frac: float = 0.01,
-                      min_r2: float = 0.999) -> SavingsCurve:
+def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
     """Fit the concave monotone piecewise-linear curve to savings samples.
 
     Raises FitError when the concavity repair moves any sample by more
-    than max_violation_frac of the terminal savings, or when the fit's
-    R^2 against the samples drops below min_r2.
+    than MAX_REPAIR_SHARE of the terminal savings, or when the fit's
+    R^2 against the samples drops below MIN_R2.
     """
     y = np.asarray(y_samples, dtype=float)
     f = np.asarray(f_samples, dtype=float)
@@ -243,9 +203,9 @@ def fit_savings_curve(household_id: str, y_samples, f_samples, *,
     fitted = np.concatenate([[0.0], np.cumsum(slopes * w)])
     scale = max(abs(f[-1]), 1e-12)
     violation = float(np.max(np.abs(fitted - f)))
-    if violation > max_violation_frac * scale:
+    if violation > MAX_REPAIR_SHARE * scale:
         raise FitError(f"household {household_id}: concavity repair moved a sample by "
-                       f"{violation:g} (> {max_violation_frac:.0%} of terminal savings)")
+                       f"{violation:g} (> {MAX_REPAIR_SHARE:.0%} of terminal savings)")
     if violation > 1e-9 * (1.0 + scale):
         log.info("household %s: projected savings samples onto the concave cone "
                  "(max shift %.3g)", household_id, violation)
@@ -253,18 +213,18 @@ def fit_savings_curve(household_id: str, y_samples, f_samples, *,
     ss_res = float(np.sum((fitted - f) ** 2))
     ss_tot = float(np.sum((f - f.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-30 else (1.0 if ss_res <= 1e-18 else 0.0)
-    if r2 < min_r2:
-        raise FitError(f"household {household_id}: fit R^2 {r2:.6f} below {min_r2}")
+    if r2 < MIN_R2:
+        raise FitError(f"household {household_id}: fit R^2 {r2:.6f} below {MIN_R2}")
 
     # separate tied slopes so the demanded capacity is single-valued
     # almost everywhere, redistributing to keep f(y_bar) unchanged
     n_seg = slopes.size
-    if n_seg >= 2 and epsilon > 0:
+    if n_seg >= 2:
         k = np.arange(n_seg, dtype=float)
         center = float(np.sum(w * k) / np.sum(w))
-        eps_eff = epsilon
+        eps_eff = SLOPE_SEPARATION
         if n_seg - 1 - center > 0:
-            eps_eff = min(epsilon, slopes[-1] / (n_seg - 1 - center))
+            eps_eff = min(SLOPE_SEPARATION, slopes[-1] / (n_seg - 1 - center))
         if eps_eff > 0:
             slopes = slopes + eps_eff * (center - k)
         else:
@@ -297,7 +257,6 @@ class HouseholdSamples(NamedTuple):
     y: np.ndarray
     savings: np.ndarray
     purchases: np.ndarray
-    sale_credit: np.ndarray
 
 
 class HouseholdFit(NamedTuple):
@@ -311,15 +270,12 @@ def sample_household(ctx: ScenarioContext, household: HouseholdRecord,
     grid = sample_grid(household.net_zero_size, n_samples)
     bills = np.empty(grid.size)
     purchases = np.empty(grid.size)
-    credits = np.empty(grid.size)
     for i, y in enumerate(grid):
         try:
-            totals = ctx.annual_bill(household, float(y))
+            bills[i], purchases[i], _ = ctx.annual_bill(household, float(y))
         except LPError as exc:
             raise LPError(f"household {household.id}, capacity {y:g} kW: {exc}") from exc
-        bills[i], purchases[i], credits[i] = totals
-    return HouseholdSamples(y=grid, savings=bills[0] - bills,
-                            purchases=purchases, sale_credit=credits)
+    return HouseholdSamples(y=grid, savings=bills[0] - bills, purchases=purchases)
 
 
 def fit_household(ctx: ScenarioContext, household: HouseholdRecord,
@@ -331,21 +287,20 @@ def fit_household(ctx: ScenarioContext, household: HouseholdRecord,
     )
 
 
-_WORKER_CTX: ScenarioContext | None = None
-_WORKER_SAMPLES: int = DEFAULT_SAMPLES
+_WORKER: tuple | None = None  # a fit worker's context, households by id and sample count
 
 
 def _fit_worker_init(scenario: Scenario, day_indices, require_terminal_soc: bool,
                      n_samples: int) -> None:
-    global _WORKER_CTX, _WORKER_SAMPLES
+    global _WORKER
     from .dispatch import ScenarioContext
-    _WORKER_CTX = ScenarioContext(scenario, day_indices, require_terminal_soc)
-    _WORKER_SAMPLES = n_samples
+    _WORKER = (ScenarioContext(scenario, day_indices, require_terminal_soc),
+               scenario.household_map(), n_samples)
 
 
 def _fit_worker(household_id: str) -> tuple[str, HouseholdFit]:
-    hh = _WORKER_CTX._resolve(household_id)
-    return household_id, fit_household(_WORKER_CTX, hh, _WORKER_SAMPLES)
+    ctx, households, n_samples = _WORKER
+    return household_id, fit_household(ctx, households[household_id], n_samples)
 
 
 def fit_all(ctx: ScenarioContext, n_samples: int = DEFAULT_SAMPLES,
@@ -355,9 +310,10 @@ def fit_all(ctx: ScenarioContext, n_samples: int = DEFAULT_SAMPLES,
     Results are keyed and assembled in sorted household-id order, so the
     output is identical for any worker count.
     """
-    ids = sorted(h.id for h in ctx.scenario.households)
+    households = ctx.scenario.household_map()
+    ids = sorted(households)
     if workers <= 1:
-        return {hid: fit_household(ctx, ctx._resolve(hid), n_samples) for hid in ids}
+        return {hid: fit_household(ctx, households[hid], n_samples) for hid in ids}
     # imported here so that a single-worker process never loads it
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(

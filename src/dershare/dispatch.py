@@ -50,8 +50,7 @@ objective-consistency check run on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,22 +69,6 @@ class PeriodTotals(NamedTuple):
     bill: float
     purchases: float
     sale_credit: float
-
-
-@dataclass(frozen=True)
-class DailyDispatchResult:
-    """Optimal dispatch of one day.
-
-    cost = purchases + sale_credit, with purchases the import-side bill
-    component (>= 0) and sale_credit the export-side credit (<= 0).
-    """
-
-    cost: float
-    purchases: float
-    sale_credit: float
-    grid: np.ndarray  # kWh, signed
-    storage_action: np.ndarray  # kWh, positive = charging
-    soc: np.ndarray  # kWh at end of each hour
 
 
 @lru_cache(maxsize=8)
@@ -193,13 +176,12 @@ class _Period(NamedTuple):
 
 
 def _solve_period(load, irr, buy, sell, asset: AssetSpec, y: float,
-                  require_terminal_soc: bool, model: LPModel | None = None,
-                  start=None) -> _Period:
+                  require_terminal_soc: bool, model: LPModel, start=None) -> _Period:
     """Optimal dispatch of a D-day block; y = 0 is the closed form load . buy.
 
     model is the block LP of (buy, sell, asset, require_terminal_soc),
-    possibly warm from an earlier capacity; None builds a cold one. start
-    is the basis to begin from in place of the model's last one.
+    possibly warm from an earlier capacity. start is the basis to begin
+    from in place of the model's last one.
     """
     load, irr, buy, sell = (np.asarray(a, dtype=float) for a in (load, irr, buy, sell))
     _check_inputs(buy, sell, y)
@@ -209,8 +191,6 @@ def _solve_period(load, irr, buy, sell, asset: AssetSpec, y: float,
         return _Period(load.copy(), np.zeros_like(load), np.zeros_like(load),
                        float(np.dot(load.ravel(), buy.ravel())), 0.0)
 
-    if model is None:
-        model = _period_model(buy, sell, asset, require_terminal_soc)
     b = _rhs(load, irr, asset, y)
     row_lower, row_upper = b, b
     if require_terminal_soc:
@@ -230,21 +210,6 @@ def _solve_period(load, irr, buy, sell, asset: AssetSpec, y: float,
         raise LPError(f"split-variable netting changed the objective: "
                       f"{purchases + credits!r} vs {sol.objective!r}")
     return _Period(grid, u, soc, purchases, credits)
-
-
-def solve_day(load_day, irr_day, buy_day, sell_day, asset: AssetSpec, y: float) -> DailyDispatchResult:
-    """Exact optimum of one day's dispatch LP for capacity y."""
-    day = [np.asarray(a, dtype=float).reshape(1, HOURS)
-           for a in (load_day, irr_day, buy_day, sell_day)]
-    p = _solve_period(*day, asset, y, require_terminal_soc=False)
-    return DailyDispatchResult(*p.totals(), grid=p.grid[0], storage_action=p.u[0],
-                               soc=p.soc[0])
-
-
-def dispatch_period(load, irr, buy, sell, asset: AssetSpec, y: float,
-                    require_terminal_soc: bool = False) -> PeriodTotals:
-    """Total bill and its buy/sell decomposition over a block of days."""
-    return _solve_period(load, irr, buy, sell, asset, y, require_terminal_soc).totals()
 
 
 class ScenarioContext:
@@ -273,43 +238,33 @@ class ScenarioContext:
         self._buy = scenario.tariff.buy[self.day_indices]
         self._sell = scenario.tariff.sell[self.day_indices]
         self._irr = scenario.irradiance.values[self.day_indices]
-        self._households = scenario.household_map()
-        self._model: LPModel | None = None
         self._template = None  # the model's optimal basis for the template household
         self._billed: str | None = None  # the household the model last solved
 
-    def _resolve(self, household) -> HouseholdRecord:
-        if isinstance(household, HouseholdRecord):
-            return household
-        return self._households[household]
+    @cached_property
+    def _model(self) -> LPModel:
+        return _period_model(self._buy, self._sell, self.scenario.asset,
+                             self.require_terminal_soc)
 
-    def _solve(self, hh: HouseholdRecord, y: float, model=None, start=None) -> _Period:
+    def _solve(self, hh: HouseholdRecord, y: float, start=None) -> _Period:
         return _solve_period(hh.load[self.day_indices], self._irr, self._buy, self._sell,
-                             self.scenario.asset, y, self.require_terminal_soc, model, start)
+                             self.scenario.asset, y, self.require_terminal_soc, self._model,
+                             start)
 
-    def _warm_model(self, household_id: str):
-        """The context's model and the basis this household's solve starts from
-        (None: the model's last basis, this household's previous capacity)."""
+    def _start(self, household_id: str):
+        """The basis this household's solve starts from (None: the model's
+        last basis, this household's previous capacity)."""
         if self._template is None:
-            model = _period_model(self._buy, self._sell, self.scenario.asset,
-                                  self.require_terminal_soc)
             first = self.scenario.households[0]
-            self._solve(first, _TEMPLATE_SHARE * first.net_zero_size, model)
-            self._model, self._template = model, model.basis
+            self._solve(first, _TEMPLATE_SHARE * first.net_zero_size)
+            self._template = self._model.basis
         if household_id == self._billed:
-            return self._model, None
+            return None
         self._billed = household_id
-        return self._model, self._template
+        return self._template
 
-    def annual_bill(self, household, y: float) -> PeriodTotals:
+    def annual_bill(self, household: HouseholdRecord, y: float) -> PeriodTotals:
         """Period bill (and decomposition) for the household at capacity y."""
-        hh = self._resolve(household)
-        model = start = None
-        if y > 0:
-            model, start = self._warm_model(hh.id)
-        p = self._solve(hh, y, model, start)
+        start = self._start(household.id) if y > 0 else None
+        p = self._solve(household, y, start)
         return PeriodTotals(*(self.scale * np.array(p.totals())))
-
-    def baseline_bill(self, household) -> float:
-        """Bill at y = 0; the exact closed form load . buy."""
-        return self.annual_bill(household, 0.0).bill

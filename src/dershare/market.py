@@ -81,28 +81,6 @@ class MarketEquilibrium:
     degenerate: bool = False
 
 
-def _owner_set(curves: Mapping[str, SavingsCurve], owners: Iterable[str]) -> frozenset[str]:
-    owner_ids = frozenset(owners)
-    unknown = owner_ids - set(curves)
-    if unknown:
-        raise DomainError(f"owner ids without curves: {sorted(unknown)[:3]}")
-    return owner_ids
-
-
-def aggregate_demand(curves: Mapping[str, SavingsCurve], owners: Iterable[str], r: float) -> float:
-    """Total capacity non-owners want to rent at price r."""
-    owner_ids = _owner_set(curves, owners)
-    return float(sum(curves[hid].inverse_marginal(r)
-                     for hid in sorted(curves) if hid not in owner_ids))
-
-
-def aggregate_supply(curves: Mapping[str, SavingsCurve], owners: Iterable[str], r: float) -> float:
-    """Total capacity owners offer for rent at price r."""
-    owner_ids = _owner_set(curves, owners)
-    return float(sum(curves[hid].max_size - curves[hid].inverse_marginal(r)
-                     for hid in sorted(owner_ids)))
-
-
 def _degenerate(ids, curves, owner_ids) -> MarketEquilibrium:
     allocations = {hid: (curves[hid].max_size if hid in owner_ids else 0.0) for hid in ids}
     return MarketEquilibrium(
@@ -205,11 +183,6 @@ class ClearingTable:
         return self._prices(list(accumulate((self.size_units[hid] for hid in ranking),
                                             initial=0)))
 
-    def clear(self, owner_ids: frozenset[str]) -> MarketEquilibrium:
-        """Equilibrium for any owner set."""
-        price = self._prices([sum(self.size_units[hid] for hid in owner_ids)])[0]
-        return self.equilibrium(owner_ids, price)
-
     def equilibrium(self, owner_ids: frozenset[str], price: float | None) -> MarketEquilibrium:
         """Allocations, rationing, surpluses and participation at a clearing
         price; a price of None (one market side empty) means no trade."""
@@ -271,4 +244,10 @@ def clear_market(curves: Mapping[str, SavingsCurve], owners: Iterable[str]) -> M
     Degenerate owner sets (empty, or everyone) yield a no-trade
     equilibrium with clearing_price None rather than an error.
     """
-    return ClearingTable(curves).clear(_owner_set(curves, owners))
+    owner_ids = frozenset(owners)
+    unknown = owner_ids - set(curves)
+    if unknown:
+        raise DomainError(f"owner ids without curves: {sorted(unknown)[:3]}")
+    table = ClearingTable(curves)
+    price = table._prices([sum(table.size_units[hid] for hid in owner_ids)])[0]
+    return table.equilibrium(owner_ids, price)

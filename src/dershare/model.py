@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HOURS = 24
+SIZING_RTOL = 1e-9  # stored net-zero sizes must match the sizing to this relative error
 
 
 class DomainError(ValueError):
@@ -215,7 +216,7 @@ def compute_net_zero_size(load, irradiance, eta_i: float) -> float:
     return float(load.sum()) / (eta_i * total_irr)
 
 
-def validate_scenario(scenario: Scenario, sizing_rtol: float = 1e-9) -> None:
+def validate_scenario(scenario: Scenario) -> None:
     """Check every cross-object invariant; raise ValidationError on the first failure.
 
     Checks performed:
@@ -260,6 +261,6 @@ def validate_scenario(scenario: Scenario, sizing_rtol: float = 1e-9) -> None:
         if hh.net_zero_size <= 0:
             raise ValidationError(ent, "net_zero_size", f"must be > 0, got {hh.net_zero_size}")
         expected = compute_net_zero_size(hh.load, scenario.irradiance, scenario.asset.eta_i)
-        if abs(hh.net_zero_size - expected) > sizing_rtol * max(expected, 1e-300):
+        if abs(hh.net_zero_size - expected) > SIZING_RTOL * max(expected, 1e-300):
             raise ValidationError(ent, "net_zero_size",
                                   f"stored {hh.net_zero_size!r} but sizing gives {expected!r}")

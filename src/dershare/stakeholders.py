@@ -40,11 +40,6 @@ def autarky_assignment(order: AdoptionOrder, k: int) -> dict[str, float]:
             for r, hid in enumerate(order.ranking)}
 
 
-def total_baseline(purchases: Mapping[str, PurchasesCurve]) -> float:
-    """Every household's bill before any adoption (sum of no-asset bills)."""
-    return float(sum(purchases[hid].baseline for hid in sorted(purchases)))
-
-
 def utility_loss(purchases: Mapping[str, PurchasesCurve], order: AdoptionOrder,
                  k_short: int, equilibrium: MarketEquilibrium) -> float:
     """Billed sales without the market minus billed sales with it."""
@@ -81,29 +76,25 @@ class RegimePoint:
     long_run: LongRunResult
 
 
-def regime_point(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
-                 purchases: Mapping[str, PurchasesCurve], price: float,
-                 solver: LongRunSolver | None = None,
-                 long_run: LongRunResult | None = None) -> RegimePoint:
-    lr = long_run or long_run_adoption(order, curves, price, solver)
-    gain = vendor_gain(price, lr.d_short, lr.d_long)
-    loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium)
-    if gain <= 0:
-        threshold = None
-    elif loss <= 0:
-        threshold = math.inf
-    else:
-        threshold = gain / loss
-    return RegimePoint(price=price, delta_q=lr.delta_q, vendor_gain=gain,
-                       utility_loss=loss, threshold=threshold,
-                       emerges_at_unit_ratio=market_emerges(gain, loss, 1.0),
-                       long_run=lr)
-
-
 def regime_boundary(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
                     purchases: Mapping[str, PurchasesCurve],
                     p_grid: Sequence[float],
                     solver: LongRunSolver | None = None) -> list[RegimePoint]:
     """Trace the blocking-threshold curve over a purchase-price grid."""
     solver = solver or LongRunSolver(order, curves)
-    return [regime_point(order, curves, purchases, float(p), solver) for p in p_grid]
+    points = []
+    for price in map(float, p_grid):
+        lr = long_run_adoption(order, curves, price, solver)
+        gain = vendor_gain(price, lr.d_short, lr.d_long)
+        loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium)
+        if gain <= 0:
+            threshold = None
+        elif loss <= 0:
+            threshold = math.inf
+        else:
+            threshold = gain / loss
+        points.append(RegimePoint(price=price, delta_q=lr.delta_q, vendor_gain=gain,
+                                  utility_loss=loss, threshold=threshold,
+                                  emerges_at_unit_ratio=market_emerges(gain, loss, 1.0),
+                                  long_run=lr))
+    return points

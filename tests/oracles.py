@@ -21,7 +21,8 @@ from scipy.optimize import linprog
 from dershare.adoption import LongRunSolver
 from dershare.curves import SavingsCurve
 from dershare.market import PARTICIPATION_TOL, MarketEquilibrium
-from dershare.model import HOURS, AssetSpec
+from dershare.model import (HOURS, AssetSpec, DomainError, HouseholdRecord, IrradianceSeries,
+                            Scenario, TariffSet)
 
 SOC_GRID_POINTS = 200
 
@@ -269,6 +270,17 @@ def random_dispatch_instance(rng: np.random.Generator):
     return load, irr, buy, sell, y
 
 
+def one_household(load, irr, buy, sell, asset: AssetSpec) -> Scenario:
+    """A scenario of one household over these days; each array is one day's
+    24 hours or (days, 24). Its net_zero_size is 1 kW whatever the load: a
+    ScenarioContext only places its template solve there, so the template
+    solve runs even on a zero load or zero irradiance."""
+    load, irr, buy, sell = (np.asarray(a, dtype=float).reshape(-1, HOURS)
+                            for a in (load, irr, buy, sell))
+    return Scenario((HouseholdRecord("H0", "R0", load, 1.0),), TariffSet(buy, sell),
+                    IrradianceSeries(irr), asset)
+
+
 def random_concave_curve(rng: np.random.Generator, household_id: str,
                          max_segments: int = 8) -> SavingsCurve:
     """A strictly concave monotone piecewise-linear curve with random knots."""
@@ -285,6 +297,21 @@ def random_curve_population(rng: np.random.Generator, n: int) -> dict[str, Savin
     return {f"H{i:03d}": random_concave_curve(rng, f"H{i:03d}") for i in range(n)}
 
 
+def argmax_interval(curve: SavingsCurve, r: float) -> tuple[float, float]:
+    """The set of maximizers of f(y) - r*y over [0, max_size].
+
+    A closed interval: a single point unless r equals one of the segment
+    slopes, in which case it is that whole segment. Its upper end is the
+    capacity demanded at rental price r.
+    """
+    if r < 0:
+        raise DomainError(f"rental price must be >= 0, got {r}")
+    neg = -curve.slopes  # ascending
+    n_ge = int(np.searchsorted(neg, -r, side="right"))  # slopes >= r
+    n_gt = int(np.searchsorted(neg, -r, side="left"))  # slopes > r
+    return float(curve.knots[n_gt]), float(curve.knots[n_ge])
+
+
 def _excess_bounds(ids, curves, owner_ids, r: float):
     """(E_low, E_high, intervals): excess supply using the largest and the
     smallest maximizer for every household, plus each argmax interval."""
@@ -292,7 +319,7 @@ def _excess_bounds(ids, curves, owner_ids, r: float):
     e_high = 0.0
     intervals = {}
     for hid in ids:
-        lo, hi = curves[hid].argmax_interval(r)
+        lo, hi = argmax_interval(curves[hid], r)
         intervals[hid] = (lo, hi)
         if hid in owner_ids:
             e_low += curves[hid].max_size - hi

@@ -19,14 +19,14 @@ from conftest import child_env, criterion
 from dershare.adoption import (LongRunSolver, build_order, default_t_grid,
                                equivalent_subsidy, long_run_adoption, sweep_adoption)
 from dershare.curves import sample_household
-from dershare.dispatch import ScenarioContext, solve_day
+from dershare.dispatch import ScenarioContext
 from dershare.localness import min_cost_flow, solve_transport
 from dershare.market import clear_market
 from dershare.model import AssetSpec
 from dershare.stakeholders import (autarky_assignment, billed_sales, market_emerges,
-                                   regime_boundary, total_baseline)
+                                   regime_boundary)
 from dershare.synth import SynthConfig, generate_scenario
-from oracles import (BisectionSolver, bisection_clear_market, dp_dispatch_cost,
+from oracles import (BisectionSolver, bisection_clear_market, dp_dispatch_cost, one_household,
                      random_curve_population, random_dispatch_instance)
 
 
@@ -65,7 +65,8 @@ def test_criterion_2_lp_dp_oracle_sandwich():
         asset = AssetSpec()
         for i in range(100):
             load, irr, buy, sell, y = random_dispatch_instance(rng)
-            lp = solve_day(load, irr, buy, sell, asset, y).cost
+            sc = one_household(load, irr, buy, sell, asset)
+            lp = ScenarioContext(sc).annual_bill(sc.households[0], y).bill
             dp = dp_dispatch_cost(load, irr, buy, sell, asset, y)
             gap = dp - lp
             assert gap >= -1e-6, f"instance {i}: oracle beat the LP by {-gap}"
@@ -191,7 +192,8 @@ def test_criterion_8_stakeholder_identities(medium_population):
                       "flips at the threshold"):
         order = medium_population.order
         purchases = medium_population.purchases
-        assert billed_sales(purchases, autarky_assignment(order, 0)) == total_baseline(purchases)
+        baseline = sum(purchases[hid].values[0] for hid in sorted(purchases))
+        assert billed_sales(purchases, autarky_assignment(order, 0)) == baseline
         p_grid = np.quantile(order.normalized, np.linspace(0.1, 0.9, 9))
         points = regime_boundary(order, medium_population.curves, purchases, p_grid)
         for pt in points:

@@ -116,6 +116,21 @@ def test_import_loads_highs_without_scipy_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
+def test_every_export_resolves_to_its_module():
+    import importlib
+    import dershare
+    exported = [name for names in dershare._EXPORTS.values() for name in names]
+    assert dershare.__all__ == ["__version__", *exported]
+    for module, names in dershare._EXPORTS.items():
+        for name in names:
+            # called directly: an earlier access may have cached the name already
+            value = dershare.__getattr__(name)
+            assert value is getattr(importlib.import_module(f"dershare.{module}"), name), name
+    assert set(dershare.__all__) <= set(dir(dershare))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dershare.__getattr__("no_such_name")
+
+
 _MODULES_PROBE = """
 import json, sys
 from dershare.cli import main
@@ -392,6 +407,31 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
     # a flag overrides a valid config value
     (["fit", "--samples", "1"], {}, {"fit": {"n_samples": 5}},
      "command line: field '--samples': expected a whole number >= 2, got 1"),
+    # a cached stage never reads --threads, so it is checked before the first stage
+    (["fit", "--threads", "0"], {}, {},
+     "command line: field '--threads': expected a whole number >= 1, got 0"),
+    (["all"], {"DERSHARE_THREADS": "abc"}, {}, "environment: field 'DERSHARE_THREADS'"),
+    # a grid has at least one point
+    (["sweep", "--t-grid", "0.1:0.9:0"], {}, {},
+     "command line: field '--t-grid': expected at least one point, got '0.1:0.9:0'"),
+    (["longrun", "--p-grid", "1:2:0"], {}, {},
+     "command line: field '--p-grid': expected at least one point, got '1:2:0'"),
+    (["sweep"], {}, {"sweep": {"t_grid": []}},
+     "config: field 'sweep.t_grid': expected at least one point, got []"),
+    (["longrun"], {}, {"prices": {"p_grid": []}},
+     "config: field 'prices.p_grid': expected at least one point, got []"),
+    # adoption rates lie in [0, 1]
+    (["sweep", "--t-grid", "0.5:1.5:3"], {}, {},
+     "command line: field '--t-grid': expected adoption rates in [0, 1], got '0.5:1.5:3'"),
+    (["gen-data"], {}, {"sweep": {"t_grid": [0.5, float("nan")]}},
+     "config: field 'sweep.t_grid': expected adoption rates in [0, 1], got [0.5, nan]"),
+    (["sweep", "--equilibrium-at", "0.5,1.5"], {}, {},
+     "command line: field '--equilibrium-at': expected adoption rates in [0, 1], "
+     "got '0.5,1.5'"),
+    (["localness", "--flows-at", "nan"], {}, {},
+     "command line: field '--flows-at': expected adoption rates in [0, 1], got 'nan'"),
+    (["all", "--flows-at", "-0.1"], {}, {},
+     "command line: field '--flows-at': expected adoption rates in [0, 1], got '-0.1'"),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
         "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
         "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section",
@@ -400,7 +440,10 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
         "top-level-key", "samples-zero", "n-samples-one", "days-negative", "days-zero",
         "price-nan", "p-grid-inf", "config-p-grid-nan", "threads-zero", "threads-negative",
         "threads-env-zero", "t-grid-refused-by-gen-data", "synth-key", "asset-huge-int",
-        "seed-negative", "flag-over-config"])
+        "seed-negative", "flag-over-config", "threads-zero-cached", "threads-env-cached-all",
+        "t-grid-empty", "p-grid-empty", "config-t-grid-empty", "config-p-grid-empty",
+        "t-grid-rate", "config-t-grid-nan", "equilibrium-at-rate", "flows-at-nan",
+        "all-flows-at-rate"])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"
@@ -409,9 +452,12 @@ def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, mo
     path.write_text(json.dumps({**TINY, **config}))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
     capsys.readouterr()
     code = _run(*argv, "--config", path, "--out", out)
     _assert_input_error(capsys, code, expected)
+    # refused before the first stage: the run directory is untouched
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_curve_file_without_households_exits_2(finished_run, tmp_path, capsys):

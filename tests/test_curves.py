@@ -1,5 +1,4 @@
 import logging
-import math
 
 import numpy as np
 import pytest
@@ -7,9 +6,9 @@ import pytest
 from dershare.curves import (FitError, PurchasesCurve, SavingsCurve, fit_purchases_curve,
                              fit_savings_curve, pava_nondecreasing, pava_nonincreasing,
                              sample_grid)
-from dershare.dispatch import solve_day
+from dershare.dispatch import ScenarioContext
 from dershare.model import HOURS, AssetSpec, DomainError
-from oracles import random_concave_curve
+from oracles import argmax_interval, one_household, random_concave_curve
 
 
 # ---------------------------------------------------------------- projection
@@ -68,33 +67,36 @@ def test_eval_and_deriv_basics():
     assert c.eval(1.0) == 10.0
     assert c.eval(3.0) == 18.0
     assert c.eval(2.0) == pytest.approx(14.0)  # linear interpolation
-    assert c.deriv_range(0.5) == (10.0, 10.0)
-    assert c.deriv_range(1.0) == (10.0, 4.0)
-    assert c.deriv_range(0.0) == (math.inf, 10.0)
-    assert c.deriv_range(3.0) == (4.0, -math.inf)
+    # the knot values are the running integral of the slopes
+    np.testing.assert_array_equal(np.diff(c.values) / np.diff(c.knots), c.slopes)
     with pytest.raises(DomainError):
         c.eval(3.5)
     with pytest.raises(DomainError):
         c.eval(-0.5)
 
 
+def _demanded(c, r):
+    """Capacity demanded at rental price r, by the clearing oracle's argmax."""
+    return argmax_interval(c, r)[1]
+
+
 def test_inverse_marginal_edges():
     c = SavingsCurve("a", np.array([0.0, 1.0, 3.0]), np.array([10.0, 4.0]))
-    assert c.inverse_marginal(0.0) == 3.0  # free rent: take everything
-    assert c.inverse_marginal(11.0) == 0.0  # above the initial slope
-    assert c.inverse_marginal(4.0) == 3.0
-    assert c.inverse_marginal(10.0) == 1.0
-    assert c.inverse_marginal(7.0) == 1.0
-    assert c.argmax_interval(10.0) == (0.0, 1.0)
+    assert _demanded(c, 0.0) == 3.0  # free rent: take everything
+    assert _demanded(c, 11.0) == 0.0  # above the initial slope
+    assert _demanded(c, 4.0) == 3.0
+    assert _demanded(c, 10.0) == 1.0
+    assert _demanded(c, 7.0) == 1.0
+    assert argmax_interval(c, 10.0) == (0.0, 1.0)
     with pytest.raises(DomainError):
-        c.inverse_marginal(-1.0)
+        _demanded(c, -1.0)
 
 
 def test_inverse_marginal_maximizes_both_market_objectives(rng):
     for i in range(10):
         c = random_concave_curve(rng, f"h{i}")
         for r in rng.uniform(0.0, 450.0, 5):
-            y_star = c.inverse_marginal(r)
+            y_star = _demanded(c, r)
             best = c.eval(y_star) - r * y_star
             candidates = np.concatenate([c.knots, rng.uniform(0, c.max_size, 1000)])
             for y in candidates:
@@ -107,16 +109,8 @@ def test_inverse_marginal_maximizes_both_market_objectives(rng):
 def test_demand_nonincreasing_in_price(rng):
     c = random_concave_curve(rng, "h")
     rs = np.linspace(0, 500, 100)
-    ys = [c.inverse_marginal(r) for r in rs]
+    ys = [_demanded(c, r) for r in rs]
     assert all(b <= a + 1e-12 for a, b in zip(ys, ys[1:]))
-
-
-def test_supergradient_monotonicity(rng):
-    c = random_concave_curve(rng, "h")
-    pts = np.sort(rng.uniform(0, c.max_size, 50))
-    for a, b in zip(pts, pts[1:]):
-        if a < b:
-            assert c.deriv_range(a)[1] >= c.deriv_range(b)[0] - 1e-12
 
 
 # ---------------------------------------------------------------- fitting
@@ -174,14 +168,15 @@ def test_flat_zero_savings_from_dispatch():
     price = np.full(HOURS, 0.2)
     load = np.full(HOURS, 1.0)
     grid = sample_grid(2.0, 6)
-    base = solve_day(load, np.zeros(HOURS), price, price, asset, 0.0).cost
-    f = np.array([base - solve_day(load, np.zeros(HOURS), price, price, asset, y).cost
-                  for y in grid])
+    sc = one_household(load, np.zeros(HOURS), price, price, asset)
+    ctx, hh = ScenarioContext(sc), sc.households[0]
+    bills = np.array([ctx.annual_bill(hh, y).bill for y in grid])
+    f = bills[0] - bills
     assert np.max(np.abs(f)) < 1e-7
     c = fit_savings_curve("a", grid, np.zeros_like(f))
     assert c.total == 0.0
-    assert c.inverse_marginal(1.0) == 0.0
-    assert c.inverse_marginal(0.0) == 2.0
+    assert _demanded(c, 1.0) == 0.0
+    assert _demanded(c, 0.0) == 2.0
 
 
 def test_midpoint_envelope(medium_population):
@@ -218,7 +213,7 @@ def test_initial_slopes_cluster_terminal_slopes_spread(medium_population):
 def test_purchases_fit_anchored_and_monotone(medium_population):
     for hid, s in medium_population.samples.items():
         p = medium_population.fits[hid].purchases
-        assert p.baseline == s.purchases[0]  # exact no-asset bill
+        assert p.values[0] == s.purchases[0]  # exact no-asset bill
         assert np.all(np.diff(p.values) <= 0)
 
 
@@ -228,5 +223,5 @@ def test_purchases_fit_warns_on_rise(caplog):
     with caplog.at_level(logging.WARNING, logger="dershare.curves"):
         curve = fit_purchases_curve("a", y, p)
     assert any("rises" in rec.message for rec in caplog.records)
-    assert curve.baseline == 100.0
+    assert curve.values[0] == 100.0
     assert np.all(np.diff(curve.values) <= 0)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dershare import dispatch
-from dershare.dispatch import ScenarioContext, dispatch_period, solve_day
+from dershare.dispatch import ScenarioContext
 from dershare.model import HOURS, AssetSpec, DomainError
-from oracles import block_lp_bill, dp_dispatch_cost, random_dispatch_instance
+from oracles import block_lp_bill, dp_dispatch_cost, one_household, random_dispatch_instance
 
 
 @pytest.fixture(scope="module")
@@ -15,54 +15,63 @@ def asset():
     return AssetSpec()
 
 
+def _bill(load, irr, buy, sell, asset, y, require_terminal_soc=False):
+    """The period totals of one household over these days, from annual_bill."""
+    sc = one_household(load, irr, buy, sell, asset)
+    ctx = ScenarioContext(sc, require_terminal_soc=require_terminal_soc)
+    return ctx.annual_bill(sc.households[0], y)
+
+
 def test_no_asset_flat_bill(asset):
     # 1 kWh every hour at 0.20 $/kWh with no asset: the bill is exactly 4.80
-    res = solve_day(np.ones(HOURS), np.zeros(HOURS), np.full(HOURS, 0.2),
-                    np.zeros(HOURS), asset, y=0.0)
-    assert res.cost == pytest.approx(4.80, rel=1e-12)
-    assert res.cost == res.purchases == float(np.ones(HOURS) @ np.full(HOURS, 0.2))
+    res = _bill(np.ones(HOURS), np.zeros(HOURS), np.full(HOURS, 0.2), np.zeros(HOURS), asset,
+                y=0.0)
+    assert res.bill == pytest.approx(4.80, rel=1e-12)
+    assert res.bill == res.purchases == float(np.ones(HOURS) @ np.full(HOURS, 0.2))
     assert res.sale_credit == 0.0
-    np.testing.assert_array_equal(res.grid, np.ones(HOURS))
 
 
 def test_zero_load_worthless_surplus(asset):
     # nothing to buy and a zero sell price: optimal cost is zero
     irr = np.clip(np.sin(np.linspace(0, np.pi, HOURS)), 0, None)
-    res = solve_day(np.zeros(HOURS), irr, np.full(HOURS, 0.2), np.zeros(HOURS), asset, y=2.0)
-    assert res.cost == pytest.approx(0.0, abs=1e-9)
+    res = _bill(np.zeros(HOURS), irr, np.full(HOURS, 0.2), np.zeros(HOURS), asset, y=2.0)
+    assert res.bill == pytest.approx(0.0, abs=1e-9)
 
 
 def test_precondition_violations(asset):
     ones = np.ones(HOURS)
     with pytest.raises(DomainError):
-        solve_day(ones, ones, 0.1 * ones, 0.2 * ones, asset, 1.0)  # sell > buy
+        _bill(ones, ones, 0.1 * ones, 0.2 * ones, asset, 1.0)  # sell > buy
     with pytest.raises(DomainError):
-        solve_day(ones, ones, 0.2 * ones, 0.1 * ones, asset, -1.0)
+        _bill(ones, ones, 0.2 * ones, 0.1 * ones, asset, -1.0)
     with pytest.raises(DomainError):
-        solve_day(ones, ones, -0.2 * ones, -0.3 * ones, asset, 1.0)
+        _bill(ones, ones, -0.2 * ones, -0.3 * ones, asset, 1.0)
 
 
 def test_result_satisfies_dispatch_constraints(asset):
     rng = np.random.default_rng(7)
     for _ in range(10):
         load, irr, buy, sell, y = random_dispatch_instance(rng)
-        res = solve_day(load, irr, buy, sell, asset, y)
+        model = dispatch._period_model(buy[None], sell[None], asset, False)
+        res = dispatch._solve_period(load[None], irr[None], buy[None], sell[None], asset, y,
+                                     False, model)
+        grid, u, soc = res.grid[0], res.u[0], res.soc[0]
         # bill decomposition
-        assert res.cost == pytest.approx(res.purchases + res.sale_credit, abs=1e-9)
+        assert res.totals().bill == pytest.approx(res.purchases + res.sale_credit, abs=1e-9)
         assert res.sale_credit <= 1e-12
         # state-of-charge recursion and box constraints
         x_prev = asset.x0 * asset.alpha * y
         for h in range(HOURS):
-            assert res.soc[h] == pytest.approx(asset.eta_s * x_prev + res.storage_action[h], abs=1e-7)
-            x_prev = res.soc[h]
-        assert np.all(res.soc >= -1e-9) and np.all(res.soc <= asset.alpha * y + 1e-9)
-        assert np.all(res.storage_action <= asset.u_charge_max * y + 1e-9)
-        assert np.all(res.storage_action >= -asset.u_discharge_max * y - 1e-9)
+            assert soc[h] == pytest.approx(asset.eta_s * x_prev + u[h], abs=1e-7)
+            x_prev = soc[h]
+        assert np.all(soc >= -1e-9) and np.all(soc <= asset.alpha * y + 1e-9)
+        assert np.all(u <= asset.u_charge_max * y + 1e-9)
+        assert np.all(u >= -asset.u_discharge_max * y - 1e-9)
         # bus balance
         g = (load - asset.eta_i * irr * y
-             + np.maximum(res.storage_action, 0) / (asset.eta_c * asset.eta_i)
-             + asset.eta_d * asset.eta_i * np.minimum(res.storage_action, 0))
-        np.testing.assert_allclose(res.grid, g, atol=1e-9)
+             + np.maximum(u, 0) / (asset.eta_c * asset.eta_i)
+             + asset.eta_d * asset.eta_i * np.minimum(u, 0))
+        np.testing.assert_allclose(grid, g, atol=1e-9)
 
 
 def test_period_matches_sum_of_days(asset):
@@ -73,9 +82,9 @@ def test_period_matches_sum_of_days(asset):
     irr = np.stack([d[1] for d in days])
     buy = np.stack([d[2] for d in days])
     sell = np.stack([d[3] for d in days])
-    totals = dispatch_period(load, irr, buy, sell, asset, y)
-    per_day = [solve_day(*d[:4], asset, y) for d in days]
-    assert totals.bill == pytest.approx(sum(r.cost for r in per_day), abs=1e-7)
+    totals = _bill(load, irr, buy, sell, asset, y)
+    per_day = [_bill(*d[:4], asset, y) for d in days]
+    assert totals.bill == pytest.approx(sum(r.bill for r in per_day), abs=1e-7)
     assert totals.purchases == pytest.approx(sum(r.purchases for r in per_day), abs=1e-6)
     assert totals.sale_credit == pytest.approx(sum(r.sale_credit for r in per_day), abs=1e-6)
 
@@ -84,7 +93,7 @@ def test_bill_monotone_nonincreasing_in_capacity(asset):
     rng = np.random.default_rng(13)
     for _ in range(5):
         load, irr, buy, sell, _ = random_dispatch_instance(rng)
-        costs = [solve_day(load, irr, buy, sell, asset, y).cost
+        costs = [_bill(load, irr, buy, sell, asset, y).bill
                  for y in np.linspace(0.0, 3.0, 7)]
         for a, b in zip(costs, costs[1:]):
             assert b <= a + 1e-6
@@ -95,9 +104,9 @@ def test_bill_midpoint_convex_in_capacity(asset):
     for _ in range(5):
         load, irr, buy, sell, _ = random_dispatch_instance(rng)
         y1, y2 = sorted(rng.uniform(0.0, 3.0, 2))
-        c1 = solve_day(load, irr, buy, sell, asset, y1).cost
-        c2 = solve_day(load, irr, buy, sell, asset, y2).cost
-        cm = solve_day(load, irr, buy, sell, asset, 0.5 * (y1 + y2)).cost
+        c1 = _bill(load, irr, buy, sell, asset, y1).bill
+        c2 = _bill(load, irr, buy, sell, asset, y2).bill
+        cm = _bill(load, irr, buy, sell, asset, 0.5 * (y1 + y2)).bill
         assert cm <= 0.5 * (c1 + c2) + 1e-6
 
 
@@ -108,8 +117,8 @@ def test_strict_savings_when_surplus_is_paid(asset):
     load, irr, buy, sell, _ = random_dispatch_instance(rng)
     sell = np.maximum(sell, 0.02)
     y, delta = 1.0, 0.5
-    c1 = solve_day(load, irr, buy, sell, asset, y).cost
-    c2 = solve_day(load, irr, buy, sell, asset, y + delta).cost
+    c1 = _bill(load, irr, buy, sell, asset, y).bill
+    c2 = _bill(load, irr, buy, sell, asset, y + delta).bill
     bound = delta * asset.eta_i * np.max(irr * sell)
     assert c1 - c2 >= bound - 1e-6
 
@@ -118,7 +127,7 @@ def test_dp_oracle_sandwich(asset):
     rng = np.random.default_rng(23)
     for _ in range(15):
         load, irr, buy, sell, y = random_dispatch_instance(rng)
-        lp = solve_day(load, irr, buy, sell, asset, y).cost
+        lp = _bill(load, irr, buy, sell, asset, y).bill
         dp = dp_dispatch_cost(load, irr, buy, sell, asset, y)
         assert dp - lp >= -1e-6
         assert dp - lp <= 0.01 * abs(dp) + 1e-6
@@ -129,8 +138,8 @@ def test_scale_equivariance_storage_free():
     asset = AssetSpec(alpha=1e-12)
     rng = np.random.default_rng(29)
     load, irr, buy, sell, y = random_dispatch_instance(rng)
-    c1 = solve_day(load, irr, buy, sell, asset, y).cost
-    c2 = solve_day(2 * load, irr, buy, sell, asset, 2 * y).cost
+    c1 = _bill(load, irr, buy, sell, asset, y).bill
+    c2 = _bill(2 * load, irr, buy, sell, asset, 2 * y).bill
     assert c2 == pytest.approx(2 * c1, rel=1e-7, abs=1e-9)
 
 
@@ -138,21 +147,22 @@ def test_terminal_soc_flag_costs_more(asset):
     rng = np.random.default_rng(31)
     load, irr, buy, sell, y = random_dispatch_instance(rng)
     start = AssetSpec(x0=0.5)
-    free = dispatch_period(load[None], irr[None], buy[None], sell[None], start, y)
-    pinned = dispatch_period(load[None], irr[None], buy[None], sell[None], start, y,
-                             require_terminal_soc=True)
+    free = _bill(load, irr, buy, sell, start, y)
+    pinned = _bill(load, irr, buy, sell, start, y, require_terminal_soc=True)
     assert pinned.bill >= free.bill - 1e-9
 
 
 def test_context_caching_and_baseline(medium_population):
-    ctx = medium_population.ctx
-    hh = medium_population.scenario.households[0]
-    baseline = ctx.baseline_bill(hh)
+    sc = medium_population.scenario
+    ctx = ScenarioContext(sc)
+    hh = sc.households[0]
+    baseline = ctx.annual_bill(hh, 0.0)
     # exact closed form: load . buy
-    expected = float(np.dot(hh.load.ravel(), medium_population.scenario.tariff.buy.ravel()))
-    assert baseline == expected
-    again = ctx.annual_bill(hh.id, 0.0)
-    assert again.bill == baseline and again.sale_credit == 0.0
+    expected = float(np.dot(hh.load.ravel(), sc.tariff.buy.ravel()))
+    assert baseline.bill == baseline.purchases == expected and baseline.sale_credit == 0.0
+    # the warm model a positive capacity leaves behind does not touch it
+    ctx.annual_bill(hh, hh.net_zero_size)
+    assert ctx.annual_bill(hh, 0.0) == baseline
 
 
 def test_day_subsampling_scales_totals():
@@ -232,18 +242,13 @@ def test_block_lp_matches_cold_linprog_oracle(terminal):
     rng = np.random.default_rng(7001)
     days = [random_dispatch_instance(rng) for _ in range(40)]
     for load, irr, buy, sell, y in days:
-        if not terminal:
-            res = solve_day(load, irr, buy, sell, asset, y)
-            _assert_matches_oracle(dispatch_period(load[None], irr[None], buy[None],
-                                                   sell[None], asset, y), (res.cost, res.purchases))
-        _assert_matches_oracle(dispatch_period(load[None], irr[None], buy[None], sell[None],
-                                               asset, y, terminal),
+        _assert_matches_oracle(_bill(load, irr, buy, sell, asset, y, terminal),
                                block_lp_bill(load, irr, buy, sell, asset, y, terminal))
     for block in range(0, len(days), 5):
         load, irr, buy, sell = (np.stack([d[k] for d in days[block:block + 5]])
                                 for k in range(4))
         y = days[block][4]
-        _assert_matches_oracle(dispatch_period(load, irr, buy, sell, asset, y, terminal),
+        _assert_matches_oracle(_bill(load, irr, buy, sell, asset, y, terminal),
                                block_lp_bill(load, irr, buy, sell, asset, y, terminal))
 
 
@@ -315,7 +320,8 @@ def test_template_basis_skips_the_cold_solve():
     ctx = ScenarioContext(sc)
     totals = ctx.annual_bill(second, y)
     cold = dispatch._period_model(sc.tariff.buy, sc.tariff.sell, sc.asset, False)
-    ScenarioContext(sc)._solve(second, y, cold)
+    dispatch._solve_period(second.load, sc.irradiance.values, sc.tariff.buy, sc.tariff.sell,
+                           sc.asset, y, False, cold)
     assert cold.simplex_iteration_count > 500
     assert ctx._model.simplex_iteration_count <= cold.simplex_iteration_count // 20
     _assert_matches_oracle(totals, block_lp_bill(second.load, sc.irradiance.values,

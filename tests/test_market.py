@@ -3,7 +3,7 @@ import pytest
 
 from dershare.adoption import LongRunSolver, build_order
 from dershare.curves import SavingsCurve
-from dershare.market import ClearingTable, aggregate_demand, aggregate_supply, clear_market
+from dershare.market import ClearingTable, clear_market
 from oracles import (bisection_clear_market, random_concave_curve, random_curve_population,
                      random_tied_curve_population)
 
@@ -62,29 +62,6 @@ def test_degenerate_owner_sets_report_no_trade():
         assert eq.clearing_price is None
         assert eq.volume == 0.0
         assert eq.total_surplus == 0.0
-
-
-def test_aggregate_endpoints(rng):
-    curves = random_curve_population(rng, 12)
-    owners = set(list(curves)[:5])
-    non_owners = [h for h in curves if h not in owners]
-    assert aggregate_supply(curves, owners, 0.0) == 0.0
-    assert aggregate_demand(curves, owners, 0.0) == pytest.approx(
-        sum(curves[h].max_size for h in non_owners))
-    top = max(c.slopes[0] for c in curves.values()) + 1.0
-    assert aggregate_demand(curves, owners, top) == 0.0
-    assert aggregate_supply(curves, owners, top) == pytest.approx(
-        sum(curves[h].max_size for h in owners))
-
-
-def test_aggregate_monotonicity(rng):
-    curves = random_curve_population(rng, 10)
-    owners = set(list(curves)[:4])
-    rs = np.linspace(0.0, 450.0, 100)
-    demand = [aggregate_demand(curves, owners, r) for r in rs]
-    supply = [aggregate_supply(curves, owners, r) for r in rs]
-    assert all(b <= a + 1e-12 for a, b in zip(demand, demand[1:]))
-    assert all(b >= a - 1e-12 for a, b in zip(supply, supply[1:]))
 
 
 @pytest.mark.parametrize("seed", range(6))

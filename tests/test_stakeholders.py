@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from dershare.adoption import LongRunSolver, build_order, long_run_adoption
-from dershare.dispatch import dispatch_period
+from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
 from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
-                                   regime_boundary, regime_point, total_baseline,
-                                   utility_loss, vendor_gain)
+                                   regime_boundary, utility_loss, vendor_gain)
 
 
 def test_vendor_gain_arithmetic():
@@ -31,11 +30,12 @@ def test_vendor_gain_matches_subsidy_delta_q(medium_population):
 def test_baseline_identity(medium_population):
     purchases = medium_population.purchases
     order = medium_population.order
-    t_bl = total_baseline(purchases)
+    t_bl = sum(purchases[hid].values[0] for hid in sorted(purchases))
     # zero adoption: billed sales equal the pre-adoption total bill exactly
     assert billed_sales(purchases, autarky_assignment(order, 0)) == t_bl
-    expected = sum(medium_population.ctx.baseline_bill(h)
-                   for h in sorted(medium_population.curves))
+    households = medium_population.scenario.household_map()
+    expected = sum(medium_population.ctx.annual_bill(households[hid], 0.0).bill
+                   for hid in sorted(medium_population.curves))
     assert t_bl == pytest.approx(expected, rel=1e-12)
 
 
@@ -65,11 +65,10 @@ def test_billed_sales_matches_lp_resolve(medium_population):
     order = medium_population.order
     eq = clear_market(medium_population.curves, order.owners_at(20))
     hh_map = sc.household_map()
+    ctx = ScenarioContext(sc)
     for hid in list(sorted(eq.allocations))[::6][:10]:
         y = eq.allocations[hid]
-        hh = hh_map[hid]
-        direct = dispatch_period(hh.load, sc.irradiance.values, sc.tariff.buy,
-                                 sc.tariff.sell, sc.asset, y).purchases
+        direct = ctx.annual_bill(hh_map[hid], y).purchases
         fitted = medium_population.purchases[hid].eval(y)
         assert fitted == pytest.approx(direct, rel=0.01)
 
