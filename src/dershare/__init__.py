@@ -18,20 +18,20 @@ _EXPORTS = {
     "adoption": ("AdoptionOrder", "DemandCurves", "LongRunResult", "LongRunSolver",
                  "SubsidyResult", "build_order", "default_t_grid", "equivalent_subsidy",
                  "long_run_adoption", "sweep_adoption"),
-    "curves": ("FitError", "HouseholdFit", "HouseholdSamples", "PurchasesCurve",
-               "SavingsCurve", "fit_all", "fit_household", "fit_purchases_curve",
-               "fit_savings_curve", "pava_nondecreasing", "pava_nonincreasing", "sample_grid",
-               "sample_household"),
+    "curves": ("HouseholdFit", "HouseholdSamples", "fit_all", "fit_household",
+               "fit_purchases_curve", "fit_savings_curve", "pava_nondecreasing",
+               "pava_nonincreasing", "sample_grid", "sample_household"),
     "dispatch": ("PeriodTotals", "ScenarioContext"),
     "localness": ("RegionalFlow", "distance_matrix", "haversine_km", "min_cost_flow",
                   "regional_excess", "solve_transport"),
     "market": ("MarketEquilibrium", "clear_market"),
-    "model": ("AssetSpec", "DomainError", "EmptyScenarioError", "HouseholdRecord",
-              "IrradianceSeries", "Region", "Scenario", "TariffSet", "ValidationError",
-              "compute_net_zero_size", "validate_scenario"),
+    "model": ("AssetSpec", "DomainError", "EmptyScenarioError", "FitError", "HouseholdRecord",
+              "IrradianceSeries", "PurchasesCurve", "Region", "SavingsCurve", "Scenario",
+              "SynthConfig", "TariffSet", "ValidationError", "compute_net_zero_size",
+              "validate_scenario"),
     "stakeholders": ("RegimePoint", "billed_sales", "market_emerges", "regime_boundary",
                      "utility_loss", "vendor_gain"),
-    "synth": ("SynthConfig", "generate_scenario"),
+    "synth": ("generate_scenario",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = ["__version__", *_MODULE_OF]

@@ -24,9 +24,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .curves import SavingsCurve
 from .market import ClearingTable, MarketEquilibrium
-from .model import DomainError
+from .model import DomainError, SavingsCurve
 
 
 @dataclass(frozen=True)

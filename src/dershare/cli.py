@@ -50,18 +50,16 @@ import numpy as np
 from . import __version__
 from .adoption import (DemandCurves, LongRunSolver, build_order, default_t_grid,
                        equivalent_subsidy, long_run_adoption, sweep_adoption)
-from .curves import DEFAULT_SAMPLES, FitError, fit_all
 from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE,
                  TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError, load_scenario,
                  read_number_columns, read_purchases_curves, read_savings_curves,
                  write_exclusions, write_purchases_curves, write_rows, write_savings_curves,
                  write_scenario)
-from .lp import LPError
-from .model import AssetSpec, DomainError, ValidationError, from_config, validate_scenario
-from .stakeholders import regime_boundary
-from .synth import SynthConfig, generate_scenario
+from .model import (DEFAULT_SAMPLES, AssetSpec, DomainError, FitError, LPError, SynthConfig,
+                    ValidationError, from_config, validate_scenario)
+from .stakeholders import regime_point
 
-if TYPE_CHECKING:  # the dispatch LP and the transport solver load in the stages that run them
+if TYPE_CHECKING:  # the generator, the fit, its LP and the transport solver load in their stages
     from .dispatch import ScenarioContext
 
 DATA_SUBDIR = "data"
@@ -89,10 +87,33 @@ def _hash_obj(obj) -> str:
 
 
 def _read_manifest(out_dir: Path) -> dict:
+    """The run's manifest; one that is not JSON, or whose root, `stages`,
+    stage entries or `outputs` are not objects, is a ParseError."""
     path = out_dir / MANIFEST_FILE
-    if path.exists():
-        return json.loads(path.read_text())
-    return {"version": __version__, "stages": {}, "outputs": {}}
+    if not path.exists():
+        return {"version": __version__, "stages": {}, "outputs": {}}
+    text = path.read_text()
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno,
+                         f"invalid JSON: {exc.msg} (column {exc.colno})") from None
+
+    def refuse(what: str, value, key: str | None) -> None:
+        # named at its key's line (the manifest is written one key per line), the root where
+        # it starts
+        at = text.find(f'"{key}"') if key else len(text) - len(text.lstrip())
+        raise ParseError(path, text.count("\n", 0, max(at, 0)) + 1,
+                         f"field '{what}': expected a JSON object, got {value!r}")
+    if not isinstance(manifest, dict):
+        refuse("root", manifest, None)
+    for section in ("stages", "outputs"):
+        if not isinstance(manifest.get(section, {}), dict):
+            refuse(section, manifest[section], section)
+    for stage, entry in manifest.get("stages", {}).items():
+        if not isinstance(entry, dict):
+            refuse(f"stages.{stage}", entry, stage)
+    return manifest
 
 
 def _require(out_dir: Path, inputs) -> list[Path]:
@@ -438,6 +459,7 @@ def _flow_rels(run: Run) -> list[str]:
 
 
 def _gen_data(run: Run) -> None:
+    from .synth import generate_scenario
     scenario = generate_scenario(run.synth, run.asset)
     validate_scenario(scenario)
     write_scenario(scenario, run.out / DATA_SUBDIR)
@@ -452,6 +474,7 @@ def _validate(run: Run) -> None:
 
 
 def _fit(run: Run) -> None:
+    from .curves import fit_all
     threads = run.threads
     ctx = run.context
     print(f"fit: {len(ctx.scenario.households)} households x {run.n_samples + 1} capacity "
@@ -526,7 +549,7 @@ def _localness(run: Run) -> None:
 
 
 def _stakeholders(run: Run) -> None:
-    points = regime_boundary(run.order, run.curves, run.purchases, run.p_grid, run.solver)
+    points = [regime_point(run.order, run.purchases, lr) for lr in run.long_run]
     rows = [[pt.price, pt.delta_q, pt.vendor_gain, pt.utility_loss,
              ("" if pt.threshold is None else pt.threshold),
              _fmt_bool(pt.emerges_at_unit_ratio)] for pt in points]
@@ -651,5 +674,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> int:
+    """main() as a `dershare` process: `python -m dershare` and the console
+    script both start here.
+
+    When the process ends, the interpreter's last garbage collection walks
+    every object the run made, tens of milliseconds for nothing: the
+    memory goes back with the process. gc.freeze, run at exit, moves them
+    all out of the collector's reach. Every output file is closed by then,
+    so no byte changes. Only this entry registers it: importing the
+    package or calling main() in a process of one's own leaves that
+    process's exit alone.
+    """
+    import atexit
+    import gc
+    atexit.register(gc.freeze)
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -13,32 +13,31 @@ single-valued except at the finitely many knot slopes.
 The buy-side bill component is fitted alongside from the same samples
 as a monotone nonincreasing curve; it feeds the billed-sales analysis
 and costs no extra LP solves.
+
+The curve types themselves, SavingsCurve and PurchasesCurve, live in
+`model` with FitError, so a process that reads fitted curves but fits
+none loads neither this module nor `logging`; they are importable from
+here as well.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .lp import LPError
-from .model import DomainError, HouseholdRecord, Scenario
+from .model import (DEFAULT_SAMPLES, DomainError, FitError, HouseholdRecord, LPError,
+                    PurchasesCurve, SavingsCurve, Scenario)
 
-if TYPE_CHECKING:  # the curve types load without the dispatch LP
+if TYPE_CHECKING:  # the fit loads the dispatch LP when it builds a context
     from .dispatch import ScenarioContext
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SAMPLES = 30
 SLOPE_SEPARATION = 1e-6  # $/period/kW per segment step
 MAX_REPAIR_SHARE = 0.01  # largest concavity repair of a sample, per unit of terminal savings
 MIN_R2 = 0.999  # least R^2 of a fitted curve against its samples
-
-
-class FitError(ValueError):
-    """Samples are too far from the monotone concave family to repair."""
 
 
 def pava_nondecreasing(values, weights=None) -> np.ndarray:
@@ -75,99 +74,6 @@ def pava_nondecreasing(values, weights=None) -> np.ndarray:
 
 def pava_nonincreasing(values, weights=None) -> np.ndarray:
     return -pava_nondecreasing(-np.asarray(values, dtype=float), weights)
-
-
-def _check_knots(knots: np.ndarray) -> np.ndarray:
-    knots = np.ascontiguousarray(knots, dtype=float)
-    if knots.ndim != 1 or knots.size < 2:
-        raise ValueError("need at least two knots")
-    if knots[0] != 0.0:
-        raise ValueError("first knot must be 0")
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must be strictly ascending")
-    knots.setflags(write=False)
-    return knots
-
-
-def _in_domain(y: float, max_size: float) -> float:
-    """y clipped to [0, max_size]; DomainError beyond rounding slack."""
-    y = float(y)
-    if not (-1e-9 * max_size <= y <= max_size * (1 + 1e-9) + 1e-12):
-        raise DomainError(f"y={y} outside [0, {max_size}]")
-    return min(max(y, 0.0), max_size)
-
-
-@dataclass(frozen=True)
-class SavingsCurve:
-    """Monotone concave piecewise-linear savings vs. capacity.
-
-    The (knots, slopes) pair is canonical; knot values are derived as
-    the cumulative sum of slope * segment-length with f(0) = 0.
-    """
-
-    household_id: str
-    knots: np.ndarray  # kW, ascending from 0 to the net-zero size
-    slopes: np.ndarray  # $/period/kW per segment, nonincreasing
-    values: np.ndarray = field(init=False)  # $/period at knots
-
-    def __post_init__(self):
-        knots = _check_knots(self.knots)
-        slopes = np.ascontiguousarray(self.slopes, dtype=float)
-        if slopes.shape != (knots.size - 1,):
-            raise ValueError(f"expected {knots.size - 1} slopes, got {slopes.shape}")
-        if np.any(np.diff(slopes) > 0):
-            raise ValueError("slopes must be nonincreasing (concavity)")
-        if slopes[-1] < 0:
-            raise ValueError("slopes must be nonnegative (monotone savings)")
-        slopes.setflags(write=False)
-        values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
-        values.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def max_size(self) -> float:
-        return float(self.knots[-1])
-
-    @property
-    def total(self) -> float:
-        """Savings at full own use, f(max_size)."""
-        return float(self.values[-1])
-
-    @property
-    def normalized_savings(self) -> float:
-        return self.total / self.max_size
-
-    def eval(self, y: float) -> float:
-        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
-
-
-@dataclass(frozen=True)
-class PurchasesCurve:
-    """Monotone nonincreasing buy-side bill component vs. capacity."""
-
-    household_id: str
-    knots: np.ndarray
-    values: np.ndarray  # $/period
-
-    def __post_init__(self):
-        knots = _check_knots(self.knots)
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != knots.shape:
-            raise ValueError("values must match knots")
-        if np.any(np.diff(values) > 0):
-            raise ValueError("purchases must be nonincreasing in capacity")
-        values.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def max_size(self) -> float:
-        return float(self.knots[-1])
-
-    def eval(self, y: float) -> float:
-        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
 
 
 def sample_grid(y_bar: float, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:

@@ -31,14 +31,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .curves import PurchasesCurve, SavingsCurve
 from .model import (
     HOURS,
     AssetSpec,
     EmptyScenarioError,
     HouseholdRecord,
     IrradianceSeries,
+    PurchasesCurve,
     Region,
+    SavingsCurve,
     Scenario,
     TariffSet,
     compute_net_zero_size,
@@ -76,34 +77,42 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Atomically write one CSV file."""
+def _write_text_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Path:
+    """Atomically write one CSV file of rows already formatted as text."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(rows)
     os.replace(tmp, path)
     return path
+
+
+def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Atomically write one CSV file."""
+    return _write_text_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
 def write_scenario(scenario: Scenario, out_dir: Path) -> list[Path]:
     """Write the five scenario CSVs; returns the written paths."""
     out_dir = Path(out_dir)
     written = []
-    # a generator: a list of every row holds ~2 MB of numpy scalars at 60 households x 30 days
-    rows = ([hh.id, hh.region_id, d, *hh.load[d]]
+    # each day's hours are formatted in one pass, as _fmt would: tolist gives Python
+    # floats, and repr(x) of each is repr(float(v)) of its numpy value v. A generator:
+    # a list of every row holds ~2 MB of strings at 60 households x 30 days
+    rows = ([hh.id, hh.region_id, str(d), *map(repr, hh.load[d].tolist())]
             for hh in scenario.households for d in range(hh.n_days))
-    written.append(write_rows(out_dir / LOADS_FILE, ["household_id", "region_id", "day", *_HOUR_COLS], rows))
+    written.append(_write_text_rows(out_dir / LOADS_FILE,
+                                    ["household_id", "region_id", "day", *_HOUR_COLS], rows))
 
     for name, mat in ((IRRADIANCE_FILE, scenario.irradiance.values),
                       (TARIFF_BUY_FILE, scenario.tariff.buy),
                       (TARIFF_SELL_FILE, scenario.tariff.sell)):
-        written.append(write_rows(out_dir / name, ["day", *_HOUR_COLS],
-                                  [[d, *mat[d]] for d in range(mat.shape[0])]))
+        written.append(_write_text_rows(out_dir / name, ["day", *_HOUR_COLS],
+                                        ([str(d), *map(repr, mat[d].tolist())]
+                                         for d in range(mat.shape[0]))))
 
     written.append(write_rows(out_dir / REGIONS_FILE, ["region_id", "lat", "lon"],
                               [[r.id, r.latitude, r.longitude] for r in scenario.regions]))
@@ -145,6 +154,19 @@ def _parse_float(path, lineno, name, raw, finite: bool = True) -> float:
     return value
 
 
+def _parse_hours(path, lineno, raws: Sequence[str]) -> list[float]:
+    """The fields h0..h23 as finite floats, parsed in one pass; a bad field
+    is named by _parse_float, as if each were parsed on its own."""
+    try:
+        values = list(map(float, raws))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        for name, raw in zip(_HOUR_COLS, raws):
+            _parse_float(path, lineno, name, raw)
+    return values
+
+
 def read_number_columns(path: Path, header: Sequence[str],
                         int_columns: Sequence[str] = ()) -> dict[str, np.ndarray]:
     """A CSV of numbers (nan and inf allowed) with this header, one array per column."""
@@ -161,7 +183,7 @@ def _read_day_matrix(path: Path) -> np.ndarray:
         day = int(_parse_float(path, lineno, "day", row[0]))
         if day in rows:
             raise ParseError(path, lineno, f"duplicate day {day}")
-        rows[day] = [_parse_float(path, lineno, f"h{h}", row[1 + h]) for h in range(HOURS)]
+        rows[day] = _parse_hours(path, lineno, row[1:])
     if not rows:
         raise ParseError(path, 2, "no data rows")
     days = sorted(rows)
@@ -213,7 +235,7 @@ def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
         day = int(_parse_float(lpath, lineno, "day", row[2]))
         if not (0 <= day < n_days):
             raise ParseError(lpath, lineno, f"day {day} outside 0..{n_days - 1}")
-        vals = [_parse_float(lpath, lineno, f"h{h}", row[3 + h]) for h in range(HOURS)]
+        vals = _parse_hours(lpath, lineno, row[3:])
         if min(vals) < 0:
             raise ParseError(lpath, lineno, f"negative load for household {hid!r}")
         prev_rid, days = by_household.setdefault(hid, (rid, {}))

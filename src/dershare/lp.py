@@ -8,8 +8,9 @@ place instead of converting each bound vector element by element into a
 HighsLp. Each solve after the first starts the dual simplex from the
 previous solve's optimal basis, or from a basis the caller names, which
 skips most of the pivots of a cold solve. The solver choice and its
-error handling live here; a failed solve raises LPError and is never
-retried cold.
+error handling live here; a failed solve raises LPError (declared in
+`model`, so a caller can catch it without loading this module) and is
+never retried cold.
 
 The solver is scipy's compiled HiGHS binding, loaded straight from its
 extension file the first time an LPModel is built, so a process that
@@ -33,6 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .model import LPError
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
@@ -63,10 +66,6 @@ def __getattr__(name):
     if name == "highs":
         return _load_highs()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class LPError(RuntimeError):
-    """The solver failed to return a proven optimum."""
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .curves import SavingsCurve
-from .model import DomainError
+from .model import DomainError, SavingsCurve
 
 PARTICIPATION_TOL = 1e-9
 

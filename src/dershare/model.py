@@ -8,6 +8,12 @@ day, so a load entry is both kWh per hour and average kW.
 
 All types are immutable value objects after construction and safe to
 share between threads. Numpy array fields are marked read-only.
+
+Every process loads this module, so it also holds what a stage only
+names or reads: the generator's settings (SynthConfig), the fitted
+curve types and every error a stage raises. A run whose generator,
+fit and transport stages are cache hits then never loads `synth`,
+`curves`, `lp` or `logging`.
 """
 
 from __future__ import annotations
@@ -19,10 +25,19 @@ import numpy as np
 
 HOURS = 24
 SIZING_RTOL = 1e-9  # stored net-zero sizes must match the sizing to this relative error
+DEFAULT_SAMPLES = 30  # positive capacity samples per fitted curve
 
 
 class DomainError(ValueError):
     """An operation was called outside its mathematical domain."""
+
+
+class FitError(ValueError):
+    """Samples are too far from the monotone concave family to repair."""
+
+
+class LPError(RuntimeError):
+    """The solver failed to return a proven optimum."""
 
 
 class ValidationError(ValueError):
@@ -118,6 +133,84 @@ class AssetSpec:
                 raise ValidationError("asset", name, f"must be > 0 and finite, got {v}")
         if not (0.0 <= self.x0 <= 1.0):
             raise ValidationError("asset", "x0", f"must be in [0, 1], got {self.x0}")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """Knobs for the synthetic generator. All prices $/kWh, loads kW.
+
+    Windows are half-open hour ranges [start, end) within 0..24.
+    """
+
+    n_households: int = 200
+    n_days: int = 30
+    n_regions: int = 5
+    rng_seed: int = 42
+
+    # load shape; each household's peak window is shifted by an integer drawn
+    # from peak_shift_range (half-open), so households differ in how much of
+    # their consumption lands in the pricing peak
+    base_load_range: tuple[float, float] = (0.3, 1.2)
+    peak_multiplier_range: tuple[float, float] = (1.2, 4.0)
+    load_peak_window: tuple[int, int] = (16, 21)
+    peak_shift_range: tuple[int, int] = (-5, 4)
+
+    # time-of-use buy tariff
+    offpeak_price: float = 0.20
+    peak_price: float = 0.45
+    tou_peak_window: tuple[int, int] = (16, 21)
+
+    # sell-back price: mean plus diurnal shape amplitude
+    sell_mean: float = 0.04
+    sell_amplitude: float = 0.02
+
+    # irradiance bell
+    daylight_window: tuple[int, int] = (7, 19)
+    irradiance_peak: float = 0.8  # kWh per kW at solar noon
+
+    # region geometry
+    region_center: tuple[float, float] = (36.8, -119.8)
+    region_spread_deg: float = 0.25
+
+    def validate(self) -> None:
+        # rng_seed: numpy seeds only from nonnegative integers
+        for name, least in (("n_households", 1), ("n_days", 1), ("n_regions", 1), ("rng_seed", 0)):
+            if getattr(self, name) < least:
+                raise ValidationError("synth config", name, f"must be >= {least}, got {getattr(self, name)}")
+        for name in ("load_peak_window", "tou_peak_window", "daylight_window"):
+            lo, hi = getattr(self, name)
+            if not (0 <= lo < hi <= HOURS):
+                raise ValidationError("synth config", name, f"need 0 <= start < end <= {HOURS}, got {(lo, hi)}")
+        lo, hi = self.base_load_range
+        if not (0 < lo <= hi):
+            raise ValidationError("synth config", "base_load_range", f"need 0 < lo <= hi, got {(lo, hi)}")
+        lo, hi = self.peak_multiplier_range
+        if not (1.0 <= lo <= hi):
+            raise ValidationError("synth config", "peak_multiplier_range", f"need 1 <= lo <= hi, got {(lo, hi)}")
+        s_lo, s_hi = self.peak_shift_range
+        if s_lo >= s_hi:
+            raise ValidationError("synth config", "peak_shift_range", f"need lo < hi, got {(s_lo, s_hi)}")
+        w_lo, w_hi = self.load_peak_window
+        if w_lo + s_lo < 0 or w_hi + s_hi - 1 > HOURS:
+            raise ValidationError("synth config", "peak_shift_range",
+                                  "shifted peak window would leave the 24-hour day")
+        if self.irradiance_peak <= 0:
+            raise ValidationError("synth config", "irradiance_peak", "must be > 0")
+        if self.sell_amplitude < 0 or self.sell_mean - self.sell_amplitude < 0:
+            raise ValidationError("synth config", "sell_amplitude",
+                                  "sell price must stay nonnegative over the day")
+        # peak >= off-peak >= max sell keeps buy >= sell everywhere
+        if self.peak_price < self.offpeak_price:
+            raise ValidationError("synth config", "peak_price", "must be >= offpeak_price")
+        if self.offpeak_price < self.sell_mean + self.sell_amplitude:
+            raise ValidationError("synth config", "offpeak_price",
+                                  "must be >= sell_mean + sell_amplitude to preserve buy >= sell")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SynthConfig":
+        cfg = from_config(cls, "synth", d)
+        cfg.validate()
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -264,3 +357,96 @@ def validate_scenario(scenario: Scenario) -> None:
         if abs(hh.net_zero_size - expected) > SIZING_RTOL * max(expected, 1e-300):
             raise ValidationError(ent, "net_zero_size",
                                   f"stored {hh.net_zero_size!r} but sizing gives {expected!r}")
+
+
+def _check_knots(knots: np.ndarray) -> np.ndarray:
+    knots = np.ascontiguousarray(knots, dtype=float)
+    if knots.ndim != 1 or knots.size < 2:
+        raise ValueError("need at least two knots")
+    if knots[0] != 0.0:
+        raise ValueError("first knot must be 0")
+    if np.any(np.diff(knots) <= 0):
+        raise ValueError("knots must be strictly ascending")
+    knots.setflags(write=False)
+    return knots
+
+
+def _in_domain(y: float, max_size: float) -> float:
+    """y clipped to [0, max_size]; DomainError beyond rounding slack."""
+    y = float(y)
+    if not (-1e-9 * max_size <= y <= max_size * (1 + 1e-9) + 1e-12):
+        raise DomainError(f"y={y} outside [0, {max_size}]")
+    return min(max(y, 0.0), max_size)
+
+
+@dataclass(frozen=True)
+class SavingsCurve:
+    """Monotone concave piecewise-linear savings vs. capacity.
+
+    The (knots, slopes) pair is canonical; knot values are derived as
+    the cumulative sum of slope * segment-length with f(0) = 0.
+    """
+
+    household_id: str
+    knots: np.ndarray  # kW, ascending from 0 to the net-zero size
+    slopes: np.ndarray  # $/period/kW per segment, nonincreasing
+    values: np.ndarray = field(init=False)  # $/period at knots
+
+    def __post_init__(self):
+        knots = _check_knots(self.knots)
+        slopes = np.ascontiguousarray(self.slopes, dtype=float)
+        if slopes.shape != (knots.size - 1,):
+            raise ValueError(f"expected {knots.size - 1} slopes, got {slopes.shape}")
+        if np.any(np.diff(slopes) > 0):
+            raise ValueError("slopes must be nonincreasing (concavity)")
+        if slopes[-1] < 0:
+            raise ValueError("slopes must be nonnegative (monotone savings)")
+        slopes.setflags(write=False)
+        values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
+        values.setflags(write=False)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def max_size(self) -> float:
+        return float(self.knots[-1])
+
+    @property
+    def total(self) -> float:
+        """Savings at full own use, f(max_size)."""
+        return float(self.values[-1])
+
+    @property
+    def normalized_savings(self) -> float:
+        return self.total / self.max_size
+
+    def eval(self, y: float) -> float:
+        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
+
+
+@dataclass(frozen=True)
+class PurchasesCurve:
+    """Monotone nonincreasing buy-side bill component vs. capacity."""
+
+    household_id: str
+    knots: np.ndarray
+    values: np.ndarray  # $/period
+
+    def __post_init__(self):
+        knots = _check_knots(self.knots)
+        values = np.ascontiguousarray(self.values, dtype=float)
+        if values.shape != knots.shape:
+            raise ValueError("values must match knots")
+        if np.any(np.diff(values) > 0):
+            raise ValueError("purchases must be nonincreasing in capacity")
+        values.setflags(write=False)
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def max_size(self) -> float:
+        return float(self.knots[-1])
+
+    def eval(self, y: float) -> float:
+        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .adoption import AdoptionOrder, LongRunResult, LongRunSolver, long_run_adoption
-from .curves import PurchasesCurve, SavingsCurve
 from .market import MarketEquilibrium
+from .model import PurchasesCurve, SavingsCurve
 
 
 def vendor_gain(price: float, d_short: float, d_long: float) -> float:
@@ -76,25 +76,27 @@ class RegimePoint:
     long_run: LongRunResult
 
 
+def regime_point(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
+                 lr: LongRunResult) -> RegimePoint:
+    """The blocking threshold at the purchase price of one long-run result."""
+    gain = vendor_gain(lr.price, lr.d_short, lr.d_long)
+    loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium)
+    if gain <= 0:
+        threshold = None
+    elif loss <= 0:
+        threshold = math.inf
+    else:
+        threshold = gain / loss
+    return RegimePoint(price=lr.price, delta_q=lr.delta_q, vendor_gain=gain,
+                       utility_loss=loss, threshold=threshold,
+                       emerges_at_unit_ratio=market_emerges(gain, loss, 1.0), long_run=lr)
+
+
 def regime_boundary(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
                     purchases: Mapping[str, PurchasesCurve],
                     p_grid: Sequence[float],
                     solver: LongRunSolver | None = None) -> list[RegimePoint]:
     """Trace the blocking-threshold curve over a purchase-price grid."""
     solver = solver or LongRunSolver(order, curves)
-    points = []
-    for price in map(float, p_grid):
-        lr = long_run_adoption(order, curves, price, solver)
-        gain = vendor_gain(price, lr.d_short, lr.d_long)
-        loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium)
-        if gain <= 0:
-            threshold = None
-        elif loss <= 0:
-            threshold = math.inf
-        else:
-            threshold = gain / loss
-        points.append(RegimePoint(price=price, delta_q=lr.delta_q, vendor_gain=gain,
-                                  utility_loss=loss, threshold=threshold,
-                                  emerges_at_unit_ratio=market_emerges(gain, loss, 1.0),
-                                  long_run=lr))
-    return points
+    return [regime_point(order, purchases, long_run_adoption(order, curves, price, solver))
+            for price in map(float, p_grid)]

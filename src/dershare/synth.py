@@ -11,13 +11,13 @@ rental its value.
 
 All randomness comes from numpy's seeded PCG64 generator, so a config
 with a fixed rng_seed reproduces the same scenario bit for bit on any
-platform.
+platform. The generator's settings, SynthConfig, live in `model`, so a
+run that generates no data never loads this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,89 +28,10 @@ from .model import (
     IrradianceSeries,
     Region,
     Scenario,
+    SynthConfig,
     TariffSet,
-    ValidationError,
     compute_net_zero_size,
-    from_config,
 )
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for the synthetic generator. All prices $/kWh, loads kW.
-
-    Windows are half-open hour ranges [start, end) within 0..24.
-    """
-
-    n_households: int = 200
-    n_days: int = 30
-    n_regions: int = 5
-    rng_seed: int = 42
-
-    # load shape; each household's peak window is shifted by an integer drawn
-    # from peak_shift_range (half-open), so households differ in how much of
-    # their consumption lands in the pricing peak
-    base_load_range: tuple[float, float] = (0.3, 1.2)
-    peak_multiplier_range: tuple[float, float] = (1.2, 4.0)
-    load_peak_window: tuple[int, int] = (16, 21)
-    peak_shift_range: tuple[int, int] = (-5, 4)
-
-    # time-of-use buy tariff
-    offpeak_price: float = 0.20
-    peak_price: float = 0.45
-    tou_peak_window: tuple[int, int] = (16, 21)
-
-    # sell-back price: mean plus diurnal shape amplitude
-    sell_mean: float = 0.04
-    sell_amplitude: float = 0.02
-
-    # irradiance bell
-    daylight_window: tuple[int, int] = (7, 19)
-    irradiance_peak: float = 0.8  # kWh per kW at solar noon
-
-    # region geometry
-    region_center: tuple[float, float] = (36.8, -119.8)
-    region_spread_deg: float = 0.25
-
-    def validate(self) -> None:
-        # rng_seed: numpy seeds only from nonnegative integers
-        for name, least in (("n_households", 1), ("n_days", 1), ("n_regions", 1), ("rng_seed", 0)):
-            if getattr(self, name) < least:
-                raise ValidationError("synth config", name, f"must be >= {least}, got {getattr(self, name)}")
-        for name in ("load_peak_window", "tou_peak_window", "daylight_window"):
-            lo, hi = getattr(self, name)
-            if not (0 <= lo < hi <= HOURS):
-                raise ValidationError("synth config", name, f"need 0 <= start < end <= {HOURS}, got {(lo, hi)}")
-        lo, hi = self.base_load_range
-        if not (0 < lo <= hi):
-            raise ValidationError("synth config", "base_load_range", f"need 0 < lo <= hi, got {(lo, hi)}")
-        lo, hi = self.peak_multiplier_range
-        if not (1.0 <= lo <= hi):
-            raise ValidationError("synth config", "peak_multiplier_range", f"need 1 <= lo <= hi, got {(lo, hi)}")
-        s_lo, s_hi = self.peak_shift_range
-        if s_lo >= s_hi:
-            raise ValidationError("synth config", "peak_shift_range", f"need lo < hi, got {(s_lo, s_hi)}")
-        w_lo, w_hi = self.load_peak_window
-        if w_lo + s_lo < 0 or w_hi + s_hi - 1 > HOURS:
-            raise ValidationError("synth config", "peak_shift_range",
-                                  "shifted peak window would leave the 24-hour day")
-        if self.irradiance_peak <= 0:
-            raise ValidationError("synth config", "irradiance_peak", "must be > 0")
-        if self.sell_amplitude < 0 or self.sell_mean - self.sell_amplitude < 0:
-            raise ValidationError("synth config", "sell_amplitude",
-                                  "sell price must stay nonnegative over the day")
-        # peak >= off-peak >= max sell keeps buy >= sell everywhere
-        if self.peak_price < self.offpeak_price:
-            raise ValidationError("synth config", "peak_price", "must be >= offpeak_price")
-        if self.offpeak_price < self.sell_mean + self.sell_amplitude:
-            raise ValidationError("synth config", "offpeak_price",
-                                  "must be >= sell_mean + sell_amplitude to preserve buy >= sell")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        cfg = from_config(cls, "synth", d)
-        cfg.validate()
-        return cfg
 
 
 def _window_mask(window: tuple[int, int]) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from conftest import child_env
 from dershare import __version__
 from dershare import cli
-from dershare.adoption import LongRunSolver, build_order, default_t_grid
+from dershare.adoption import LongRunSolver, build_order, default_t_grid, long_run_adoption
 from dershare.cli import main
 from dershare.synth import SynthConfig
 from oracles import random_curve_population, random_tied_curve_population
@@ -86,6 +87,66 @@ def test_module_entry_point_runs_from_any_directory(tmp_path):
     assert proc.stdout.strip() == __version__
 
 
+def _stage_lines(stdout: str) -> list[str]:
+    """The stage lines of a run, without their elapsed times."""
+    return [re.sub(r" \(\d+\.\ds\)$", "", line) for line in stdout.splitlines()]
+
+
+def test_module_entry_point_matches_main(tmp_path, config_path, capsys):
+    """A `python -m dershare all` process, which freezes the collector at
+    exit, writes the same bytes and stage lines as main() in this process."""
+    flags = ["--config", config_path, "--flows-at", "0.5", "--equilibrium-at", "0.4"]
+    child, own = tmp_path / "child", tmp_path / "own"
+    proc = subprocess.run([sys.executable, "-m", "dershare", "all", "--out", str(child),
+                           *map(str, flags)], capture_output=True, text=True, cwd=tmp_path,
+                          env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    capsys.readouterr()
+    assert _run("all", "--out", own, *flags) == 0
+    assert _stage_lines(proc.stdout) == _stage_lines(capsys.readouterr().out)
+    assert [line.split(":")[0] for line in proc.stdout.splitlines() if ": wrote" in line] == [
+        *STAGES]
+    csvs = sorted(p.relative_to(own) for p in own.rglob("*.csv"))
+    assert len(csvs) == 16
+    assert csvs == sorted(p.relative_to(child) for p in child.rglob("*.csv"))
+    for rel in csvs:
+        assert (child / rel).read_bytes() == (own / rel).read_bytes(), rel
+
+
+_ATEXIT_PROBE = """
+import atexit, gc, json, runpy, sys
+registered = []
+_register = atexit.register
+def register(func, *args, **kwargs):
+    registered.append(func)
+    return _register(func, *args, **kwargs)
+atexit.register = register
+import dershare, dershare.cli
+code = dershare.cli.main(sys.argv[1:])
+ours = [repr(f) for f in registered
+        if f is gc.freeze or (getattr(f, "__module__", None) or "").startswith("dershare")]
+# the process entry itself registers the freeze once
+sys.argv = ["dershare", "--version"]
+try:
+    runpy.run_module("dershare", run_name="__main__")
+except SystemExit as exc:
+    exit_code = exc.code
+print(json.dumps({"code": code, "in_process": ours, "exit_code": exit_code,
+                  "entry": sum(f is gc.freeze for f in registered)}))
+"""
+
+
+def test_main_in_process_registers_no_exit_handler(tmp_path, config_path):
+    proc = subprocess.run([sys.executable, "-c", _ATEXIT_PROBE, "all", "--config",
+                           str(config_path), "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == __version__
+    assert json.loads(lines[-1]) == {"code": 0, "in_process": [], "exit_code": 0, "entry": 1}
+
+
 _IMPORT_PROBE = """
 import sys
 def loaded(*packages):
@@ -134,17 +195,21 @@ def test_every_export_resolves_to_its_module():
 _MODULES_PROBE = """
 import json, sys
 from dershare.cli import main
-code = main(sys.argv[1:])
-watched = ("scipy", "numpy.ma", "scipy.optimize._highspy._core", "dershare.dispatch",
-           "dershare.localness")
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --version
+    code = exc.code
+watched = ("scipy", "numpy.ma", "scipy.optimize._highspy._core", "dershare.curves",
+           "dershare.dispatch", "dershare.localness", "dershare.lp", "dershare.synth", "logging")
 print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
 """
 
 
 def _modules_loaded_by(cwd, *argv):
-    """Which of scipy's package, numpy.ma, the HiGHS binding, the dispatch LP
-    and the transport solver a dershare child has loaded by the time its
-    command returns, with its output."""
+    """Which of scipy's package, numpy.ma, the HiGHS binding, the fitter, the
+    dispatch LP, the transport solver, the LP module, the generator and
+    logging a dershare child has loaded by the time its command returns,
+    with its output."""
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *map(str, argv)],
                           capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr + proc.stdout
@@ -157,14 +222,32 @@ def test_runs_load_only_the_modules_their_stages_use(tmp_path, config_path):
     out = tmp_path / "run"
     loaded, _ = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
                                    "--equilibrium-at", "0.5", "--flows-at", "0.5")
-    assert loaded == ["dershare.dispatch", "dershare.localness", "scipy.optimize._highspy._core"]
-    # a new p-grid: five stages are cache hits, and no LP module is loaded
+    assert loaded == ["dershare.curves", "dershare.dispatch", "dershare.localness",
+                      "dershare.lp", "dershare.synth", "logging", "scipy.optimize._highspy._core"]
+    # a new p-grid: five stages are cache hits, and neither the generator, the
+    # fitter, logging nor any LP module is loaded
     loaded, stdout = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
                                         "--equilibrium-at", "0.5", "--flows-at", "0.5",
                                         "--p-grid", "0.5:2:4")
     assert loaded == []
     assert [line.split(":")[0] for line in stdout.splitlines() if ": wrote" in line] == [
         "longrun", "subsidy", "stakeholders"]
+    loaded, stdout = _modules_loaded_by(tmp_path, "--version")
+    assert loaded == [] and stdout.splitlines()[0] == __version__
+
+
+def test_all_solves_the_long_run_once_per_price(tmp_path, config_path, monkeypatch):
+    """longrun, subsidy and stakeholders share one long-run pass over the p-grid."""
+    import dershare.stakeholders
+    prices = Counter()
+
+    def counted(order, curves, p, solver=None):
+        prices[p] += 1
+        return long_run_adoption(order, curves, p, solver)
+    monkeypatch.setattr(cli, "long_run_adoption", counted)
+    monkeypatch.setattr(dershare.stakeholders, "long_run_adoption", counted)
+    assert _run("all", "--config", config_path, "--out", tmp_path / "run") == 0
+    assert len(prices) == 21 and set(prices.values()) == {1}
 
 
 def test_quantile_is_numpys_linear_quantile():
@@ -457,6 +540,44 @@ def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, mo
     code = _run(*argv, "--config", path, "--out", out)
     _assert_input_error(capsys, code, expected)
     # refused before the first stage: the run directory is untouched
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("edit, expected", [
+    (lambda text: "{not json", ":1: invalid JSON: Expecting property name enclosed in double "
+     "quotes (column 2)"),
+    (lambda text: "[1,2]", ":1: field 'root': expected a JSON object, got [1, 2]"),
+    (lambda text: "\n\n3\n", ":3: field 'root': expected a JSON object, got 3"),
+    (lambda text: '{"stages": 5}', ":1: field 'stages': expected a JSON object, got 5"),
+    # as written, one key per line: the error names the line of "stages"
+    (lambda text: text.replace('"stages": {', '"stages": 5, "x": {'),
+     ":{stages_line}: field 'stages': expected a JSON object, got 5"),
+    (lambda text: '{\n  "outputs": [],\n  "stages": {}\n}\n',
+     ":2: field 'outputs': expected a JSON object, got []"),
+    (lambda text: '{\n  "stages": {\n    "sweep": null\n  }\n}\n',
+     ":3: field 'stages.sweep': expected a JSON object, got None"),
+    # cut short, the JSON ends on its last line
+    (lambda text: text[:len(text) // 2], ":{last_line}: invalid JSON: "),
+], ids=["not-json", "list-root", "number-root", "stages-number", "stages-in-place",
+        "outputs-list", "stage-entry-null", "truncated"])
+@pytest.mark.parametrize("command", ["sweep", "longrun"])
+def test_corrupt_manifest_exits_2_naming_file_and_line(finished_run, tmp_path, capsys, command,
+                                                       edit, expected):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    manifest = out / "manifest.json"
+    edited = edit(manifest.read_text())
+    manifest.write_text(edited)
+    stages_line = next((i for i, line in enumerate(edited.splitlines(), 1)
+                        if line.startswith('  "stages"')), None)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    code = _run(command, "--config", path, "--out", out, "--t-grid" if command == "sweep"
+                else "--p-grid", "0.1:0.9:3")
+    _assert_input_error(capsys, code, f"{manifest}" + expected.format(
+        stages_line=stages_line, last_line=edited.count("\n") + 1))
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 

@@ -5,8 +5,8 @@ from dershare.curves import PurchasesCurve, SavingsCurve
 from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, TARIFF_BUY_FILE,
                          TARIFF_SELL_FILE, Exclusion, ParseError, load_scenario,
                          read_number_columns, read_purchases_curves, read_savings_curves,
-                         write_exclusions, write_purchases_curves, write_savings_curves,
-                         write_scenario)
+                         write_exclusions, write_purchases_curves, write_rows,
+                         write_savings_curves, write_scenario)
 from dershare.model import EmptyScenarioError
 from dershare.synth import SynthConfig, generate_scenario
 
@@ -30,6 +30,23 @@ def test_scenario_round_trip_is_exact(tmp_path, scenario):
     np.testing.assert_array_equal(back.irradiance.values, scenario.irradiance.values)
     assert [(r.id, r.latitude, r.longitude) for r in back.regions] == \
         [(r.id, r.latitude, r.longitude) for r in scenario.regions]
+
+
+def test_scenario_files_match_per_cell_formatting(tmp_path, scenario):
+    """write_scenario formats each day's hours in one pass; write_rows, which
+    formats cell by cell, writes the same bytes."""
+    write_scenario(scenario, tmp_path / "fast")
+    hours = [f"h{h}" for h in range(24)]
+    write_rows(tmp_path / "cells" / LOADS_FILE, ["household_id", "region_id", "day", *hours],
+               [[hh.id, hh.region_id, d, *hh.load[d]]
+                for hh in scenario.households for d in range(hh.n_days)])
+    for name, mat in ((IRRADIANCE_FILE, scenario.irradiance.values),
+                      (TARIFF_BUY_FILE, scenario.tariff.buy),
+                      (TARIFF_SELL_FILE, scenario.tariff.sell)):
+        write_rows(tmp_path / "cells" / name, ["day", *hours],
+                   [[d, *mat[d]] for d in range(mat.shape[0])])
+    for name in (LOADS_FILE, IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE):
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
 
 
 def _edit_household(tmp_path, scenario, hid, new_load):
@@ -109,6 +126,30 @@ def test_non_finite_cell_names_file_and_line(tmp_path, scenario, name, column, r
         load_scenario(tmp_path, scenario.asset)
     assert exc.value.line == 3
     assert exc.value.path == str(path)
+
+
+@pytest.mark.parametrize("name, first", [(LOADS_FILE, 3), (IRRADIANCE_FILE, 1),
+                                         (TARIFF_SELL_FILE, 1)])
+@pytest.mark.parametrize("cells, message", [
+    ({0: "inf", 5: "abc"}, "field 'h0': not a finite number: 'inf'"),
+    ({0: "abc", 5: "inf"}, "field 'h0': not a number: 'abc'"),
+    ({7: "nan", 23: "x"}, "field 'h7': not a finite number: 'nan'"),
+], ids=["inf-first", "text-first", "nan-first"])
+def test_bad_hour_cell_is_named_in_field_order(tmp_path, scenario, name, first, cells,
+                                               message):
+    """A row's hours are parsed in one pass; the first bad field, in column
+    order, is the one a ParseError names."""
+    write_scenario(scenario, tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    for hour, raw in cells.items():
+        row[first + hour] = raw
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_scenario(tmp_path, scenario.asset)
+    assert str(exc.value) == f"{path}:3: {message}"
 
 
 def test_number_columns_keep_nan(tmp_path):

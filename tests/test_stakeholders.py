@@ -7,7 +7,7 @@ from dershare.adoption import LongRunSolver, build_order, long_run_adoption
 from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
 from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
-                                   regime_boundary, utility_loss, vendor_gain)
+                                   regime_boundary, regime_point, utility_loss, vendor_gain)
 
 
 def test_vendor_gain_arithmetic():
@@ -95,6 +95,24 @@ def test_regime_points(medium_population):
             assert market_emerges(pt.vendor_gain, pt.utility_loss, pt.threshold * (1 - 1e-9))
             assert not market_emerges(pt.vendor_gain, pt.utility_loss, pt.threshold)
             assert pt.emerges_at_unit_ratio == (pt.threshold > 1.0)
+
+
+def test_regime_points_from_long_run_results_match_the_boundary(medium_population):
+    """The stakeholders stage builds its rows from the long-run results that
+    longrun and subsidy already solved; regime_boundary solves them itself."""
+    order, curves = medium_population.order, medium_population.curves
+    purchases = medium_population.purchases
+    ps = [float(p) for p in np.quantile(order.normalized, [0.05, 0.3, 0.5, 0.7, 0.95])] + [1e9]
+    solver = LongRunSolver(order, curves)
+    shared = [regime_point(order, purchases, long_run_adoption(order, curves, p, solver))
+              for p in ps]
+
+    def row(pt):
+        return (pt.price, pt.delta_q, pt.vendor_gain, pt.utility_loss, pt.threshold,
+                pt.emerges_at_unit_ratio, pt.long_run.k_short, pt.long_run.k_long)
+    assert [row(pt) for pt in shared] == [row(pt) for pt in
+                                          regime_boundary(order, curves, purchases, ps)]
+    assert shared[-1].long_run.no_adoption and shared[-1].threshold is None
 
 
 def test_profit_scaling_linearity():
