@@ -30,7 +30,7 @@ _EXPORTS = {
               "SynthConfig", "TariffSet", "ValidationError", "compute_net_zero_size",
               "validate_scenario"),
     "stakeholders": ("RegimePoint", "billed_sales", "market_emerges", "regime_boundary",
-                     "utility_loss", "vendor_gain"),
+                     "regime_points", "utility_loss", "vendor_gain"),
     "synth": ("generate_scenario",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -25,9 +25,11 @@ Each stage is declared once in STAGES (flags, input files with the
 stage that writes each, hashed params, outputs, body), and run_stage
 gives every stage the same require, hash, cache check and manifest
 record. A subcommand runs one entry and `all` runs them in order on one
-Run, which loads each artifact from the run directory on first use and
-keeps it: a stage reads its inputs from disk whether their stage ran in
-this process or was cached, and a fully cached `all` parses no scenario.
+Run, which keeps each artifact once it has it. A stage that runs hands
+what it wrote to the Run (gen-data its scenario, ingested on first use;
+fit its curves), so a fresh `all` parses neither the scenario nor the
+curves; an artifact whose stage was cached is loaded from the run
+directory on first use, and a fully cached `all` parses no scenario.
 """
 
 from __future__ import annotations
@@ -51,13 +53,13 @@ from . import __version__
 from .adoption import (DemandCurves, LongRunSolver, build_order, default_t_grid,
                        equivalent_subsidy, long_run_adoption, sweep_adoption)
 from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE,
-                 TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError, load_scenario,
+                 TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError, ingest, load_scenario,
                  read_number_columns, read_purchases_curves, read_savings_curves,
                  write_exclusions, write_purchases_curves, write_rows, write_savings_curves,
                  write_scenario)
-from .model import (DEFAULT_SAMPLES, AssetSpec, DomainError, FitError, LPError, SynthConfig,
-                    ValidationError, from_config, validate_scenario)
-from .stakeholders import regime_point
+from .model import (DEFAULT_SAMPLES, AssetSpec, DomainError, FitError, LPError, Scenario,
+                    SynthConfig, ValidationError, from_config, validate_scenario)
+from .stakeholders import regime_points
 
 if TYPE_CHECKING:  # the generator, the fit, its LP and the transport solver load in their stages
     from .dispatch import ScenarioContext
@@ -79,7 +81,13 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------- manifest
 
 def _file_sha(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's sha256, read into one reused block: a whole loads.csv read
+    at once would set the peak memory of a run whose stages are cache hits."""
+    digest, block = hashlib.sha256(), bytearray(1 << 18)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(block):
+            digest.update(memoryview(block)[:n])
+    return digest.hexdigest()
 
 
 def _hash_obj(obj) -> str:
@@ -363,15 +371,17 @@ def _resolved(name: str) -> cached_property:
 class Run:
     """One invocation on one run directory.
 
-    Settings are resolved when a stage asks for them, and each artifact
-    is loaded from the run directory on first use and then kept, so the
-    stages of one `all` share a single scenario, curve set and
-    LongRunSolver. cfg holds the values _load_config checked.
+    Settings are resolved when a stage asks for them. Each artifact is
+    set by the stage that makes it, or else loaded from the run directory
+    on first use, and then kept, so the stages of one `all` share a single
+    scenario, curve set and LongRunSolver. cfg holds the values
+    _load_config checked.
     """
 
     out: Path
     args: argparse.Namespace
     cfg: dict
+    generated: Scenario | None = None  # the scenario gen-data wrote in this process
 
     asset = _resolved("asset")
     require_terminal_soc = _resolved("require_terminal_soc")
@@ -393,10 +403,17 @@ class Run:
 
     @cached_property
     def loaded(self):
-        return load_scenario(self.out / DATA_SUBDIR, self.asset)
+        if self.generated is None:
+            return load_scenario(self.out / DATA_SUBDIR, self.asset)
+        # what load_scenario would read back: repr round-trips every written value
+        sc = self.generated
+        return ingest({hh.id: (hh.region_id, hh.load) for hh in sc.households},
+                      sc.tariff, sc.irradiance, sc.regions, self.asset)
 
-    @cached_property
+    @property
     def context(self) -> ScenarioContext:
+        # not kept: the fit's HiGHS model is freed when the fit is done, before the
+        # analysis stages reach the run's peak memory
         from .dispatch import ScenarioContext
         scenario, days = self.loaded.scenario, self.days
         day_indices = (None if days is None or days >= scenario.n_days
@@ -463,6 +480,7 @@ def _gen_data(run: Run) -> None:
     scenario = generate_scenario(run.synth, run.asset)
     validate_scenario(scenario)
     write_scenario(scenario, run.out / DATA_SUBDIR)
+    run.generated = scenario
 
 
 def _validate(run: Run) -> None:
@@ -480,8 +498,11 @@ def _fit(run: Run) -> None:
     print(f"fit: {len(ctx.scenario.households)} households x {run.n_samples + 1} capacity "
           f"samples x {ctx.day_indices.size} days on {threads} worker(s)")
     fits = fit_all(ctx, run.n_samples, workers=threads)
-    write_savings_curves(run.out / SAVINGS_FILE, [f.savings for f in fits.values()])
-    write_purchases_curves(run.out / PURCHASES_FILE, [f.purchases for f in fits.values()])
+    # what the readers would return: a curve's values derive from its knots and slopes
+    run.curves = {hid: fits[hid].savings for hid in sorted(fits)}
+    run.purchases = {hid: fits[hid].purchases for hid in sorted(fits)}
+    write_savings_curves(run.out / SAVINGS_FILE, run.curves.values())
+    write_purchases_curves(run.out / PURCHASES_FILE, run.purchases.values())
 
 
 def _sweep(run: Run) -> None:
@@ -549,7 +570,7 @@ def _localness(run: Run) -> None:
 
 
 def _stakeholders(run: Run) -> None:
-    points = [regime_point(run.order, run.purchases, lr) for lr in run.long_run]
+    points = regime_points(run.order, run.purchases, run.long_run)
     rows = [[pt.price, pt.delta_q, pt.vendor_gain, pt.utility_loss,
              ("" if pt.threshold is None else pt.threshold),
              _fmt_bool(pt.emerges_at_unit_ratio)] for pt in points]

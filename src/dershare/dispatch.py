@@ -44,8 +44,17 @@ households billed before it. Bills and purchases match a cold solve to
 a few ulps, not bit for bit, because a warm start reaches the optimum
 by other pivots (on the desk-scale defaults, 1.4e-14 relative at worst
 over the fitted curves); tests/oracles.py keeps the cold solve as the
-reference. Input checks, the y = 0 closed form and the
-objective-consistency check run on every call.
+reference.
+
+Checks and per-context setup: a ScenarioContext checks its prices (each
+nonnegative, buy >= sell) once, when it is built, and makes its price
+and irradiance arrays read-only, so that one check covers every solve.
+It also computes once what no solve changes: eta_i * irradiance, the
+column upper bounds per kW of capacity (y times them gives each solve's
+bounds, the same IEEE products as before), the zero lower bounds and the
+charge and discharge factors. A solve computes only its right-hand side,
+its bounds and the netting, and still checks y >= 0, takes the y = 0
+closed form and checks the objective's consistency on every call.
 """
 
 from __future__ import annotations
@@ -122,33 +131,6 @@ def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
     return (n_rows, n_cols), arrays
 
 
-def _check_inputs(buy: np.ndarray, sell: np.ndarray, y: float) -> None:
-    if y < 0:
-        raise DomainError(f"capacity y must be >= 0, got {y}")
-    if np.min(sell) < 0 or np.min(buy) < 0:
-        raise DomainError("prices must be nonnegative")
-    if np.min(buy - sell) < 0:
-        raise DomainError("buy price below sell price would allow unlimited arbitrage")
-
-
-def _bounds(asset: AssetSpec, y: float, n_days: int) -> tuple[np.ndarray, np.ndarray]:
-    ub_day = np.empty(_N_VARS)
-    ub_day[_UP] = asset.u_charge_max * y
-    ub_day[_UM] = asset.u_discharge_max * y
-    ub_day[_X] = asset.alpha * y
-    ub_day[_GP] = np.inf
-    ub_day[_GM] = np.inf
-    return np.zeros(_N_VARS * n_days), np.tile(ub_day, n_days)
-
-
-def _rhs(load: np.ndarray, irr: np.ndarray, asset: AssetSpec, y: float) -> np.ndarray:
-    n_days = load.shape[0]
-    b = np.zeros((n_days, 2 * HOURS))
-    b[:, :HOURS] = load - asset.eta_i * irr * y
-    b[:, HOURS] = asset.eta_s * asset.x0 * asset.alpha * y  # start-of-day charge enters hour 1
-    return b.ravel()
-
-
 def _objective(buy: np.ndarray, sell: np.ndarray) -> np.ndarray:
     n_days = buy.shape[0]
     c = np.zeros((n_days, _N_VARS))
@@ -175,41 +157,90 @@ class _Period(NamedTuple):
         return PeriodTotals(self.purchases + self.sale_credit, self.purchases, self.sale_credit)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Block:
+    """Everything of a D-day block's solves that depends on neither the load
+    nor y: the checked prices, eta_i * irradiance, the column bounds per kW
+    and the storage factors, each computed once.
+
+    Each factor is a left-hand part of the expression a solve evaluated
+    before it was hoisted (eta_i * irr * y is (eta_i * irr) * y), so
+    precomputing it changes no bit of a result.
+    """
+
+    def __init__(self, irr, buy, sell, asset: AssetSpec, require_terminal_soc: bool):
+        irr, buy, sell = (_frozen(np.array(a, dtype=float)) for a in (irr, buy, sell))
+        if np.min(sell) < 0 or np.min(buy) < 0:
+            raise DomainError("prices must be nonnegative")
+        if np.min(buy - sell) < 0:
+            raise DomainError("buy price below sell price would allow unlimited arbitrage")
+        self.buy, self.sell = buy, sell
+        self.n_days = n_days = buy.shape[0]
+        self.require_terminal_soc = require_terminal_soc
+        self.eta_irr = _frozen(asset.eta_i * irr)
+        unit = np.empty(_N_VARS)  # each column's upper bound per kW of capacity
+        unit[_UP] = asset.u_charge_max
+        unit[_UM] = asset.u_discharge_max
+        unit[_X] = asset.alpha
+        unit[_GP] = np.inf
+        unit[_GM] = np.inf
+        self.unit = _frozen(np.tile(unit, n_days))
+        self.col_lower = _frozen(np.zeros(_N_VARS * n_days))
+        self.start_soc = asset.eta_s * asset.x0 * asset.alpha  # start-of-day charge per kW
+        self.end_soc = -asset.x0 * asset.alpha  # -x_24 <= -x0 * alpha * y, per kW
+        self.charge_div = asset.eta_c * asset.eta_i
+        self.discharge_yield = asset.eta_d * asset.eta_i
+
+    def solve(self, load, y: float, model: LPModel, start=None) -> _Period:
+        """Optimal dispatch of load at capacity y; y = 0 is the closed form load . buy.
+
+        model is the block LP of these prices, possibly warm from an
+        earlier capacity. start is the basis to begin from in place of the
+        model's last one.
+        """
+        if y < 0:
+            raise DomainError(f"capacity y must be >= 0, got {y}")
+        load = np.asarray(load, dtype=float)
+        n_days, buy = self.n_days, self.buy
+        if y == 0.0:
+            # no asset: the grid carries the load
+            return _Period(load.copy(), np.zeros_like(load), np.zeros_like(load),
+                           float(np.dot(load.ravel(), buy.ravel())), 0.0)
+
+        net = load - self.eta_irr * y
+        n_balance = 2 * HOURS * n_days
+        row_upper = np.zeros(n_balance + (n_days if self.require_terminal_soc else 0))
+        b = row_upper[:n_balance].reshape(n_days, 2 * HOURS)
+        b[:, :HOURS] = net
+        b[:, HOURS] = self.start_soc * y  # start-of-day charge enters hour 1
+        row_lower = row_upper
+        if self.require_terminal_soc:
+            row_upper[n_balance:] = self.end_soc * y
+            row_lower = row_upper.copy()
+            row_lower[n_balance:] = -np.inf
+        sol = model.solve(row_lower, row_upper, self.col_lower, self.unit * y, start)
+        blocks = sol.x.reshape(n_days, _N_VARS)
+        u = blocks[:, _UP] - blocks[:, _UM]  # netting the charge/discharge split
+        soc = blocks[:, _X]
+        grid = (net + np.maximum(u, 0.0) / self.charge_div
+                + self.discharge_yield * np.minimum(u, 0.0))
+        purchases = float((np.maximum(grid, 0.0) * buy).sum())
+        credits = float((np.minimum(grid, 0.0) * self.sell).sum())
+        if abs(purchases + credits - sol.objective) > _OBJ_CONSISTENCY_TOL * (1.0 + abs(sol.objective)):
+            raise LPError(f"split-variable netting changed the objective: "
+                          f"{purchases + credits!r} vs {sol.objective!r}")
+        return _Period(grid, u, soc, purchases, credits)
+
+
 def _solve_period(load, irr, buy, sell, asset: AssetSpec, y: float,
                   require_terminal_soc: bool, model: LPModel, start=None) -> _Period:
-    """Optimal dispatch of a D-day block; y = 0 is the closed form load . buy.
-
-    model is the block LP of (buy, sell, asset, require_terminal_soc),
-    possibly warm from an earlier capacity. start is the basis to begin
-    from in place of the model's last one.
-    """
-    load, irr, buy, sell = (np.asarray(a, dtype=float) for a in (load, irr, buy, sell))
-    _check_inputs(buy, sell, y)
-    n_days = load.shape[0]
-    if y == 0.0:
-        # no asset: the grid carries the load
-        return _Period(load.copy(), np.zeros_like(load), np.zeros_like(load),
-                       float(np.dot(load.ravel(), buy.ravel())), 0.0)
-
-    b = _rhs(load, irr, asset, y)
-    row_lower, row_upper = b, b
-    if require_terminal_soc:
-        row_lower = np.concatenate([b, np.full(n_days, -np.inf)])
-        row_upper = np.concatenate([b, np.full(n_days, -asset.x0 * asset.alpha * y)])
-    col_lower, col_upper = _bounds(asset, y, n_days)
-    sol = model.solve(row_lower, row_upper, col_lower, col_upper, start)
-    blocks = sol.x.reshape(n_days, _N_VARS)
-    u = blocks[:, _UP] - blocks[:, _UM]  # netting the charge/discharge split
-    soc = blocks[:, _X]
-    grid = (load - asset.eta_i * irr * y
-            + np.maximum(u, 0.0) / (asset.eta_c * asset.eta_i)
-            + (asset.eta_d * asset.eta_i) * np.minimum(u, 0.0))
-    purchases = float((np.maximum(grid, 0.0) * buy).sum())
-    credits = float((np.minimum(grid, 0.0) * sell).sum())
-    if abs(purchases + credits - sol.objective) > _OBJ_CONSISTENCY_TOL * (1.0 + abs(sol.objective)):
-        raise LPError(f"split-variable netting changed the objective: "
-                      f"{purchases + credits!r} vs {sol.objective!r}")
-    return _Period(grid, u, soc, purchases, credits)
+    """Optimal dispatch of a D-day block (see _Block.solve), for a caller
+    that solves these prices once."""
+    return _Block(irr, buy, sell, asset, require_terminal_soc).solve(load, y, model, start)
 
 
 class ScenarioContext:
@@ -222,7 +253,8 @@ class ScenarioContext:
     The context keeps one block LP for all its households. Consecutive
     capacities of one household warm-start from each other; billing
     another household starts it from the template basis, which the
-    first positive capacity billed computes once.
+    first positive capacity billed computes once. The prices are checked,
+    and what no solve changes is computed (_Block), once, here.
     """
 
     def __init__(self, scenario: Scenario, day_indices=None,
@@ -235,21 +267,20 @@ class ScenarioContext:
             raise DomainError("day_indices must select at least one day")
         self.scale = scenario.n_days / self.day_indices.size
         self.require_terminal_soc = require_terminal_soc
-        self._buy = scenario.tariff.buy[self.day_indices]
-        self._sell = scenario.tariff.sell[self.day_indices]
-        self._irr = scenario.irradiance.values[self.day_indices]
+        self._block = _Block(scenario.irradiance.values[self.day_indices],
+                             scenario.tariff.buy[self.day_indices],
+                             scenario.tariff.sell[self.day_indices],
+                             scenario.asset, require_terminal_soc)
         self._template = None  # the model's optimal basis for the template household
         self._billed: str | None = None  # the household the model last solved
 
     @cached_property
     def _model(self) -> LPModel:
-        return _period_model(self._buy, self._sell, self.scenario.asset,
+        return _period_model(self._block.buy, self._block.sell, self.scenario.asset,
                              self.require_terminal_soc)
 
     def _solve(self, hh: HouseholdRecord, y: float, start=None) -> _Period:
-        return _solve_period(hh.load[self.day_indices], self._irr, self._buy, self._sell,
-                             self.scenario.asset, y, self.require_terminal_soc, self._model,
-                             start)
+        return self._block.solve(hh.load[self.day_indices], y, self._model, start)
 
     def _start(self, household_id: str):
         """The basis this household's solve starts from (None: the model's

@@ -25,9 +25,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from io import StringIO
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -77,17 +79,24 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-def _write_text_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Path:
-    """Atomically write one CSV file of rows already formatted as text."""
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file to write CSV into, renamed onto path once it is closed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", newline="") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def _write_text_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Path:
+    """Atomically write one CSV file of rows already formatted as text."""
+    with _atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-    os.replace(tmp, path)
-    return path
+    return Path(path)
 
 
 def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
@@ -95,25 +104,42 @@ def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
     return _write_text_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
+def _write_hourly(path: Path, key_header: Sequence[str],
+                  blocks: Iterable[tuple[Sequence[str], np.ndarray]]) -> Path:
+    """Atomically write one hourly CSV: for each (key, matrix) block, one
+    line per day of the matrix, `key,day,h0..h23`.
+
+    Each line is one string, byte for byte what csv.writer writes for the
+    row with every value formatted by _fmt: the key is quoted by csv.writer
+    once per block, the day and the hours never need quoting, and repr of
+    each value of tolist() is repr(float(v)) of its numpy value v. Lines
+    are written as they are made: a list of them all holds ~2 MB of
+    strings at 60 households x 30 days.
+    """
+    with _atomic_open(path) as fh:
+        w = csv.writer(fh)
+        w.writerow([*key_header, "day", *_HOUR_COLS])
+        for key, mat in blocks:
+            prefix = ""
+            if key:
+                # csv.writer's own line, its "\r\n" (whose characters it quotes) cut off
+                buf = StringIO()
+                csv.writer(buf).writerow(key)
+                prefix = buf.getvalue()[:-2] + ","
+            fh.writelines(f"{prefix}{d},{','.join(map(repr, hours))}\r\n"
+                          for d, hours in enumerate(mat.tolist()))
+    return Path(path)
+
+
 def write_scenario(scenario: Scenario, out_dir: Path) -> list[Path]:
     """Write the five scenario CSVs; returns the written paths."""
     out_dir = Path(out_dir)
-    written = []
-    # each day's hours are formatted in one pass, as _fmt would: tolist gives Python
-    # floats, and repr(x) of each is repr(float(v)) of its numpy value v. A generator:
-    # a list of every row holds ~2 MB of strings at 60 households x 30 days
-    rows = ([hh.id, hh.region_id, str(d), *map(repr, hh.load[d].tolist())]
-            for hh in scenario.households for d in range(hh.n_days))
-    written.append(_write_text_rows(out_dir / LOADS_FILE,
-                                    ["household_id", "region_id", "day", *_HOUR_COLS], rows))
-
+    written = [_write_hourly(out_dir / LOADS_FILE, ["household_id", "region_id"],
+                             (([hh.id, hh.region_id], hh.load) for hh in scenario.households))]
     for name, mat in ((IRRADIANCE_FILE, scenario.irradiance.values),
                       (TARIFF_BUY_FILE, scenario.tariff.buy),
                       (TARIFF_SELL_FILE, scenario.tariff.sell)):
-        written.append(_write_text_rows(out_dir / name, ["day", *_HOUR_COLS],
-                                        ([str(d), *map(repr, mat[d].tolist())]
-                                         for d in range(mat.shape[0]))))
-
+        written.append(_write_hourly(out_dir / name, [], [([], mat)]))
     written.append(write_rows(out_dir / REGIONS_FILE, ["region_id", "lat", "lon"],
                               [[r.id, r.latitude, r.longitude] for r in scenario.regions]))
     return written
@@ -199,18 +225,12 @@ class LoadResult:
 
 
 def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
-    """Ingest a scenario directory, applying the standard meter filters.
+    """Parse a scenario directory and ingest it (see ingest).
 
-    Households with mean load below 0.1 kW are dropped with reason
-    "low consumption"; households with more than half of their readings
-    exactly zero are dropped with reason "zero readings". Retained
-    households get their net-zero size computed from the shared
-    irradiance. Raises ParseError on schema violations and
-    EmptyScenarioError when nothing survives the filters.
+    Raises ParseError on schema violations and EmptyScenarioError when
+    nothing survives the meter filters.
     """
     data_dir = Path(data_dir)
-    asset = asset or AssetSpec()
-
     irradiance = IrradianceSeries(_read_day_matrix(data_dir / IRRADIANCE_FILE))
     buy = _read_day_matrix(data_dir / TARIFF_BUY_FILE)
     sell = _read_day_matrix(data_dir / TARIFF_SELL_FILE)
@@ -248,13 +268,33 @@ def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
     if not by_household:
         raise ParseError(lpath, 2, "no data rows")
 
-    households = []
-    exclusions = []
-    for hid in sorted(by_household):  # deterministic merge order
+    loads = {}
+    for hid in sorted(by_household):
         rid, days = by_household[hid]
         if sorted(days) != list(range(n_days)):
             raise ParseError(lpath, 2, f"household {hid!r} is missing days (has {len(days)} of {n_days})")
-        load = np.array([days[d] for d in range(n_days)], dtype=float)
+        loads[hid] = (rid, np.array([days[d] for d in range(n_days)], dtype=float))
+    return ingest(loads, tariff, irradiance, regions, asset)
+
+
+def ingest(loads: Mapping[str, tuple[str, np.ndarray]], tariff: TariffSet,
+           irradiance: IrradianceSeries, regions: Iterable[Region],
+           asset: AssetSpec | None = None) -> LoadResult:
+    """The scenario of parsed or generated data, after the standard meter filters.
+
+    loads maps each household id to its region id and (days, 24) load
+    matrix. Households are taken in sorted-id order. Those with mean load
+    below 0.1 kW are dropped with reason "low consumption"; those with
+    more than half of their readings exactly zero are dropped with reason
+    "zero readings". Retained households get their net-zero size computed
+    from the shared irradiance. Raises EmptyScenarioError when nothing
+    survives the filters.
+    """
+    asset = asset or AssetSpec()
+    households = []
+    exclusions = []
+    for hid in sorted(loads):  # deterministic merge order
+        rid, load = loads[hid]
         if load.mean() < LOW_CONSUMPTION_MEAN_KW:
             exclusions.append(Exclusion(hid, "low consumption"))
             continue
@@ -267,8 +307,10 @@ def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
     if not households:
         raise EmptyScenarioError("all households were excluded at ingestion")
 
+    # coordinates as Python floats, as a parse gives them
+    regions = tuple(Region(r.id, float(r.latitude), float(r.longitude)) for r in regions)
     scenario = Scenario(households=tuple(households), tariff=tariff,
-                        irradiance=irradiance, asset=asset, regions=tuple(regions))
+                        irradiance=irradiance, asset=asset, regions=regions)
     return LoadResult(scenario=scenario, exclusions=tuple(exclusions))
 
 

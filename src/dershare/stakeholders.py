@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .adoption import AdoptionOrder, LongRunResult, LongRunSolver, long_run_adoption
 from .market import MarketEquilibrium
@@ -41,9 +41,12 @@ def autarky_assignment(order: AdoptionOrder, k: int) -> dict[str, float]:
 
 
 def utility_loss(purchases: Mapping[str, PurchasesCurve], order: AdoptionOrder,
-                 k_short: int, equilibrium: MarketEquilibrium) -> float:
-    """Billed sales without the market minus billed sales with it."""
-    before = billed_sales(purchases, autarky_assignment(order, k_short))
+                 k_short: int, equilibrium: MarketEquilibrium,
+                 before: float | None = None) -> float:
+    """Billed sales without the market minus billed sales with it. before,
+    when given, is the billed sales without the market at k_short."""
+    if before is None:
+        before = billed_sales(purchases, autarky_assignment(order, k_short))
     after = billed_sales(purchases, equilibrium.allocations)
     return before - after
 
@@ -77,10 +80,11 @@ class RegimePoint:
 
 
 def regime_point(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
-                 lr: LongRunResult) -> RegimePoint:
-    """The blocking threshold at the purchase price of one long-run result."""
+                 lr: LongRunResult, sales_before: float | None = None) -> RegimePoint:
+    """The blocking threshold at the purchase price of one long-run result
+    (sales_before: see utility_loss's before)."""
     gain = vendor_gain(lr.price, lr.d_short, lr.d_long)
-    loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium)
+    loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium, sales_before)
     if gain <= 0:
         threshold = None
     elif loss <= 0:
@@ -92,11 +96,25 @@ def regime_point(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
                        emerges_at_unit_ratio=market_emerges(gain, loss, 1.0), long_run=lr)
 
 
+def regime_points(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
+                  long_run: Iterable[LongRunResult]) -> list[RegimePoint]:
+    """regime_point of each long-run result. Prices that share k_short share
+    its no-market billed sales, which are summed once."""
+    before: dict[int, float] = {}
+    points = []
+    for lr in long_run:
+        if lr.k_short not in before:
+            before[lr.k_short] = billed_sales(purchases, autarky_assignment(order, lr.k_short))
+        points.append(regime_point(order, purchases, lr, before[lr.k_short]))
+    return points
+
+
 def regime_boundary(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
                     purchases: Mapping[str, PurchasesCurve],
                     p_grid: Sequence[float],
                     solver: LongRunSolver | None = None) -> list[RegimePoint]:
     """Trace the blocking-threshold curve over a purchase-price grid."""
     solver = solver or LongRunSolver(order, curves)
-    return [regime_point(order, purchases, long_run_adoption(order, curves, price, solver))
-            for price in map(float, p_grid)]
+    return regime_points(order, purchases,
+                         (long_run_adoption(order, curves, price, solver)
+                          for price in map(float, p_grid)))

@@ -45,6 +45,25 @@ def child_env() -> dict[str, str]:
     return env
 
 
+def assert_same_load(got, want) -> None:
+    """Two LoadResults hold the same households, arrays (bit for bit), sizes,
+    regions and exclusions, in the same order."""
+    a, b = got.scenario, want.scenario
+    assert [(h.id, h.region_id) for h in a.households] == \
+        [(h.id, h.region_id) for h in b.households]
+    for x, y in zip(a.households, b.households):
+        assert x.load.tobytes() == y.load.tobytes() and x.load.shape == y.load.shape
+        assert x.net_zero_size == y.net_zero_size
+    for x, y in ((a.tariff.buy, b.tariff.buy), (a.tariff.sell, b.tariff.sell),
+                 (a.irradiance.values, b.irradiance.values)):
+        assert x.tobytes() == y.tobytes() and x.shape == y.shape
+    assert [(r.id, r.latitude, r.longitude) for r in a.regions] == \
+        [(r.id, r.latitude, r.longitude) for r in b.regions]
+    assert all(type(v) is float for r in a.regions for v in (r.latitude, r.longitude))
+    assert a.asset == b.asset
+    assert got.exclusions == want.exclusions
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env
+from conftest import assert_same_load, child_env
 from dershare import __version__
 from dershare import cli
 from dershare.adoption import LongRunSolver, build_order, default_t_grid, long_run_adoption
 from dershare.cli import main
+from dershare.io import load_scenario, read_purchases_curves, read_savings_curves
 from dershare.synth import SynthConfig
 from oracles import random_curve_population, random_tied_curve_population
 
@@ -543,6 +544,80 @@ def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, mo
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+# One bad value for each source (flag, environment variable, config key) of every
+# setting in cli.SETTINGS, with the message it must draw.
+BAD_SETTINGS = {
+    "synth": {"key": (3, "config: field 'synth': expected a JSON object, got 3")},
+    "asset": {"key": ([1], "config: field 'asset': expected a JSON object, got [1]")},
+    "require_terminal_soc": {
+        "key": (1, "config: field 'require_terminal_soc': expected true or false, got 1")},
+    "seed": {"flag": ("1.5", "command line: field '--seed': expected a whole number, "
+                             "got '1.5'")},
+    "n_samples": {
+        "flag": ("x", "command line: field '--samples': expected a whole number, got 'x'"),
+        "key": (True, "config: field 'fit.n_samples': expected a whole number, got True")},
+    "days": {"flag": ("2.5", "command line: field '--days': expected a whole number, "
+                             "got '2.5'")},
+    "threads": {
+        "flag": ("two", "command line: field '--threads': expected a whole number, got 'two'"),
+        "env": ("1.5", "environment: field 'DERSHARE_THREADS': expected a whole number, "
+                       "got '1.5'")},
+    "t_grid": {
+        "flag": ("0.2,x", "command line: field '--t-grid': could not convert string to "
+                          "float: 'x'"),
+        "key": ([0.2, 2], "config: field 'sweep.t_grid': expected adoption rates in [0, 1], "
+                          "got [0.2, 2]")},
+    "equilibrium_at": {
+        "flag": ("0.1,,2", "command line: field '--equilibrium-at': expected adoption rates "
+                           "in [0, 1], got '0.1,,2'")},
+    "p_grid": {
+        "flag": ("0", "command line: field '--p-grid': expected finite prices > 0, got '0'"),
+        "key": ("-1,2", "config: field 'prices.p_grid': expected finite prices > 0, "
+                        "got '-1,2'")},
+    "price": {"flag": ("-3", "command line: field '--price': expected finite prices > 0, "
+                             "got [-3.0]")},
+    "flows_at": {"flag": ("1e9", "command line: field '--flows-at': expected adoption rates "
+                                 "in [0, 1], got '1e9'")},
+}
+
+
+def _sources(setting: cli.Setting) -> set[str]:
+    return {source for source in ("flag", "env", "key") if getattr(setting, source)}
+
+
+def test_bad_settings_cover_every_source_of_every_setting():
+    # a setting cannot be added to the table, or given a source, without a case here
+    assert {name: set(cases) for name, cases in BAD_SETTINGS.items()} == \
+        {name: _sources(setting) for name, setting in cli.SETTINGS.items()}
+
+
+def _bad_setting_case(name: str, source: str):
+    """(argv, env, config, expected) giving setting `name` its bad value through
+    `source`, on the first stage that takes its flag (gen-data if it has none)."""
+    setting = cli.SETTINGS[name]
+    value, expected = BAD_SETTINGS[name][source]
+    command = next((s.name for s in cli.STAGES if setting.flag in s.flags), "gen-data")
+    argv, env, config = [command], {}, {}
+    if source == "flag":
+        argv += [setting.flag, value]
+    elif source == "env":
+        env[setting.env] = value
+    else:
+        section, _, key = setting.key.rpartition(".")
+        config = {section: {key: value}} if section else {key: value}
+    return argv, env, config, expected
+
+
+@pytest.mark.parametrize("name, source", [(name, source) for name, cases in BAD_SETTINGS.items()
+                                          for source in cases],
+                         ids=lambda v: v)
+def test_each_bad_setting_exits_2_before_the_first_stage(finished_run, tmp_path, capsys,
+                                                        monkeypatch, name, source):
+    # the same checks as the hand-written cases: exit 2, the message, no file touched
+    test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
+                                              *_bad_setting_case(name, source))
+
+
 @pytest.mark.parametrize("edit, expected", [
     (lambda text: "{not json", ":1: invalid JSON: Expecting property name enclosed in double "
      "quotes (column 2)"),
@@ -667,7 +742,11 @@ def test_edited_curve_csv_exits_2_naming_file_and_line(finished_run, tmp_path, c
                         "nonincreasing (concavity)")
 
 
-def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkeypatch):
+COUNTED = ("load_scenario", "read_savings_curves", "read_purchases_curves")
+
+
+def _count_parses(monkeypatch) -> Counter:
+    """Calls of the CLI's three parsers and of LongRunSolver, counted by name."""
     calls = Counter()
 
     def counted(name, fn):
@@ -675,20 +754,30 @@ def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkey
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
-    monkeypatch.setattr(cli, "load_scenario", counted("load_scenario", cli.load_scenario))
-    monkeypatch.setattr(cli, "read_savings_curves",
-                        counted("read_savings_curves", cli.read_savings_curves))
+    for name in COUNTED:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     monkeypatch.setattr(LongRunSolver, "__init__",
                         counted("LongRunSolver", LongRunSolver.__init__))
+    return calls
+
+
+def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkeypatch):
+    calls = _count_parses(monkeypatch)
     flags = {"sweep": ["--equilibrium-at", "0.4"], "localness": ["--flows-at", "0.5"]}
     a, b = tmp_path / "a", tmp_path / "b"
 
+    # gen-data and fit hand what they wrote to the later stages: nothing is parsed back
     assert _run("all", "--config", config_path, "--out", a,
                 "--flows-at", "0.5", "--equilibrium-at", "0.4") == 0
-    assert calls == {"load_scenario": 1, "read_savings_curves": 1, "LongRunSolver": 1}
+    assert dict(calls) == {"LongRunSolver": 1}
+    assert [calls[name] for name in COUNTED] == [0, 0, 0]
 
+    calls.clear()
     for stage in STAGES:
         assert _run(stage, "--config", config_path, "--out", b, *flags.get(stage, [])) == 0
+    # one by one, each stage parses what it reads once: validate, fit and localness
+    # the scenario, the five analysis stages the savings curves, stakeholders the purchases
+    assert [calls[name] for name in COUNTED] == [3, 5, 1]
     csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
     assert len(csvs) == 16
     assert csvs == sorted(p.relative_to(b) for p in b.rglob("*.csv"))
@@ -705,6 +794,35 @@ def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkey
                 "--flows-at", "0.5", "--equilibrium-at", "0.4") == 0
     assert calls["load_scenario"] == 0 and calls["LongRunSolver"] == 0
     assert capsys.readouterr().out == "".join(f"{stage}: cached\n" for stage in STAGES)
+
+
+def test_all_after_a_cached_gen_data_parses_the_scenario_once(tmp_path, config_path, capsys,
+                                                             monkeypatch):
+    out = tmp_path / "run"
+    assert _run("gen-data", "--config", config_path, "--out", out) == 0
+    calls = _count_parses(monkeypatch)
+    capsys.readouterr()
+    # gen-data is a cache hit and leaves nothing behind: validate parses, fit reuses it
+    assert _run("all", "--config", config_path, "--out", out) == 0
+    assert capsys.readouterr().out.startswith("gen-data: cached\nvalidate: ")
+    assert [calls[name] for name in COUNTED] == [1, 0, 0]
+
+
+def test_stages_hand_over_what_reading_their_files_gives(tmp_path, config_path):
+    out = tmp_path / "run"
+    args = cli._build_parser().parse_args(["all", "--out", str(out), "--config", str(config_path)])
+    run = cli.Run(out, args, cli._load_config(args.config))
+    for stage in cli.STAGES[:3]:  # gen-data, validate, fit
+        cli.run_stage(run, stage)
+    assert_same_load(run.loaded, load_scenario(out / cli.DATA_SUBDIR, run.asset))
+    for held, read in ((run.curves, read_savings_curves(out / cli.SAVINGS_FILE)),
+                       (run.purchases, read_purchases_curves(out / cli.PURCHASES_FILE))):
+        assert list(held) == list(read) == sorted(read)
+        for hid, curve in read.items():
+            assert type(held[hid]) is type(curve)
+            for name in ("knots", "slopes", "values"):
+                if hasattr(curve, name):
+                    assert getattr(held[hid], name).tobytes() == getattr(curve, name).tobytes()
 
 
 def test_cli_surface_is_pinned():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import assert_same_load
 from dershare.curves import PurchasesCurve, SavingsCurve
 from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, TARIFF_BUY_FILE,
-                         TARIFF_SELL_FILE, Exclusion, ParseError, load_scenario,
+                         TARIFF_SELL_FILE, Exclusion, ParseError, ingest, load_scenario,
                          read_number_columns, read_purchases_curves, read_savings_curves,
                          write_exclusions, write_purchases_curves, write_rows,
                          write_savings_curves, write_scenario)
@@ -47,6 +50,50 @@ def test_scenario_files_match_per_cell_formatting(tmp_path, scenario):
                    [[d, *mat[d]] for d in range(mat.shape[0])])
     for name in (LOADS_FILE, IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE):
         assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes()
+
+
+def _ingest(scenario):
+    return ingest({hh.id: (hh.region_id, hh.load) for hh in scenario.households},
+                  scenario.tariff, scenario.irradiance, scenario.regions, scenario.asset)
+
+
+@pytest.mark.parametrize("config", [
+    SynthConfig(n_households=12, n_days=4, n_regions=3, rng_seed=19),
+    # low loads: the meter filter drops some households
+    SynthConfig(n_households=12, n_days=4, n_regions=3, rng_seed=23,
+                base_load_range=(0.02, 0.2)),
+], ids=["all-kept", "some-excluded"])
+def test_ingest_of_generated_scenario_equals_load_of_its_files(tmp_path, config):
+    scenario = generate_scenario(config)
+    write_scenario(scenario, tmp_path)
+    got, want = _ingest(scenario), load_scenario(tmp_path, scenario.asset)
+    assert_same_load(got, want)
+    assert bool(got.exclusions) == (config.base_load_range[0] < 0.1)
+
+
+def test_ingest_takes_households_in_sorted_id_order(scenario):
+    shuffled = replace(scenario, households=scenario.households[::-1])
+    assert_same_load(_ingest(shuffled), _ingest(scenario))
+    assert [h.id for h in _ingest(shuffled).scenario.households] == \
+        sorted(h.id for h in scenario.households)
+
+
+def test_ids_that_need_quoting_write_like_csv_writer_and_round_trip(tmp_path, scenario):
+    # a comma, a quote and a line break in ids: csv.writer quotes each field
+    names = {"R0": 'R,"0"', "R1": "R\n1"}
+    regions = tuple(replace(r, id=names[r.id]) for r in scenario.regions)
+    households = tuple(replace(hh, id=f'{hh.id},"x"' if k % 2 else hh.id,
+                               region_id=names[hh.region_id])
+                       for k, hh in enumerate(scenario.households))
+    quoted = replace(scenario, households=households, regions=regions)
+    write_scenario(quoted, tmp_path / "lines")
+    hours = [f"h{h}" for h in range(24)]
+    write_rows(tmp_path / "cells" / LOADS_FILE, ["household_id", "region_id", "day", *hours],
+               [[hh.id, hh.region_id, d, *hh.load[d]]
+                for hh in households for d in range(hh.n_days)])
+    assert (tmp_path / "lines" / LOADS_FILE).read_bytes() == \
+        (tmp_path / "cells" / LOADS_FILE).read_bytes()
+    assert_same_load(load_scenario(tmp_path / "lines", scenario.asset), _ingest(quoted))
 
 
 def _edit_household(tmp_path, scenario, hid, new_load):

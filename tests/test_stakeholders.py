@@ -7,7 +7,8 @@ from dershare.adoption import LongRunSolver, build_order, long_run_adoption
 from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
 from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
-                                   regime_boundary, regime_point, utility_loss, vendor_gain)
+                                   regime_boundary, regime_point, regime_points, utility_loss,
+                                   vendor_gain)
 
 
 def test_vendor_gain_arithmetic():
@@ -122,3 +123,23 @@ def test_profit_scaling_linearity():
         base = market_emerges(gain, loss, a_u)
         for scale in (0.1, 2.0, 7.5):
             assert market_emerges(scale * gain, scale * loss, a_u) == base
+
+
+def test_regime_points_equal_the_per_price_formula(medium_population):
+    """regime_points sums each k_short's no-market bills once; every row is
+    still bit for bit the per-price formula."""
+    order, curves = medium_population.order, medium_population.curves
+    purchases = medium_population.purchases
+    solver = LongRunSolver(order, curves)
+    # prices 0.1% apart around the median share their short-run adoption count
+    ps = np.concatenate([np.quantile(order.normalized, np.linspace(0.05, 0.95, 9)),
+                         np.median(order.normalized) * np.array([1.001, 1.002, 1.003])])
+    results = [long_run_adoption(order, curves, float(p), solver) for p in ps]
+    assert len({lr.k_short for lr in results}) < len(results)  # some k_short repeat
+    points = regime_points(order, purchases, results)
+    for pt, lr in zip(points, results):
+        loss = (billed_sales(purchases, autarky_assignment(order, lr.k_short))
+                - billed_sales(purchases, lr.equilibrium.allocations))
+        assert pt.utility_loss == loss == utility_loss(purchases, order, lr.k_short,
+                                                       lr.equilibrium)
+        assert pt == regime_point(order, purchases, lr)
