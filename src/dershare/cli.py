@@ -42,7 +42,7 @@ import os
 import sys
 import time
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -52,11 +52,11 @@ import numpy as np
 from . import __version__
 from .adoption import (DemandCurves, LongRunSolver, build_order, default_t_grid,
                        equivalent_subsidy, long_run_adoption, sweep_adoption)
-from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE,
-                 TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError, ingest, load_scenario,
-                 read_number_columns, read_purchases_curves, read_savings_curves,
-                 write_exclusions, write_purchases_curves, write_rows, write_savings_curves,
-                 write_scenario)
+from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, PURCHASES_FILE, REGIONS_FILE,
+                 SAVINGS_FILE, SWEEP_FILE, TABLES, TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError,
+                 ingest, load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
+                 read_text, write_exclusions, write_purchases_curves, write_rows,
+                 write_savings_curves, write_scenario)
 from .model import (DEFAULT_SAMPLES, AssetSpec, DomainError, FitError, LPError, Scenario,
                     SynthConfig, ValidationError, from_config, validate_scenario)
 from .stakeholders import regime_points
@@ -68,9 +68,6 @@ DATA_SUBDIR = "data"
 MANIFEST_FILE = "manifest.json"
 DATA_RELS = [f"{DATA_SUBDIR}/{name}" for name in
              (LOADS_FILE, IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE, REGIONS_FILE)]
-SAVINGS_FILE = "savings_curves.csv"
-PURCHASES_FILE = "purchases_curves.csv"
-SWEEP_FILE = "sweep.csv"
 SUMMARY_FILE = "equilibrium_summary.csv"
 
 
@@ -100,7 +97,7 @@ def _read_manifest(out_dir: Path) -> dict:
     path = out_dir / MANIFEST_FILE
     if not path.exists():
         return {"version": __version__, "stages": {}, "outputs": {}}
-    text = path.read_text()
+    text = read_text(path)
     try:
         manifest = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -189,13 +186,15 @@ _object = partial(_json, dict, "a JSON object")
 
 
 def _parse_grid(spec, default) -> np.ndarray:
-    """Grid spec: 'a:b:n' for linspace, a comma list, a JSON list, or None.
-    A grid has at least one point."""
+    """Grid spec: 'a:b:n' for linspace, a comma list, a JSON list or number,
+    or None. A grid has at least one point."""
     if spec is None:
         return default() if callable(default) else default
     text = str(spec)
     if isinstance(spec, (list, tuple)):
         grid = np.asarray(spec, dtype=float)
+    elif isinstance(spec, bool) or not isinstance(spec, (str, int, float)):
+        raise ValueError(f"expected 'a:b:n', a comma list or a list, got {spec!r}")
     elif ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -292,7 +291,7 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        cfg = json.loads(Path(path).read_text())
+        cfg = json.loads(read_text(path))
     except FileNotFoundError:
         raise ParseError(path, 0, "file not found") from None
     except json.JSONDecodeError as exc:
@@ -438,8 +437,7 @@ class Run:
 
     @cached_property
     def sweep_table(self) -> DemandCurves:
-        return DemandCurves(**read_number_columns(self.out / SWEEP_FILE, SWEEP_HEADER,
-                                                  int_columns=("owners",)))
+        return DemandCurves(**read_sweep(self.out / SWEEP_FILE))
 
     @cached_property
     def p_grid(self) -> np.ndarray:
@@ -455,8 +453,6 @@ class Run:
 
 
 # ---------------------------------------------------------------- stage bodies
-
-SWEEP_HEADER = [f.name for f in fields(DemandCurves)]
 
 EQUILIBRIUM_SUMMARY_HEADER = ["t", "clearing_price", "volume", "owner_participation",
                               "non_owner_participation", "total_participation",
@@ -485,7 +481,6 @@ def _gen_data(run: Run) -> None:
 
 def _validate(run: Run) -> None:
     result = run.loaded
-    validate_scenario(result.scenario)
     write_exclusions(run.out / EXCLUSIONS_FILE, result.exclusions)
     print(f"validate: {len(result.scenario.households)} households retained, "
           f"{len(result.exclusions)} excluded")
@@ -507,8 +502,9 @@ def _fit(run: Run) -> None:
 
 def _sweep(run: Run) -> None:
     table = sweep_adoption(run.order, run.curves, run.t_grid, run.solver)
-    write_rows(run.out / SWEEP_FILE, SWEEP_HEADER,
-               zip(*(getattr(table, name) for name in SWEEP_HEADER)))
+    header = list(TABLES[SWEEP_FILE].columns)
+    write_rows(run.out / SWEEP_FILE, header, zip(*(getattr(table, name) for name in header)))
+    run.sweep_table = table  # what read_sweep would return: repr round-trips every value
     if not run.equilibrium_at:
         return
     summaries = []

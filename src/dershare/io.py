@@ -1,23 +1,11 @@
-"""CSV serialization for scenarios, exclusions, and fitted curves.
+"""CSV serialization for scenarios, exclusions, fitted curves and the sweep.
 
-File schemas (all CSV with a header row, floats written with repr so a
-read-back reproduces the exact same values; a reader refuses nan and inf
-everywhere but in read_number_columns):
-
-  loads.csv        household_id, region_id, day, h0..h23   (kWh)
-  irradiance.csv   day, h0..h23                            (kWh per kW)
-  tariff_buy.csv   day, h0..h23                            ($/kWh)
-  tariff_sell.csv  day, h0..h23                            ($/kWh)
-  regions.csv      region_id, lat, lon
-  exclusions.csv   household_id, reason
-  savings_curves.csv    household_id, knot_index, y, f, slope
-                        (slope of the segment starting at the knot;
-                         empty on the last knot; f must agree with the
-                         knots and slopes to 1e-9 relative)
-  purchases_curves.csv  household_id, knot_index, y, purchases
-
-Files are written atomically (temp file + rename) so a crashed run never
-leaves a truncated CSV behind.
+Every CSV a stage reads is declared once in TABLES: its header, each
+column's kind and its row rule. The writers take their headers from it,
+and read_table reads every one of them. Floats are written with repr, so
+a read-back reproduces the exact same values. Files are written
+atomically (temp file + rename) so a crashed run never leaves a
+truncated CSV behind.
 """
 
 from __future__ import annotations
@@ -28,24 +16,15 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
+from operator import le
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import (
-    HOURS,
-    AssetSpec,
-    EmptyScenarioError,
-    HouseholdRecord,
-    IrradianceSeries,
-    PurchasesCurve,
-    Region,
-    SavingsCurve,
-    Scenario,
-    TariffSet,
-    compute_net_zero_size,
-)
+from .model import (HOURS, AssetSpec, EmptyScenarioError, HouseholdRecord, IrradianceSeries,
+                    PurchasesCurve, Region, SavingsCurve, Scenario, TariffSet,
+                    compute_net_zero_size, validate_scenario)
 
 LOW_CONSUMPTION_MEAN_KW = 0.1
 ZERO_READING_FRACTION = 0.5
@@ -56,8 +35,9 @@ TARIFF_BUY_FILE = "tariff_buy.csv"
 TARIFF_SELL_FILE = "tariff_sell.csv"
 REGIONS_FILE = "regions.csv"
 EXCLUSIONS_FILE = "exclusions.csv"
-
-_HOUR_COLS = [f"h{h}" for h in range(HOURS)]
+SAVINGS_FILE = "savings_curves.csv"
+PURCHASES_FILE = "purchases_curves.csv"
+SWEEP_FILE = "sweep.csv"
 
 
 class ParseError(ValueError):
@@ -67,6 +47,54 @@ class ParseError(ValueError):
         self.path = str(path)
         self.line = line
         super().__init__(f"{path}:{line}: {message}")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A number column's values: finite, in [lo, hi], whole if whole; NaN (or empty) if nan."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    whole: bool = False
+    nan: bool = False
+
+
+ID = None  # a text column, kept as written
+FINITE, NONNEGATIVE, WHOLE, RATE, MAYBE_NAN = (
+    Kind(), Kind(0.0), Kind(0.0, whole=True), Kind(0.0, 1.0), Kind(nan=True))
+
+
+@dataclass(frozen=True)
+class Table:
+    """A CSV a stage reads: its header with each column's kind (ID columns
+    first, the group column first of all), and its row rule. With an index,
+    it runs 0..n-1 once in every group (the whole file if no group), one n
+    for all, and a group's rows agree on their IDs; else a group is a key.
+    """
+
+    columns: dict[str, Kind | None]
+    group: str | None = None
+    index: str | None = None
+
+
+_HOURLY = {f"h{h}": NONNEGATIVE for h in range(HOURS)}
+_DAYS = Table({"day": WHOLE, **_HOURLY}, index="day")  # irradiance kWh per kW, tariffs $/kWh
+_KNOTS = {"household_id": ID, "knot_index": WHOLE, "y": FINITE}
+TABLES = {
+    LOADS_FILE: Table({"household_id": ID, "region_id": ID, "day": WHOLE, **_HOURLY},
+                      "household_id", "day"),  # kWh
+    **dict.fromkeys([IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE], _DAYS),
+    REGIONS_FILE: Table({"region_id": ID, "lat": FINITE, "lon": FINITE}, "region_id"),
+    # slope: of the segment starting at the knot, empty on the last knot
+    SAVINGS_FILE: Table({**_KNOTS, "f": FINITE, "slope": MAYBE_NAN}, "household_id", "knot_index"),
+    PURCHASES_FILE: Table({**_KNOTS, "purchases": FINITE}, "household_id", "knot_index"),
+    # NaN where no owner sets a short-run price and where no market clears
+    SWEEP_FILE: Table({"t": RATE, "owners": WHOLE, "adopted_quantity": FINITE,
+                       "short_run_price": MAYBE_NAN, "clearing_price": MAYBE_NAN,
+                       **dict.fromkeys("volume fraction_rented_out owner_participation "
+                                       "non_owner_participation total_participation owner_surplus "
+                                       "renter_surplus total_surplus".split(), FINITE)}),
+}
 
 
 @dataclass(frozen=True)
@@ -90,21 +118,16 @@ def _atomic_open(path: Path):
     os.replace(tmp, path)
 
 
-def _write_text_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Path:
-    """Atomically write one CSV file of rows already formatted as text."""
+def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Atomically write one CSV file."""
     with _atomic_open(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([_fmt(v) for v in row] for row in rows)
     return Path(path)
 
 
-def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Atomically write one CSV file."""
-    return _write_text_rows(path, header, ([_fmt(v) for v in row] for row in rows))
-
-
-def _write_hourly(path: Path, key_header: Sequence[str],
+def _write_hourly(path: Path, header: Sequence[str],
                   blocks: Iterable[tuple[Sequence[str], np.ndarray]]) -> Path:
     """Atomically write one hourly CSV: for each (key, matrix) block, one
     line per day of the matrix, `key,day,h0..h23`.
@@ -117,8 +140,7 @@ def _write_hourly(path: Path, key_header: Sequence[str],
     strings at 60 households x 30 days.
     """
     with _atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow([*key_header, "day", *_HOUR_COLS])
+        csv.writer(fh).writerow(header)
         for key, mat in blocks:
             prefix = ""
             if key:
@@ -134,13 +156,13 @@ def _write_hourly(path: Path, key_header: Sequence[str],
 def write_scenario(scenario: Scenario, out_dir: Path) -> list[Path]:
     """Write the five scenario CSVs; returns the written paths."""
     out_dir = Path(out_dir)
-    written = [_write_hourly(out_dir / LOADS_FILE, ["household_id", "region_id"],
-                             (([hh.id, hh.region_id], hh.load) for hh in scenario.households))]
-    for name, mat in ((IRRADIANCE_FILE, scenario.irradiance.values),
-                      (TARIFF_BUY_FILE, scenario.tariff.buy),
-                      (TARIFF_SELL_FILE, scenario.tariff.sell)):
-        written.append(_write_hourly(out_dir / name, [], [([], mat)]))
-    written.append(write_rows(out_dir / REGIONS_FILE, ["region_id", "lat", "lon"],
+    hourly = {LOADS_FILE: (([hh.id, hh.region_id], hh.load) for hh in scenario.households),
+              IRRADIANCE_FILE: [([], scenario.irradiance.values)],
+              TARIFF_BUY_FILE: [([], scenario.tariff.buy)],
+              TARIFF_SELL_FILE: [([], scenario.tariff.sell)]}
+    written = [_write_hourly(out_dir / name, list(TABLES[name].columns), blocks)
+               for name, blocks in hourly.items()]
+    written.append(write_rows(out_dir / REGIONS_FILE, list(TABLES[REGIONS_FILE].columns),
                               [[r.id, r.latitude, r.longitude] for r in scenario.regions]))
     return written
 
@@ -150,72 +172,107 @@ def write_exclusions(path: Path, exclusions: Sequence[Exclusion]) -> Path:
                       [[e.household_id, e.reason] for e in exclusions])
 
 
-def _read_csv(path: Path, expected_header: Sequence[str]):
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(path, 0, "file not found")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _decode_lines(path, fh) -> Iterator[str]:
+    """The lines of the binary file fh, decoded as UTF-8; a line that is not
+    UTF-8 is a ParseError at that line of path."""
+    for line, raw in enumerate(fh, start=1):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "empty file") from None
-        if header != list(expected_header):
-            raise ParseError(path, 1, f"expected header {list(expected_header)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(path, lineno, f"expected {len(expected_header)} fields, got {len(row)}")
-            yield lineno, row
+            yield raw.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, line, f"not UTF-8 at byte {exc.start + 1}") from None
 
 
-def _parse_float(path, lineno, name, raw, finite: bool = True) -> float:
+def read_text(path) -> str:
+    """A UTF-8 text file, decoded as the CSVs are."""
+    with open(path, "rb") as fh:
+        return "".join(_decode_lines(path, fh))
+
+
+def _number(path, line: int, name: str, kind: Kind, raw: str) -> float:
+    """One field of a number column; a value its kind refuses is a ParseError."""
     try:
-        value = float(raw)
+        value = math.nan if kind.nan and raw == "" else float(raw)
     except ValueError:
-        raise ParseError(path, lineno, f"field '{name}': not a number: {raw!r}") from None
-    if finite and not math.isfinite(value):
-        raise ParseError(path, lineno, f"field '{name}': not a finite number: {raw!r}")
+        raise ParseError(path, line, f"field '{name}': not a number: {raw!r}") from None
+    if not (math.isfinite(value) or kind.nan and math.isnan(value)):
+        raise ParseError(path, line, f"field '{name}': not a finite number: {raw!r}")
+    if not (kind.lo <= value <= kind.hi or math.isnan(value)):
+        raise ParseError(path, line, f"field '{name}': not in [{kind.lo:g}, {kind.hi:g}]: {raw!r}")
+    if kind.whole and not value.is_integer():
+        raise ParseError(path, line, f"field '{name}': not a whole number: {raw!r}")
     return value
 
 
-def _parse_hours(path, lineno, raws: Sequence[str]) -> list[float]:
-    """The fields h0..h23 as finite floats, parsed in one pass; a bad field
-    is named by _parse_float, as if each were parsed on its own."""
-    try:
-        values = list(map(float, raws))
-    except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        for name, raw in zip(_HOUR_COLS, raws):
-            _parse_float(path, lineno, name, raw)
-    return values
+def read_table(path: Path, table: Table, n: int | None = None) -> dict:
+    """The CSV at path, decoded line by line: for each group (None without
+    a group column), in the order first seen, its first row's ID fields,
+    and its rows in index order (else file order) as their lines and a
+    float matrix of their number fields but the index; n, if given, is the
+    index's count. A breach of table is a ParseError at its line, naming
+    a row's first bad field in column order."""
+    path, header = Path(path), list(table.columns)
+    kinds = [kind for kind in table.columns.values() if kind is not ID]
+    ids = len(header) - len(kinds)
+    at = header.index(table.index) - ids if table.index else None
+    lo, hi = [kind.lo for kind in kinds], [kind.hi for kind in kinds]
+    whole = [i for i, kind in enumerate(kinds) if kind.whole]
 
-
-def read_number_columns(path: Path, header: Sequence[str],
-                        int_columns: Sequence[str] = ()) -> dict[str, np.ndarray]:
-    """A CSV of numbers (nan and inf allowed) with this header, one array per column."""
-    rows = [[_parse_float(path, lineno, name, raw, finite=False) for name, raw in zip(header, row)]
-            for lineno, row in _read_csv(path, header)]
-    columns = np.array(rows, dtype=float).reshape(len(rows), len(header)).T
-    return {name: col.astype(int) if name in int_columns else col
-            for name, col in zip(header, columns)}
-
-
-def _read_day_matrix(path: Path) -> np.ndarray:
-    rows = {}
-    for lineno, row in _read_csv(path, ["day", *_HOUR_COLS]):
-        day = int(_parse_float(path, lineno, "day", row[0]))
-        if day in rows:
-            raise ParseError(path, lineno, f"duplicate day {day}")
-        rows[day] = _parse_hours(path, lineno, row[1:])
-    if not rows:
-        raise ParseError(path, 2, "no data rows")
-    days = sorted(rows)
-    if days != list(range(len(days))):
-        raise ParseError(path, 2, f"days must be 0..{len(days) - 1} with no gaps")
-    return np.array([rows[d] for d in days], dtype=float)
+    def refuse(line: int, message: str, gid=None):
+        if gid is not None and table.index:
+            message = f"{table.group.removesuffix('_id')} {gid!r}: {message}"
+        raise ParseError(path, line, message)
+    if not path.exists():
+        refuse(0, "file not found")
+    groups: dict = {}
+    with open(path, "rb") as fh:
+        reader = csv.reader(_decode_lines(path, fh))
+        try:
+            got = next(reader, None)
+            if got != header:
+                refuse(1, "empty file" if got is None else f"expected header {header}, got {got}")
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != len(header):
+                    refuse(line, f"expected {len(header)} fields, got {len(row)}")
+                try:
+                    vals = list(map(float, row[ids:]))
+                except ValueError:
+                    vals = None
+                if vals is None or not (all(map(math.isfinite, vals)) and all(map(le, lo, vals))
+                                        and all(map(le, vals, hi))
+                                        and all(vals[i].is_integer() for i in whole)):
+                    vals = [_number(path, line, name, kind, raw)
+                            for name, kind, raw in zip(header[ids:], kinds, row[ids:])]
+                gid = row[0] if table.group else None
+                first, rows = groups.setdefault(gid, (row[:ids], {}))
+                k = int(vals.pop(at)) if table.index else 0 if table.group else len(rows)
+                if k in rows:
+                    refuse(line, f"duplicate {table.index} {k}" if table.index
+                           else f"duplicate {table.group} {gid!r}", gid)
+                if row[:ids] != first:
+                    refuse(line, f"conflicting {', '.join(header[1:ids])}: {row[1:ids]}, "
+                           f"first {first[1:]}", gid)
+                rows[k] = (line, vals)
+        except csv.Error as exc:
+            refuse(reader.line_num, f"not CSV: {exc}")
+    if not groups:
+        refuse(1, f"no {table.group.removesuffix('_id')}s" if table.group else "no data rows")
+    count = n if n is not None else max(len(rows) for _, rows in groups.values())
+    out = {}
+    for gid in list(groups):
+        first, rows = groups.pop(gid)  # freed as it is converted: the file's peak memory
+        if table.index:
+            for k, (line, _) in rows.items():
+                if k >= count:
+                    refuse(line, f"{table.index} {k} outside 0..{count - 1}", gid)
+            if len(rows) < count:
+                refuse(min(line for line, _ in rows.values()),
+                       f"missing {table.index} {min(set(range(count)) - rows.keys())}", gid)
+        rows = [rows[k] for k in range(len(rows))]
+        out[gid] = (first, [line for line, _ in rows], np.array([vals for _, vals in rows]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -225,62 +282,33 @@ class LoadResult:
 
 
 def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
-    """Parse a scenario directory and ingest it (see ingest).
-
-    Raises ParseError on schema violations and EmptyScenarioError when
-    nothing survives the meter filters.
+    """Parse a scenario directory and ingest it (see ingest). The tariffs
+    and loads span the irradiance's days, and each household's region is
+    in regions.csv; a breach of these or of a file's table is a ParseError.
     """
     data_dir = Path(data_dir)
-    irradiance = IrradianceSeries(_read_day_matrix(data_dir / IRRADIANCE_FILE))
-    buy = _read_day_matrix(data_dir / TARIFF_BUY_FILE)
-    sell = _read_day_matrix(data_dir / TARIFF_SELL_FILE)
-    tariff = TariffSet(buy, sell)
 
-    regions = []
-    seen_regions = set()
-    rpath = data_dir / REGIONS_FILE
-    for lineno, row in _read_csv(rpath, ["region_id", "lat", "lon"]):
-        rid = row[0]
-        if rid in seen_regions:
-            raise ParseError(rpath, lineno, f"duplicate region_id {rid!r}")
-        seen_regions.add(rid)
-        regions.append(Region(rid, _parse_float(rpath, lineno, "lat", row[1]),
-                              _parse_float(rpath, lineno, "lon", row[2])))
-
-    lpath = data_dir / LOADS_FILE
-    n_days = tariff.n_days
-    by_household: dict[str, tuple[str, dict[int, list[float]]]] = {}
-    for lineno, row in _read_csv(lpath, ["household_id", "region_id", "day", *_HOUR_COLS]):
-        hid, rid = row[0], row[1]
-        day = int(_parse_float(lpath, lineno, "day", row[2]))
-        if not (0 <= day < n_days):
-            raise ParseError(lpath, lineno, f"day {day} outside 0..{n_days - 1}")
-        vals = _parse_hours(lpath, lineno, row[3:])
-        if min(vals) < 0:
-            raise ParseError(lpath, lineno, f"negative load for household {hid!r}")
-        prev_rid, days = by_household.setdefault(hid, (rid, {}))
-        if prev_rid != rid:
-            raise ParseError(lpath, lineno, f"household {hid!r} has conflicting region ids")
-        if day in days:
-            raise ParseError(lpath, lineno, f"duplicate day {day} for household {hid!r}")
-        days[day] = vals
-
-    if not by_household:
-        raise ParseError(lpath, 2, "no data rows")
-
+    def read(name: str, n: int | None = None) -> dict:
+        return read_table(data_dir / name, TABLES[name], n)
+    irradiance = read(IRRADIANCE_FILE)[None][2]
+    n_days = len(irradiance)
+    tariff = TariffSet(read(TARIFF_BUY_FILE, n_days)[None][2],
+                       read(TARIFF_SELL_FILE, n_days)[None][2])
+    regions = [Region(rid, float(lat), float(lon))
+               for rid, (_, _, [[lat, lon]]) in read(REGIONS_FILE).items()]
     loads = {}
-    for hid in sorted(by_household):
-        rid, days = by_household[hid]
-        if sorted(days) != list(range(n_days)):
-            raise ParseError(lpath, 2, f"household {hid!r} is missing days (has {len(days)} of {n_days})")
-        loads[hid] = (rid, np.array([days[d] for d in range(n_days)], dtype=float))
-    return ingest(loads, tariff, irradiance, regions, asset)
+    for hid, ((_, rid), lines, load) in read(LOADS_FILE, n_days).items():
+        if not any(r.id == rid for r in regions):
+            raise ParseError(data_dir / LOADS_FILE, lines[0],
+                             f"household {hid!r}: region_id {rid!r} not in {REGIONS_FILE}")
+        loads[hid] = (rid, load)
+    return ingest(loads, tariff, IrradianceSeries(irradiance), regions, asset)
 
 
 def ingest(loads: Mapping[str, tuple[str, np.ndarray]], tariff: TariffSet,
            irradiance: IrradianceSeries, regions: Iterable[Region],
            asset: AssetSpec | None = None) -> LoadResult:
-    """The scenario of parsed or generated data, after the standard meter filters.
+    """The scenario of parsed or generated data after the meter filters, validated.
 
     loads maps each household id to its region id and (days, 24) load
     matrix. Households are taken in sorted-id order. Those with mean load
@@ -311,6 +339,7 @@ def ingest(loads: Mapping[str, tuple[str, np.ndarray]], tariff: TariffSet,
     regions = tuple(Region(r.id, float(r.latitude), float(r.longitude)) for r in regions)
     scenario = Scenario(households=tuple(households), tariff=tariff,
                         irradiance=irradiance, asset=asset, regions=regions)
+    validate_scenario(scenario)
     return LoadResult(scenario=scenario, exclusions=tuple(exclusions))
 
 
@@ -320,28 +349,7 @@ def write_savings_curves(path: Path, curves: Iterable[SavingsCurve]) -> Path:
         for k in range(len(c.knots)):
             slope = repr(float(c.slopes[k])) if k < len(c.slopes) else ""
             rows.append([c.household_id, k, c.knots[k], c.values[k], slope])
-    return write_rows(path, ["household_id", "knot_index", "y", "f", "slope"], rows)
-
-
-def _curve_rows(path: Path, header: Sequence[str], parse) -> dict[str, list[tuple[int, tuple]]]:
-    """Each household's (line, parse(line, row)) pairs in knot order; its
-    knot indices must run 0..n-1, each exactly once."""
-    per_hh: dict[str, dict[int, tuple[int, tuple]]] = {}
-    for lineno, row in _read_csv(path, header):
-        k = int(_parse_float(path, lineno, "knot_index", row[1]))
-        knots = per_hh.setdefault(row[0], {})
-        if k in knots:
-            raise ParseError(path, lineno, f"household {row[0]!r}: duplicate knot_index {k}")
-        knots[k] = (lineno, parse(lineno, row))
-    if not per_hh:
-        raise ParseError(path, 1, "no households")
-    for hid, knots in per_hh.items():
-        # n distinct indices miss one of 0..n-1 only if one lies outside it
-        misplaced = next((k for k in knots if not 0 <= k < len(knots)), None)
-        if misplaced is not None:
-            raise ParseError(path, knots[misplaced][0], f"household {hid!r}: knot_index "
-                             f"{misplaced} outside 0..{len(knots) - 1}")
-    return {hid: [knots[k] for k in range(len(knots))] for hid, knots in sorted(per_hh.items())}
+    return write_rows(path, list(TABLES[SAVINGS_FILE].columns), rows)
 
 
 def _curve(path: Path, line: int, cls, hid: str, *arrays):
@@ -354,22 +362,15 @@ def _curve(path: Path, line: int, cls, hid: str, *arrays):
 
 
 def read_savings_curves(path: Path) -> dict[str, SavingsCurve]:
-    # the last knot has no slope, so slopes are parsed once the knots are known
-    per_hh = _curve_rows(path, ["household_id", "knot_index", "y", "f", "slope"],
-                         lambda lineno, row: (_parse_float(path, lineno, "y", row[2]),
-                                              _parse_float(path, lineno, "f", row[3]), row[4]))
     out = {}
-    for hid, rows in per_hh.items():
-        ys = np.array([y for _, (y, _, _) in rows])
-        slopes = np.array([_parse_float(path, lineno, "slope", raw)
-                           for lineno, (_, _, raw) in rows[:-1]])
-        curve = _curve(path, rows[0][0], SavingsCurve, hid, ys, slopes)
+    for hid, (_, lines, rows) in sorted(read_table(path, TABLES[SAVINGS_FILE]).items()):
+        ys, fs, slopes = rows.T
+        curve = _curve(path, lines[0], SavingsCurve, hid, ys, slopes[:-1])
         # f is derived from the knots and slopes, so an edited f must not pass silently
-        fs = [f for _, (_, f, _) in rows]
         off = np.abs(fs - curve.values) > 1e-9 * np.maximum(np.abs(curve.values), 1.0)
         if off.any():
             k = int(np.argmax(off))
-            raise ParseError(path, rows[k][0], f"household {hid!r}: f {fs[k]!r} at knot {k} "
+            raise ParseError(path, lines[k], f"household {hid!r}: f {float(fs[k])!r} at knot {k} "
                              f"differs from {float(curve.values[k])!r}, the value its knots "
                              "and slopes give")
         out[hid] = curve
@@ -381,16 +382,17 @@ def write_purchases_curves(path: Path, curves: Iterable[PurchasesCurve]) -> Path
     for c in sorted(curves, key=lambda c: c.household_id):
         for k in range(len(c.knots)):
             rows.append([c.household_id, k, c.knots[k], c.values[k]])
-    return write_rows(path, ["household_id", "knot_index", "y", "purchases"], rows)
+    return write_rows(path, list(TABLES[PURCHASES_FILE].columns), rows)
 
 
 def read_purchases_curves(path: Path) -> dict[str, PurchasesCurve]:
-    per_hh = _curve_rows(path, ["household_id", "knot_index", "y", "purchases"],
-                         lambda lineno, row: (_parse_float(path, lineno, "y", row[2]),
-                                              _parse_float(path, lineno, "purchases", row[3])))
-    out = {}
-    for hid, rows in per_hh.items():
-        ys = np.array([y for _, (y, _) in rows])
-        purchases = np.array([p for _, (_, p) in rows])
-        out[hid] = _curve(path, rows[0][0], PurchasesCurve, hid, ys, purchases)
-    return out
+    return {hid: _curve(path, lines[0], PurchasesCurve, hid, *rows.T)
+            for hid, (_, lines, rows) in sorted(read_table(path, TABLES[PURCHASES_FILE]).items())}
+
+
+def read_sweep(path: Path) -> dict[str, np.ndarray]:
+    """sweep.csv's columns by name, a whole-number column as integers."""
+    table = TABLES[SWEEP_FILE]
+    [(_, _, rows)] = read_table(path, table).values()
+    return {name: col.astype(int) if kind.whole else col
+            for (name, kind), col in zip(table.columns.items(), rows.T)}

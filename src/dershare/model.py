@@ -397,6 +397,8 @@ class SavingsCurve:
         slopes = np.ascontiguousarray(self.slopes, dtype=float)
         if slopes.shape != (knots.size - 1,):
             raise ValueError(f"expected {knots.size - 1} slopes, got {slopes.shape}")
+        if not np.all(np.isfinite(slopes)):
+            raise ValueError("slopes must be finite")
         if np.any(np.diff(slopes) > 0):
             raise ValueError("slopes must be nonincreasing (concavity)")
         if slopes[-1] < 0:

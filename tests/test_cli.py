@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 
 from conftest import assert_same_load, child_env
 from dershare import __version__
-from dershare import cli
+from dershare import cli, io
 from dershare.adoption import LongRunSolver, build_order, default_t_grid, long_run_adoption
 from dershare.cli import main
-from dershare.io import load_scenario, read_purchases_curves, read_savings_curves
+from dershare.io import load_scenario, read_purchases_curves, read_savings_curves, read_sweep
+from dershare.model import ValidationError
 from dershare.synth import SynthConfig
 from oracles import random_curve_population, random_tied_curve_population
 
@@ -656,6 +658,51 @@ def test_corrupt_manifest_exits_2_naming_file_and_line(finished_run, tmp_path, c
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("sweep.t_grid", {"a": 1}, "expected 'a:b:n', a comma list or a list, got {'a': 1}"),
+    ("prices.p_grid", True, "expected 'a:b:n', a comma list or a list, got True"),
+    ("sweep.t_grid", False, "expected 'a:b:n', a comma list or a list, got False"),
+    ("prices.p_grid", {}, "expected 'a:b:n', a comma list or a list, got {}"),
+    # a bare JSON number stays a one-point grid
+    ("sweep.t_grid", 0.5, [0.5]),
+    ("prices.p_grid", 2, [2.0]),
+], ids=["t-grid-object", "p-grid-true", "t-grid-false", "p-grid-empty-object", "t-grid-number",
+        "p-grid-number"])
+def test_grid_of_a_wrong_json_type_is_named_as_given(tmp_path, key, value, expected):
+    section, _, name = key.partition(".")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({section: {name: value}}))
+    if isinstance(expected, list):
+        assert cli._load_config(path)[cli._BY_KEY[key]].tolist() == expected
+        return
+    with pytest.raises(ValidationError) as exc:
+        cli._load_config(path)
+    assert str(exc.value) == f"config: field '{key}': {expected}"
+
+
+def test_config_that_is_not_utf8_exits_2_naming_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{\n  "synth": {"n_households": 10},\n  "s\xffnth": {}\n}\n')
+    code = _run("gen-data", "--config", bad, "--out", tmp_path / "run")
+    _assert_input_error(capsys, code, f"{bad}:3: not UTF-8 at byte 5")
+
+
+def test_manifest_that_is_not_utf8_exits_2_naming_file_and_line(finished_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TINY))
+    manifest = out / "manifest.json"
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    manifest.write_bytes(b"".join(lines))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    code = _run("longrun", "--config", path, "--out", out, "--p-grid", "0.1:0.9:3")
+    _assert_input_error(capsys, code, f"{manifest}:3: not UTF-8 at byte 1")
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_curve_file_without_households_exits_2(finished_run, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)
@@ -742,11 +789,11 @@ def test_edited_curve_csv_exits_2_naming_file_and_line(finished_run, tmp_path, c
                         "nonincreasing (concavity)")
 
 
-COUNTED = ("load_scenario", "read_savings_curves", "read_purchases_curves")
+COUNTED = ("load_scenario", "read_savings_curves", "read_purchases_curves", "read_sweep")
 
 
 def _count_parses(monkeypatch) -> Counter:
-    """Calls of the CLI's three parsers and of LongRunSolver, counted by name."""
+    """Calls of the CLI's four parsers and of LongRunSolver, counted by name."""
     calls = Counter()
 
     def counted(name, fn):
@@ -766,18 +813,19 @@ def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkey
     flags = {"sweep": ["--equilibrium-at", "0.4"], "localness": ["--flows-at", "0.5"]}
     a, b = tmp_path / "a", tmp_path / "b"
 
-    # gen-data and fit hand what they wrote to the later stages: nothing is parsed back
+    # gen-data, fit and sweep hand what they wrote to the later stages: nothing is parsed back
     assert _run("all", "--config", config_path, "--out", a,
                 "--flows-at", "0.5", "--equilibrium-at", "0.4") == 0
     assert dict(calls) == {"LongRunSolver": 1}
-    assert [calls[name] for name in COUNTED] == [0, 0, 0]
+    assert [calls[name] for name in COUNTED] == [0, 0, 0, 0]
 
     calls.clear()
     for stage in STAGES:
         assert _run(stage, "--config", config_path, "--out", b, *flags.get(stage, [])) == 0
     # one by one, each stage parses what it reads once: validate, fit and localness
-    # the scenario, the five analysis stages the savings curves, stakeholders the purchases
-    assert [calls[name] for name in COUNTED] == [3, 5, 1]
+    # the scenario, the five analysis stages the savings curves, stakeholders the purchases,
+    # subsidy and localness the sweep
+    assert [calls[name] for name in COUNTED] == [3, 5, 1, 2]
     csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
     assert len(csvs) == 16
     assert csvs == sorted(p.relative_to(b) for p in b.rglob("*.csv"))
@@ -805,14 +853,14 @@ def test_all_after_a_cached_gen_data_parses_the_scenario_once(tmp_path, config_p
     # gen-data is a cache hit and leaves nothing behind: validate parses, fit reuses it
     assert _run("all", "--config", config_path, "--out", out) == 0
     assert capsys.readouterr().out.startswith("gen-data: cached\nvalidate: ")
-    assert [calls[name] for name in COUNTED] == [1, 0, 0]
+    assert [calls[name] for name in COUNTED] == [1, 0, 0, 0]
 
 
 def test_stages_hand_over_what_reading_their_files_gives(tmp_path, config_path):
     out = tmp_path / "run"
     args = cli._build_parser().parse_args(["all", "--out", str(out), "--config", str(config_path)])
     run = cli.Run(out, args, cli._load_config(args.config))
-    for stage in cli.STAGES[:3]:  # gen-data, validate, fit
+    for stage in cli.STAGES[:4]:  # gen-data, validate, fit, sweep
         cli.run_stage(run, stage)
     assert_same_load(run.loaded, load_scenario(out / cli.DATA_SUBDIR, run.asset))
     for held, read in ((run.curves, read_savings_curves(out / cli.SAVINGS_FILE)),
@@ -823,6 +871,11 @@ def test_stages_hand_over_what_reading_their_files_gives(tmp_path, config_path):
             for name in ("knots", "slopes", "values"):
                 if hasattr(curve, name):
                     assert getattr(held[hid], name).tobytes() == getattr(curve, name).tobytes()
+    read = read_sweep(out / cli.SWEEP_FILE)
+    assert list(read) == [f.name for f in fields(run.sweep_table)]
+    for name, column in read.items():
+        held = getattr(run.sweep_table, name)
+        assert (held.dtype, held.tobytes()) == (column.dtype, column.tobytes()), name
 
 
 def test_cli_surface_is_pinned():
@@ -834,3 +887,104 @@ def test_cli_surface_is_pinned():
                       if o not in ("-h", "--help"))
     assert options(parser) == ["--version"]
     assert {name: options(p) for name, p in sub.choices.items()} == CLI_SURFACE
+
+
+# One bad value for each column kind of io.TABLES; for an ID column, an id no other row has.
+BAD_CELLS = {io.ID: "X9", io.FINITE: "nan", io.NONNEGATIVE: "-1.0", io.WHOLE: "1.5",
+             io.RATE: "1.5", io.MAYBE_NAN: "inf"}
+
+
+def _readers(name: str) -> list[tuple[str, str]]:
+    """(stage, file in the run directory) for each stage of cli.STAGES that reads table name."""
+    return [(s.name, rel) for s in cli.STAGES for rel, _ in s.inputs if Path(rel).name == name]
+
+
+def _set_cell(column: int, raw: str):
+    def edit(lines: list[bytes]) -> list[bytes]:  # in the first data row
+        cells = lines[1].rstrip(b"\r\n").split(b",")
+        cells[column] = raw.encode()
+        return [lines[0], b",".join(cells) + b"\r\n", *lines[2:]]
+    return edit
+
+
+def _corruptions(table: io.Table) -> dict:
+    """Each corruption of a file of table by name: an edit of its lines."""
+    header = list(table.columns)
+    first = {}
+    for column, kind in enumerate(table.columns.values()):
+        first.setdefault(kind, column)
+    cases = {f"bad-{header[column]}": _set_cell(column, BAD_CELLS.get(kind))
+             for kind, column in first.items()}
+    if table.group or table.index:
+        cases["duplicated-row"] = lambda lines: [*lines[:2], *lines[1:]]
+        cases["dropped-row"] = lambda lines: lines[:-1]
+    if table.index:
+        cases["index-out-of-range"] = _set_cell(header.index(table.index), "99")
+    return {**cases,
+            "header-only": lambda lines: lines[:1],
+            "empty": lambda lines: [],
+            "extra-column": lambda lines: [line.rstrip(b"\r\n") + b",x\r\n" for line in lines],
+            "bom": lambda lines: [b"\xef\xbb\xbf" + lines[0], *lines[1:]],
+            "not-utf8": lambda lines: [lines[0], b"\xff" + lines[1], *lines[2:]]}
+
+
+CORRUPTIONS = [(name, case) for name, table in io.TABLES.items() for case in _corruptions(table)]
+
+
+def test_corruptions_cover_every_table():
+    # a table cannot be added without a stage that reads it and a bad value for each kind
+    assert {name for name, _ in CORRUPTIONS} == set(io.TABLES)
+    assert [name for name in io.TABLES if not _readers(name)] == []
+    assert {k for table in io.TABLES.values() for k in table.columns.values()} <= set(BAD_CELLS)
+
+
+@pytest.mark.parametrize("name, case", CORRUPTIONS, ids=lambda v: v)
+def test_corrupt_input_exits_2_at_its_line_or_changes_no_output(finished_run, tmp_path, capsys,
+                                                                 name, case):
+    """Every stage that reads the corrupted file exits 2 naming a file and
+    line, or, where the corruption is still valid input, writes the same bytes."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    readers = _readers(name)
+    path = out / readers[0][1]
+    edit = _corruptions(io.TABLES[name])[case]
+    path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+    before = {p: p.read_bytes() for p in out.rglob("*.csv")}
+    for stage, _ in readers:
+        capsys.readouterr()
+        code = _run(stage, "--config", config, "--out", out)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert {p: p.read_bytes() for p in out.rglob("*.csv")} == before, stage
+        else:
+            assert code == 2 and re.match(rf"error: {re.escape(str(out))}/\S+\.csv:[1-9]\d*: ",
+                                          err), (stage, err)
+
+
+def _nan_quantity_twice(lines: list[bytes]) -> list[bytes]:
+    lines = _set_cell(2, "nan")(lines)  # the first row's adopted_quantity
+    return [*lines[:2], *lines[1:]]
+
+
+@pytest.mark.parametrize("stage, rel, edit, expected", [
+    ("validate", "data/regions.csv", _corruptions(io.TABLES["regions.csv"])["not-utf8"],
+     ":2: not UTF-8 at byte 1"),
+    ("subsidy", "sweep.csv", _nan_quantity_twice,
+     ":2: field 'adopted_quantity': not a finite number: 'nan'"),
+    ("fit", "data/irradiance.csv", _set_cell(13, "-1.0"), ":2: field 'h12': not in [0, inf]: '-1.0'"),
+    ("validate", "data/regions.csv", lambda lines: lines[:1], ":1: no regions"),
+], ids=["regions-not-utf8", "sweep-nan-and-duplicate", "fit-negative-irradiance",
+        "regions-header-only"])
+def test_inputs_that_once_passed_or_crashed_exit_2_at_their_line(finished_run, tmp_path, capsys,
+                                                                  stage, rel, edit, expected):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    path = out / rel
+    path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
+    capsys.readouterr()
+    code = _run(stage, "--config", config, "--out", out)
+    _assert_input_error(capsys, code, f"{path}{expected}")

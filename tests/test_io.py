@@ -5,9 +5,9 @@ import pytest
 
 from conftest import assert_same_load
 from dershare.curves import PurchasesCurve, SavingsCurve
-from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, TARIFF_BUY_FILE,
-                         TARIFF_SELL_FILE, Exclusion, ParseError, ingest, load_scenario,
-                         read_number_columns, read_purchases_curves, read_savings_curves,
+from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, SWEEP_FILE, TABLES,
+                         TARIFF_BUY_FILE, TARIFF_SELL_FILE, Exclusion, ParseError, ingest,
+                         load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
                          write_exclusions, write_purchases_curves, write_rows,
                          write_savings_curves, write_scenario)
 from dershare.model import EmptyScenarioError
@@ -201,10 +201,13 @@ def test_bad_hour_cell_is_named_in_field_order(tmp_path, scenario, name, first, 
 
 def test_number_columns_keep_nan(tmp_path):
     # sweep.csv writes nan for a rate at which nothing trades
-    path = tmp_path / "sweep.csv"
-    path.write_text("t,clearing_price\n0.1,nan\n0.2,0.5\n")
-    columns = read_number_columns(path, ["t", "clearing_price"])
+    header = list(TABLES[SWEEP_FILE].columns)
+    rows = [[0.1, 0, 0.0, np.nan, np.nan] + [0.0] * 8, [0.2, 3, 1.5, 2.0, 0.5] + [1.0] * 8]
+    columns = read_sweep(write_rows(tmp_path / SWEEP_FILE, header, rows))
+    assert list(columns) == header
     np.testing.assert_array_equal(columns["clearing_price"], [np.nan, 0.5])
+    np.testing.assert_array_equal(columns["short_run_price"], [np.nan, 2.0])
+    assert columns["owners"].dtype == np.asarray([0]).dtype and columns["owners"].tolist() == [0, 3]
 
 
 def test_exclusions_csv(tmp_path):
