@@ -224,9 +224,21 @@ def _adoption_rates(rates, spec):
     return rates
 
 
+def _dump_rels(stem: str, rates) -> list[str]:
+    """The file each adoption rate's dump writes, the stage's stem in its name."""
+    return [f"{stem}_t{t:g}.csv" for t in rates]
+
+
 def _rates(text: str) -> list[float]:
-    """Comma list of adoption rates; empty entries are skipped."""
-    return _adoption_rates([float(v) for v in text.split(",") if v], text)
+    """Comma list of adoption rates, each dumped to a file of its own;
+    empty entries are skipped."""
+    rates = _adoption_rates([float(v) for v in text.split(",") if v], text)
+    rels = _dump_rels("*", rates)
+    for i, rel in enumerate(rels):
+        if rel in rels[:i]:
+            raise ValueError(f"rates {rates[rels.index(rel)]!r} and {rates[i]!r} would write "
+                             f"one file, {rel}")
+    return rates
 
 
 @dataclass(frozen=True)
@@ -454,6 +466,7 @@ class Run:
 
 # ---------------------------------------------------------------- stage bodies
 
+# sweep columns, at each --equilibrium-at rate
 EQUILIBRIUM_SUMMARY_HEADER = ["t", "clearing_price", "volume", "owner_participation",
                               "non_owner_participation", "total_participation",
                               "owner_surplus", "renter_surplus", "total_surplus"]
@@ -461,14 +474,6 @@ EQUILIBRIUM_SUMMARY_HEADER = ["t", "clearing_price", "volume", "owner_participat
 LONGRUN_HEADER = ["price", "k_short", "t_short", "d_short", "k_long", "t_long", "d_long",
                   "delta_q", "r_at_long", "r_before_long", "saturated", "contraction",
                   "no_adoption"]
-
-
-def _equilibrium_rels(run: Run) -> list[str]:
-    return [f"equilibrium_t{t:g}.csv" for t in run.equilibrium_at]
-
-
-def _flow_rels(run: Run) -> list[str]:
-    return [f"flows_t{t:g}.csv" for t in run.flows_at]
 
 
 def _gen_data(run: Run) -> None:
@@ -507,18 +512,15 @@ def _sweep(run: Run) -> None:
     run.sweep_table = table  # what read_sweep would return: repr round-trips every value
     if not run.equilibrium_at:
         return
-    summaries = []
-    for t, rel in zip(run.equilibrium_at, _equilibrium_rels(run)):
+    for t, rel in zip(run.equilibrium_at, _dump_rels("equilibrium", run.equilibrium_at)):
         # per-household allocations and surpluses at one adoption rate
         eq = run.solver.equilibrium_at(run.order.count_at_rate(t))
         write_rows(run.out / rel, ["household_id", "role", "y_star", "surplus"],
                    [[hid, "owner" if hid in eq.owner_ids else "renter",
                      eq.allocations[hid], eq.surpluses[hid]] for hid in sorted(eq.allocations)])
-        summaries.append([t, math.nan if eq.clearing_price is None else eq.clearing_price,
-                          eq.volume, eq.owner_participation, eq.non_owner_participation,
-                          eq.total_participation, eq.owner_surplus_total,
-                          eq.renter_surplus_total, eq.total_surplus])
-    write_rows(run.out / SUMMARY_FILE, EQUILIBRIUM_SUMMARY_HEADER, summaries)
+    summary = sweep_adoption(run.order, run.curves, run.equilibrium_at, run.solver)
+    write_rows(run.out / SUMMARY_FILE, EQUILIBRIUM_SUMMARY_HEADER,
+               zip(*(getattr(summary, name) for name in EQUILIBRIUM_SUMMARY_HEADER)))
 
 
 def _longrun(run: Run) -> None:
@@ -557,7 +559,7 @@ def _localness(run: Run) -> None:
                      _fmt_bool(rf.degenerate)])
     write_rows(run.out / "localness.csv",
                ["t", "volume", "objective", "fraction_local", "degenerate"], rows)
-    for t, rel in zip(run.flows_at, _flow_rels(run)):
+    for t, rel in zip(run.flows_at, _dump_rels("flows", run.flows_at)):
         rf = flow_at(t)
         write_rows(run.out / rel, ["from_region", "to_region", "kw"],
                    [[region_ids[i], region_ids[j], rf.flow[i, j]]
@@ -617,7 +619,8 @@ STAGES = (
     Stage("sweep", "clear the market along the adoption order",
           ("--t-grid", "--equilibrium-at"), _CURVES_INPUT,
           lambda run: {"t_grid": run.t_grid.tolist(), "equilibrium_at": run.equilibrium_at},
-          lambda run: [SWEEP_FILE] + ([*_equilibrium_rels(run), SUMMARY_FILE]
+          lambda run: [SWEEP_FILE] + ([*_dump_rels("equilibrium", run.equilibrium_at),
+                                       SUMMARY_FILE]
                                       if run.equilibrium_at else []),
           _sweep),
     Stage("longrun", "short- and long-run adoption over purchase prices", _PRICE_FLAGS,
@@ -629,7 +632,7 @@ STAGES = (
     Stage("localness", "regional excesses and min-cost matching", ("--flows-at",),
           _DATA_INPUTS + _CURVES_INPUT + _SWEEP_INPUT,
           lambda run: {"flows_at": run.flows_at},
-          lambda run: ["localness.csv"] + _flow_rels(run), _localness),
+          lambda run: ["localness.csv"] + _dump_rels("flows", run.flows_at), _localness),
     Stage("stakeholders", "vendor gains against utility losses over purchase prices",
           _PRICE_FLAGS, _CURVES_INPUT + ((PURCHASES_FILE, "fit"),),
           lambda run: {"p_grid": run.p_grid.tolist()},

@@ -46,15 +46,14 @@ by other pivots (on the desk-scale defaults, 1.4e-14 relative at worst
 over the fitted curves); tests/oracles.py keeps the cold solve as the
 reference.
 
-Checks and per-context setup: a ScenarioContext checks its prices (each
-nonnegative, buy >= sell) once, when it is built, and makes its price
-and irradiance arrays read-only, so that one check covers every solve.
-It also computes once what no solve changes: eta_i * irradiance, the
-column upper bounds per kW of capacity (y times them gives each solve's
-bounds, the same IEEE products as before), the zero lower bounds and the
-charge and discharge factors. A solve computes only its right-hand side,
-its bounds and the netting, and still checks y >= 0, takes the y = 0
-closed form and checks the objective's consistency on every call.
+One object per block LP: a ScenarioContext checks its prices (each
+nonnegative, buy >= sell) once, when it is built, makes its price and
+irradiance arrays read-only so that one check covers every solve, and
+computes once what no solve changes (see its docstring). _solve is the
+one solve path, of the template, every bill and the tests' cold solves:
+it computes only its right-hand side, its bounds and the netting, and
+still checks y >= 0, takes the y = 0 closed form and checks the
+objective's consistency on every call.
 """
 
 from __future__ import annotations
@@ -126,24 +125,7 @@ def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
     start = np.zeros(n_cols + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
     arrays = (start, rows[order].astype(np.int32), vals[order])
-    for array in arrays:  # cached and shared by every model built from it
-        array.setflags(write=False)
-    return (n_rows, n_cols), arrays
-
-
-def _objective(buy: np.ndarray, sell: np.ndarray) -> np.ndarray:
-    n_days = buy.shape[0]
-    c = np.zeros((n_days, _N_VARS))
-    c[:, _GP] = buy
-    c[:, _GM] = -sell
-    return c.ravel()
-
-
-def _period_model(buy: np.ndarray, sell: np.ndarray, asset: AssetSpec,
-                  require_terminal_soc: bool) -> LPModel:
-    """The D-day block LP of these prices; only its bounds depend on the load and y."""
-    a = _period_matrix(asset, buy.shape[0], require_terminal_soc)
-    return LPModel(_objective(buy, sell), a)
+    return (n_rows, n_cols), tuple(map(_frozen, arrays))  # cached: shared by every model
 
 
 class _Period(NamedTuple):
@@ -162,25 +144,43 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Block:
-    """Everything of a D-day block's solves that depends on neither the load
-    nor y: the checked prices, eta_i * irradiance, the column bounds per kW
-    and the storage factors, each computed once.
+class ScenarioContext:
+    """One scenario's dispatch over all its days or a subset: one D-day
+    block LP and its solve.
 
-    Each factor is a left-hand part of the expression a solve evaluated
-    before it was hoisted (eta_i * irr * y is (eta_i * irr) * y), so
-    precomputing it changes no bit of a result.
+    day_indices selects a representative subset of days; totals are then
+    scaled by n_days / len(day_indices) so period-level figures remain
+    comparable (a documented approximation for quick runs).
+
+    The constructor checks the prices and computes once what depends on
+    neither the load nor y: eta_i * irradiance, the column bounds per kW
+    and the storage factors. Each is a left-hand part of the expression a
+    solve evaluated before it was hoisted (eta_i * irr * y is
+    (eta_i * irr) * y), so precomputing it changes no bit of a result.
+    Consecutive capacities of one household warm-start from each other;
+    another household starts from the template basis, which the first
+    positive capacity billed computes once.
     """
 
-    def __init__(self, irr, buy, sell, asset: AssetSpec, require_terminal_soc: bool):
-        irr, buy, sell = (_frozen(np.array(a, dtype=float)) for a in (irr, buy, sell))
+    def __init__(self, scenario: Scenario, day_indices=None,
+                 require_terminal_soc: bool = False):
+        self.scenario = scenario
+        if day_indices is None:
+            day_indices = np.arange(scenario.n_days)
+        self.day_indices = np.asarray(day_indices, dtype=int)
+        if self.day_indices.size == 0:
+            raise DomainError("day_indices must select at least one day")
+        self.scale = scenario.n_days / self.day_indices.size
+        self.require_terminal_soc = require_terminal_soc
+        irr, buy, sell = (_frozen(np.array(a[self.day_indices], dtype=float)) for a in
+                          (scenario.irradiance.values, scenario.tariff.buy, scenario.tariff.sell))
         if np.min(sell) < 0 or np.min(buy) < 0:
             raise DomainError("prices must be nonnegative")
         if np.min(buy - sell) < 0:
             raise DomainError("buy price below sell price would allow unlimited arbitrage")
         self.buy, self.sell = buy, sell
         self.n_days = n_days = buy.shape[0]
-        self.require_terminal_soc = require_terminal_soc
+        asset = scenario.asset
         self.eta_irr = _frozen(asset.eta_i * irr)
         unit = np.empty(_N_VARS)  # each column's upper bound per kW of capacity
         unit[_UP] = asset.u_charge_max
@@ -194,17 +194,25 @@ class _Block:
         self.end_soc = -asset.x0 * asset.alpha  # -x_24 <= -x0 * alpha * y, per kW
         self.charge_div = asset.eta_c * asset.eta_i
         self.discharge_yield = asset.eta_d * asset.eta_i
+        self._template = None  # the model's optimal basis for the template household
+        self._billed: str | None = None  # the household the model last solved
 
-    def solve(self, load, y: float, model: LPModel, start=None) -> _Period:
-        """Optimal dispatch of load at capacity y; y = 0 is the closed form load . buy.
+    @cached_property
+    def _model(self) -> LPModel:
+        """The D-day block LP of these prices; only its bounds depend on the load and y."""
+        a = _period_matrix(self.scenario.asset, self.n_days, self.require_terminal_soc)
+        c = np.zeros((self.n_days, _N_VARS))
+        c[:, _GP] = self.buy
+        c[:, _GM] = -self.sell
+        return LPModel(c.ravel(), a)
 
-        model is the block LP of these prices, possibly warm from an
-        earlier capacity. start is the basis to begin from in place of the
-        model's last one.
-        """
+    def _solve(self, household: HouseholdRecord, y: float, start=None) -> _Period:
+        """Optimal dispatch of the household at capacity y (y = 0: load . buy),
+        from basis start, else the model's last one (none yet: a cold solve)."""
+        model = self._model  # built on the first call even at y = 0: later, peak RSS rose 0.4 MB
         if y < 0:
             raise DomainError(f"capacity y must be >= 0, got {y}")
-        load = np.asarray(load, dtype=float)
+        load = np.asarray(household.load[self.day_indices], dtype=float)
         n_days, buy = self.n_days, self.buy
         if y == 0.0:
             # no asset: the grid carries the load
@@ -234,53 +242,6 @@ class _Block:
             raise LPError(f"split-variable netting changed the objective: "
                           f"{purchases + credits!r} vs {sol.objective!r}")
         return _Period(grid, u, soc, purchases, credits)
-
-
-def _solve_period(load, irr, buy, sell, asset: AssetSpec, y: float,
-                  require_terminal_soc: bool, model: LPModel, start=None) -> _Period:
-    """Optimal dispatch of a D-day block (see _Block.solve), for a caller
-    that solves these prices once."""
-    return _Block(irr, buy, sell, asset, require_terminal_soc).solve(load, y, model, start)
-
-
-class ScenarioContext:
-    """Shared dispatch context: a scenario and optional day subsampling.
-
-    day_indices selects a representative subset of days; totals are then
-    scaled by n_days / len(day_indices) so period-level figures remain
-    comparable (a documented approximation for quick runs).
-
-    The context keeps one block LP for all its households. Consecutive
-    capacities of one household warm-start from each other; billing
-    another household starts it from the template basis, which the
-    first positive capacity billed computes once. The prices are checked,
-    and what no solve changes is computed (_Block), once, here.
-    """
-
-    def __init__(self, scenario: Scenario, day_indices=None,
-                 require_terminal_soc: bool = False):
-        self.scenario = scenario
-        if day_indices is None:
-            day_indices = np.arange(scenario.n_days)
-        self.day_indices = np.asarray(day_indices, dtype=int)
-        if self.day_indices.size == 0:
-            raise DomainError("day_indices must select at least one day")
-        self.scale = scenario.n_days / self.day_indices.size
-        self.require_terminal_soc = require_terminal_soc
-        self._block = _Block(scenario.irradiance.values[self.day_indices],
-                             scenario.tariff.buy[self.day_indices],
-                             scenario.tariff.sell[self.day_indices],
-                             scenario.asset, require_terminal_soc)
-        self._template = None  # the model's optimal basis for the template household
-        self._billed: str | None = None  # the household the model last solved
-
-    @cached_property
-    def _model(self) -> LPModel:
-        return _period_model(self._block.buy, self._block.sell, self.scenario.asset,
-                             self.require_terminal_soc)
-
-    def _solve(self, hh: HouseholdRecord, y: float, start=None) -> _Period:
-        return self._block.solve(hh.load[self.day_indices], y, self._model, start)
 
     def _start(self, household_id: str):
         """The basis this household's solve starts from (None: the model's

@@ -10,6 +10,7 @@ truncated CSV behind.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import os
@@ -174,7 +175,9 @@ def write_exclusions(path: Path, exclusions: Sequence[Exclusion]) -> Path:
 
 def _decode_lines(path, fh) -> Iterator[str]:
     """The lines of the binary file fh, decoded as UTF-8; a line that is not
-    UTF-8 is a ParseError at that line of path."""
+    UTF-8, or a byte-order mark, is a ParseError at that line of path."""
+    if fh.peek(3).startswith(codecs.BOM_UTF8):
+        raise ParseError(path, 1, "starts with a UTF-8 byte-order mark")
     for line, raw in enumerate(fh, start=1):
         try:
             yield raw.decode()
@@ -285,19 +288,26 @@ def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
     """Parse a scenario directory and ingest it (see ingest). The tariffs
     and loads span the irradiance's days, and each household's region is
     in regions.csv; a breach of these or of a file's table is a ParseError.
+    A tariff file is read on its own and its day count compared, so a
+    count unlike the irradiance's is named with both.
     """
     data_dir = Path(data_dir)
 
     def read(name: str, n: int | None = None) -> dict:
         return read_table(data_dir / name, TABLES[name], n)
+
+    def days(name: str) -> np.ndarray:
+        [(_, lines, days)] = read(name).values()
+        if len(days) != len(irradiance):
+            raise ParseError(data_dir / name, lines[min(len(irradiance), len(days) - 1)],
+                             f"{len(days)} days, but {IRRADIANCE_FILE} has {len(irradiance)}")
+        return days
     irradiance = read(IRRADIANCE_FILE)[None][2]
-    n_days = len(irradiance)
-    tariff = TariffSet(read(TARIFF_BUY_FILE, n_days)[None][2],
-                       read(TARIFF_SELL_FILE, n_days)[None][2])
+    tariff = TariffSet(days(TARIFF_BUY_FILE), days(TARIFF_SELL_FILE))
     regions = [Region(rid, float(lat), float(lon))
                for rid, (_, _, [[lat, lon]]) in read(REGIONS_FILE).items()]
     loads = {}
-    for hid, ((_, rid), lines, load) in read(LOADS_FILE, n_days).items():
+    for hid, ((_, rid), lines, load) in read(LOADS_FILE, len(irradiance)).items():
         if not any(r.id == rid for r in regions):
             raise ParseError(data_dir / LOADS_FILE, lines[0],
                              f"household {hid!r}: region_id {rid!r} not in {REGIONS_FILE}")

@@ -518,6 +518,12 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
      "command line: field '--flows-at': expected adoption rates in [0, 1], got 'nan'"),
     (["all", "--flows-at", "-0.1"], {}, {},
      "command line: field '--flows-at': expected adoption rates in [0, 1], got '-0.1'"),
+    # two rates whose dumps would share one file name, an exact repeat among them
+    (["sweep", "--equilibrium-at", "0.09999999,0.3,0.10000001"], {}, {},
+     "command line: field '--equilibrium-at': rates 0.09999999 and 0.10000001 would write "
+     "one file, *_t0.1.csv"),
+    (["all", "--flows-at", "0.5,0.5"], {}, {},
+     "command line: field '--flows-at': rates 0.5 and 0.5 would write one file, *_t0.5.csv"),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
         "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
         "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section",
@@ -529,7 +535,7 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
         "seed-negative", "flag-over-config", "threads-zero-cached", "threads-env-cached-all",
         "t-grid-empty", "p-grid-empty", "config-t-grid-empty", "config-p-grid-empty",
         "t-grid-rate", "config-t-grid-nan", "equilibrium-at-rate", "flows-at-nan",
-        "all-flows-at-rate"])
+        "all-flows-at-rate", "equilibrium-at-one-file", "all-flows-at-one-file"])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"
@@ -970,13 +976,19 @@ def _nan_quantity_twice(lines: list[bytes]) -> list[bytes]:
 
 @pytest.mark.parametrize("stage, rel, edit, expected", [
     ("validate", "data/regions.csv", _corruptions(io.TABLES["regions.csv"])["not-utf8"],
-     ":2: not UTF-8 at byte 1"),
+     "data/regions.csv:2: not UTF-8 at byte 1"),
     ("subsidy", "sweep.csv", _nan_quantity_twice,
-     ":2: field 'adopted_quantity': not a finite number: 'nan'"),
-    ("fit", "data/irradiance.csv", _set_cell(13, "-1.0"), ":2: field 'h12': not in [0, inf]: '-1.0'"),
-    ("validate", "data/regions.csv", lambda lines: lines[:1], ":1: no regions"),
+     "sweep.csv:2: field 'adopted_quantity': not a finite number: 'nan'"),
+    ("fit", "data/irradiance.csv", _set_cell(13, "-1.0"),
+     "data/irradiance.csv:2: field 'h12': not in [0, inf]: '-1.0'"),
+    ("validate", "data/regions.csv", lambda lines: lines[:1], "data/regions.csv:1: no regions"),
+    # the first file that disagrees with the irradiance's day count names it
+    ("validate", "data/irradiance.csv", lambda lines: lines[:-1],
+     "data/tariff_buy.csv:4: 3 days, but irradiance.csv has 2"),
+    ("validate", "data/regions.csv", _corruptions(io.TABLES["regions.csv"])["bom"],
+     "data/regions.csv:1: starts with a UTF-8 byte-order mark"),
 ], ids=["regions-not-utf8", "sweep-nan-and-duplicate", "fit-negative-irradiance",
-        "regions-header-only"])
+        "regions-header-only", "irradiance-missing-its-last-day", "regions-byte-order-mark"])
 def test_inputs_that_once_passed_or_crashed_exit_2_at_their_line(finished_run, tmp_path, capsys,
                                                                   stage, rel, edit, expected):
     out = tmp_path / "run"
@@ -987,4 +999,4 @@ def test_inputs_that_once_passed_or_crashed_exit_2_at_their_line(finished_run, t
     path.write_bytes(b"".join(edit(path.read_bytes().splitlines(keepends=True))))
     capsys.readouterr()
     code = _run(stage, "--config", config, "--out", out)
-    _assert_input_error(capsys, code, f"{path}{expected}")
+    _assert_input_error(capsys, code, f"{out}/{expected}")

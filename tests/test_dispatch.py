@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dershare import dispatch
 from dershare.dispatch import ScenarioContext
 from dershare.model import HOURS, AssetSpec, DomainError
 from oracles import block_lp_bill, dp_dispatch_cost, one_household, random_dispatch_instance
@@ -52,9 +51,8 @@ def test_result_satisfies_dispatch_constraints(asset):
     rng = np.random.default_rng(7)
     for _ in range(10):
         load, irr, buy, sell, y = random_dispatch_instance(rng)
-        model = dispatch._period_model(buy[None], sell[None], asset, False)
-        res = dispatch._solve_period(load[None], irr[None], buy[None], sell[None], asset, y,
-                                     False, model)
+        sc = one_household(load, irr, buy, sell, asset)
+        res = ScenarioContext(sc)._solve(sc.households[0], y)
         grid, u, soc = res.grid[0], res.u[0], res.soc[0]
         # bill decomposition
         assert res.totals().bill == pytest.approx(res.purchases + res.sale_credit, abs=1e-9)
@@ -319,10 +317,9 @@ def test_template_basis_skips_the_cold_solve():
     y = 0.01 * second.net_zero_size
     ctx = ScenarioContext(sc)
     totals = ctx.annual_bill(second, y)
-    cold = dispatch._period_model(sc.tariff.buy, sc.tariff.sell, sc.asset, False)
-    dispatch._solve_period(second.load, sc.irradiance.values, sc.tariff.buy, sc.tariff.sell,
-                           sc.asset, y, False, cold)
-    assert cold.simplex_iteration_count > 500
-    assert ctx._model.simplex_iteration_count <= cold.simplex_iteration_count // 20
+    cold = ScenarioContext(sc)  # its first solve has no basis to start from
+    cold._solve(second, y)
+    assert cold._model.simplex_iteration_count > 500
+    assert ctx._model.simplex_iteration_count <= cold._model.simplex_iteration_count // 20
     _assert_matches_oracle(totals, block_lp_bill(second.load, sc.irradiance.values,
                                                  sc.tariff.buy, sc.tariff.sell, sc.asset, y))
