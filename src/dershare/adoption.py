@@ -98,28 +98,18 @@ def sweep_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
     """Market outcomes at every adoption rate in t_grid."""
     solver = solver or LongRunSolver(order, curves)
     t_grid = np.asarray(t_grid, dtype=float)
-    cols: dict[str, list] = {name: [] for name in (
-        "owners", "adopted_quantity", "short_run_price", "clearing_price", "volume",
-        "fraction_rented_out", "owner_participation", "non_owner_participation",
-        "total_participation", "owner_surplus", "renter_surplus", "total_surplus")}
+    rows = []  # one tuple per rate, in DemandCurves' field order after t
     for t in t_grid:
         k = order.count_at_rate(float(t))
         eq = solver.equilibrium_at(k)
         quantity = float(order.cumulative_quantity[k])
-        cols["owners"].append(k)
-        cols["adopted_quantity"].append(quantity)
-        cols["short_run_price"].append(float(order.normalized[k - 1]) if k >= 1 else math.nan)
-        cols["clearing_price"].append(math.nan if eq.clearing_price is None else eq.clearing_price)
-        cols["volume"].append(eq.volume)
-        cols["fraction_rented_out"].append(eq.volume / quantity if quantity > 0 else 0.0)
-        cols["owner_participation"].append(eq.owner_participation)
-        cols["non_owner_participation"].append(eq.non_owner_participation)
-        cols["total_participation"].append(eq.total_participation)
-        cols["owner_surplus"].append(eq.owner_surplus_total)
-        cols["renter_surplus"].append(eq.renter_surplus_total)
-        cols["total_surplus"].append(eq.total_surplus)
-    arrays = {name: np.asarray(vals) for name, vals in cols.items()}
-    return DemandCurves(t=t_grid, **arrays)
+        rows.append((k, quantity, float(order.normalized[k - 1]) if k >= 1 else math.nan,
+                     math.nan if eq.clearing_price is None else eq.clearing_price, eq.volume,
+                     eq.volume / quantity if quantity > 0 else 0.0, eq.owner_participation,
+                     eq.non_owner_participation, eq.total_participation,
+                     eq.owner_surplus_total, eq.renter_surplus_total, eq.total_surplus))
+    # an empty grid gives twelve empty columns
+    return DemandCurves(t_grid, *map(np.asarray, list(zip(*rows)) or [()] * 12))
 
 
 class LongRunSolver:

@@ -22,14 +22,20 @@ config (all checked at load), else its default. The command's flags and
 their variables are checked before its first stage, cached or not.
 
 Each stage is declared once in STAGES (flags, input files with the
-stage that writes each, hashed params, outputs, body), and run_stage
-gives every stage the same require, hash, cache check and manifest
-record. A subcommand runs one entry and `all` runs them in order on one
-Run, which keeps each artifact once it has it. A stage that runs hands
-what it wrote to the Run (gen-data its scenario, ingested on first use;
-fit its curves), so a fresh `all` parses neither the scenario nor the
-curves; an artifact whose stage was cached is loaded from the run
-directory on first use, and a fully cached `all` parses no scenario.
+stage that writes each, hashed params, outputs, body), and run_stage,
+the whole stage protocol, gives every stage the same require, hash,
+cache check and manifest record. A subcommand runs one entry and `all`
+runs them in order on one Run, which keeps each artifact once it has
+it, and each file's checksum once read: a file is hashed once per
+process, and again only after a stage rewrites it. A stage that runs
+hands what it wrote to the Run (gen-data its scenario, ingested on
+first use; fit its curves), so a fresh `all` parses neither the
+scenario nor the curves; an artifact whose stage was cached is loaded
+from the run directory on first use, and a fully cached `all` parses no
+scenario. The longrun, subsidy, localness and stakeholders stages write
+one CSV row per result record, each value read off it by column name:
+the header is the record type's fields (localness: t and four of
+RegionalFlow's), and io writes a bool as true/false.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import os
 import sys
 import time
 from contextlib import suppress
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -50,8 +56,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import __version__
-from .adoption import (DemandCurves, LongRunSolver, build_order, default_t_grid,
-                       equivalent_subsidy, long_run_adoption, sweep_adoption)
+from .adoption import (DemandCurves, LongRunResult, LongRunSolver, SubsidyResult, build_order,
+                       default_t_grid, equivalent_subsidy, long_run_adoption, sweep_adoption)
 from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, PURCHASES_FILE, REGIONS_FILE,
                  SAVINGS_FILE, SWEEP_FILE, TABLES, TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError,
                  ingest, load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
@@ -59,7 +65,7 @@ from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, PURCHASES_FILE, R
                  write_savings_curves, write_scenario)
 from .model import (DEFAULT_SAMPLES, AssetSpec, DomainError, FitError, LPError, Scenario,
                     SynthConfig, ValidationError, from_config, validate_scenario)
-from .stakeholders import regime_points
+from .stakeholders import RegimePoint, regime_points
 
 if TYPE_CHECKING:  # the generator, the fit, its LP and the transport solver load in their stages
     from .dispatch import ScenarioContext
@@ -78,9 +84,10 @@ class StageError(RuntimeError):
 # ---------------------------------------------------------------- manifest
 
 def _file_sha(path: Path) -> str:
-    """The file's sha256, read into one reused block: a whole loads.csv read
-    at once would set the peak memory of a run whose stages are cache hits."""
-    digest, block = hashlib.sha256(), bytearray(1 << 18)
+    """The file's sha256, read into one reused 64 KiB block: a whole loads.csv
+    read at once would set the peak memory of a run whose stages are cache
+    hits, and a rerun hashes its last output while every artifact is held."""
+    digest, block = hashlib.sha256(), bytearray(1 << 16)
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(block):
             digest.update(memoryview(block)[:n])
@@ -119,47 +126,6 @@ def _read_manifest(out_dir: Path) -> dict:
         if not isinstance(entry, dict):
             refuse(f"stages.{stage}", entry, stage)
     return manifest
-
-
-def _require(out_dir: Path, inputs) -> list[Path]:
-    for rel, producer in inputs:
-        if not (out_dir / rel).exists():
-            raise StageError(f"missing {rel}; run `dershare {producer}` first")
-    return [out_dir / rel for rel, _ in inputs]
-
-
-def _input_hash(params: dict, input_files: list[Path]) -> str:
-    return _hash_obj({"params": params,
-                      "inputs": {p.name: _file_sha(p) for p in sorted(input_files)}})
-
-
-def _stage_cached(out_dir: Path, manifest: dict, stage: str, input_hash: str,
-                  output_rels: list[str]) -> bool:
-    entry = manifest.get("stages", {}).get(stage)
-    if not entry or entry.get("input_hash") != input_hash:
-        return False
-    for rel in output_rels:
-        path = out_dir / rel
-        if not path.exists() or manifest.get("outputs", {}).get(rel) != _file_sha(path):
-            return False
-    return True
-
-
-def _finish_stage(out_dir: Path, manifest: dict, stage: str, input_hash: str,
-                  output_rels: list[str], started: float) -> None:
-    for rel in output_rels:
-        manifest.setdefault("outputs", {})[rel] = _file_sha(out_dir / rel)
-    manifest.setdefault("stages", {})[stage] = {
-        "input_hash": input_hash,
-        "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "elapsed_s": round(time.time() - started, 3),
-    }
-    manifest["version"] = __version__
-    path = out_dir / MANIFEST_FILE
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
-    print(f"{stage}: wrote {', '.join(output_rels)} ({time.time() - started:.1f}s)")
 
 
 # ---------------------------------------------------------------- settings
@@ -367,10 +333,6 @@ def _load_context(out_dir: Path, cfg: dict, days: int | None) -> ScenarioContext
     return Run(out_dir, argparse.Namespace(days=days), cfg).context
 
 
-def _fmt_bool(b) -> str:
-    return "true" if b else "false"
-
-
 # ---------------------------------------------------------------- run
 
 def _resolved(name: str) -> cached_property:
@@ -393,6 +355,7 @@ class Run:
     args: argparse.Namespace
     cfg: dict
     generated: Scenario | None = None  # the scenario gen-data wrote in this process
+    shas: dict[str, str] = field(default_factory=dict)  # run-directory file -> its sha256
 
     asset = _resolved("asset")
     require_terminal_soc = _resolved("require_terminal_soc")
@@ -406,6 +369,12 @@ class Run:
     @cached_property
     def manifest(self) -> dict:
         return _read_manifest(self.out)
+
+    def sha(self, rel: str) -> str:
+        """The sha256 of the run-directory file rel, read once per process."""
+        if rel not in self.shas:
+            self.shas[rel] = _file_sha(self.out / rel)
+        return self.shas[rel]
 
     @cached_property
     def synth(self) -> SynthConfig:
@@ -471,9 +440,16 @@ EQUILIBRIUM_SUMMARY_HEADER = ["t", "clearing_price", "volume", "owner_participat
                               "non_owner_participation", "total_participation",
                               "owner_surplus", "renter_surplus", "total_surplus"]
 
-LONGRUN_HEADER = ["price", "k_short", "t_short", "d_short", "k_long", "t_long", "d_long",
-                  "delta_q", "r_at_long", "r_before_long", "saturated", "contraction",
-                  "no_adoption"]
+
+def _fields(cls, *dropped: str) -> list[str]:
+    return [f.name for f in fields(cls) if f.name not in dropped]
+
+
+def _write_records(path: Path, columns: list[str], records, missing="") -> None:
+    """One row per record (a dict of its fields), each value read off it by
+    column name; a None is written as missing."""
+    write_rows(path, columns, [[missing if r[c] is None else r[c] for c in columns]
+                               for r in records])
 
 
 def _gen_data(run: Run) -> None:
@@ -524,21 +500,13 @@ def _sweep(run: Run) -> None:
 
 
 def _longrun(run: Run) -> None:
-    rows = [[lr.price, lr.k_short, lr.t_short, lr.d_short, lr.k_long, lr.t_long, lr.d_long,
-             lr.delta_q,
-             math.nan if lr.r_at_long is None else lr.r_at_long,
-             math.nan if lr.r_before_long is None else lr.r_before_long,
-             _fmt_bool(lr.saturated), _fmt_bool(lr.contraction), _fmt_bool(lr.no_adoption)]
-            for lr in run.long_run]
-    write_rows(run.out / "longrun.csv", LONGRUN_HEADER, rows)
+    _write_records(run.out / "longrun.csv", _fields(LongRunResult, "equilibrium"),
+                   map(vars, run.long_run), math.nan)
 
 
 def _subsidy(run: Run) -> None:
-    rows = []
-    for lr in run.long_run:
-        sub = equivalent_subsidy(run.sweep_table, lr)
-        rows.append([sub.price, sub.delta_q, sub.subsidy, _fmt_bool(sub.no_increase)])
-    write_rows(run.out / "subsidy.csv", ["price", "delta_q", "subsidy", "no_increase"], rows)
+    _write_records(run.out / "subsidy.csv", _fields(SubsidyResult),
+                   (vars(equivalent_subsidy(run.sweep_table, lr)) for lr in run.long_run))
 
 
 def _localness(run: Run) -> None:
@@ -552,13 +520,9 @@ def _localness(run: Run) -> None:
         s = regional_excess(eq, scenario.households, scenario.regions)
         return min_cost_flow(s, dmat, eq.volume, region_ids)
 
-    rows = []
-    for t in run.sweep_table.t:
-        rf = flow_at(float(t))
-        rows.append([float(t), rf.volume, rf.objective, rf.fraction_local,
-                     _fmt_bool(rf.degenerate)])
-    write_rows(run.out / "localness.csv",
-               ["t", "volume", "objective", "fraction_local", "degenerate"], rows)
+    _write_records(run.out / "localness.csv",
+                   ["t", "volume", "objective", "fraction_local", "degenerate"],
+                   ({"t": float(t), **vars(flow_at(float(t)))} for t in run.sweep_table.t))
     for t, rel in zip(run.flows_at, _dump_rels("flows", run.flows_at)):
         rf = flow_at(t)
         write_rows(run.out / rel, ["from_region", "to_region", "kw"],
@@ -568,13 +532,8 @@ def _localness(run: Run) -> None:
 
 
 def _stakeholders(run: Run) -> None:
-    points = regime_points(run.order, run.purchases, run.long_run)
-    rows = [[pt.price, pt.delta_q, pt.vendor_gain, pt.utility_loss,
-             ("" if pt.threshold is None else pt.threshold),
-             _fmt_bool(pt.emerges_at_unit_ratio)] for pt in points]
-    write_rows(run.out / "stakeholders.csv",
-               ["price", "delta_q", "vendor_gain", "utility_loss",
-                "threshold", "emerges_at_unit_ratio"], rows)
+    _write_records(run.out / "stakeholders.csv", _fields(RegimePoint, "long_run"),
+                   map(vars, regime_points(run.order, run.purchases, run.long_run)))
 
 
 # ---------------------------------------------------------------- stage table
@@ -641,16 +600,40 @@ STAGES = (
 
 
 def run_stage(run: Run, stage: Stage) -> None:
+    """The stage protocol: require the stage's inputs, hash its params with
+    their contents, and report it cached if the manifest holds that hash
+    and the checksums of its outputs as they are; else run its body, then
+    record the outputs' checksums and the hash in the manifest."""
     started = time.time()
-    inputs = _require(run.out, stage.inputs)
+    for rel, producer in stage.inputs:
+        if not (run.out / rel).exists():
+            raise StageError(f"missing {rel}; run `dershare {producer}` first")
     params = stage.params(run)
-    input_hash = _input_hash(params, inputs) if inputs else _hash_obj(params)
+    input_hash = _hash_obj({"params": params, "inputs": {Path(rel).name: run.sha(rel)
+                                                         for rel, _ in stage.inputs}}
+                           if stage.inputs else params)
     outputs = stage.outputs(run)
-    if _stage_cached(run.out, run.manifest, stage.name, input_hash, outputs):
+    manifest = run.manifest
+    entry = manifest.get("stages", {}).get(stage.name)
+    if entry and entry.get("input_hash") == input_hash and all(
+            (run.out / rel).exists() and manifest.get("outputs", {}).get(rel) == run.sha(rel)
+            for rel in outputs):
         print(f"{stage.name}: cached")
         return
     stage.body(run)
-    _finish_stage(run.out, run.manifest, stage.name, input_hash, outputs, started)
+    for rel in outputs:
+        run.shas[rel] = manifest.setdefault("outputs", {})[rel] = _file_sha(run.out / rel)
+    manifest.setdefault("stages", {})[stage.name] = {
+        "input_hash": input_hash,
+        "completed_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "elapsed_s": round(time.time() - started, 3),
+    }
+    manifest["version"] = __version__
+    path = run.out / MANIFEST_FILE
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp, path)
+    print(f"{stage.name}: wrote {', '.join(outputs)} ({time.time() - started:.1f}s)")
 
 
 # ---------------------------------------------------------------- entry
@@ -678,10 +661,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        run = Run(out_dir, args, _load_config(args.config))
+        # the writers make --out, so a command refused before its first stage leaves none
+        run = Run(Path(args.out), args, _load_config(args.config))
         # a cached stage never reads its flags, so they are checked here
         for flag in _COMMANDS[args.command][1]:
             _resolve(_BY_FLAG[flag], args, run.cfg)

@@ -3,9 +3,9 @@
 Every CSV a stage reads is declared once in TABLES: its header, each
 column's kind and its row rule. The writers take their headers from it,
 and read_table reads every one of them. Floats are written with repr, so
-a read-back reproduces the exact same values. Files are written
-atomically (temp file + rename) so a crashed run never leaves a
-truncated CSV behind.
+a read-back reproduces the exact same values, and bools as true/false.
+Files are written atomically (temp file + rename) so a crashed run
+never leaves a truncated CSV behind.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class Exclusion:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 

@@ -50,6 +50,7 @@ class ValidationError(ValueError):
     def __init__(self, entity: str, fieldname: str, message: str):
         self.entity = entity
         self.fieldname = fieldname
+        self.message = message
         super().__init__(f"{entity}: field '{fieldname}': {message}")
 
 
@@ -57,7 +58,8 @@ def from_config(cls, section: str, values: dict):
     """cls(**values) for the config section that sets the dataclass cls's fields.
     Each value must have the type of its field's default: an int may stand for
     a float and a list for a tuple, a bool is never a number, and a float must
-    be finite (JSON may spell NaN). Errors name `section.key`."""
+    be finite (JSON may spell NaN). Errors name `section.key`, a range that
+    cls refuses too."""
     def fits(value, default) -> bool:
         if isinstance(default, tuple):
             return (isinstance(value, (list, tuple)) and len(value) == len(default)
@@ -77,7 +79,10 @@ def from_config(cls, section: str, values: dict):
         default = cls.__dataclass_fields__[key].default
         if not fits(value, default):
             raise ValidationError("config", name, f"expected {kind(default)}, got {value!r}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    except ValidationError as exc:
+        raise ValidationError("config", f"{section}.{exc.fieldname}", exc.message) from None
 
 
 class EmptyScenarioError(ValidationError):
@@ -139,7 +144,8 @@ class AssetSpec:
 class SynthConfig:
     """Knobs for the synthetic generator. All prices $/kWh, loads kW.
 
-    Windows are half-open hour ranges [start, end) within 0..24.
+    Windows are half-open hour ranges [start, end) within 0..24. Every
+    range is checked at construction, as AssetSpec's are.
     """
 
     n_households: int = 200
@@ -172,7 +178,7 @@ class SynthConfig:
     region_center: tuple[float, float] = (36.8, -119.8)
     region_spread_deg: float = 0.25
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # rng_seed: numpy seeds only from nonnegative integers
         for name, least in (("n_households", 1), ("n_days", 1), ("n_regions", 1), ("rng_seed", 0)):
             if getattr(self, name) < least:
@@ -208,9 +214,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
-        cfg = from_config(cls, "synth", d)
-        cfg.validate()
-        return cfg
+        return from_config(cls, "synth", d)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ def _irradiance_day(config: SynthConfig) -> np.ndarray:
 
 def generate_scenario(config: SynthConfig, asset: AssetSpec | None = None) -> Scenario:
     """Build a Scenario from a SynthConfig, deterministically for a fixed seed."""
-    config.validate()
     asset = asset or AssetSpec()
     rng = np.random.default_rng(config.rng_seed)
     n, days = config.n_households, config.n_days

@@ -124,6 +124,18 @@ def test_long_run_saturates_when_price_below_all_rents():
     assert lr.t_long == 1.0
 
 
+def test_long_run_when_everyone_adopts_without_the_market():
+    # a price at or below every household's normalized savings: no one is left to pull in
+    curves = {f"h{i}": curve_with_normalized(f"h{i}", 300.0 + i) for i in range(4)}
+    order = build_order(curves)
+    solver = LongRunSolver(order, curves)
+    lr = long_run_adoption(order, curves, 100.0, solver)
+    assert lr.k_short == lr.k_long == order.n
+    assert lr.delta_q == 0.0
+    assert lr.r_at_long == solver.clearing_price_at(order.n) and lr.r_before_long is None
+    assert not (lr.saturated or lr.contraction or lr.no_adoption)
+
+
 def test_long_run_bracketing(rng):
     curves = random_curve_population(rng, 40)
     order = build_order(curves)
@@ -174,6 +186,11 @@ def test_subsidy_zero_when_no_increase():
     sub = equivalent_subsidy(table, _lr(250.0, 4.0, 4.0))
     assert sub.subsidy == 0.0
     assert sub.no_increase
+
+
+def test_subsidy_refuses_a_table_with_fewer_than_two_quantities():
+    with pytest.raises(DomainError, match="too coarse"):
+        equivalent_subsidy(_linear_table(n=1), _lr(250.0, 0.0, 4.0))
 
 
 def test_subsidy_linear_closed_form():

@@ -52,6 +52,28 @@ CLI_SURFACE = {
             "--samples", "--seed", "--t-grid", "--threads"],
 }
 
+# the header of every CSV a stage writes besides the scenario's (whose headers io.TABLES
+# declares), dumps at one rate each; a header taken from a record's fields must not reorder one
+RESULT_HEADERS = {
+    "exclusions.csv": "household_id,reason",
+    "savings_curves.csv": "household_id,knot_index,y,f,slope",
+    "purchases_curves.csv": "household_id,knot_index,y,purchases",
+    "sweep.csv": "t,owners,adopted_quantity,short_run_price,clearing_price,volume,"
+                 "fraction_rented_out,owner_participation,non_owner_participation,"
+                 "total_participation,owner_surplus,renter_surplus,total_surplus",
+    "equilibrium_t0.4.csv": "household_id,role,y_star,surplus",
+    "equilibrium_summary.csv": "t,clearing_price,volume,owner_participation,"
+                               "non_owner_participation,total_participation,owner_surplus,"
+                               "renter_surplus,total_surplus",
+    "longrun.csv": "price,k_short,t_short,d_short,k_long,t_long,d_long,delta_q,r_at_long,"
+                   "r_before_long,saturated,contraction,no_adoption",
+    "subsidy.csv": "price,delta_q,subsidy,no_increase",
+    "localness.csv": "t,volume,objective,fraction_local,degenerate",
+    "flows_t0.5.csv": "from_region,to_region,kw",
+    "stakeholders.csv": "price,delta_q,vendor_gain,utility_loss,threshold,"
+                        "emerges_at_unit_ratio",
+}
+
 
 def _run(*argv):
     return main([str(a) for a in argv])
@@ -419,6 +441,44 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
     _assert_input_error(capsys, code, "Infeasible")
 
 
+# One value out of range for each range rule of SynthConfig and AssetSpec, by id, with what
+# it must draw: the value passes the type check and the constructor refuses it.
+OUT_OF_RANGE = {
+    "households-range": ({"synth": {"n_households": 0}},
+                         "config: field 'synth.n_households': must be >= 1, got 0"),
+    "seed-range": ({"synth": {"rng_seed": -1}},
+                   "config: field 'synth.rng_seed': must be >= 0, got -1"),
+    "window-range": ({"synth": {"daylight_window": [19, 7]}},
+                     "config: field 'synth.daylight_window': need 0 <= start < end <= 24, "
+                     "got (19, 7)"),
+    "base-load-range": ({"synth": {"base_load_range": [0, 1.2]}},
+                        "config: field 'synth.base_load_range': need 0 < lo <= hi, got (0, 1.2)"),
+    "multiplier-range": ({"synth": {"peak_multiplier_range": [0.5, 4.0]}},
+                         "config: field 'synth.peak_multiplier_range': need 1 <= lo <= hi, "
+                         "got (0.5, 4.0)"),
+    "shift-range": ({"synth": {"peak_shift_range": [2, 2]}},
+                    "config: field 'synth.peak_shift_range': need lo < hi, got (2, 2)"),
+    "shifted-window-range": ({"synth": {"peak_shift_range": [-20, 4]}},
+                             "config: field 'synth.peak_shift_range': shifted peak window would "
+                             "leave the 24-hour day"),
+    "irradiance-range": ({"synth": {"irradiance_peak": 0}},
+                         "config: field 'synth.irradiance_peak': must be > 0"),
+    "sell-range": ({"synth": {"sell_amplitude": 0.05}},
+                   "config: field 'synth.sell_amplitude': sell price must stay nonnegative "
+                   "over the day"),
+    "peak-price-range": ({"synth": {"peak_price": 0.1}},
+                         "config: field 'synth.peak_price': must be >= offpeak_price"),
+    "offpeak-price-range": ({"synth": {"offpeak_price": 0.05}},
+                            "config: field 'synth.offpeak_price': must be >= sell_mean + "
+                            "sell_amplitude"),
+    "efficiency-range": ({"asset": {"eta_c": 2}},
+                         "config: field 'asset.eta_c': must be in (0, 1], got 2"),
+    "alpha-range": ({"asset": {"alpha": 0}},
+                    "config: field 'asset.alpha': must be > 0 and finite, got 0"),
+    "x0-range": ({"asset": {"x0": 1.5}}, "config: field 'asset.x0': must be in [0, 1], got 1.5"),
+}
+
+
 @pytest.mark.parametrize("argv, env, config, expected", [
     (["sweep", "--t-grid", "0.1:0.9"], {}, {},
      "command line: field '--t-grid': expected 'a:b:n', got '0.1:0.9'"),
@@ -524,6 +584,7 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
      "one file, *_t0.1.csv"),
     (["all", "--flows-at", "0.5,0.5"], {}, {},
      "command line: field '--flows-at': rates 0.5 and 0.5 would write one file, *_t0.5.csv"),
+    *((["gen-data"], {}, config, expected) for config, expected in OUT_OF_RANGE.values()),
 ], ids=["t-grid", "p-grid", "equilibrium-at", "flows-at", "threads-env", "asset-key",
         "config-t-grid", "config-p-grid", "config-n-samples", "asset-value-type",
         "sweep-section", "prices-section", "fit-section", "synth-section", "asset-section",
@@ -535,7 +596,8 @@ def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
         "seed-negative", "flag-over-config", "threads-zero-cached", "threads-env-cached-all",
         "t-grid-empty", "p-grid-empty", "config-t-grid-empty", "config-p-grid-empty",
         "t-grid-rate", "config-t-grid-nan", "equilibrium-at-rate", "flows-at-nan",
-        "all-flows-at-rate", "equilibrium-at-one-file", "all-flows-at-one-file"])
+        "all-flows-at-rate", "equilibrium-at-one-file", "all-flows-at-one-file",
+        *OUT_OF_RANGE])
 def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, monkeypatch,
                                              argv, env, config, expected):
     out = tmp_path / "run"
@@ -550,6 +612,21 @@ def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, mo
     _assert_input_error(capsys, code, expected)
     # refused before the first stage: the run directory is untouched
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
+def test_command_refused_before_its_first_stage_creates_no_out_directory(tmp_path, capsys,
+                                                                         config_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"synth": {"n_households": 0}}))
+    out = tmp_path / "new_dir"
+    _assert_input_error(capsys, _run("gen-data", "--config", bad, "--out", out),
+                        "config: field 'synth.n_households'")
+    _assert_input_error(capsys, _run("all", "--config", config_path, "--out", out,
+                                     "--t-grid", "0.1:0.9"), "field '--t-grid'")
+    # nor does one whose first stage lacks its input
+    _assert_input_error(capsys, _run("sweep", "--config", config_path, "--out", out),
+                        "run `dershare fit` first")
+    assert not out.exists()
 
 
 # One bad value for each source (flag, environment variable, config key) of every
@@ -850,6 +927,27 @@ def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkey
     assert capsys.readouterr().out == "".join(f"{stage}: cached\n" for stage in STAGES)
 
 
+def test_all_hashes_each_file_once(tmp_path, config_path, capsys, monkeypatch):
+    hashed = Counter()
+    file_sha = cli._file_sha
+
+    def counted(path):
+        hashed[Path(path).relative_to(out).as_posix()] += 1
+        return file_sha(path)
+    monkeypatch.setattr(cli, "_file_sha", counted)
+    out = tmp_path / "run"
+    # fresh: each output once, after its stage writes it; a later stage's input hash reuses it
+    assert _run("all", "--config", config_path, "--out", out) == 0
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.csv"))
+    assert len(written) == 13 and hashed == dict.fromkeys(written, 1)
+    hashed.clear()
+    # fully cached: each file once, for the check of the stage that writes it
+    capsys.readouterr()
+    assert _run("all", "--config", config_path, "--out", out) == 0
+    assert capsys.readouterr().out == "".join(f"{stage}: cached\n" for stage in STAGES)
+    assert hashed == dict.fromkeys(written, 1)
+
+
 def test_all_after_a_cached_gen_data_parses_the_scenario_once(tmp_path, config_path, capsys,
                                                              monkeypatch):
     out = tmp_path / "run"
@@ -882,6 +980,15 @@ def test_stages_hand_over_what_reading_their_files_gives(tmp_path, config_path):
     for name, column in read.items():
         held = getattr(run.sweep_table, name)
         assert (held.dtype, held.tobytes()) == (column.dtype, column.tobytes()), name
+
+
+def test_result_csv_headers_are_pinned(finished_run, tmp_path, config_path):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    assert _run("sweep", "--config", config_path, "--out", out, "--equilibrium-at", "0.4") == 0
+    assert _run("localness", "--config", config_path, "--out", out, "--flows-at", "0.5") == 0
+    headers = {p.name: p.read_text().splitlines()[0] for p in out.glob("*.csv")}
+    assert headers == RESULT_HEADERS
 
 
 def test_cli_surface_is_pinned():

@@ -210,6 +210,12 @@ def test_number_columns_keep_nan(tmp_path):
     assert columns["owners"].dtype == np.asarray([0]).dtype and columns["owners"].tolist() == [0, 3]
 
 
+def test_write_rows_spells_bools_true_and_false(tmp_path):
+    path = write_rows(tmp_path / "flags.csv", ["a", "b", "c", "d"],
+                      [[True, np.False_, 1, 0.5], [False, np.True_, np.int64(2), np.float64(1)]])
+    assert path.read_bytes() == b"a,b,c,d\r\ntrue,false,1,0.5\r\nfalse,true,2,1.0\r\n"
+
+
 def test_exclusions_csv(tmp_path):
     path = write_exclusions(tmp_path / "exclusions.csv",
                             [Exclusion("H1", "low consumption"), Exclusion("H2", "zero readings")])

@@ -112,6 +112,13 @@ def test_min_cost_flow_zero_excess():
     assert rf.fraction_local == 1.0
 
 
+def test_min_cost_flow_refuses_a_bad_distance_matrix():
+    with pytest.raises(DomainError, match=r"shape \(2, 2\) does not match 3 regions"):
+        min_cost_flow(np.array([1.0, -0.5, -0.5]), np.ones((2, 2)), volume=1.0)
+    with pytest.raises(DomainError, match="nonnegative"):
+        min_cost_flow(np.array([1.0, -1.0]), np.array([[0.0, -1.0], [-1.0, 0.0]]), volume=1.0)
+
+
 def test_min_cost_flow_two_regions_closed_form():
     d = np.array([[0.0, 7.0], [7.0, 0.0]])
     rf = min_cost_flow(np.array([2.5, -2.5]), d, volume=10.0)

@@ -6,6 +6,7 @@ import pytest
 from dershare.adoption import LongRunSolver, build_order, long_run_adoption
 from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
+from dershare.model import PurchasesCurve, SavingsCurve
 from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
                                    regime_boundary, regime_point, regime_points, utility_loss,
                                    vendor_gain)
@@ -123,6 +124,19 @@ def test_profit_scaling_linearity():
         base = market_emerges(gain, loss, a_u)
         for scale in (0.1, 2.0, 7.5):
             assert market_emerges(scale * gain, scale * loss, a_u) == base
+
+
+def test_threshold_is_infinite_when_the_utility_loses_nothing():
+    # five owners value capacity at 390 and the last household at 150, so at 200 the
+    # market pulls the last one in; flat purchases curves bill the same at any capacity
+    ns = {**{f"h{i}": 390.0 for i in range(5)}, "last": 150.0}
+    curves = {hid: SavingsCurve(hid, np.array([0.0, 1.0]), np.array([v])) for hid, v in ns.items()}
+    purchases = {hid: PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([10.0, 10.0]))
+                 for hid in ns}
+    order = build_order(curves)
+    pt = regime_point(order, purchases, long_run_adoption(order, curves, 200.0))
+    assert (pt.delta_q, pt.vendor_gain, pt.utility_loss) == (1.0, 200.0, 0.0)
+    assert pt.threshold == math.inf and pt.emerges_at_unit_ratio
 
 
 def test_regime_points_equal_the_per_price_formula(medium_population):

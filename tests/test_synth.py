@@ -32,10 +32,10 @@ def test_zero_households_rejected():
 
 def test_config_validation_buy_sell_ordering():
     with pytest.raises(ValidationError) as exc:
-        SynthConfig(offpeak_price=0.05, sell_mean=0.04, sell_amplitude=0.02).validate()
+        SynthConfig(offpeak_price=0.05, sell_mean=0.04, sell_amplitude=0.02)
     assert exc.value.fieldname == "offpeak_price"
     with pytest.raises(ValidationError):
-        SynthConfig(peak_price=0.1, offpeak_price=0.2).validate()
+        SynthConfig(peak_price=0.1, offpeak_price=0.2)
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -47,7 +47,7 @@ def test_from_dict_rejects_unknown_keys():
 def test_seed_must_be_nonnegative():
     with pytest.raises(ValidationError) as exc:
         SynthConfig.from_dict({"rng_seed": -1})
-    assert exc.value.fieldname == "rng_seed"
+    assert exc.value.fieldname == "synth.rng_seed"
 
 
 def test_from_dict_checks_value_types():
