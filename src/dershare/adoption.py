@@ -18,8 +18,10 @@ curve over the adoption increase.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -112,29 +114,27 @@ def sweep_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
     return DemandCurves(t_grid, *map(np.asarray, list(zip(*rows)) or [()] * 12))
 
 
-class LongRunSolver:
-    """Market equilibria at every owner count k along the adoption order.
+class LongRunSolver(ClearingTable):
+    """The ClearingTable of a curve set, read along the adoption order.
 
-    The constructor clears the market for every k at once from one
-    ClearingTable; equilibrium_at(k) builds the full equilibrium the
-    first time k is asked for and keeps it.
+    The constructor prices every owner count k = 0..N (the first k of the
+    ranking own); equilibrium_at(k) builds each equilibrium once and keeps it.
     """
 
     def __init__(self, order: AdoptionOrder, curves: Mapping[str, SavingsCurve]):
+        ClearingTable.__init__(self, curves)
         self.order = order
-        self.curves = curves
-        self._table = ClearingTable(curves)
-        self._prices = self._table.prices_along(order.ranking)
+        self.prices = self._prices(list(accumulate((self.size_units[hid] for hid in order.ranking),
+                                                   initial=0)))
         self._equilibria: dict[int, MarketEquilibrium] = {}
 
     def equilibrium_at(self, k: int) -> MarketEquilibrium:
         if k not in self._equilibria:
-            self._equilibria[k] = self._table.equilibrium(self.order.owners_at(k),
-                                                          self._prices[k])
+            self._equilibria[k] = self.equilibrium(self.order.owners_at(k), self.prices[k])
         return self._equilibria[k]
 
     def clearing_price_at(self, k: int) -> float | None:
-        return self._prices[k]
+        return self.prices[k]
 
 
 @dataclass(frozen=True)
@@ -194,20 +194,15 @@ def long_run_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
     if k0 == n:
         return result(n, solver.clearing_price_at(n), None)
 
-    r0 = solver.clearing_price_at(k0)
-    if r0 is None or r0 <= p:
-        return result(k0, r0, None, contraction=bool(r0 is not None and r0 < p))
+    def cleared(k):  # the rental price no longer exceeds p
+        r = solver.clearing_price_at(k)
+        return r is None or r <= p
 
-    # smallest k in (k0, n] with clearing price <= p; price is nonincreasing in k
-    lo, hi = k0, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        r = solver.clearing_price_at(mid)
-        if r is None or r <= p:
-            hi = mid
-        else:
-            lo = mid
-    k_long = hi
+    r0 = solver.clearing_price_at(k0)
+    if cleared(k0):
+        return result(k0, r0, None, contraction=bool(r0 is not None and r0 < p))
+    # the smallest cleared k in (k0, n), else n; the price is nonincreasing in k
+    k_long = bisect.bisect_left(range(n), True, k0 + 1, n, key=cleared)
     r_at = solver.clearing_price_at(k_long)
     r_before = solver.clearing_price_at(k_long - 1)
     return result(k_long, r_at, r_before, saturated=(k_long == n))

@@ -435,12 +435,6 @@ class Run:
 
 # ---------------------------------------------------------------- stage bodies
 
-# sweep columns, at each --equilibrium-at rate
-EQUILIBRIUM_SUMMARY_HEADER = ["t", "clearing_price", "volume", "owner_participation",
-                              "non_owner_participation", "total_participation",
-                              "owner_surplus", "renter_surplus", "total_surplus"]
-
-
 def _fields(cls, *dropped: str) -> list[str]:
     return [f.name for f in fields(cls) if f.name not in dropped]
 
@@ -494,9 +488,11 @@ def _sweep(run: Run) -> None:
         write_rows(run.out / rel, ["household_id", "role", "y_star", "surplus"],
                    [[hid, "owner" if hid in eq.owner_ids else "renter",
                      eq.allocations[hid], eq.surpluses[hid]] for hid in sorted(eq.allocations)])
+    # the sweep's columns at each --equilibrium-at rate
     summary = sweep_adoption(run.order, run.curves, run.equilibrium_at, run.solver)
-    write_rows(run.out / SUMMARY_FILE, EQUILIBRIUM_SUMMARY_HEADER,
-               zip(*(getattr(summary, name) for name in EQUILIBRIUM_SUMMARY_HEADER)))
+    header = _fields(DemandCurves, "owners", "adopted_quantity", "short_run_price",
+                     "fraction_rented_out")
+    write_rows(run.out / SUMMARY_FILE, header, zip(*(getattr(summary, name) for name in header)))
 
 
 def _longrun(run: Run) -> None:

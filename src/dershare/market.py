@@ -80,16 +80,6 @@ class MarketEquilibrium:
     degenerate: bool = False
 
 
-def _degenerate(ids, curves, owner_ids) -> MarketEquilibrium:
-    allocations = {hid: (curves[hid].max_size if hid in owner_ids else 0.0) for hid in ids}
-    return MarketEquilibrium(
-        clearing_price=None, volume=0.0, allocations=allocations,
-        surpluses={hid: 0.0 for hid in ids}, owner_ids=owner_ids,
-        owner_surplus_total=0.0, renter_surplus_total=0.0, total_surplus=0.0,
-        owner_participation=0.0, non_owner_participation=0.0, total_participation=0.0,
-        residual=0.0, degenerate=True)
-
-
 def _exact_units(values: list[float]) -> list[int]:
     """Nonnegative floats as exact integer multiples of one power of two."""
     ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two
@@ -131,7 +121,7 @@ class ClearingTable:
             self.values[i, m + 1:] = c.values[-1]
         self.sizes = self.knots[:, -1].copy()
         self.totals = self.values[:, -1].copy()
-        self.tol = max(1e-6, 1e-9 * sum(c.max_size for c in rows))
+        self.tol = max(1e-6, 1e-9 * _sum_in_order(self.sizes))
 
         units = _exact_units([v for c in rows for v in c.knots.tolist()])
         self.size_units: dict[str, int] = {}
@@ -177,17 +167,18 @@ class ClearingTable:
             prices[i] = r
         return prices
 
-    def prices_along(self, ranking: Sequence[str]) -> list[float | None]:
-        """Clearing price with owners ranking[:k], for k = 0..len(ranking)."""
-        return self._prices(list(accumulate((self.size_units[hid] for hid in ranking),
-                                            initial=0)))
-
     def equilibrium(self, owner_ids: frozenset[str], price: float | None) -> MarketEquilibrium:
         """Allocations, rationing, surpluses and participation at a clearing
-        price; a price of None (one market side empty) means no trade."""
-        if price is None:
-            return _degenerate(self.ids, self.curves, owner_ids)
+        price; at None (one market side empty) owners keep their whole size."""
         owner = np.array([hid in owner_ids for hid in self.ids])
+        if price is None:
+            return MarketEquilibrium(
+                clearing_price=None, volume=0.0,
+                allocations=dict(zip(self.ids, np.where(owner, self.sizes, 0.0).tolist())),
+                surpluses=dict.fromkeys(self.ids, 0.0), owner_ids=owner_ids,
+                owner_surplus_total=0.0, renter_surplus_total=0.0, total_surplus=0.0,
+                owner_participation=0.0, non_owner_participation=0.0, total_participation=0.0,
+                residual=0.0, degenerate=True)
         rows = np.arange(len(self.ids))
         n_gt = np.count_nonzero(self.slopes > price, axis=1)
         n_ge = np.count_nonzero(self.slopes >= price, axis=1)

@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .adoption import AdoptionOrder, LongRunResult, LongRunSolver, long_run_adoption
-from .market import MarketEquilibrium
+from .market import MarketEquilibrium, _sum_in_order
 from .model import PurchasesCurve, SavingsCurve
 
 
@@ -30,7 +32,8 @@ def vendor_gain(price: float, d_short: float, d_long: float) -> float:
 def billed_sales(purchases: Mapping[str, PurchasesCurve],
                  assignment: Mapping[str, float]) -> float:
     """Total buy-side bills when each household dispatches its assigned capacity."""
-    return float(sum(purchases[hid].eval(assignment[hid]) for hid in sorted(assignment)))
+    return _sum_in_order(np.array([purchases[hid].eval(assignment[hid])
+                                   for hid in sorted(assignment)]))
 
 
 def autarky_assignment(order: AdoptionOrder, k: int) -> dict[str, float]:
@@ -79,33 +82,28 @@ class RegimePoint:
     long_run: LongRunResult
 
 
-def regime_point(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
-                 lr: LongRunResult, sales_before: float | None = None) -> RegimePoint:
-    """The blocking threshold at the purchase price of one long-run result
-    (sales_before: see utility_loss's before)."""
-    gain = vendor_gain(lr.price, lr.d_short, lr.d_long)
-    loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium, sales_before)
-    if gain <= 0:
-        threshold = None
-    elif loss <= 0:
-        threshold = math.inf
-    else:
-        threshold = gain / loss
-    return RegimePoint(price=lr.price, delta_q=lr.delta_q, vendor_gain=gain,
-                       utility_loss=loss, threshold=threshold,
-                       emerges_at_unit_ratio=market_emerges(gain, loss, 1.0), long_run=lr)
-
-
 def regime_points(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
                   long_run: Iterable[LongRunResult]) -> list[RegimePoint]:
-    """regime_point of each long-run result. Prices that share k_short share
-    its no-market billed sales, which are summed once."""
+    """The blocking threshold at the purchase price of each long-run result.
+    Prices that share k_short share its no-market billed sales, which are
+    summed once."""
     before: dict[int, float] = {}
     points = []
     for lr in long_run:
         if lr.k_short not in before:
             before[lr.k_short] = billed_sales(purchases, autarky_assignment(order, lr.k_short))
-        points.append(regime_point(order, purchases, lr, before[lr.k_short]))
+        gain = vendor_gain(lr.price, lr.d_short, lr.d_long)
+        loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium, before[lr.k_short])
+        if gain <= 0:
+            threshold = None
+        elif loss <= 0:
+            threshold = math.inf
+        else:
+            threshold = gain / loss
+        points.append(RegimePoint(price=lr.price, delta_q=lr.delta_q, vendor_gain=gain,
+                                  utility_loss=loss, threshold=threshold,
+                                  emerges_at_unit_ratio=market_emerges(gain, loss, 1.0),
+                                  long_run=lr))
     return points
 
 

@@ -28,6 +28,7 @@ from dershare.stakeholders import (autarky_assignment, billed_sales, market_emer
 from dershare.synth import SynthConfig, generate_scenario
 from oracles import (BisectionSolver, bisection_clear_market, dp_dispatch_cost, one_household,
                      random_curve_population, random_dispatch_instance)
+from runs import differences
 
 
 def test_criterion_1_savings_monotone_concave_strict():
@@ -227,10 +228,5 @@ def test_criterion_9_desk_scale_determinism(tmp_path):
         elapsed_1 = run(tmp_path / "a", 1, timeout=600.0)
         assert elapsed_1 <= 600.0, f"single-worker pipeline took {elapsed_1:.0f}s"
         run(tmp_path / "b", 8)
-        csvs = sorted(p.relative_to(tmp_path / "a")
-                      for p in (tmp_path / "a").rglob("*.csv"))
-        assert len(csvs) >= 12
-        for rel in csvs:
-            a = (tmp_path / "a" / rel).read_bytes()
-            b = (tmp_path / "b" / rel).read_bytes()
-            assert a == b, f"{rel} differs between worker counts"
+        assert len(list((tmp_path / "a").rglob("*.csv"))) >= 12
+        assert differences(tmp_path / "a", tmp_path / "b") == [], "worker counts differ"

@@ -122,6 +122,15 @@ def test_long_run_saturates_when_price_below_all_rents():
     assert lr.saturated
     assert lr.k_long == order.n
     assert lr.t_long == 1.0
+    # three households value 0.9 kW at 210 and the rest at 1 (189.1 per kW): at 200 only
+    # the first of four buys without the market, and the rent stays at 210 or more until
+    # the last one buys, so every count short of n fails the long-run test
+    curves = {"h0": curve_with_normalized("h0", 400.0),
+              **{hid: SavingsCurve(hid, np.array([0.0, 0.9, 1.0]), np.array([210.0, 1.0]))
+                 for hid in ("h1", "h2", "h3")}}
+    lr = long_run_adoption(build_order(curves), curves, 200.0)
+    assert (lr.k_short, lr.k_long, lr.saturated) == (1, 4, True)
+    assert (lr.r_at_long, lr.r_before_long) == (None, 210.0)
 
 
 def test_long_run_when_everyone_adopts_without_the_market():

@@ -20,6 +20,7 @@ from dershare.io import load_scenario, read_purchases_curves, read_savings_curve
 from dershare.model import ValidationError
 from dershare.synth import SynthConfig
 from oracles import random_curve_population, random_tied_curve_population
+from runs import differences
 
 TINY = {
     "synth": {"n_households": 10, "n_days": 3, "n_regions": 2, "rng_seed": 13},
@@ -131,11 +132,8 @@ def test_module_entry_point_matches_main(tmp_path, config_path, capsys):
     assert _stage_lines(proc.stdout) == _stage_lines(capsys.readouterr().out)
     assert [line.split(":")[0] for line in proc.stdout.splitlines() if ": wrote" in line] == [
         *STAGES]
-    csvs = sorted(p.relative_to(own) for p in own.rglob("*.csv"))
-    assert len(csvs) == 16
-    assert csvs == sorted(p.relative_to(child) for p in child.rglob("*.csv"))
-    for rel in csvs:
-        assert (child / rel).read_bytes() == (own / rel).read_bytes(), rel
+    assert len(list(own.rglob("*.csv"))) == 16
+    assert differences(child, own) == []
 
 
 _ATEXIT_PROBE = """
@@ -325,13 +323,30 @@ def test_thread_count_does_not_change_outputs(tmp_path, config_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _run("all", "--config", config_path, "--out", a, "--threads", "1") == 0
     assert _run("all", "--config", config_path, "--out", b, "--threads", "2") == 0
-    csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
-    assert csvs
-    for rel in csvs:
-        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
-    ma = json.loads((a / "manifest.json").read_text())
-    mb = json.loads((b / "manifest.json").read_text())
-    assert ma["outputs"] == mb["outputs"]
+    assert list(a.rglob("*.csv"))
+    assert differences(a, b) == []
+
+
+def test_run_comparison_names_each_difference(finished_run, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(finished_run, copy)
+    assert differences(finished_run, copy) == []
+    manifest = json.loads((copy / "manifest.json").read_text())
+    manifest["stages"]["fit"]["completed_at"] = "later"  # when a stage ran is not compared
+    manifest["stages"]["sweep"]["input_hash"] = "0"
+    manifest["outputs"]["subsidy.csv"] = "0"
+    (copy / "manifest.json").write_text(json.dumps(manifest))
+    (copy / "sweep.csv").write_bytes(b"t\r\n")
+    (copy / "longrun.csv").unlink()
+    (copy / "extra.csv").touch()
+    found = [f"only in {copy}: extra.csv", f"only in {finished_run}: longrun.csv",
+             "differs: sweep.csv", "manifest.json differs: outputs",
+             "manifest.json differs: stages.sweep.input_hash"]
+    assert differences(finished_run, copy) == found
+    script = Path(__file__).with_name("runs.py")
+    proc = subprocess.run([sys.executable, str(script), str(finished_run), str(copy)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()) == (1, found)
 
 
 def test_days_subsample_runs(tmp_path, config_path):
@@ -909,11 +924,8 @@ def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkey
     # the scenario, the five analysis stages the savings curves, stakeholders the purchases,
     # subsidy and localness the sweep
     assert [calls[name] for name in COUNTED] == [3, 5, 1, 2]
-    csvs = sorted(p.relative_to(a) for p in a.rglob("*.csv"))
-    assert len(csvs) == 16
-    assert csvs == sorted(p.relative_to(b) for p in b.rglob("*.csv"))
-    for rel in csvs:
-        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+    assert len(list(a.rglob("*.csv"))) == 16
+    assert differences(a, b) == []
 
     capsys.readouterr()
     for stage in STAGES:

@@ -152,6 +152,20 @@ def test_fit_rejects_gross_violation():
         fit_savings_curve("a", y, f)
 
 
+@pytest.mark.parametrize("y,f,message", [
+    ([0.0, 1.0, 2.0], [0.0, 1.0], "need matching 1-d sample arrays with at least two points"),
+    ([1.0, 2.0], [1.0, 2.0], "samples must start at (0, 0)"),
+    ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "sample capacities must be strictly ascending"),
+    # the repair moves 18 samples by 0.95, within 1% of the terminal savings, yet R^2 drops
+    (np.arange(21.0), [0.0, 100.0] + [99.05] * 18 + [100.0],
+     "household a: fit R^2 0.998265 below 0.999"),
+])
+def test_fit_refuses_unusable_samples(y, f, message):
+    with pytest.raises(FitError) as exc:
+        fit_savings_curve("a", y, f)
+    assert str(exc.value) == message
+
+
 def test_fit_slope_separation_preserves_total(rng):
     y = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 3.0, 8))])
     slopes_true = np.sort(rng.uniform(20, 200, 8))[::-1]

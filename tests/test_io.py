@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import assert_same_load
+from dershare.adoption import DemandCurves
 from dershare.curves import PurchasesCurve, SavingsCurve
 from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, SWEEP_FILE, TABLES,
                          TARIFF_BUY_FILE, TARIFF_SELL_FILE, Exclusion, ParseError, ingest,
@@ -208,6 +209,11 @@ def test_number_columns_keep_nan(tmp_path):
     np.testing.assert_array_equal(columns["clearing_price"], [np.nan, 0.5])
     np.testing.assert_array_equal(columns["short_run_price"], [np.nan, 2.0])
     assert columns["owners"].dtype == np.asarray([0]).dtype and columns["owners"].tolist() == [0, 3]
+
+
+def test_sweep_table_is_the_demand_curves_fields():
+    # the sweep stage writes, and equilibrium_summary.csv selects, columns by field name
+    assert list(TABLES[SWEEP_FILE].columns) == [f.name for f in fields(DemandCurves)]
 
 
 def test_write_rows_spells_bools_true_and_false(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from dershare.adoption import LongRunSolver, build_order
 from dershare.curves import SavingsCurve
 from dershare.market import ClearingTable, clear_market
+from dershare.model import DomainError
 from oracles import (bisection_clear_market, random_concave_curve, random_curve_population,
                      random_tied_curve_population)
 
@@ -62,6 +63,15 @@ def test_degenerate_owner_sets_report_no_trade():
         assert eq.clearing_price is None
         assert eq.volume == 0.0
         assert eq.total_surplus == 0.0
+        # owners keep their whole size, the others stay at zero
+        assert eq.allocations == {hid: float(hid in owners) for hid in curves}
+
+
+def test_owners_without_curves_are_refused():
+    curves = {f"h{i}": linear_curve(f"h{i}", 100.0 + i) for i in range(3)}
+    with pytest.raises(DomainError) as exc:
+        clear_market(curves, {"h0", "x1", "x0"})
+    assert str(exc.value) == "owner ids without curves: ['x0', 'x1']"
 
 
 @pytest.mark.parametrize("seed", range(6))

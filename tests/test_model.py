@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dershare.model import (AssetSpec, DomainError, HouseholdRecord, IrradianceSeries,
-                            Region, Scenario, TariffSet, ValidationError,
+from dershare.model import (AssetSpec, DomainError, EmptyScenarioError, HouseholdRecord,
+                            IrradianceSeries, Region, Scenario, TariffSet, ValidationError,
                             compute_net_zero_size, validate_scenario)
 
 
@@ -91,6 +91,31 @@ def test_validate_scenario_rejects_inconsistent_sizing():
     with pytest.raises(ValidationError) as exc:
         validate_scenario(_tiny_scenario(households=(wrong,)))
     assert exc.value.fieldname == "net_zero_size"
+
+
+@pytest.mark.parametrize("case,error,message", [
+    ("irradiance days", ValidationError, "irradiance: field 'values': 3 days, tariff has 2"),
+    ("no households", EmptyScenarioError,
+     "scenario: field 'households': scenario contains no households"),
+    ("duplicate id", ValidationError, "household A: field 'id': duplicate household id"),
+    ("load days", ValidationError, "household A: field 'load': 3 days, tariff has 2"),
+    ("zero size", ValidationError, "household A: field 'net_zero_size': must be > 0, got 0.0"),
+])
+def test_validate_scenario_refusals(case, error, message):
+    sc = _tiny_scenario()
+    hh = sc.households[0]
+    overrides = {
+        "irradiance days": {"irradiance": IrradianceSeries(np.tile(sc.irradiance.values[:1],
+                                                                   (3, 1)))},
+        "no households": {"households": ()},
+        "duplicate id": {"households": (hh, hh)},
+        "load days": {"households": (HouseholdRecord("A", "R0", np.full((3, 24), 0.5),
+                                                     hh.net_zero_size),)},
+        "zero size": {"households": (HouseholdRecord("A", "R0", hh.load, 0.0),)},
+    }[case]
+    with pytest.raises(error) as exc:
+        validate_scenario(_tiny_scenario(**overrides))
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_validate_scenario_rejects_negative_load():

@@ -8,8 +8,7 @@ from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
 from dershare.model import PurchasesCurve, SavingsCurve
 from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
-                                   regime_boundary, regime_point, regime_points, utility_loss,
-                                   vendor_gain)
+                                   regime_boundary, regime_points, utility_loss, vendor_gain)
 
 
 def test_vendor_gain_arithmetic():
@@ -39,6 +38,14 @@ def test_baseline_identity(medium_population):
     expected = sum(medium_population.ctx.annual_bill(households[hid], 0.0).bill
                    for hid in sorted(medium_population.curves))
     assert t_bl == pytest.approx(expected, rel=1e-12)
+
+
+def test_billed_sales_sum_left_to_right():
+    # a compensated sum (Python 3.12's sum() over floats) would keep the 1.0
+    bills = {"a": 1e16, "b": 1.0, "c": -1e16}
+    purchases = {hid: PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([v, v]))
+                 for hid, v in bills.items()}
+    assert billed_sales(purchases, dict.fromkeys(bills, 0.5)) == 0.0
 
 
 def test_utility_loss_zero_without_changes(medium_population):
@@ -106,8 +113,8 @@ def test_regime_points_from_long_run_results_match_the_boundary(medium_populatio
     purchases = medium_population.purchases
     ps = [float(p) for p in np.quantile(order.normalized, [0.05, 0.3, 0.5, 0.7, 0.95])] + [1e9]
     solver = LongRunSolver(order, curves)
-    shared = [regime_point(order, purchases, long_run_adoption(order, curves, p, solver))
-              for p in ps]
+    shared = regime_points(order, purchases,
+                           [long_run_adoption(order, curves, p, solver) for p in ps])
 
     def row(pt):
         return (pt.price, pt.delta_q, pt.vendor_gain, pt.utility_loss, pt.threshold,
@@ -134,7 +141,7 @@ def test_threshold_is_infinite_when_the_utility_loses_nothing():
     purchases = {hid: PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([10.0, 10.0]))
                  for hid in ns}
     order = build_order(curves)
-    pt = regime_point(order, purchases, long_run_adoption(order, curves, 200.0))
+    [pt] = regime_points(order, purchases, [long_run_adoption(order, curves, 200.0)])
     assert (pt.delta_q, pt.vendor_gain, pt.utility_loss) == (1.0, 200.0, 0.0)
     assert pt.threshold == math.inf and pt.emerges_at_unit_ratio
 
@@ -156,4 +163,4 @@ def test_regime_points_equal_the_per_price_formula(medium_population):
                 - billed_sales(purchases, lr.equilibrium.allocations))
         assert pt.utility_loss == loss == utility_loss(purchases, order, lr.k_short,
                                                        lr.equilibrium)
-        assert pt == regime_point(order, purchases, lr)
+        assert [pt] == regime_points(order, purchases, [lr])
