@@ -38,6 +38,7 @@ class AdoptionOrder:
     normalized: np.ndarray  # $/period/kW along the ranking
     sizes: np.ndarray  # net-zero sizes along the ranking, kW
     cumulative_quantity: np.ndarray  # prefix[k] = capacity of the first k, kW
+    ranks: np.ndarray  # each household's place in the ranking, in household-id order
 
     @property
     def n(self) -> int:
@@ -67,6 +68,7 @@ def build_order(curves: Mapping[str, SavingsCurve]) -> AdoptionOrder:
         normalized=normalized,
         sizes=sizes,
         cumulative_quantity=np.concatenate([[0.0], np.cumsum(sizes)]),
+        ranks=np.argsort(ids),
     )
 
 
@@ -117,8 +119,8 @@ def sweep_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
 class LongRunSolver(ClearingTable):
     """The ClearingTable of a curve set, read along the adoption order.
 
-    The constructor prices every owner count k = 0..N (the first k of the
-    ranking own); equilibrium_at(k) builds each equilibrium once and keeps it.
+    The constructor prices every owner count k = 0..N (the households of
+    rank < k own); equilibrium_at(k) builds each equilibrium once and keeps it.
     """
 
     def __init__(self, order: AdoptionOrder, curves: Mapping[str, SavingsCurve]):
@@ -130,7 +132,7 @@ class LongRunSolver(ClearingTable):
 
     def equilibrium_at(self, k: int) -> MarketEquilibrium:
         if k not in self._equilibria:
-            self._equilibria[k] = self.equilibrium(self.order.owners_at(k), self.prices[k])
+            self._equilibria[k] = self.equilibrium(self.order.ranks < k, self.prices[k])
         return self._equilibria[k]
 
     def clearing_price_at(self, k: int) -> float | None:
@@ -236,7 +238,8 @@ def equivalent_subsidy(table: DemandCurves, long_run: LongRunResult,
     qs, idx = np.unique(table.adopted_quantity[valid], return_index=True)
     thresholds = table.short_run_price[valid][idx]
     if qs.size < 2:
-        raise DomainError("sweep table too coarse to interpolate inverse demand")
+        raise DomainError(f"sweep table too coarse to interpolate inverse demand: {qs.size} "
+                          "usable adoption rate(s), need 2; add rates to --t-grid (sweep.t_grid)")
 
     a, b = long_run.d_short, long_run.d_long
     inner = qs[(qs > a) & (qs < b)]

@@ -486,8 +486,8 @@ def _sweep(run: Run) -> None:
         # per-household allocations and surpluses at one adoption rate
         eq = run.solver.equilibrium_at(run.order.count_at_rate(t))
         write_rows(run.out / rel, ["household_id", "role", "y_star", "surplus"],
-                   [[hid, "owner" if hid in eq.owner_ids else "renter",
-                     eq.allocations[hid], eq.surpluses[hid]] for hid in sorted(eq.allocations)])
+                   zip(eq.ids, np.where(eq.owner, "owner", "renter").tolist(),
+                       eq.allocations.tolist(), eq.surpluses.tolist()))
     # the sweep's columns at each --equilibrium-at rate
     summary = sweep_adoption(run.order, run.curves, run.equilibrium_at, run.solver)
     header = _fields(DemandCurves, "owners", "adopted_quantity", "short_run_price",
@@ -506,14 +506,18 @@ def _subsidy(run: Run) -> None:
 
 
 def _localness(run: Run) -> None:
-    from .localness import distance_matrix, min_cost_flow, regional_excess
+    from .localness import distance_matrix, min_cost_flow, region_index, regional_excess
     scenario = run.loaded.scenario
+    try:
+        index = region_index(run.solver.ids, scenario.households, scenario.regions)
+    except DomainError as exc:  # the regions were checked when the scenario was loaded
+        raise DomainError(f"{run.out / SAVINGS_FILE} against {LOADS_FILE}: {exc}") from None
     dmat = distance_matrix(scenario.regions)
     region_ids = tuple(r.id for r in scenario.regions)
 
     def flow_at(t: float):
         eq = run.solver.equilibrium_at(run.order.count_at_rate(t))
-        s = regional_excess(eq, scenario.households, scenario.regions)
+        s = regional_excess(eq, scenario.households, scenario.regions, index)
         return min_cost_flow(s, dmat, eq.volume, region_ids)
 
     _write_records(run.out / "localness.csv",

@@ -122,8 +122,8 @@ def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
     if r2 < MIN_R2:
         raise FitError(f"household {household_id}: fit R^2 {r2:.6f} below {MIN_R2}")
 
-    # separate tied slopes so the demanded capacity is single-valued
-    # almost everywhere, redistributing to keep f(y_bar) unchanged
+    # separate tied slopes so the demanded capacity is single-valued almost
+    # everywhere, keeping f(y_bar); a slope rounded below 0 is clamped to 0
     n_seg = slopes.size
     if n_seg >= 2:
         k = np.arange(n_seg, dtype=float)
@@ -132,7 +132,7 @@ def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
         if n_seg - 1 - center > 0:
             eps_eff = min(SLOPE_SEPARATION, slopes[-1] / (n_seg - 1 - center))
         if eps_eff > 0:
-            slopes = slopes + eps_eff * (center - k)
+            slopes = np.maximum(slopes + eps_eff * (center - k), 0.0)
         else:
             log.debug("household %s: slope separation skipped (flat zero tail)", household_id)
 

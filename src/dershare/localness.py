@@ -53,25 +53,33 @@ def distance_matrix(regions: Sequence[Region]) -> np.ndarray:
     return d
 
 
-def regional_excess(equilibrium: MarketEquilibrium,
-                    households: Sequence[HouseholdRecord],
-                    regions: Sequence[Region]) -> np.ndarray:
-    """Per-region excess rental supply s_k, ordered like `regions`.
-
-    s_k = (capacity the region's owners rent out) minus (capacity its
-    non-owners rent); negative values mean excess rental demand.
-    """
+def region_index(ids: Sequence[str], households: Sequence[HouseholdRecord],
+                 regions: Sequence[Region]) -> tuple[np.ndarray, np.ndarray]:
+    """Each household's position in `regions` and its net-zero size, in the
+    order of ids, which must name exactly the households."""
+    by_id = {hh.id: hh for hh in households}
+    differ = sorted(by_id.keys() ^ set(ids))
+    if differ:
+        raise DomainError(f"household {differ[0]!r}: "
+                          + ("no curve" if differ[0] in by_id else "a curve but no household"))
     index = {r.id: k for k, r in enumerate(regions)}
-    s = np.zeros(len(regions))
-    for hh in sorted(households, key=lambda h: h.id):
+    rows = [by_id[hid] for hid in ids]
+    for hh in rows:
         if hh.region_id not in index:
             raise DomainError(f"household {hh.id}: region {hh.region_id!r} not in region list")
-        y = equilibrium.allocations[hh.id]
-        if hh.id in equilibrium.owner_ids:
-            s[index[hh.region_id]] += hh.net_zero_size - y
-        else:
-            s[index[hh.region_id]] -= y
-    return s
+    return (np.array([index[hh.region_id] for hh in rows], dtype=np.intp),
+            np.array([hh.net_zero_size for hh in rows], dtype=float))
+
+
+def regional_excess(equilibrium: MarketEquilibrium, households: Sequence[HouseholdRecord],
+                    regions: Sequence[Region], index=None) -> np.ndarray:
+    """Per-region excess rental supply s_k, ordered like `regions`: what the
+    region's owners rent out minus what its non-owners rent, summed in
+    household-id order. index, if given, is region_index(equilibrium.ids,
+    households, regions), built once for the equilibria of one curve set."""
+    region_of, sizes = index or region_index(equilibrium.ids, households, regions)
+    y = equilibrium.allocations
+    return np.bincount(region_of, np.where(equilibrium.owner, sizes - y, -y), len(regions))
 
 
 def solve_transport(supply, demand, cost):

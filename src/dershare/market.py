@@ -36,7 +36,8 @@ of E. A market where the owners value every kW above every non-owner
 thus clears at the midpoint with zero volume instead of tipping on
 rounding. Allocations, surpluses and participation at the chosen price
 are computed in one pass over a padded array of all curves, summing in
-household-id order.
+household-id order, and kept as read-only arrays in that order with a
+mask of the owners, so that a sweep can afford to keep every equilibrium.
 
 Both rules are documented conventions for degenerate ties; away from
 ties the equilibrium is the unique supply-equals-demand point.
@@ -55,21 +56,23 @@ from .model import DomainError, SavingsCurve
 PARTICIPATION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketEquilibrium:
     """Clearing outcome for a fixed owner set.
 
     clearing_price is None when one market side is empty (degenerate:
-    no trade, zero volume). allocations map every household to the
-    capacity it ends up using; surpluses are the gains over the
-    no-market outcome (own-use for owners, nothing for non-owners).
+    no trade, zero volume). allocations hold the capacity each household
+    ends up using and surpluses its gain over the no-market outcome
+    (own-use for owners, nothing for non-owners); owner marks the owners.
+    All three are read-only arrays in the order of ids.
     """
 
     clearing_price: float | None
     volume: float
-    allocations: dict[str, float]
-    surpluses: dict[str, float]
-    owner_ids: frozenset[str]
+    ids: tuple[str, ...]
+    allocations: np.ndarray
+    surpluses: np.ndarray
+    owner: np.ndarray  # bool
     owner_surplus_total: float
     renter_surplus_total: float
     total_surplus: float
@@ -78,6 +81,10 @@ class MarketEquilibrium:
     total_participation: float
     residual: float  # supply minus demand at the clearing price
     degenerate: bool = False
+
+    def __post_init__(self):
+        for a in (self.allocations, self.surpluses, self.owner):
+            a.flags.writeable = False
 
 
 def _exact_units(values: list[float]) -> list[int]:
@@ -88,12 +95,9 @@ def _exact_units(values: list[float]) -> list[int]:
 
 
 def _sum_in_order(values: np.ndarray) -> float:
-    """Left-to-right float sum, so that totals do not depend on how numpy
-    splits a sum (np.sum adds pairwise)."""
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
+    """Left-to-right float sum from 0.0, the additions a loop would make, so
+    that totals do not depend on how np.sum splits a sum (it adds pairwise)."""
+    return float(np.add.accumulate(np.concatenate([[0.0], values]))[-1])
 
 
 class ClearingTable:
@@ -167,15 +171,15 @@ class ClearingTable:
             prices[i] = r
         return prices
 
-    def equilibrium(self, owner_ids: frozenset[str], price: float | None) -> MarketEquilibrium:
+    def equilibrium(self, owner: np.ndarray, price: float | None) -> MarketEquilibrium:
         """Allocations, rationing, surpluses and participation at a clearing
-        price; at None (one market side empty) owners keep their whole size."""
-        owner = np.array([hid in owner_ids for hid in self.ids])
+        price; at None (one market side empty) owners keep their whole size.
+        owner is a bool array in ids order; the equilibrium keeps it, read-only."""
         if price is None:
             return MarketEquilibrium(
-                clearing_price=None, volume=0.0,
-                allocations=dict(zip(self.ids, np.where(owner, self.sizes, 0.0).tolist())),
-                surpluses=dict.fromkeys(self.ids, 0.0), owner_ids=owner_ids,
+                clearing_price=None, volume=0.0, ids=self.ids,
+                allocations=np.where(owner, self.sizes, 0.0), surpluses=np.zeros(len(self.ids)),
+                owner=owner,
                 owner_surplus_total=0.0, renter_surplus_total=0.0, total_surplus=0.0,
                 owner_participation=0.0, non_owner_participation=0.0, total_participation=0.0,
                 residual=0.0, degenerate=True)
@@ -215,9 +219,7 @@ class ClearingTable:
         return MarketEquilibrium(
             clearing_price=float(price),
             volume=float(supply),
-            allocations=dict(zip(self.ids, y.tolist())),
-            surpluses=dict(zip(self.ids, w.tolist())),
-            owner_ids=owner_ids,
+            ids=self.ids, allocations=y, surpluses=w, owner=owner,
             owner_surplus_total=float(owner_total),
             renter_surplus_total=float(renter_total),
             total_surplus=float(owner_total + renter_total),
@@ -240,4 +242,4 @@ def clear_market(curves: Mapping[str, SavingsCurve], owners: Iterable[str]) -> M
         raise DomainError(f"owner ids without curves: {sorted(unknown)[:3]}")
     table = ClearingTable(curves)
     price = table._prices([sum(table.size_units[hid] for hid in owner_ids)])[0]
-    return table.equilibrium(owner_ids, price)
+    return table.equilibrium(np.array([hid in owner_ids for hid in table.ids], dtype=bool), price)

@@ -29,18 +29,18 @@ def vendor_gain(price: float, d_short: float, d_long: float) -> float:
     return price * (d_long - d_short)
 
 
-def billed_sales(purchases: Mapping[str, PurchasesCurve],
-                 assignment: Mapping[str, float]) -> float:
-    """Total buy-side bills when each household dispatches its assigned capacity."""
-    return _sum_in_order(np.array([purchases[hid].eval(assignment[hid])
-                                   for hid in sorted(assignment)]))
+def billed_sales(purchases: Mapping[str, PurchasesCurve], ids: Sequence[str],
+                 assignment: np.ndarray) -> float:
+    """Total buy-side bills when each household of ids dispatches its
+    assigned capacity, assignment in the order of ids."""
+    return _sum_in_order(np.array([purchases[hid].eval(y)
+                                   for hid, y in zip(ids, assignment.tolist())]))
 
 
-def autarky_assignment(order: AdoptionOrder, k: int) -> dict[str, float]:
-    """No-market state at adoption count k: owners at full size, the rest at 0."""
-    owners = order.owners_at(k)
-    return {hid: (order.sizes[r] if hid in owners else 0.0)
-            for r, hid in enumerate(order.ranking)}
+def autarky_assignment(order: AdoptionOrder, k: int) -> np.ndarray:
+    """No-market state at adoption count k, in household-id order: owners
+    at full size, the rest at 0."""
+    return np.where(order.ranks < k, order.sizes[order.ranks], 0.0)
 
 
 def utility_loss(purchases: Mapping[str, PurchasesCurve], order: AdoptionOrder,
@@ -49,9 +49,8 @@ def utility_loss(purchases: Mapping[str, PurchasesCurve], order: AdoptionOrder,
     """Billed sales without the market minus billed sales with it. before,
     when given, is the billed sales without the market at k_short."""
     if before is None:
-        before = billed_sales(purchases, autarky_assignment(order, k_short))
-    after = billed_sales(purchases, equilibrium.allocations)
-    return before - after
+        before = billed_sales(purchases, equilibrium.ids, autarky_assignment(order, k_short))
+    return before - billed_sales(purchases, equilibrium.ids, equilibrium.allocations)
 
 
 def market_emerges(gain: float, loss: float, profit_rate_ratio: float) -> bool:
@@ -91,7 +90,8 @@ def regime_points(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
     points = []
     for lr in long_run:
         if lr.k_short not in before:
-            before[lr.k_short] = billed_sales(purchases, autarky_assignment(order, lr.k_short))
+            before[lr.k_short] = billed_sales(purchases, lr.equilibrium.ids,
+                                              autarky_assignment(order, lr.k_short))
         gain = vendor_gain(lr.price, lr.d_short, lr.d_long)
         loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium, before[lr.k_short])
         if gain <= 0:

@@ -13,6 +13,7 @@ argmax interval at each probe.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +21,7 @@ from scipy.optimize import linprog
 
 from dershare.adoption import LongRunSolver
 from dershare.curves import SavingsCurve
-from dershare.market import PARTICIPATION_TOL, MarketEquilibrium
+from dershare.market import PARTICIPATION_TOL
 from dershare.model import (HOURS, AssetSpec, DomainError, HouseholdRecord, IrradianceSeries,
                             Scenario, TariffSet)
 
@@ -330,7 +331,37 @@ def _excess_bounds(ids, curves, owner_ids, r: float):
     return e_low, e_high, intervals
 
 
-def bisection_clear_market(curves, owners) -> MarketEquilibrium:
+@dataclass(frozen=True)
+class OracleEquilibrium:
+    """The bisection oracle's clearing outcome: MarketEquilibrium's fields,
+    with one dict entry per household where the table holds arrays."""
+
+    clearing_price: float | None
+    volume: float
+    allocations: dict[str, float]
+    surpluses: dict[str, float]
+    owner_ids: frozenset[str]
+    owner_surplus_total: float
+    renter_surplus_total: float
+    total_surplus: float
+    owner_participation: float
+    non_owner_participation: float
+    total_participation: float
+    residual: float
+    degenerate: bool = False
+
+
+def by_id(eq, name: str) -> dict:
+    """One id-ordered array of a MarketEquilibrium as a dict by household id."""
+    return dict(zip(eq.ids, getattr(eq, name).tolist()))
+
+
+def owners_of(eq) -> frozenset[str]:
+    """The owners marked in a MarketEquilibrium."""
+    return frozenset(hid for hid, own in zip(eq.ids, eq.owner.tolist()) if own)
+
+
+def bisection_clear_market(curves, owners) -> OracleEquilibrium:
     """Clear the market by bisecting the sorted slopes for the zero of the
     excess supply, re-summing every household's argmax interval at each
     probe. Same conventions as `dershare.market.clear_market`: the midpoint
@@ -339,7 +370,7 @@ def bisection_clear_market(curves, owners) -> MarketEquilibrium:
     owner_ids = frozenset(owners)
     if not owner_ids or len(owner_ids) == len(ids):
         allocations = {hid: (curves[hid].max_size if hid in owner_ids else 0.0) for hid in ids}
-        return MarketEquilibrium(
+        return OracleEquilibrium(
             clearing_price=None, volume=0.0, allocations=allocations,
             surpluses={hid: 0.0 for hid in ids}, owner_ids=owner_ids,
             owner_surplus_total=0.0, renter_surplus_total=0.0, total_surplus=0.0,
@@ -428,7 +459,7 @@ def bisection_clear_market(curves, owners) -> MarketEquilibrium:
 
     n_owners = len(owner_ids)
     n_renters = len(ids) - n_owners
-    return MarketEquilibrium(
+    return OracleEquilibrium(
         clearing_price=float(price),
         volume=float(supply),
         allocations=allocations,

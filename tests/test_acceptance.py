@@ -26,8 +26,8 @@ from dershare.model import AssetSpec
 from dershare.stakeholders import (autarky_assignment, billed_sales, market_emerges,
                                    regime_boundary)
 from dershare.synth import SynthConfig, generate_scenario
-from oracles import (BisectionSolver, bisection_clear_market, dp_dispatch_cost, one_household,
-                     random_curve_population, random_dispatch_instance)
+from oracles import (BisectionSolver, bisection_clear_market, by_id, dp_dispatch_cost,
+                     one_household, random_curve_population, random_dispatch_instance)
 from runs import differences
 
 
@@ -90,16 +90,17 @@ def test_criterion_3_clearing_identities():
             eq = clear_market(curves, owners)
             oracle = bisection_clear_market(curves, owners)
             assert eq.clearing_price == oracle.clearing_price
-            assert eq.allocations == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
-            assert eq.surpluses == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
+            allocations, surpluses = by_id(eq, "allocations"), by_id(eq, "surpluses")
+            assert allocations == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
+            assert surpluses == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
             total_size = sum(c.max_size for c in curves.values())
-            supply = sum(curves[h].max_size - eq.allocations[h] for h in sorted(owners))
-            demand = sum(eq.allocations[h] for h in ids if h not in owners)
+            supply = sum(curves[h].max_size - allocations[h] for h in sorted(owners))
+            demand = sum(allocations[h] for h in ids if h not in owners)
             assert abs(supply - demand) <= max(1e-6, 1e-9 * total_size)
-            assert all(w >= -1e-9 for w in eq.surpluses.values())
-            direct = (sum(curves[h].eval(eq.allocations[h]) for h in ids)
+            assert all(w >= -1e-9 for w in surpluses.values())
+            direct = (sum(curves[h].eval(allocations[h]) for h in ids)
                       - sum(curves[h].total for h in sorted(owners)))
-            assert sum(eq.surpluses.values()) == pytest.approx(direct, rel=1e-6, abs=1e-9)
+            assert sum(surpluses.values()) == pytest.approx(direct, rel=1e-6, abs=1e-9)
 
 
 def test_criterion_4_monotone_price_path_and_volume_hump(medium_population):
@@ -194,7 +195,8 @@ def test_criterion_8_stakeholder_identities(medium_population):
         order = medium_population.order
         purchases = medium_population.purchases
         baseline = sum(purchases[hid].values[0] for hid in sorted(purchases))
-        assert billed_sales(purchases, autarky_assignment(order, 0)) == baseline
+        assert billed_sales(purchases, sorted(order.ranking),
+                            autarky_assignment(order, 0)) == baseline
         p_grid = np.quantile(order.normalized, np.linspace(0.1, 0.9, 9))
         points = regime_boundary(order, medium_population.curves, purchases, p_grid)
         for pt in points:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,36 @@ def test_rate_demand_membership(rng):
             assert curves[hid].normalized_savings >= p
         for hid in set(curves) - adopters:
             assert curves[hid].normalized_savings < p
+
+
+def test_cached_equilibria_hold_arrays_not_an_object_per_household():
+    # the solver keeps every equilibrium it builds; with a dict entry per household and
+    # a frozenset of owners each held ~135 B per household at this size
+    curves = random_curve_population(np.random.default_rng(21), 500)
+    order = build_order(curves)
+    solver = LongRunSolver(order, curves)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(order.n + 1):
+            solver.equilibrium_at(k)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / (order.n + 1) <= 32 * order.n + 2048
+
+
+def test_cached_equilibria_are_read_only():
+    curves = random_curve_population(np.random.default_rng(22), 20)
+    order = build_order(curves)
+    solver = LongRunSolver(order, curves)
+    for k in (0, 7, order.n):  # degenerate and cleared markets alike
+        eq = solver.equilibrium_at(k)
+        assert eq.ids is solver.ids and eq.owner.tolist() == [r < k for r in order.ranks]
+        for a in (eq.allocations, eq.surpluses, eq.owner):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        assert solver.equilibrium_at(k) is eq
 
 
 def test_count_at_rate_rounding():
@@ -198,8 +229,11 @@ def test_subsidy_zero_when_no_increase():
 
 
 def test_subsidy_refuses_a_table_with_fewer_than_two_quantities():
-    with pytest.raises(DomainError, match="too coarse"):
+    with pytest.raises(DomainError, match="too coarse") as exc:
         equivalent_subsidy(_linear_table(n=1), _lr(250.0, 0.0, 4.0))
+    # the message counts the table's usable rates and names the setting that makes more
+    assert ": 1 usable adoption rate(s)" in str(exc.value)
+    assert "--t-grid (sweep.t_grid)" in str(exc.value)
 
 
 def test_subsidy_linear_closed_form():

@@ -1093,6 +1093,19 @@ def _nan_quantity_twice(lines: list[bytes]) -> list[bytes]:
     return [*lines[:2], *lines[1:]]
 
 
+def _without_household(hid: bytes):
+    def edit(lines: list[bytes]) -> list[bytes]:
+        return [line for line in lines if not line.startswith(hid + b",")]
+    return edit
+
+
+def _with_copy_of_first_household_as(hid: bytes):
+    def edit(lines: list[bytes]) -> list[bytes]:
+        first = lines[1].split(b",")[0] + b","
+        return lines + [hid + line[len(first) - 1:] for line in lines if line.startswith(first)]
+    return edit
+
+
 @pytest.mark.parametrize("stage, rel, edit, expected", [
     ("validate", "data/regions.csv", _corruptions(io.TABLES["regions.csv"])["not-utf8"],
      "data/regions.csv:2: not UTF-8 at byte 1"),
@@ -1106,8 +1119,14 @@ def _nan_quantity_twice(lines: list[bytes]) -> list[bytes]:
      "data/tariff_buy.csv:4: 3 days, but irradiance.csv has 2"),
     ("validate", "data/regions.csv", _corruptions(io.TABLES["regions.csv"])["bom"],
      "data/regions.csv:1: starts with a UTF-8 byte-order mark"),
+    # a curve set whose households differ from the scenario's names the first differing id
+    ("localness", "savings_curves.csv", _without_household(b"H0007"),
+     "savings_curves.csv against loads.csv: household 'H0007': no curve"),
+    ("localness", "savings_curves.csv", _with_copy_of_first_household_as(b"H9999"),
+     "savings_curves.csv against loads.csv: household 'H9999': a curve but no household"),
 ], ids=["regions-not-utf8", "sweep-nan-and-duplicate", "fit-negative-irradiance",
-        "regions-header-only", "irradiance-missing-its-last-day", "regions-byte-order-mark"])
+        "regions-header-only", "irradiance-missing-its-last-day", "regions-byte-order-mark",
+        "curves-missing-a-household", "curves-of-a-household-not-in-loads"])
 def test_inputs_that_once_passed_or_crashed_exit_2_at_their_line(finished_run, tmp_path, capsys,
                                                                   stage, rel, edit, expected):
     out = tmp_path / "run"

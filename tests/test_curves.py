@@ -176,6 +176,13 @@ def test_fit_slope_separation_preserves_total(rng):
     assert c.total == pytest.approx(f[-1], rel=1e-9)
 
 
+def test_fit_slope_separation_clamps_a_last_slope_at_zero():
+    # the last slope is ~1e-10; separating it from the first by 1e-8 rounds it below 0
+    c = fit_savings_curve("H", [0.0, 0.01, 1.0], [0.0, 0.4, 0.400000000099])
+    assert c.slopes[-1] == 0.0 and c.slopes[0] > 40.0
+    assert c.total == pytest.approx(0.400000000099, rel=1e-9)
+
+
 def test_flat_zero_savings_from_dispatch():
     # zero irradiance with flat buy = sell prices: capacity is worthless
     asset = AssetSpec()

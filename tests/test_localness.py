@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dershare.adoption import build_order
-from dershare.localness import (distance_matrix, haversine_km, min_cost_flow,
+from dershare.adoption import LongRunSolver, build_order
+from dershare.localness import (distance_matrix, haversine_km, min_cost_flow, region_index,
                                 regional_excess, solve_transport)
 from dershare.market import clear_market
 from dershare.model import DomainError, Region
-from oracles import modi_transport, transport_lp_objective
+from oracles import by_id, modi_transport, owners_of, transport_lp_objective
 
 
 def test_haversine_basics():
@@ -41,6 +41,25 @@ def test_regional_excess_identities(medium_population):
     assert s1[0] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_regional_excess_adds_what_a_loop_over_households_adds(medium_population):
+    # the reference sums each household into its region in id order, one at a time
+    sc, order = medium_population.scenario, medium_population.order
+    solver = LongRunSolver(order, medium_population.curves)
+    index = region_index(solver.ids, sc.households, sc.regions)
+    region_of = {r.id: j for j, r in enumerate(sc.regions)}
+    for k in range(0, order.n + 1, 7):
+        eq = solver.equilibrium_at(k)
+        y, owners = by_id(eq, "allocations"), owners_of(eq)
+        expected = np.zeros(len(sc.regions))
+        for hh in sorted(sc.households, key=lambda h: h.id):
+            if hh.id in owners:
+                expected[region_of[hh.region_id]] += hh.net_zero_size - y[hh.id]
+            else:
+                expected[region_of[hh.region_id]] -= y[hh.id]
+        assert regional_excess(eq, sc.households, sc.regions).tolist() == expected.tolist()
+        assert regional_excess(eq, sc.households, sc.regions, index).tolist() == expected.tolist()
+
+
 def test_regional_excess_zero_without_participants(medium_population):
     sc = medium_population.scenario
     # degenerate no-trade equilibrium: nobody supplies or demands anywhere
@@ -54,6 +73,10 @@ def test_regional_excess_rejects_unmapped_household(medium_population):
     eq = clear_market(medium_population.curves, medium_population.order.owners_at(10))
     with pytest.raises(DomainError):
         regional_excess(eq, sc.households, sc.regions[:-1])
+    # households must be exactly the curve set's: the first differing id is named
+    first, *rest = sorted(sc.households, key=lambda h: h.id)
+    with pytest.raises(DomainError, match=f"household '{first.id}': a curve but no household"):
+        regional_excess(eq, rest, sc.regions)
 
 
 def test_transport_two_region_forced_arc():

@@ -3,10 +3,10 @@ import pytest
 
 from dershare.adoption import LongRunSolver, build_order
 from dershare.curves import SavingsCurve
-from dershare.market import ClearingTable, clear_market
+from dershare.market import ClearingTable, _sum_in_order, clear_market
 from dershare.model import DomainError
-from oracles import (bisection_clear_market, random_concave_curve, random_curve_population,
-                     random_tied_curve_population)
+from oracles import (bisection_clear_market, by_id, owners_of, random_concave_curve,
+                     random_curve_population, random_tied_curve_population)
 
 EQUILIBRIUM_TOTALS = ("volume", "owner_surplus_total", "renter_surplus_total", "total_surplus",
                       "owner_participation", "non_owner_participation", "total_participation")
@@ -16,6 +16,16 @@ def linear_curve(hid, slope, y_bar=1.0):
     return SavingsCurve(hid, np.array([0.0, y_bar]), np.array([float(slope)]))
 
 
+def test_sum_in_order_adds_what_a_loop_from_zero_adds(rng):
+    for n in (0, 1, 2, 50, 1000):
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12, n)
+        total = 0.0
+        for v in values.tolist():
+            total += v
+        assert _sum_in_order(values) == total
+    assert str(_sum_in_order(np.array([-0.0, -0.0]))) == str(0.0 + -0.0 + -0.0) == "0.0"
+
+
 def test_two_household_hand_example():
     # owner values capacity at 100 per kW, renter at 200: the full kW moves,
     # the midpoint rule prices it at 150, and the gain splits 50/50
@@ -23,10 +33,9 @@ def test_two_household_hand_example():
     eq = clear_market(curves, {"own"})
     assert eq.clearing_price == pytest.approx(150.0)
     assert eq.volume == pytest.approx(1.0)
-    assert eq.allocations["own"] == pytest.approx(0.0)
-    assert eq.allocations["rent"] == pytest.approx(1.0)
-    assert eq.surpluses["own"] == pytest.approx(50.0)
-    assert eq.surpluses["rent"] == pytest.approx(50.0)
+    assert eq.ids == ("own", "rent") and eq.owner.tolist() == [True, False]
+    assert eq.allocations.tolist() == pytest.approx([0.0, 1.0])
+    assert eq.surpluses.tolist() == pytest.approx([50.0, 50.0])
     assert eq.owner_participation == 1.0 and eq.non_owner_participation == 1.0
 
 
@@ -37,7 +46,7 @@ def test_identical_linear_curves_trade_without_gains():
     eq = clear_market(curves, {"h0", "h1"})
     assert eq.clearing_price == pytest.approx(120.0)
     assert abs(eq.residual) <= 1e-9
-    for w in eq.surpluses.values():
+    for w in eq.surpluses.tolist():
         assert abs(w) <= 1e-9
     assert eq.total_surplus == pytest.approx(0.0, abs=1e-9)
 
@@ -49,7 +58,7 @@ def test_identical_concave_curves_split_symmetrically():
     eq = clear_market(curves, {"h0"})  # 1 owner, 3 renters
     # symmetry: everyone ends up with the same capacity, an equal share of
     # the single adopted asset
-    for y in eq.allocations.values():
+    for y in eq.allocations.tolist():
         assert y == pytest.approx(0.5)
     assert eq.volume == pytest.approx(1.5)
     assert eq.total_surplus > 0  # strictly concave curves create gains
@@ -64,7 +73,7 @@ def test_degenerate_owner_sets_report_no_trade():
         assert eq.volume == 0.0
         assert eq.total_surplus == 0.0
         # owners keep their whole size, the others stay at zero
-        assert eq.allocations == {hid: float(hid in owners) for hid in curves}
+        assert by_id(eq, "allocations") == {hid: float(hid in owners) for hid in curves}
 
 
 def test_owners_without_curves_are_refused():
@@ -85,12 +94,13 @@ def test_randomized_clearing_identities(seed):
     eq = clear_market(curves, owners)
     total_size = sum(c.max_size for c in curves.values())
     assert abs(eq.residual) <= max(1e-6, 1e-9 * total_size)
-    for hid, w in eq.surpluses.items():
+    allocations = by_id(eq, "allocations")
+    for hid, w in by_id(eq, "surpluses").items():
         assert w >= -1e-9, hid
-    for hid, y in eq.allocations.items():
+    for hid, y in allocations.items():
         assert -1e-12 <= y <= curves[hid].max_size + 1e-12
     # rent payments cancel: total surplus is the allocation gain alone
-    direct = (sum(curves[h].eval(eq.allocations[h]) for h in ids)
+    direct = (sum(curves[h].eval(allocations[h]) for h in ids)
               - sum(curves[h].total for h in owners))
     assert eq.total_surplus == pytest.approx(direct, rel=1e-6, abs=1e-9)
 
@@ -115,7 +125,7 @@ def test_equilibrium_order_invariance(rng):
     assert eq1.clearing_price == eq2.clearing_price
     assert eq1.volume == eq2.volume
     assert eq1.total_surplus == eq2.total_surplus
-    assert eq1.allocations == eq2.allocations
+    assert eq1.ids == eq2.ids and np.array_equal(eq1.allocations, eq2.allocations)
 
 
 def test_marginal_households_ration_proportionally():
@@ -130,17 +140,18 @@ def test_marginal_households_ration_proportionally():
     curves = {**owners, **renter}
     eq = clear_market(curves, {"o1", "o2"})
     assert eq.clearing_price == pytest.approx(100.0)
-    frac1 = (2.0 - eq.allocations["o1"]) / 1.0  # span of o1's flat segment
-    frac2 = (4.0 - eq.allocations["o2"]) / 2.0
+    allocations = by_id(eq, "allocations")
+    frac1 = (2.0 - allocations["o1"]) / 1.0  # span of o1's flat segment
+    frac2 = (4.0 - allocations["o2"]) / 2.0
     assert frac1 == pytest.approx(frac2)
     assert abs(eq.residual) <= 1e-9
 
 
 def assert_matches_oracle(eq, oracle):
     assert eq.clearing_price == oracle.clearing_price
-    assert eq.owner_ids == oracle.owner_ids and eq.degenerate == oracle.degenerate
-    assert eq.allocations == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
-    assert eq.surpluses == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
+    assert owners_of(eq) == oracle.owner_ids and eq.degenerate == oracle.degenerate
+    assert by_id(eq, "allocations") == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
+    assert by_id(eq, "surpluses") == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
     for name in EQUILIBRIUM_TOTALS:
         assert getattr(eq, name) == pytest.approx(getattr(oracle, name), rel=1e-12, abs=1e-12)
 

@@ -33,11 +33,20 @@ def test_baseline_identity(medium_population):
     order = medium_population.order
     t_bl = sum(purchases[hid].values[0] for hid in sorted(purchases))
     # zero adoption: billed sales equal the pre-adoption total bill exactly
-    assert billed_sales(purchases, autarky_assignment(order, 0)) == t_bl
+    assert billed_sales(purchases, sorted(order.ranking), autarky_assignment(order, 0)) == t_bl
     households = medium_population.scenario.household_map()
     expected = sum(medium_population.ctx.annual_bill(households[hid], 0.0).bill
                    for hid in sorted(medium_population.curves))
     assert t_bl == pytest.approx(expected, rel=1e-12)
+
+
+def test_autarky_assignment_holds_the_first_k_at_full_size_in_id_order(medium_population):
+    order = medium_population.order
+    for k in (0, 7, order.n):
+        owners = order.owners_at(k)
+        expected = [float(order.sizes[order.ranking.index(hid)]) if hid in owners else 0.0
+                    for hid in sorted(order.ranking)]
+        assert autarky_assignment(order, k).tolist() == expected
 
 
 def test_billed_sales_sum_left_to_right():
@@ -45,7 +54,7 @@ def test_billed_sales_sum_left_to_right():
     bills = {"a": 1e16, "b": 1.0, "c": -1e16}
     purchases = {hid: PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([v, v]))
                  for hid, v in bills.items()}
-    assert billed_sales(purchases, dict.fromkeys(bills, 0.5)) == 0.0
+    assert billed_sales(purchases, list(bills), np.full(3, 0.5)) == 0.0
 
 
 def test_utility_loss_zero_without_changes(medium_population):
@@ -75,8 +84,7 @@ def test_billed_sales_matches_lp_resolve(medium_population):
     eq = clear_market(medium_population.curves, order.owners_at(20))
     hh_map = sc.household_map()
     ctx = ScenarioContext(sc)
-    for hid in list(sorted(eq.allocations))[::6][:10]:
-        y = eq.allocations[hid]
+    for hid, y in list(zip(eq.ids, eq.allocations.tolist()))[::6][:10]:
         direct = ctx.annual_bill(hh_map[hid], y).purchases
         fitted = medium_population.purchases[hid].eval(y)
         assert fitted == pytest.approx(direct, rel=0.01)
@@ -159,8 +167,9 @@ def test_regime_points_equal_the_per_price_formula(medium_population):
     assert len({lr.k_short for lr in results}) < len(results)  # some k_short repeat
     points = regime_points(order, purchases, results)
     for pt, lr in zip(points, results):
-        loss = (billed_sales(purchases, autarky_assignment(order, lr.k_short))
-                - billed_sales(purchases, lr.equilibrium.allocations))
+        ids = lr.equilibrium.ids
+        loss = (billed_sales(purchases, ids, autarky_assignment(order, lr.k_short))
+                - billed_sales(purchases, ids, lr.equilibrium.allocations))
         assert pt.utility_loss == loss == utility_loss(purchases, order, lr.k_short,
                                                        lr.equilibrium)
         assert [pt] == regime_points(order, purchases, [lr])
