@@ -25,10 +25,9 @@ _EXPORTS = {
     "localness": ("RegionalFlow", "distance_matrix", "haversine_km", "min_cost_flow",
                   "regional_excess", "solve_transport"),
     "market": ("MarketEquilibrium", "clear_market"),
-    "model": ("AssetSpec", "DomainError", "EmptyScenarioError", "FitError", "HouseholdRecord",
-              "IrradianceSeries", "PurchasesCurve", "Region", "SavingsCurve", "Scenario",
-              "SynthConfig", "TariffSet", "ValidationError", "compute_net_zero_size",
-              "validate_scenario"),
+    "model": ("AssetSpec", "DomainError", "FitError", "HouseholdRecord", "PurchasesCurve",
+              "Region", "SavingsCurve", "Scenario", "SynthConfig", "ValidationError",
+              "compute_net_zero_size", "validate_scenario"),
     "stakeholders": ("RegimePoint", "billed_sales", "market_emerges", "regime_boundary",
                      "regime_points", "utility_loss", "vendor_gain"),
     "synth": ("generate_scenario",),

@@ -243,8 +243,6 @@ SETTINGS = {
                               "rates to dump per-household allocations for"),
     "p_grid": Setting(_prices, None, "--p-grid", key="prices.p_grid",
                       help="purchase prices: 'a:b:n', comma list, or 'auto'"),
-    "price": Setting(lambda v: _prices([v]), None, "--price", text=float,
-                     help="single purchase price"),
     "flows_at": Setting(_rates, list, "--flows-at",
                         help="comma list of adoption rates to dump flows for"),
 }
@@ -324,7 +322,9 @@ def _auto_p_grid(order) -> np.ndarray:
 
 
 def _p_grid_for(out_dir: Path, cfg: dict, p_grid_spec, price, order) -> np.ndarray:
-    run = Run(out_dir, argparse.Namespace(p_grid=p_grid_spec, price=price), cfg)
+    """The run's purchase-price grid; a price given is a grid of one point."""
+    spec = p_grid_spec if price is None else [price]
+    run = Run(out_dir, argparse.Namespace(p_grid=spec), cfg)
     run.order = order  # stands in for the order Run would build from the savings curves
     return run.p_grid
 
@@ -388,7 +388,7 @@ class Run:
         # what load_scenario would read back: repr round-trips every written value
         sc = self.generated
         return ingest({hh.id: (hh.region_id, hh.load) for hh in sc.households},
-                      sc.tariff, sc.irradiance, sc.regions, self.asset)
+                      sc.buy, sc.sell, sc.irradiance, sc.regions, self.asset)
 
     @property
     def context(self) -> ScenarioContext:
@@ -422,9 +422,7 @@ class Run:
 
     @cached_property
     def p_grid(self) -> np.ndarray:
-        grid = _resolve("price", self.args, self.cfg)
-        if grid is None:
-            grid = _resolve("p_grid", self.args, self.cfg)
+        grid = _resolve("p_grid", self.args, self.cfg)
         return _auto_p_grid(self.order) if grid is None else grid
 
     @cached_property
@@ -532,6 +530,12 @@ def _localness(run: Run) -> None:
 
 
 def _stakeholders(run: Run) -> None:
+    differ = sorted(run.curves.keys() ^ run.purchases.keys())
+    if differ:
+        what = ("a purchases curve but no savings curve" if differ[0] in run.purchases
+                else "no purchases curve")
+        raise DomainError(f"{run.out / PURCHASES_FILE} against {SAVINGS_FILE}: household "
+                          f"{differ[0]!r}: {what}")
     _write_records(run.out / "stakeholders.csv", _fields(RegimePoint, "long_run"),
                    map(vars, regime_points(run.order, run.purchases, run.long_run)))
 
@@ -560,7 +564,6 @@ class Stage:
 _DATA_INPUTS = tuple((rel, "gen-data") for rel in DATA_RELS)
 _CURVES_INPUT = ((SAVINGS_FILE, "fit"),)
 _SWEEP_INPUT = ((SWEEP_FILE, "sweep"),)
-_PRICE_FLAGS = ("--p-grid", "--price")
 
 STAGES = (
     Stage("gen-data", "generate a synthetic scenario", ("--seed",), (),
@@ -582,10 +585,10 @@ STAGES = (
                                        SUMMARY_FILE]
                                       if run.equilibrium_at else []),
           _sweep),
-    Stage("longrun", "short- and long-run adoption over purchase prices", _PRICE_FLAGS,
+    Stage("longrun", "short- and long-run adoption over purchase prices", ("--p-grid",),
           _CURVES_INPUT, lambda run: {"p_grid": run.p_grid.tolist()},
           lambda run: ["longrun.csv"], _longrun),
-    Stage("subsidy", "equivalent direct subsidy over purchase prices", _PRICE_FLAGS,
+    Stage("subsidy", "equivalent direct subsidy over purchase prices", ("--p-grid",),
           _CURVES_INPUT + _SWEEP_INPUT, lambda run: {"p_grid": run.p_grid.tolist()},
           lambda run: ["subsidy.csv"], _subsidy),
     Stage("localness", "regional excesses and min-cost matching", ("--flows-at",),
@@ -593,7 +596,7 @@ STAGES = (
           lambda run: {"flows_at": run.flows_at},
           lambda run: ["localness.csv"] + _dump_rels("flows", run.flows_at), _localness),
     Stage("stakeholders", "vendor gains against utility losses over purchase prices",
-          _PRICE_FLAGS, _CURVES_INPUT + ((PURCHASES_FILE, "fit"),),
+          ("--p-grid",), _CURVES_INPUT + ((PURCHASES_FILE, "fit"),),
           lambda run: {"p_grid": run.p_grid.tolist()},
           lambda run: ["stakeholders.csv"], _stakeholders),
 )
@@ -638,8 +641,7 @@ def run_stage(run: Run, stage: Stage) -> None:
 
 # ---------------------------------------------------------------- entry
 
-# `all` takes every stage's flags except --price: it runs the whole p-grid
-ALL_FLAGS = tuple(dict.fromkeys(f for s in STAGES for f in s.flags if f != "--price"))
+ALL_FLAGS = tuple(dict.fromkeys(f for s in STAGES for f in s.flags))
 _COMMANDS = {**{s.name: (s.help, s.flags) for s in STAGES},
              "all": ("run the full pipeline", ALL_FLAGS)}
 _HELP = {s.flag: s.help for s in SETTINGS.values() if s.flag}

@@ -110,6 +110,11 @@ def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
     scale = max(abs(f[-1]), 1e-12)
     violation = float(np.max(np.abs(fitted - f)))
     if violation > MAX_REPAIR_SHARE * scale:
+        if f[-1] < 0:
+            raise FitError(f"household {household_id}: savings fall with capacity, to "
+                           f"{f[-1]:g} at {y[-1]:g} kW: refilling self-discharge to the "
+                           "terminal charge costs more than the PV saves "
+                           "(require_terminal_soc, asset.x0, asset.eta_s)")
         raise FitError(f"household {household_id}: concavity repair moved a sample by "
                        f"{violation:g} (> {MAX_REPAIR_SHARE:.0%} of terminal savings)")
     if violation > 1e-9 * (1.0 + scale):

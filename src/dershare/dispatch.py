@@ -173,7 +173,7 @@ class ScenarioContext:
         self.scale = scenario.n_days / self.day_indices.size
         self.require_terminal_soc = require_terminal_soc
         irr, buy, sell = (_frozen(np.array(a[self.day_indices], dtype=float)) for a in
-                          (scenario.irradiance.values, scenario.tariff.buy, scenario.tariff.sell))
+                          (scenario.irradiance, scenario.buy, scenario.sell))
         if np.min(sell) < 0 or np.min(buy) < 0:
             raise DomainError("prices must be nonnegative")
         if np.min(buy - sell) < 0:

@@ -23,9 +23,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import (HOURS, AssetSpec, EmptyScenarioError, HouseholdRecord, IrradianceSeries,
-                    PurchasesCurve, Region, SavingsCurve, Scenario, TariffSet,
-                    compute_net_zero_size, validate_scenario)
+from .model import (HOURS, AssetSpec, HouseholdRecord, PurchasesCurve, Region, SavingsCurve,
+                    Scenario, ValidationError, compute_net_zero_size, validate_scenario)
 
 LOW_CONSUMPTION_MEAN_KW = 0.1
 ZERO_READING_FRACTION = 0.5
@@ -160,9 +159,9 @@ def write_scenario(scenario: Scenario, out_dir: Path) -> list[Path]:
     """Write the five scenario CSVs; returns the written paths."""
     out_dir = Path(out_dir)
     hourly = {LOADS_FILE: (([hh.id, hh.region_id], hh.load) for hh in scenario.households),
-              IRRADIANCE_FILE: [([], scenario.irradiance.values)],
-              TARIFF_BUY_FILE: [([], scenario.tariff.buy)],
-              TARIFF_SELL_FILE: [([], scenario.tariff.sell)]}
+              IRRADIANCE_FILE: [([], scenario.irradiance)],
+              TARIFF_BUY_FILE: [([], scenario.buy)],
+              TARIFF_SELL_FILE: [([], scenario.sell)]}
     written = [_write_hourly(out_dir / name, list(TABLES[name].columns), blocks)
                for name, blocks in hourly.items()]
     written.append(write_rows(out_dir / REGIONS_FILE, list(TABLES[REGIONS_FILE].columns),
@@ -305,7 +304,7 @@ def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
                              f"{len(days)} days, but {IRRADIANCE_FILE} has {len(irradiance)}")
         return days
     irradiance = read(IRRADIANCE_FILE)[None][2]
-    tariff = TariffSet(days(TARIFF_BUY_FILE), days(TARIFF_SELL_FILE))
+    buy, sell = days(TARIFF_BUY_FILE), days(TARIFF_SELL_FILE)
     regions = [Region(rid, float(lat), float(lon))
                for rid, (_, _, [[lat, lon]]) in read(REGIONS_FILE).items()]
     loads = {}
@@ -314,11 +313,11 @@ def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
             raise ParseError(data_dir / LOADS_FILE, lines[0],
                              f"household {hid!r}: region_id {rid!r} not in {REGIONS_FILE}")
         loads[hid] = (rid, load)
-    return ingest(loads, tariff, IrradianceSeries(irradiance), regions, asset)
+    return ingest(loads, buy, sell, irradiance, regions, asset)
 
 
-def ingest(loads: Mapping[str, tuple[str, np.ndarray]], tariff: TariffSet,
-           irradiance: IrradianceSeries, regions: Iterable[Region],
+def ingest(loads: Mapping[str, tuple[str, np.ndarray]], buy: np.ndarray, sell: np.ndarray,
+           irradiance: np.ndarray, regions: Iterable[Region],
            asset: AssetSpec | None = None) -> LoadResult:
     """The scenario of parsed or generated data after the meter filters, validated.
 
@@ -327,8 +326,8 @@ def ingest(loads: Mapping[str, tuple[str, np.ndarray]], tariff: TariffSet,
     below 0.1 kW are dropped with reason "low consumption"; those with
     more than half of their readings exactly zero are dropped with reason
     "zero readings". Retained households get their net-zero size computed
-    from the shared irradiance. Raises EmptyScenarioError when nothing
-    survives the filters.
+    from the shared irradiance. Raises a ValidationError of the scenario's
+    households when nothing survives the filters.
     """
     asset = asset or AssetSpec()
     households = []
@@ -345,12 +344,12 @@ def ingest(loads: Mapping[str, tuple[str, np.ndarray]], tariff: TariffSet,
         households.append(HouseholdRecord(id=hid, region_id=rid, load=load, net_zero_size=size))
 
     if not households:
-        raise EmptyScenarioError("all households were excluded at ingestion")
+        raise ValidationError("scenario", "households",
+                              "all households were excluded at ingestion")
 
     # coordinates as Python floats, as a parse gives them
     regions = tuple(Region(r.id, float(r.latitude), float(r.longitude)) for r in regions)
-    scenario = Scenario(households=tuple(households), tariff=tariff,
-                        irradiance=irradiance, asset=asset, regions=regions)
+    scenario = Scenario(tuple(households), buy, sell, irradiance, asset, regions)
     validate_scenario(scenario)
     return LoadResult(scenario=scenario, exclusions=tuple(exclusions))
 

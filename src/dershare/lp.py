@@ -21,8 +21,7 @@ spec, which runs no scipy package: importing it as
 `scipy.optimize` package (linprog, linalg, fft and special, several
 hundred milliseconds), and even `import scipy` alone pulls in its test
 and version helpers. The module is registered under its real name, so a
-later `import scipy.optimize` reuses it; `lp.highs` names the same
-module.
+later `import scipy.optimize` reuses it.
 """
 
 from __future__ import annotations
@@ -59,13 +58,6 @@ def _load_highs():
     from importlib.metadata import version
     raise ImportError(f"no compiled HiGHS binding _core in {directory} "
                       f"(scipy {version('scipy')})")
-
-
-def __getattr__(name):
-    # `highs` is the binding, loaded on first access
-    if name == "highs":
-        return _load_highs()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ for a 365-day scenario these are $/yr/kW). Time is hourly, 24 slots per
 day, so a load entry is both kWh per hour and average kW.
 
 All types are immutable value objects after construction and safe to
-share between threads. Numpy array fields are marked read-only.
+share between threads. Numpy array fields are marked read-only. Every
+household faces the same hourly buy price, sell-back price and PV
+output, so a Scenario holds them as three (days, 24) float matrices of
+its own (`buy`, `sell`, `irradiance`), checked like a household's load.
 
 Every process loads this module, so it also holds what a stage only
 names or reads: the generator's settings (SynthConfig), the fitted
@@ -83,13 +86,6 @@ def from_config(cls, section: str, values: dict):
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
     except ValidationError as exc:
         raise ValidationError("config", f"{section}.{exc.fieldname}", exc.message) from None
-
-
-class EmptyScenarioError(ValidationError):
-    """Every household was rejected or excluded during ingestion."""
-
-    def __init__(self, message: str):
-        super().__init__("scenario", "households", message)
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -229,42 +225,6 @@ class HouseholdRecord:
     def __post_init__(self):
         object.__setattr__(self, "load", _as_matrix(self.load, f"household {self.id}"))
 
-    @property
-    def n_days(self) -> int:
-        return self.load.shape[0]
-
-
-@dataclass(frozen=True)
-class TariffSet:
-    """Hourly buy prices and sell-back prices, one row per day ($/kWh)."""
-
-    buy: np.ndarray
-    sell: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "buy", _as_matrix(self.buy, "tariff.buy"))
-        object.__setattr__(self, "sell", _as_matrix(self.sell, "tariff.sell"))
-        if self.buy.shape != self.sell.shape:
-            raise ValidationError("tariff", "sell", "buy and sell shapes differ")
-
-    @property
-    def n_days(self) -> int:
-        return self.buy.shape[0]
-
-
-@dataclass(frozen=True)
-class IrradianceSeries:
-    """Normalized hourly PV output shared by all households (kWh per kW)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_matrix(self.values, "irradiance"))
-
-    @property
-    def n_days(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class Region:
@@ -275,22 +235,30 @@ class Region:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete simulation input: households, shared tariff and irradiance,
-    asset parameters, and the regional partition."""
+    """A complete simulation input: households, the hourly buy and sell-back
+    prices ($/kWh) and normalized PV output (kWh per kW) they all share,
+    each a read-only (days, 24) matrix, asset parameters, and the regional
+    partition."""
 
     households: tuple[HouseholdRecord, ...]
-    tariff: TariffSet
-    irradiance: IrradianceSeries
+    buy: np.ndarray
+    sell: np.ndarray
+    irradiance: np.ndarray
     asset: AssetSpec
     regions: tuple[Region, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         object.__setattr__(self, "households", tuple(self.households))
+        for name, entity in (("buy", "tariff.buy"), ("sell", "tariff.sell"),
+                             ("irradiance", "irradiance")):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), entity))
+        if self.buy.shape != self.sell.shape:
+            raise ValidationError("tariff", "sell", "buy and sell shapes differ")
         object.__setattr__(self, "regions", tuple(self.regions))
 
     @property
     def n_days(self) -> int:
-        return self.tariff.n_days
+        return self.buy.shape[0]
 
     def household_map(self) -> dict[str, HouseholdRecord]:
         return {h.id: h for h in self.households}
@@ -304,7 +272,7 @@ def compute_net_zero_size(load, irradiance, eta_i: float) -> float:
     sits in the denominator: sizing is exact at the AC bus.
     """
     load = np.asarray(load, dtype=float)
-    irr = np.asarray(getattr(irradiance, "values", irradiance), dtype=float)
+    irr = np.asarray(irradiance, dtype=float)
     total_irr = float(irr.sum())
     if total_irr <= 0.0:
         raise DomainError("net-zero sizing requires positive total irradiance")
@@ -323,23 +291,23 @@ def validate_scenario(scenario: Scenario) -> None:
       * household ids unique; each region_id appears in the region list
       * net_zero_size > 0 and consistent with compute_net_zero_size
     """
-    n_days = scenario.tariff.n_days
-    if scenario.irradiance.n_days != n_days:
+    n_days = scenario.n_days
+    if len(scenario.irradiance) != n_days:
         raise ValidationError("irradiance", "values",
-                              f"{scenario.irradiance.n_days} days, tariff has {n_days}")
-    for entity, name, values in (("irradiance", "values", scenario.irradiance.values),
-                                 ("tariff", "buy", scenario.tariff.buy),
-                                 ("tariff", "sell", scenario.tariff.sell)):
+                              f"{len(scenario.irradiance)} days, tariff has {n_days}")
+    for entity, name, values in (("irradiance", "values", scenario.irradiance),
+                                 ("tariff", "buy", scenario.buy),
+                                 ("tariff", "sell", scenario.sell)):
         if not np.all(values >= 0):
             raise ValidationError(entity, name, "negative or NaN entry")
-    if np.min(scenario.tariff.buy - scenario.tariff.sell) < 0:
-        d, h = np.unravel_index(int(np.argmin(scenario.tariff.buy - scenario.tariff.sell)),
-                                scenario.tariff.buy.shape)
+    margin = scenario.buy - scenario.sell
+    if np.min(margin) < 0:
+        d, h = np.unravel_index(int(np.argmin(margin)), margin.shape)
         raise ValidationError("tariff", "sell",
                               f"sell price exceeds buy price on day {d} hour {h}")
 
     if not scenario.households:
-        raise EmptyScenarioError("scenario contains no households")
+        raise ValidationError("scenario", "households", "scenario contains no households")
 
     region_ids = {r.id for r in scenario.regions}
     seen: set[str] = set()
@@ -348,8 +316,8 @@ def validate_scenario(scenario: Scenario) -> None:
         if hh.id in seen:
             raise ValidationError(ent, "id", "duplicate household id")
         seen.add(hh.id)
-        if hh.n_days != n_days:
-            raise ValidationError(ent, "load", f"{hh.n_days} days, tariff has {n_days}")
+        if len(hh.load) != n_days:
+            raise ValidationError(ent, "load", f"{len(hh.load)} days, tariff has {n_days}")
         if not np.all(hh.load >= 0):
             d, h = np.unravel_index(int(np.argmin(hh.load)), hh.load.shape)
             raise ValidationError(ent, "load", f"negative or NaN entry on day {d} hour {h}")

@@ -25,11 +25,9 @@ from .model import (
     HOURS,
     AssetSpec,
     HouseholdRecord,
-    IrradianceSeries,
     Region,
     Scenario,
     SynthConfig,
-    TariffSet,
     compute_net_zero_size,
 )
 
@@ -74,7 +72,7 @@ def generate_scenario(config: SynthConfig, asset: AssetSpec | None = None) -> Sc
 
     bell = _irradiance_day(config)
     clearness = rng.uniform(0.75, 1.0, days)
-    irradiance = IrradianceSeries(clearness[:, None] * bell[None, :])
+    irradiance = clearness[:, None] * bell[None, :]
 
     tou = np.where(_window_mask(config.tou_peak_window), config.peak_price, config.offpeak_price)
     buy = np.tile(tou, (days, 1))
@@ -82,7 +80,6 @@ def generate_scenario(config: SynthConfig, asset: AssetSpec | None = None) -> Sc
     # diurnal sell-back curve peaking in the early evening
     sell_day = config.sell_mean + config.sell_amplitude * np.sin(2.0 * math.pi * (h - 11.0) / HOURS)
     sell = np.tile(sell_day, (days, 1))
-    tariff = TariffSet(buy, sell)
 
     w_lo, w_hi = config.load_peak_window
     width = max(4, len(str(n - 1)))
@@ -103,10 +100,4 @@ def generate_scenario(config: SynthConfig, asset: AssetSpec | None = None) -> Sc
             )
         )
 
-    return Scenario(
-        households=tuple(households),
-        tariff=tariff,
-        irradiance=irradiance,
-        asset=asset,
-        regions=regions,
-    )
+    return Scenario(tuple(households), buy, sell, irradiance, asset, regions)

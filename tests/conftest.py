@@ -54,8 +54,7 @@ def assert_same_load(got, want) -> None:
     for x, y in zip(a.households, b.households):
         assert x.load.tobytes() == y.load.tobytes() and x.load.shape == y.load.shape
         assert x.net_zero_size == y.net_zero_size
-    for x, y in ((a.tariff.buy, b.tariff.buy), (a.tariff.sell, b.tariff.sell),
-                 (a.irradiance.values, b.irradiance.values)):
+    for x, y in ((a.buy, b.buy), (a.sell, b.sell), (a.irradiance, b.irradiance)):
         assert x.tobytes() == y.tobytes() and x.shape == y.shape
     assert [(r.id, r.latitude, r.longitude) for r in a.regions] == \
         [(r.id, r.latitude, r.longitude) for r in b.regions]

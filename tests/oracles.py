@@ -22,8 +22,7 @@ from scipy.optimize import linprog
 from dershare.adoption import LongRunSolver
 from dershare.curves import SavingsCurve
 from dershare.market import PARTICIPATION_TOL
-from dershare.model import (HOURS, AssetSpec, DomainError, HouseholdRecord, IrradianceSeries,
-                            Scenario, TariffSet)
+from dershare.model import HOURS, AssetSpec, DomainError, HouseholdRecord, Scenario
 
 SOC_GRID_POINTS = 200
 
@@ -278,8 +277,7 @@ def one_household(load, irr, buy, sell, asset: AssetSpec) -> Scenario:
     solve runs even on a zero load or zero irradiance."""
     load, irr, buy, sell = (np.asarray(a, dtype=float).reshape(-1, HOURS)
                             for a in (load, irr, buy, sell))
-    return Scenario((HouseholdRecord("H0", "R0", load, 1.0),), TariffSet(buy, sell),
-                    IrradianceSeries(irr), asset)
+    return Scenario((HouseholdRecord("H0", "R0", load, 1.0),), buy, sell, irr, asset)
 
 
 def random_concave_curve(rng: np.random.Generator, household_id: str,

@@ -41,7 +41,7 @@ def test_criterion_1_savings_monotone_concave_strict():
         eta_i = scenario.asset.eta_i
         # per-day strict-increase rate: surplus is payable at the best
         # irradiance-times-sell-price hour of each day
-        rate = float(sum((scenario.irradiance.values[d] * scenario.tariff.sell[d]).max()
+        rate = float(sum((scenario.irradiance[d] * scenario.sell[d]).max()
                          for d in range(scenario.n_days)))
         assert rate > 0
         for hh in scenario.households:

@@ -45,10 +45,10 @@ CLI_SURFACE = {
     "validate": ["--config", "--out"],
     "fit": ["--config", "--days", "--out", "--samples", "--threads"],
     "sweep": ["--config", "--equilibrium-at", "--out", "--t-grid"],
-    "longrun": ["--config", "--out", "--p-grid", "--price"],
-    "subsidy": ["--config", "--out", "--p-grid", "--price"],
+    "longrun": ["--config", "--out", "--p-grid"],
+    "subsidy": ["--config", "--out", "--p-grid"],
     "localness": ["--config", "--flows-at", "--out"],
-    "stakeholders": ["--config", "--out", "--p-grid", "--price"],
+    "stakeholders": ["--config", "--out", "--p-grid"],
     "all": ["--config", "--days", "--equilibrium-at", "--flows-at", "--out", "--p-grid",
             "--samples", "--seed", "--t-grid", "--threads"],
 }
@@ -184,8 +184,7 @@ assert loaded("scipy") == loaded("scipy.optimize._highspy._core"), loaded("scipy
 core = sys.modules["scipy.optimize._highspy._core"]
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
-from dershare.lp import highs
-assert _core is core and highs is core
+assert _core is core
 res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
 assert res.status == 0 and res.fun == 1.0, res
 """
@@ -543,8 +542,8 @@ OUT_OF_RANGE = {
      "command line: field '--days': expected a whole number >= 1, got -3"),
     (["fit", "--days", "0"], {}, {},
      "command line: field '--days': expected a whole number >= 1, got 0"),
-    (["longrun", "--price", "nan"], {}, {},
-     "command line: field '--price': expected finite prices > 0, got [nan]"),
+    (["longrun", "--p-grid", "nan"], {}, {},
+     "command line: field '--p-grid': expected finite prices > 0, got 'nan'"),
     (["subsidy", "--p-grid", "inf,1"], {}, {},
      "command line: field '--p-grid': expected finite prices > 0, got 'inf,1'"),
     (["stakeholders"], {}, {"prices": {"p_grid": [float("nan"), 1.0]}},
@@ -606,7 +605,7 @@ OUT_OF_RANGE = {
         "terminal-soc-string", "synth-value-type", "n-samples-fraction", "asset-nan",
         "asset-infinity", "fit-key", "sweep-key", "prices-key", "key-read-elsewhere",
         "top-level-key", "samples-zero", "n-samples-one", "days-negative", "days-zero",
-        "price-nan", "p-grid-inf", "config-p-grid-nan", "threads-zero", "threads-negative",
+        "p-grid-nan", "p-grid-inf", "config-p-grid-nan", "threads-zero", "threads-negative",
         "threads-env-zero", "t-grid-refused-by-gen-data", "synth-key", "asset-huge-int",
         "seed-negative", "flag-over-config", "threads-zero-cached", "threads-env-cached-all",
         "t-grid-empty", "p-grid-empty", "config-t-grid-empty", "config-p-grid-empty",
@@ -674,8 +673,6 @@ BAD_SETTINGS = {
         "flag": ("0", "command line: field '--p-grid': expected finite prices > 0, got '0'"),
         "key": ("-1,2", "config: field 'prices.p_grid': expected finite prices > 0, "
                         "got '-1,2'")},
-    "price": {"flag": ("-3", "command line: field '--price': expected finite prices > 0, "
-                             "got [-3.0]")},
     "flows_at": {"flag": ("1e9", "command line: field '--flows-at': expected adoption rates "
                                  "in [0, 1], got '1e9'")},
 }
@@ -1124,9 +1121,16 @@ def _with_copy_of_first_household_as(hid: bytes):
      "savings_curves.csv against loads.csv: household 'H0007': no curve"),
     ("localness", "savings_curves.csv", _with_copy_of_first_household_as(b"H9999"),
      "savings_curves.csv against loads.csv: household 'H9999': a curve but no household"),
+    # so does a purchases set whose households differ from the savings curves'
+    ("stakeholders", "purchases_curves.csv", _without_household(b"H0007"),
+     "purchases_curves.csv against savings_curves.csv: household 'H0007': no purchases curve"),
+    ("stakeholders", "purchases_curves.csv", _with_copy_of_first_household_as(b"H9999"),
+     "purchases_curves.csv against savings_curves.csv: household 'H9999': a purchases curve "
+     "but no savings curve"),
 ], ids=["regions-not-utf8", "sweep-nan-and-duplicate", "fit-negative-irradiance",
         "regions-header-only", "irradiance-missing-its-last-day", "regions-byte-order-mark",
-        "curves-missing-a-household", "curves-of-a-household-not-in-loads"])
+        "curves-missing-a-household", "curves-of-a-household-not-in-loads",
+        "purchases-missing-a-household", "purchases-of-a-household-without-savings"])
 def test_inputs_that_once_passed_or_crashed_exit_2_at_their_line(finished_run, tmp_path, capsys,
                                                                   stage, rel, edit, expected):
     out = tmp_path / "run"

@@ -148,8 +148,17 @@ def test_fit_repairs_small_noise(caplog):
 def test_fit_rejects_gross_violation():
     y = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     f = np.array([0.0, 10.0, 15.0, 60.0, 70.0])  # badly convex
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="^household a: concavity repair moved a sample by 25 "):
         fit_savings_curve("a", y, f)
+
+
+def test_fit_says_when_savings_fall_with_capacity():
+    # the same refusal as a gross repair, named for what it is
+    with pytest.raises(FitError) as exc:
+        fit_savings_curve("H0003", [0, 1, 2, 3, 4], [0, -45, -1546, -3052, -4559])
+    assert str(exc.value) == ("household H0003: savings fall with capacity, to -4559 at 4 kW: "
+                              "refilling self-discharge to the terminal charge costs more than "
+                              "the PV saves (require_terminal_soc, asset.x0, asset.eta_s)")
 
 
 @pytest.mark.parametrize("y,f,message", [

@@ -156,7 +156,7 @@ def test_context_caching_and_baseline(medium_population):
     hh = sc.households[0]
     baseline = ctx.annual_bill(hh, 0.0)
     # exact closed form: load . buy
-    expected = float(np.dot(hh.load.ravel(), sc.tariff.buy.ravel()))
+    expected = float(np.dot(hh.load.ravel(), sc.buy.ravel()))
     assert baseline.bill == baseline.purchases == expected and baseline.sale_credit == 0.0
     # the warm model a positive capacity leaves behind does not touch it
     ctx.annual_bill(hh, hh.net_zero_size)
@@ -171,7 +171,7 @@ def test_day_subsampling_scales_totals():
     assert half.scale == 2.0
     hh = sc.households[0]
     assert half.annual_bill(hh, 0.0).bill == pytest.approx(
-        2.0 * float(hh.load[[0, 2, 4]].sum(axis=0) @ sc.tariff.buy[0]), rel=1e-12)
+        2.0 * float(hh.load[[0, 2, 4]].sum(axis=0) @ sc.buy[0]), rel=1e-12)
     # the subsample approximates the full-period bill
     assert half.annual_bill(hh, 0.0).bill == pytest.approx(full.annual_bill(hh, 0.0).bill, rel=0.2)
 
@@ -261,8 +261,8 @@ def test_warm_started_bills_match_cold_oracle_in_any_order(terminal):
     grids = {hh.id: np.linspace(0.0, hh.net_zero_size, 9) for hh in (a, b)}
 
     def oracle(hh, y):
-        return block_lp_bill(hh.load[days], sc.irradiance.values[days], sc.tariff.buy[days],
-                             sc.tariff.sell[days], asset, y, terminal)
+        return block_lp_bill(hh.load[days], sc.irradiance[days], sc.buy[days], sc.sell[days],
+                             asset, y, terminal)
     expected = {(hh.id, y): oracle(hh, y) for hh in (a, b) for y in grids[hh.id]}
 
     ascending = [(a, y) for y in grids[a.id]]
@@ -321,5 +321,5 @@ def test_template_basis_skips_the_cold_solve():
     cold._solve(second, y)
     assert cold._model.simplex_iteration_count > 500
     assert ctx._model.simplex_iteration_count <= cold._model.simplex_iteration_count // 20
-    _assert_matches_oracle(totals, block_lp_bill(second.load, sc.irradiance.values,
-                                                 sc.tariff.buy, sc.tariff.sell, sc.asset, y))
+    _assert_matches_oracle(totals, block_lp_bill(second.load, sc.irradiance, sc.buy, sc.sell,
+                                                 sc.asset, y))

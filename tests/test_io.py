@@ -11,7 +11,7 @@ from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, SWEEP_FILE, 
                          load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
                          write_exclusions, write_purchases_curves, write_rows,
                          write_savings_curves, write_scenario)
-from dershare.model import EmptyScenarioError
+from dershare.model import ValidationError
 from dershare.synth import SynthConfig, generate_scenario
 
 
@@ -29,9 +29,9 @@ def test_scenario_round_trip_is_exact(tmp_path, scenario):
         np.testing.assert_array_equal(hh.load, orig[hh.id].load)
         assert hh.region_id == orig[hh.id].region_id
         assert hh.net_zero_size == pytest.approx(orig[hh.id].net_zero_size, rel=1e-12)
-    np.testing.assert_array_equal(back.tariff.buy, scenario.tariff.buy)
-    np.testing.assert_array_equal(back.tariff.sell, scenario.tariff.sell)
-    np.testing.assert_array_equal(back.irradiance.values, scenario.irradiance.values)
+    np.testing.assert_array_equal(back.buy, scenario.buy)
+    np.testing.assert_array_equal(back.sell, scenario.sell)
+    np.testing.assert_array_equal(back.irradiance, scenario.irradiance)
     assert [(r.id, r.latitude, r.longitude) for r in back.regions] == \
         [(r.id, r.latitude, r.longitude) for r in scenario.regions]
 
@@ -43,10 +43,10 @@ def test_scenario_files_match_per_cell_formatting(tmp_path, scenario):
     hours = [f"h{h}" for h in range(24)]
     write_rows(tmp_path / "cells" / LOADS_FILE, ["household_id", "region_id", "day", *hours],
                [[hh.id, hh.region_id, d, *hh.load[d]]
-                for hh in scenario.households for d in range(hh.n_days)])
-    for name, mat in ((IRRADIANCE_FILE, scenario.irradiance.values),
-                      (TARIFF_BUY_FILE, scenario.tariff.buy),
-                      (TARIFF_SELL_FILE, scenario.tariff.sell)):
+                for hh in scenario.households for d in range(len(hh.load))])
+    for name, mat in ((IRRADIANCE_FILE, scenario.irradiance),
+                      (TARIFF_BUY_FILE, scenario.buy),
+                      (TARIFF_SELL_FILE, scenario.sell)):
         write_rows(tmp_path / "cells" / name, ["day", *hours],
                    [[d, *mat[d]] for d in range(mat.shape[0])])
     for name in (LOADS_FILE, IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE):
@@ -55,7 +55,8 @@ def test_scenario_files_match_per_cell_formatting(tmp_path, scenario):
 
 def _ingest(scenario):
     return ingest({hh.id: (hh.region_id, hh.load) for hh in scenario.households},
-                  scenario.tariff, scenario.irradiance, scenario.regions, scenario.asset)
+                  scenario.buy, scenario.sell, scenario.irradiance, scenario.regions,
+                  scenario.asset)
 
 
 @pytest.mark.parametrize("config", [
@@ -91,7 +92,7 @@ def test_ids_that_need_quoting_write_like_csv_writer_and_round_trip(tmp_path, sc
     hours = [f"h{h}" for h in range(24)]
     write_rows(tmp_path / "cells" / LOADS_FILE, ["household_id", "region_id", "day", *hours],
                [[hh.id, hh.region_id, d, *hh.load[d]]
-                for hh in households for d in range(hh.n_days)])
+                for hh in households for d in range(len(hh.load))])
     assert (tmp_path / "lines" / LOADS_FILE).read_bytes() == \
         (tmp_path / "cells" / LOADS_FILE).read_bytes()
     assert_same_load(load_scenario(tmp_path / "lines", scenario.asset), _ingest(quoted))
@@ -130,7 +131,7 @@ def test_retained_households_have_correct_sizes(tmp_path, scenario):
     result = load_scenario(tmp_path, scenario.asset)
     assert not result.exclusions
     eta_i = scenario.asset.eta_i
-    total_irr = scenario.irradiance.values.sum()
+    total_irr = scenario.irradiance.sum()
     for hh in result.scenario.households:
         # hand-computed sizing identity
         assert hh.net_zero_size == pytest.approx(hh.load.sum() / (eta_i * total_irr), rel=1e-12)
@@ -142,8 +143,10 @@ def test_all_excluded_raises(tmp_path, scenario):
         hh.load[:] = 0.01
         hh.load.setflags(write=False)
     write_scenario(scenario, tmp_path)
-    with pytest.raises(EmptyScenarioError):
+    with pytest.raises(ValidationError) as exc:
         load_scenario(tmp_path, scenario.asset)
+    assert str(exc.value) == ("scenario: field 'households': all households were excluded "
+                              "at ingestion")
 
 
 def test_parse_error_names_file_and_line(tmp_path, scenario):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from dershare.model import (AssetSpec, DomainError, EmptyScenarioError, HouseholdRecord,
-                            IrradianceSeries, Region, Scenario, TariffSet, ValidationError,
-                            compute_net_zero_size, validate_scenario)
+from dershare.model import (AssetSpec, DomainError, HouseholdRecord, Region, Scenario,
+                            ValidationError, compute_net_zero_size, validate_scenario)
 
 
 def test_net_zero_size_trivial_ratio():
@@ -48,13 +47,14 @@ def test_asset_spec_invariants(field, value):
 
 
 def _tiny_scenario(**overrides):
-    irr = IrradianceSeries(np.tile(np.r_[np.zeros(8), np.ones(8), np.zeros(8)], (2, 1)))
+    irr = np.tile(np.r_[np.zeros(8), np.ones(8), np.zeros(8)], (2, 1))
     load = np.full((2, 24), 0.5)
     asset = AssetSpec()
     hh = HouseholdRecord("A", "R0", load, compute_net_zero_size(load, irr, asset.eta_i))
     parts = dict(
         households=(hh,),
-        tariff=TariffSet(np.full((2, 24), 0.3), np.full((2, 24), 0.05)),
+        buy=np.full((2, 24), 0.3),
+        sell=np.full((2, 24), 0.05),
         irradiance=irr,
         asset=asset,
         regions=(Region("R0", 36.0, -120.0),),
@@ -78,9 +78,8 @@ def test_validate_scenario_names_offender():
 
 def test_validate_scenario_rejects_arbitrage_tariff():
     # constructor only checks shape; the value check is the validation pass
-    tariff = TariffSet(np.full((2, 24), 0.04), np.full((2, 24), 0.05))
     with pytest.raises(ValidationError) as exc:
-        validate_scenario(_tiny_scenario(tariff=tariff))
+        validate_scenario(_tiny_scenario(buy=np.full((2, 24), 0.04)))
     assert exc.value.fieldname == "sell"
 
 
@@ -95,7 +94,7 @@ def test_validate_scenario_rejects_inconsistent_sizing():
 
 @pytest.mark.parametrize("case,error,message", [
     ("irradiance days", ValidationError, "irradiance: field 'values': 3 days, tariff has 2"),
-    ("no households", EmptyScenarioError,
+    ("no households", ValidationError,
      "scenario: field 'households': scenario contains no households"),
     ("duplicate id", ValidationError, "household A: field 'id': duplicate household id"),
     ("load days", ValidationError, "household A: field 'load': 3 days, tariff has 2"),
@@ -105,8 +104,7 @@ def test_validate_scenario_refusals(case, error, message):
     sc = _tiny_scenario()
     hh = sc.households[0]
     overrides = {
-        "irradiance days": {"irradiance": IrradianceSeries(np.tile(sc.irradiance.values[:1],
-                                                                   (3, 1)))},
+        "irradiance days": {"irradiance": np.tile(sc.irradiance[:1], (3, 1))},
         "no households": {"households": ()},
         "duplicate id": {"households": (hh, hh)},
         "load days": {"households": (HouseholdRecord("A", "R0", np.full((3, 24), 0.5),
@@ -133,12 +131,12 @@ def test_validate_scenario_rejects_nan():
     sell = np.full((2, 24), 0.05)
     sell[1, 5] = np.nan
     with pytest.raises(ValidationError, match="NaN") as exc:
-        validate_scenario(_tiny_scenario(tariff=TariffSet(np.full((2, 24), 0.3), sell)))
+        validate_scenario(_tiny_scenario(sell=sell))
     assert exc.value.fieldname == "sell"
-    irr = sc.irradiance.values.copy()
+    irr = sc.irradiance.copy()
     irr[0, 0] = np.nan
     with pytest.raises(ValidationError, match="NaN") as exc:
-        validate_scenario(_tiny_scenario(irradiance=IrradianceSeries(irr)))
+        validate_scenario(_tiny_scenario(irradiance=irr))
     assert exc.value.entity == "irradiance"
     load = sc.households[0].load.copy()
     load[1, 3] = np.nan
@@ -152,5 +150,18 @@ def test_records_are_immutable():
     sc = _tiny_scenario()
     with pytest.raises(Exception):
         sc.households[0].load[0, 0] = 99.0
-    with pytest.raises(Exception):
-        sc.tariff.buy[0, 0] = 0.0
+    for matrix in (sc.buy, sc.sell, sc.irradiance):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("name, shape, expected", [
+    ("buy", (2, 23), "tariff.buy: field 'shape': expected (days, 24), got (2, 23)"),
+    ("sell", (2, 23), "tariff.sell: field 'shape': expected (days, 24), got (2, 23)"),
+    ("irradiance", (2, 23), "irradiance: field 'shape': expected (days, 24), got (2, 23)"),
+    ("sell", (3, 24), "tariff: field 'sell': buy and sell shapes differ"),
+])
+def test_scenario_refuses_a_matrix_of_the_wrong_shape(name, shape, expected):
+    with pytest.raises(ValidationError) as exc:
+        _tiny_scenario(**{name: np.zeros(shape)})
+    assert str(exc.value) == expected

@@ -76,16 +76,16 @@ def test_generated_scenario_valid_and_positive():
     validate_scenario(sc)
     for hh in sc.households:
         assert np.min(hh.load) > 0.0  # strictly positive consumption everywhere
-    assert np.min(sc.tariff.buy - sc.tariff.sell) >= 0.0
+    assert np.min(sc.buy - sc.sell) >= 0.0
 
 
 def test_irradiance_zero_outside_daylight():
     cfg = SynthConfig(n_households=2, n_days=4, rng_seed=8)
     sc = generate_scenario(cfg)
     lo, hi = cfg.daylight_window
-    assert np.all(sc.irradiance.values[:, :lo] == 0.0)
-    assert np.all(sc.irradiance.values[:, hi:] == 0.0)
-    assert np.all(sc.irradiance.values[:, lo:hi] > 0.0)
+    assert np.all(sc.irradiance[:, :lo] == 0.0)
+    assert np.all(sc.irradiance[:, hi:] == 0.0)
+    assert np.all(sc.irradiance[:, lo:hi] > 0.0)
 
 
 def test_peak_fractions_are_heterogeneous():
