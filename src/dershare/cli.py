@@ -41,7 +41,6 @@ RegionalFlow's), and io writes a bool as true/false.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -55,6 +54,14 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+try:  # CPython's own SHA-256; hashlib would map OpenSSL's libcrypto for it (see _file_sha)
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from . import __version__
 from .adoption import (DemandCurves, LongRunResult, LongRunSolver, SubsidyResult, build_order,
                        default_t_grid, equivalent_subsidy, long_run_adoption, sweep_adoption)
@@ -63,7 +70,7 @@ from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, PURCHASES_FILE, R
                  ingest, load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
                  read_text, write_exclusions, write_purchases_curves, write_rows,
                  write_savings_curves, write_scenario)
-from .model import (DEFAULT_SAMPLES, AssetSpec, DomainError, FitError, LPError, Scenario,
+from .model import (DEFAULT_SAMPLES, HOURS, AssetSpec, DomainError, FitError, LPError, Scenario,
                     SynthConfig, ValidationError, from_config, validate_scenario)
 from .stakeholders import RegimePoint, regime_points
 
@@ -86,8 +93,14 @@ class StageError(RuntimeError):
 def _file_sha(path: Path) -> str:
     """The file's sha256, read into one reused 64 KiB block: a whole loads.csv
     read at once would set the peak memory of a run whose stages are cache
-    hits, and a rerun hashes its last output while every artifact is held."""
-    digest, block = hashlib.sha256(), bytearray(1 << 16)
+    hits, and a rerun hashes its last output while every artifact is held.
+
+    The digest comes from CPython's built-in SHA-256 module, as random.py
+    takes its SHA-512, and from hashlib only where that module is missing:
+    importing hashlib maps OpenSSL's libcrypto, ~3.5 MB of a rerun's peak
+    memory, which only gen-data needs (numpy.random imports it). Both are
+    SHA-256, so every manifest checksum and input hash is the same bytes."""
+    digest, block = sha256(), bytearray(1 << 16)
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(block):
             digest.update(memoryview(block)[:n])
@@ -95,7 +108,7 @@ def _file_sha(path: Path) -> str:
 
 
 def _hash_obj(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    return sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def _read_manifest(out_dir: Path) -> dict:
@@ -263,7 +276,8 @@ def _check(kind: Callable, value, source: tuple[str, str]):
 
 def _load_config(path: str | None) -> dict:
     """The config file's values by setting name, each checked by its kind,
-    so a bad or unknown key fails every stage, not only its reader."""
+    so a bad or unknown key fails every stage, not only its reader; so does
+    a required terminal charge the asset cannot reach."""
     if not path:
         return {}
     try:
@@ -283,7 +297,27 @@ def _load_config(path: str | None) -> dict:
             if key not in _BY_KEY:
                 raise ValidationError("config", key, "unknown config key")
             config[_BY_KEY[key]] = _check(SETTINGS[_BY_KEY[key]].kind, v, ("config", key))
+    if config.get("require_terminal_soc"):
+        _check_terminal_charge(config.get("asset", AssetSpec()))
     return config
+
+
+def _check_terminal_charge(asset: AssetSpec) -> None:
+    """Refuse a required terminal charge the asset cannot reach, which would
+    make every block LP of the fit infeasible. A day starts at x0 * alpha
+    kWh/kW; charging at u_charge_max every hour, retaining eta_s of the
+    charge and capped at alpha, the most it holds after 24 hours must be
+    x0 * alpha again."""
+    start = x = asset.x0 * asset.alpha
+    for _ in range(HOURS):
+        x = min(asset.alpha, asset.eta_s * x + asset.u_charge_max)
+    if x < start:
+        raise ValidationError(
+            "config", "require_terminal_soc",
+            f"the storage cannot end a day at its starting charge asset.x0 * asset.alpha = "
+            f"{asset.x0} * {asset.alpha} = {start:.6g} kWh/kW: charging at asset.u_charge_max = "
+            f"{asset.u_charge_max} kW/kW while keeping asset.eta_s = {asset.eta_s} of the "
+            f"charge each hour reaches at most {x:.6g} kWh/kW after {HOURS} hours")
 
 
 def _resolve(name: str, args: argparse.Namespace, config: dict):

@@ -28,6 +28,9 @@ from .model import (HOURS, AssetSpec, HouseholdRecord, PurchasesCurve, Region, S
 
 LOW_CONSUMPTION_MEAN_KW = 0.1
 ZERO_READING_FRACTION = 0.5
+# each reason ingest excludes a household for, with its rule
+EXCLUSION_RULES = {"low consumption": f"mean load below {LOW_CONSUMPTION_MEAN_KW} kW",
+                   "zero readings": "more than half of the readings exactly zero"}
 
 LOADS_FILE = "loads.csv"
 IRRADIANCE_FILE = "irradiance.csv"
@@ -344,8 +347,10 @@ def ingest(loads: Mapping[str, tuple[str, np.ndarray]], buy: np.ndarray, sell: n
         households.append(HouseholdRecord(id=hid, region_id=rid, load=load, net_zero_size=size))
 
     if not households:
+        counts = ", ".join(f"{sum(e.reason == reason for e in exclusions)} {reason} ({rule})"
+                           for reason, rule in EXCLUSION_RULES.items())
         raise ValidationError("scenario", "households",
-                              "all households were excluded at ingestion")
+                              f"all households were excluded at ingestion: {counts}")
 
     # coordinates as Python floats, as a parse gives them
     regions = tuple(Region(r.id, float(r.latitude), float(r.longitude)) for r in regions)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 import shutil
@@ -222,16 +223,17 @@ try:
 except SystemExit as exc:  # --version
     code = exc.code
 watched = ("scipy", "numpy.ma", "scipy.optimize._highspy._core", "dershare.curves",
-           "dershare.dispatch", "dershare.localness", "dershare.lp", "dershare.synth", "logging")
+           "dershare.dispatch", "dershare.localness", "dershare.lp", "dershare.synth", "logging",
+           "_hashlib")
 print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
 """
 
 
 def _modules_loaded_by(cwd, *argv):
     """Which of scipy's package, numpy.ma, the HiGHS binding, the fitter, the
-    dispatch LP, the transport solver, the LP module, the generator and
-    logging a dershare child has loaded by the time its command returns,
-    with its output."""
+    dispatch LP, the transport solver, the LP module, the generator,
+    logging and hashlib's OpenSSL binding a dershare child has loaded by
+    the time its command returns, with its output."""
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *map(str, argv)],
                           capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr + proc.stdout
@@ -244,10 +246,12 @@ def test_runs_load_only_the_modules_their_stages_use(tmp_path, config_path):
     out = tmp_path / "run"
     loaded, _ = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
                                    "--equilibrium-at", "0.5", "--flows-at", "0.5")
-    assert loaded == ["dershare.curves", "dershare.dispatch", "dershare.localness",
+    # the generator's numpy.random imports hashlib, and with it OpenSSL
+    assert loaded == ["_hashlib", "dershare.curves", "dershare.dispatch", "dershare.localness",
                       "dershare.lp", "dershare.synth", "logging", "scipy.optimize._highspy._core"]
     # a new p-grid: five stages are cache hits, and neither the generator, the
-    # fitter, logging nor any LP module is loaded
+    # fitter, logging, any LP module nor OpenSSL (the manifest hashes with
+    # CPython's built-in SHA-256) is loaded
     loaded, stdout = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
                                         "--equilibrium-at", "0.5", "--flows-at", "0.5",
                                         "--p-grid", "0.5:2:4")
@@ -628,6 +632,20 @@ def test_bad_cli_config_and_env_input_exits_2(finished_run, tmp_path, capsys, mo
     assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("u_charge_max, fits", [(4e-5, False), (6e-5, True)])
+def test_terminal_charge_refused_just_outside_its_bound_fits_inside(tmp_path, capsys, u_charge_max, fits):
+    """x0 * alpha = 0.5 comes back after 24 hours iff u_charge_max >= 0.5 * (1 - eta_s)
+    = 5e-5: just outside the bound is refused, just inside it fits."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "require_terminal_soc": True,
+                                "asset": {"x0": 0.5, "u_charge_max": u_charge_max}}))
+    code = _run("all", "--config", path, "--out", tmp_path / "run")
+    if fits:
+        assert code == 0 and "fit: wrote" in capsys.readouterr().out
+    else:
+        _assert_input_error(capsys, code, "config: field 'require_terminal_soc': ")
+
+
 def test_command_refused_before_its_first_stage_creates_no_out_directory(tmp_path, capsys,
                                                                          config_path):
     bad = tmp_path / "bad.json"
@@ -637,6 +655,16 @@ def test_command_refused_before_its_first_stage_creates_no_out_directory(tmp_pat
                         "config: field 'synth.n_households'")
     _assert_input_error(capsys, _run("all", "--config", config_path, "--out", out,
                                      "--t-grid", "0.1:0.9"), "field '--t-grid'")
+    # from x0 * alpha = 15.2 kWh/kW the charge tends to 0.053 / (1 - 0.91) and never climbs
+    # back, so every fit LP would be infeasible
+    bad.write_text(json.dumps({"require_terminal_soc": True, "asset": {
+        "alpha": 20.0, "u_charge_max": 0.053, "x0": 0.76, "eta_s": 0.91}}))
+    _assert_input_error(capsys, _run("all", "--config", bad, "--out", out),
+                        "config: field 'require_terminal_soc': the storage cannot end a day at "
+                        "its starting charge asset.x0 * asset.alpha = 0.76 * 20.0 = 15.2 kWh/kW: "
+                        "charging at asset.u_charge_max = 0.053 kW/kW while keeping "
+                        "asset.eta_s = 0.91 of the charge each hour reaches at most "
+                        "2.1083 kWh/kW after 24 hours")
     # nor does one whose first stage lacks its input
     _assert_input_error(capsys, _run("sweep", "--config", config_path, "--out", out),
                         "run `dershare fit` first")
@@ -934,6 +962,37 @@ def test_all_matches_the_stages_one_by_one(tmp_path, config_path, capsys, monkey
                 "--flows-at", "0.5", "--equilibrium-at", "0.4") == 0
     assert calls["load_scenario"] == 0 and calls["LongRunSolver"] == 0
     assert capsys.readouterr().out == "".join(f"{stage}: cached\n" for stage in STAGES)
+
+
+_DIGEST_PROBE = """
+import json, sys
+from pathlib import Path
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from dershare import cli
+print(json.dumps({"files": [cli._file_sha(Path(p)) for p in sys.argv[2:]],
+                  "obj": cli._hash_obj(json.loads(sys.argv[1])),
+                  "fallback": "_hashlib" in sys.modules}))
+"""
+
+
+def test_manifest_digests_are_hashlibs_sha256(tmp_path):
+    rng = np.random.default_rng(23)
+    paths = []
+    for size in (0, 1 << 16, (1 << 16) + 1, 5 * (1 << 16) + 123):  # the last spans 6 blocks
+        path = tmp_path / f"f{size}.bin"
+        path.write_bytes(rng.bytes(size))
+        paths.append(path)
+    obj = {"params": {"p_grid": [0.5, 1.25], "asset": {"x0": 0.0, "eta_s": 0.9999}},
+           "inputs": {"loads.csv": "ab" * 32, "z": [None, True, {"k": "é"}]}}
+    expected = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    expected_obj = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert [cli._file_sha(p) for p in paths] == expected
+    assert cli._hash_obj(obj) == expected_obj
+    # with neither built-in module importable, the digests come from hashlib's
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_PROBE, json.dumps(obj), *map(str, paths)],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"files": expected, "obj": expected_obj, "fallback": True}
 
 
 def test_all_hashes_each_file_once(tmp_path, config_path, capsys, monkeypatch):

@@ -138,15 +138,21 @@ def test_retained_households_have_correct_sizes(tmp_path, scenario):
 
 
 def test_all_excluded_raises(tmp_path, scenario):
-    for hh in scenario.households:
+    for i, hh in enumerate(scenario.households):
         hh.load.setflags(write=True)
-        hh.load[:] = 0.01
+        if i == 0:  # mean 5/24 kW, but zero in 23 of 24 hours
+            hh.load[:] = 0.0
+            hh.load[:, 12] = 5.0
+        else:
+            hh.load[:] = 0.01
         hh.load.setflags(write=False)
     write_scenario(scenario, tmp_path)
     with pytest.raises(ValidationError) as exc:
         load_scenario(tmp_path, scenario.asset)
     assert str(exc.value) == ("scenario: field 'households': all households were excluded "
-                              "at ingestion")
+                              f"at ingestion: {len(scenario.households) - 1} low consumption "
+                              "(mean load below 0.1 kW), 1 zero readings (more than half of "
+                              "the readings exactly zero)")
 
 
 def test_parse_error_names_file_and_line(tmp_path, scenario):
