@@ -97,9 +97,10 @@ def _file_sha(path: Path) -> str:
 
     The digest comes from CPython's built-in SHA-256 module, as random.py
     takes its SHA-512, and from hashlib only where that module is missing:
-    importing hashlib maps OpenSSL's libcrypto, ~3.5 MB of a rerun's peak
-    memory, which only gen-data needs (numpy.random imports it). Both are
-    SHA-256, so every manifest checksum and input hash is the same bytes."""
+    importing hashlib maps OpenSSL's libcrypto, ~3.5 MB of a run's peak
+    memory, which no stage needs (the generator imports numpy.random with
+    it hidden, see synth). Both are SHA-256, so every manifest checksum and
+    input hash is the same bytes."""
     digest, block = sha256(), bytearray(1 << 16)
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(block):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .adoption import AdoptionOrder, LongRunResult, LongRunSolver, long_run_adoption
 from .market import MarketEquilibrium, _sum_in_order
-from .model import PurchasesCurve, SavingsCurve
+from .model import DomainError, PurchasesCurve, SavingsCurve
 
 
 def vendor_gain(price: float, d_short: float, d_long: float) -> float:
@@ -29,12 +29,44 @@ def vendor_gain(price: float, d_short: float, d_long: float) -> float:
     return price * (d_long - d_short)
 
 
+def _bills(purchases: Mapping[str, PurchasesCurve], ids: Sequence[str],
+           assignment: np.ndarray) -> np.ndarray:
+    """Each household's PurchasesCurve.eval at its assigned capacity, in the
+    order of ids, in one pass: the domain check and clip of `_in_domain`
+    (the error names the first household out of its domain), then
+    np.interp's arithmetic term for term."""
+    rows = [purchases[hid] for hid in ids]
+    counts = np.array([c.knots.size for c in rows], dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    last = starts + counts - 1
+    knots = np.concatenate([c.knots for c in rows] or [np.empty(0)])
+    values = np.concatenate([c.values for c in rows] or [np.empty(0)])
+    size = knots[last]
+    y = np.asarray(assignment, dtype=float)
+    bad = np.flatnonzero(~((-1e-9 * size <= y) & (y <= size * (1 + 1e-9) + 1e-12)))
+    if bad.size:
+        raise DomainError(f"y={float(y[bad[0]])} outside [0, {float(size[bad[0]])}]")
+    y = np.minimum(np.maximum(y, 0.0), size)
+    # j is the last knot at or below y (knots ascend), k the one after it
+    j = starts - 1 + np.add.reduceat(knots <= np.repeat(y, counts), starts, dtype=np.intp)
+    k = np.minimum(j + 1, last)
+    xj, vj, vk = knots[j], values[j], values[k]
+    with np.errstate(all="ignore"):  # np.interp's C loop never warns
+        slope = (vk - vj) / (knots[k] - xj)
+        out = slope * (y - xj) + vj
+        # a NaN is interpolated from the right knot, else a flat segment's value
+        right = slope * (y - knots[k]) + vk
+        right = np.where(np.isnan(right) & (vj == vk), vj, right)
+        out = np.where(np.isnan(out), right, out)
+    # a knot hit takes the value there (y is clipped, so j is the last knot only on a hit)
+    return np.where(xj == y, vj, out)
+
+
 def billed_sales(purchases: Mapping[str, PurchasesCurve], ids: Sequence[str],
                  assignment: np.ndarray) -> float:
     """Total buy-side bills when each household of ids dispatches its
     assigned capacity, assignment in the order of ids."""
-    return _sum_in_order(np.array([purchases[hid].eval(y)
-                                   for hid, y in zip(ids, assignment.tolist())]))
+    return _sum_in_order(_bills(purchases, ids, assignment))
 
 
 def autarky_assignment(order: AdoptionOrder, k: int) -> np.ndarray:

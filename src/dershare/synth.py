@@ -13,11 +13,20 @@ All randomness comes from numpy's seeded PCG64 generator, so a config
 with a fixed rng_seed reproduces the same scenario bit for bit on any
 platform. The generator's settings, SynthConfig, live in `model`, so a
 run that generates no data never loads this module.
+
+Importing numpy.random runs bit_generator, which imports secrets (to
+seed generators that have no seed), and with it hmac, hashlib and
+OpenSSL's _hashlib: ~3.5 MB of libcrypto mapped into a fresh run that
+never calls it. `_default_rng` makes that one import with _hashlib
+hidden, so hmac and hashlib take the fallbacks CPython ships for builds
+without OpenSSL, and then forgets the modules the import created, so a
+later `import hashlib` in the same process gets OpenSSL after all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -30,6 +39,26 @@ from .model import (
     SynthConfig,
     compute_net_zero_size,
 )
+
+
+# what numpy.random's import creates on its way to _hashlib
+_CRYPTO_IMPORTERS = ("secrets", "hmac", "hashlib")
+
+
+def _default_rng(seed: int) -> np.random.Generator:
+    """np.random.default_rng(seed), importing numpy.random without _hashlib
+    when neither is loaded yet (see the module docstring). A seeded
+    generator never calls secrets, so nothing here runs the fallbacks."""
+    if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
+        created = [name for name in _CRYPTO_IMPORTERS if name not in sys.modules]
+        sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["_hashlib"]
+            for name in created:
+                sys.modules.pop(name, None)
+    return np.random.default_rng(seed)
 
 
 def _window_mask(window: tuple[int, int]) -> np.ndarray:
@@ -49,7 +78,7 @@ def _irradiance_day(config: SynthConfig) -> np.ndarray:
 def generate_scenario(config: SynthConfig, asset: AssetSpec | None = None) -> Scenario:
     """Build a Scenario from a SynthConfig, deterministically for a fixed seed."""
     asset = asset or AssetSpec()
-    rng = np.random.default_rng(config.rng_seed)
+    rng = _default_rng(config.rng_seed)
     n, days = config.n_households, config.n_days
 
     # regions on a jittered ring around the configured center

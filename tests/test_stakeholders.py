@@ -6,8 +6,8 @@ import pytest
 from dershare.adoption import LongRunSolver, build_order, long_run_adoption
 from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
-from dershare.model import PurchasesCurve, SavingsCurve
-from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
+from dershare.model import DomainError, PurchasesCurve, SavingsCurve
+from dershare.stakeholders import (_bills, billed_sales, autarky_assignment, market_emerges,
                                    regime_boundary, regime_points, utility_loss, vendor_gain)
 
 
@@ -55,6 +55,67 @@ def test_billed_sales_sum_left_to_right():
     purchases = {hid: PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([v, v]))
                  for hid, v in bills.items()}
     assert billed_sales(purchases, list(bills), np.full(3, 0.5)) == 0.0
+
+
+def _random_purchases(rng, n):
+    """n curves with 2-8 knots, some with flat segments, some with infinite
+    values that make np.interp's slope infinite or NaN."""
+    curves = {}
+    for i in range(n):
+        knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 3.0, rng.integers(1, 8)))])
+        drops = rng.uniform(0.0, 50.0, knots.size - 1) * (rng.uniform(size=knots.size - 1) < 0.8)
+        values = rng.uniform(100.0, 2000.0) - np.concatenate([[0.0], np.cumsum(drops)])
+        if i % 7 == 3:  # np.interp's NaN fallbacks: inf - inf, and -inf * y + inf
+            values[:2] = np.inf
+        elif i % 7 == 5:
+            values[0] = np.inf
+        elif i % 7 == 6:  # -inf * 0 at a knot hit
+            values[-1] = -np.inf
+        elif i % 7 == 1:  # NaN from both knots
+            values[0], values[-1] = np.inf, -np.inf
+        with np.errstate(invalid="ignore"):  # inf - inf in the monotonicity check
+            curves[f"H{i:03d}"] = PurchasesCurve(f"H{i:03d}", knots, values)
+    return curves
+
+
+def test_bills_equal_each_curves_eval_bit_for_bit():
+    """The one-pass bills against the per-household eval (_in_domain, then
+    np.interp) at knots, at 0, at max_size, inside the rounding slack
+    beyond both ends, and between knots."""
+    rng = np.random.default_rng(2405)
+    for trial in range(40):
+        purchases = _random_purchases(rng, int(rng.integers(1, 30)))
+        ids = sorted(purchases, key=lambda _: rng.uniform())
+        y = []
+        for hid in ids:
+            knots = purchases[hid].knots
+            size = float(knots[-1])
+            y.append(rng.choice([0.0, -0.0, size, float(rng.choice(knots)),
+                                 size * (1 + 1e-9), size * (1 + 1e-9) + 1e-12,
+                                 -1e-9 * size, size * (1 + 5e-10),
+                                 float(rng.uniform(0.0, size)),
+                                 float(knots[1]) * (1 - 1e-16)]))
+        y = np.array(y)
+        want = np.array([purchases[hid].eval(v) for hid, v in zip(ids, y.tolist())])
+        assert _bills(purchases, ids, y).tobytes() == want.tobytes(), trial
+
+
+def test_bills_name_the_first_household_out_of_its_domain():
+    purchases = _random_purchases(np.random.default_rng(7), 6)
+    ids = sorted(purchases)
+    sizes = [purchases[hid].max_size for hid in ids]
+    y = np.array(sizes)
+    y[4] = sizes[4] * 1.01
+    y[2] = -1e-6
+    with pytest.raises(DomainError) as want:
+        purchases[ids[2]].eval(y[2])
+    with pytest.raises(DomainError) as got:
+        billed_sales(purchases, ids, y)
+    assert str(got.value) == str(want.value)
+    y[2] = np.nan
+    with pytest.raises(DomainError, match="y=nan outside"):
+        billed_sales(purchases, ids, y)
+    assert billed_sales({}, [], np.empty(0)) == 0.0
 
 
 def test_utility_loss_zero_without_changes(medium_population):

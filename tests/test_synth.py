@@ -1,11 +1,17 @@
 import collections
+import json
+import subprocess
+import sys
 
 import numpy as np
+import numpy.random  # noqa: F401  (so this process's generator takes the plain path)
 import pytest
 
 from dershare.io import write_scenario
 from dershare.model import ValidationError, validate_scenario
 from dershare.synth import SynthConfig, generate_scenario
+
+from conftest import child_env
 
 
 def test_same_seed_is_byte_identical(tmp_path):
@@ -15,6 +21,43 @@ def test_same_seed_is_byte_identical(tmp_path):
     write_scenario(generate_scenario(cfg), b)
     for f in a.iterdir():
         assert f.read_bytes() == (b / f.name).read_bytes(), f.name
+
+
+_GENERATE_PROBE = """
+import json, sys
+from pathlib import Path
+if sys.argv[3] == "hashlib-first":
+    import hashlib
+from dershare.io import write_scenario
+from dershare.synth import SynthConfig, generate_scenario
+write_scenario(generate_scenario(SynthConfig(**json.loads(sys.argv[1]))), Path(sys.argv[2]))
+generated = "_hashlib" in sys.modules
+import hashlib, hmac
+later = "_hashlib" in sys.modules
+import _hashlib
+print(json.dumps({"generated": generated, "later": later,
+                  "pbkdf2_hmac": hasattr(hashlib, "pbkdf2_hmac"),
+                  "openssl_compare_digest": hmac.compare_digest is _hashlib.compare_digest}))
+"""
+
+
+@pytest.mark.parametrize("first", ["nothing", "hashlib-first"])
+def test_fresh_generator_maps_no_openssl_and_writes_the_same_bytes(tmp_path, first):
+    """A fresh process imports numpy.random with _hashlib hidden, and a later
+    `import hashlib` still gets OpenSSL; one that loaded hashlib first takes
+    the plain path. Both write what this process writes for the config."""
+    settings = {"n_households": 6, "n_days": 2, "n_regions": 2, "rng_seed": 11}
+    want, got = tmp_path / "want", tmp_path / "got"
+    write_scenario(generate_scenario(SynthConfig(**settings)), want)
+    proc = subprocess.run([sys.executable, "-c", _GENERATE_PROBE, json.dumps(settings),
+                           str(got), first],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"generated": first == "hashlib-first", "later": True,
+                                       "pbkdf2_hmac": True, "openssl_compare_digest": True}
+    assert sorted(f.name for f in got.iterdir()) == sorted(f.name for f in want.iterdir())
+    for f in want.iterdir():
+        assert (got / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def test_different_seed_differs():
