@@ -86,6 +86,16 @@ def sample_grid(y_bar: float, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     return np.concatenate([[0.0], np.linspace(0.01 * y_bar, y_bar, n_samples)])
 
 
+def _fitted(cls, household_id: str, *arrays):
+    """cls(household_id, *arrays); a fitted curve that breaks the curve's
+    rules (the ones its CSV reader enforces) is a FitError naming the
+    household."""
+    try:
+        return cls(household_id, *arrays)
+    except ValueError as exc:
+        raise FitError(f"household {household_id}: {exc}") from None
+
+
 def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
     """Fit the concave monotone piecewise-linear curve to savings samples.
 
@@ -141,7 +151,7 @@ def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
         else:
             log.debug("household %s: slope separation skipped (flat zero tail)", household_id)
 
-    return SavingsCurve(household_id, y, slopes)
+    return _fitted(SavingsCurve, household_id, y, slopes)
 
 
 def fit_purchases_curve(household_id: str, y_samples, p_samples) -> PurchasesCurve:
@@ -161,7 +171,7 @@ def fit_purchases_curve(household_id: str, y_samples, p_samples) -> PurchasesCur
     proj = pava_nonincreasing(p)
     proj[0] = p[0]  # keep the no-asset bill exact
     proj = np.minimum.accumulate(proj)
-    return PurchasesCurve(household_id, y, proj)
+    return _fitted(PurchasesCurve, household_id, y, proj)
 
 
 class HouseholdSamples(NamedTuple):

@@ -337,6 +337,8 @@ def _check_knots(knots: np.ndarray) -> np.ndarray:
         raise ValueError("need at least two knots")
     if knots[0] != 0.0:
         raise ValueError("first knot must be 0")
+    if not np.all(np.isfinite(knots)):
+        raise ValueError("knots must be finite")
     if np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly ascending")
     knots.setflags(write=False)
@@ -377,6 +379,8 @@ class SavingsCurve:
             raise ValueError("slopes must be nonnegative (monotone savings)")
         slopes.setflags(write=False)
         values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "slopes", slopes)
@@ -412,6 +416,8 @@ class PurchasesCurve:
         values = np.ascontiguousarray(self.values, dtype=float)
         if values.shape != knots.shape:
             raise ValueError("values must match knots")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         if np.any(np.diff(values) > 0):
             raise ValueError("purchases must be nonincreasing in capacity")
         values.setflags(write=False)

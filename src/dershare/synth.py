@@ -14,19 +14,25 @@ with a fixed rng_seed reproduces the same scenario bit for bit on any
 platform. The generator's settings, SynthConfig, live in `model`, so a
 run that generates no data never loads this module.
 
-Importing numpy.random runs bit_generator, which imports secrets (to
-seed generators that have no seed), and with it hmac, hashlib and
-OpenSSL's _hashlib: ~3.5 MB of libcrypto mapped into a fresh run that
-never calls it. `_default_rng` makes that one import with _hashlib
-hidden, so hmac and hashlib take the fallbacks CPython ships for builds
-without OpenSSL, and then forgets the modules the import created, so a
-later `import hashlib` in the same process gets OpenSSL after all.
+A seeded default_rng(seed) is Generator(PCG64(seed)), yet importing
+numpy.random runs its __init__, which also loads the legacy mtrand, the
+MT19937, Philox and SFC64 bit generators and the pickle helpers, and
+whose bit_generator imports secrets (to seed generators that have no
+seed), and with it hmac, hashlib and OpenSSL's _hashlib: ~3.5 MB of
+libcrypto. A fresh run calls none of it. `_default_rng` imports only the
+_generator and _pcg64 extensions, under an unexecuted stand-in for the
+package and with _hashlib hidden, so hmac and hashlib take the fallbacks
+CPython ships for builds without OpenSSL. It then forgets the stand-in
+and the crypto modules the import created, so a later `import
+numpy.random` runs the real package (which reuses the loaded extensions)
+and a later `import hashlib` gets OpenSSL after all.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
@@ -41,24 +47,31 @@ from .model import (
 )
 
 
-# what numpy.random's import creates on its way to _hashlib
+# what numpy.random.bit_generator's import creates on its way to _hashlib
 _CRYPTO_IMPORTERS = ("secrets", "hmac", "hashlib")
 
 
 def _default_rng(seed: int) -> np.random.Generator:
-    """np.random.default_rng(seed), importing numpy.random without _hashlib
-    when neither is loaded yet (see the module docstring). A seeded
-    generator never calls secrets, so nothing here runs the fallbacks."""
-    if "numpy.random" not in sys.modules and "_hashlib" not in sys.modules:
-        created = [name for name in _CRYPTO_IMPORTERS if name not in sys.modules]
-        sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
-        try:
-            import numpy.random  # noqa: F401
-        finally:
-            del sys.modules["_hashlib"]
-            for name in created:
-                sys.modules.pop(name, None)
-    return np.random.default_rng(seed)
+    """np.random.default_rng(seed), that is Generator(PCG64(seed)), from the
+    two extensions alone when neither numpy.random nor _hashlib is loaded
+    yet (see the module docstring); otherwise, as under numpy 1.x, which
+    imports numpy.random with numpy, the plain call. A seeded generator
+    never calls secrets, so nothing here runs the fallbacks."""
+    if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
+        return np.random.default_rng(seed)
+    created = [name for name in _CRYPTO_IMPORTERS if name not in sys.modules]
+    # the package's module object, never executed: submodule imports find
+    # their files through its __path__ without running its __init__
+    sys.modules["numpy.random"] = module_from_spec(find_spec("numpy.random"))
+    sys.modules["_hashlib"] = None  # makes `import _hashlib` raise ImportError
+    try:
+        from numpy.random._generator import Generator
+        from numpy.random._pcg64 import PCG64
+    finally:
+        del sys.modules["numpy.random"], sys.modules["_hashlib"]
+        for name in created:
+            sys.modules.pop(name, None)
+    return Generator(PCG64(seed))
 
 
 def _window_mask(window: tuple[int, int]) -> np.ndarray:

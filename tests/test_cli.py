@@ -18,7 +18,7 @@ from dershare import cli, io
 from dershare.adoption import LongRunSolver, build_order, default_t_grid, long_run_adoption
 from dershare.cli import main
 from dershare.io import load_scenario, read_purchases_curves, read_savings_curves, read_sweep
-from dershare.model import ValidationError
+from dershare.model import HOURS, AssetSpec, ValidationError
 from dershare.synth import SynthConfig
 from oracles import random_curve_population, random_tied_curve_population
 from runs import differences
@@ -224,42 +224,51 @@ except SystemExit as exc:  # --version
     code = exc.code
 watched = ("scipy", "numpy.ma", "scipy.optimize._highspy._core", "dershare.curves",
            "dershare.dispatch", "dershare.localness", "dershare.lp", "dershare.synth", "logging",
-           "_hashlib")
-print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
+           "_hashlib", "numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
+           "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle")
+print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules],
+                  "random": [m for m in sys.modules if m.startswith("numpy.random")]}))
 """
 
 
 def _modules_loaded_by(cwd, *argv):
-    """Which of scipy's package, numpy.ma, the HiGHS binding, the fitter, the
-    dispatch LP, the transport solver, the LP module, the generator,
-    logging and hashlib's OpenSSL binding a dershare child has loaded by
-    the time its command returns, with its output."""
+    """Which watched modules a dershare child has loaded by the time its
+    command returns (scipy's package, numpy.ma, the HiGHS binding, the
+    fitter, the dispatch LP, the transport solver, the LP module, the
+    generator, logging, hashlib's OpenSSL binding, and numpy.random's
+    package and the extensions a seeded generator never calls); every
+    numpy.random module it has loaded; and its output."""
     proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *map(str, argv)],
                           capture_output=True, text=True, cwd=cwd, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stderr + proc.stdout
-    return sorted(result["loaded"]), proc.stdout
+    return sorted(result["loaded"]), sorted(result["random"]), proc.stdout
 
 
 def test_runs_load_only_the_modules_their_stages_use(tmp_path, config_path):
     out = tmp_path / "run"
-    loaded, _ = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
-                                   "--equilibrium-at", "0.5", "--flows-at", "0.5")
-    # the generator imports numpy.random with OpenSSL's _hashlib hidden
+    loaded, random, _ = _modules_loaded_by(tmp_path, "all", "--config", config_path,
+                                           "--out", out, "--equilibrium-at", "0.5",
+                                           "--flows-at", "0.5")
+    # the generator imports Generator and PCG64 alone, with OpenSSL's _hashlib
+    # hidden, and never runs numpy.random's __init__
     assert loaded == ["dershare.curves", "dershare.dispatch", "dershare.localness",
                       "dershare.lp", "dershare.synth", "logging", "scipy.optimize._highspy._core"]
+    assert random == ["numpy.random._bounded_integers", "numpy.random._common",
+                      "numpy.random._generator", "numpy.random._pcg64",
+                      "numpy.random.bit_generator"]
     # a new p-grid: five stages are cache hits, and neither the generator, the
-    # fitter, logging, any LP module nor OpenSSL (the manifest hashes with
-    # CPython's built-in SHA-256) is loaded
-    loaded, stdout = _modules_loaded_by(tmp_path, "all", "--config", config_path, "--out", out,
-                                        "--equilibrium-at", "0.5", "--flows-at", "0.5",
-                                        "--p-grid", "0.5:2:4")
-    assert loaded == []
+    # fitter, logging, any LP module, any numpy.random module nor OpenSSL (the
+    # manifest hashes with CPython's built-in SHA-256) is loaded
+    loaded, random, stdout = _modules_loaded_by(tmp_path, "all", "--config", config_path,
+                                                "--out", out, "--equilibrium-at", "0.5",
+                                                "--flows-at", "0.5", "--p-grid", "0.5:2:4")
+    assert loaded == [] and random == []
     assert [line.split(":")[0] for line in stdout.splitlines() if ": wrote" in line] == [
         "longrun", "subsidy", "stakeholders"]
-    loaded, stdout = _modules_loaded_by(tmp_path, "--version")
-    assert loaded == [] and stdout.splitlines()[0] == __version__
+    loaded, random, stdout = _modules_loaded_by(tmp_path, "--version")
+    assert loaded == [] and random == [] and stdout.splitlines()[0] == __version__
 
 
 def test_all_solves_the_long_run_once_per_price(tmp_path, config_path, monkeypatch):
@@ -714,6 +723,111 @@ def test_bad_settings_cover_every_source_of_every_setting():
     # a setting cannot be added to the table, or given a source, without a case here
     assert {name: set(cases) for name, cases in BAD_SETTINGS.items()} == \
         {name: _sources(setting) for name, setting in cli.SETTINGS.items()}
+
+
+def _valid_window(rng) -> list[int]:
+    lo = int(rng.integers(0, HOURS))
+    return [lo, int(rng.integers(lo + 1, HOURS + 1))]
+
+
+def _valid_synth(rng) -> dict:
+    """Every SynthConfig field, inside the ranges its __post_init__ accepts,
+    at small sizes."""
+    load_peak = _valid_window(rng)
+    shift_lo = -int(rng.integers(0, load_peak[0] + 1))  # the shifted window stays in the day
+    amplitude = float(rng.uniform(0.0, 0.05))
+    sell_mean = amplitude + float(rng.uniform(0.0, 0.1))
+    offpeak = sell_mean + amplitude + float(rng.uniform(0.0, 0.3))
+    base_lo = float(rng.uniform(0.05, 2.0))
+    mult_lo = float(rng.uniform(1.0, 3.0))
+    return {"n_households": int(rng.integers(1, 13)), "n_days": int(rng.integers(1, 5)),
+            "n_regions": int(rng.integers(1, 5)), "rng_seed": int(rng.integers(0, 2**63)),
+            "base_load_range": [base_lo, base_lo * float(rng.uniform(1.0, 3.0))],
+            "peak_multiplier_range": [mult_lo, mult_lo * float(rng.uniform(1.0, 2.0))],
+            "load_peak_window": load_peak,
+            "peak_shift_range": [shift_lo, int(rng.integers(shift_lo + 1,
+                                                            HOURS + 2 - load_peak[1]))],
+            "offpeak_price": offpeak, "peak_price": offpeak + float(rng.uniform(0.0, 0.5)),
+            "tou_peak_window": _valid_window(rng),
+            "sell_mean": sell_mean, "sell_amplitude": amplitude,
+            "daylight_window": _valid_window(rng),
+            "irradiance_peak": float(10 ** rng.uniform(-6, 0.3)),
+            "region_center": [float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))],
+            "region_spread_deg": float(rng.uniform(0.0, 1.0))}
+
+
+def _valid_fraction(rng, low: float) -> float:
+    """A value in (0, 1] or [0, 1], exactly 1 in one draw of five."""
+    return 1.0 if rng.uniform() < 0.2 else float(rng.uniform(low, 1.0))
+
+
+def _valid_asset(rng) -> dict:
+    """Every AssetSpec field, inside the ranges its __post_init__ accepts."""
+    return {"alpha": float(rng.uniform(0.1, 20.0)),
+            "u_charge_max": float(rng.uniform(0.05, 2.0)),
+            "u_discharge_max": float(rng.uniform(0.05, 2.0)),
+            "eta_c": _valid_fraction(rng, 0.05), "eta_d": _valid_fraction(rng, 0.05),
+            "eta_s": _valid_fraction(rng, 0.9), "eta_i": _valid_fraction(rng, 0.05),
+            "x0": 0.0 if rng.uniform() < 0.3 else _valid_fraction(rng, 0.0)}
+
+
+def _valid_t_grid(rng) -> str:
+    lo = float(rng.uniform(0.0, 0.5))
+    return f"{lo!r}:{float(rng.uniform(lo + 0.05, 1.0))!r}:{int(rng.integers(2, 16))}"
+
+
+def _valid_p_grid(rng) -> str:
+    if rng.uniform() < 0.5:
+        return "auto"
+    lo = float(10 ** rng.uniform(-1, 2))
+    return f"{lo!r}:{lo * float(rng.uniform(1.0, 20.0))!r}:{int(rng.integers(2, 7))}"
+
+
+# each config key's draw of a value its setting accepts
+VALID_SETTINGS = {
+    "synth": _valid_synth,
+    "asset": _valid_asset,
+    "require_terminal_soc": lambda rng: bool(rng.uniform() < 0.3),
+    "fit.n_samples": lambda rng: int(rng.integers(2, 9)),
+    "sweep.t_grid": _valid_t_grid,
+    "prices.p_grid": _valid_p_grid,
+}
+
+
+def _valid_config(rng) -> dict:
+    config = {}
+    for key, draw in VALID_SETTINGS.items():
+        section, _, name = key.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = draw(rng)
+    return config
+
+
+def test_valid_settings_cover_every_config_key_and_field():
+    # a config key, or a field of synth or asset, cannot be added without a draw here
+    assert set(VALID_SETTINGS) == {s.key for s in cli.SETTINGS.values() if s.key}
+    rng = np.random.default_rng(0)
+    assert set(_valid_synth(rng)) == {f.name for f in fields(SynthConfig)}
+    assert set(_valid_asset(rng)) == {f.name for f in fields(AssetSpec)}
+
+
+def test_valid_configs_run_or_are_refused_by_name(tmp_path, capsys):
+    """Random configs the settings accept: each `all` exits 0, or exits 2
+    with an error line; a traceback fails."""
+    rng = np.random.default_rng(2510)
+    codes = Counter()
+    for i in range(40):
+        config = _valid_config(rng)
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        try:
+            code = _run("all", "--config", path, "--out", tmp_path / f"run{i}")
+        except Exception as exc:
+            raise AssertionError(f"config {i}: {json.dumps(config)}") from exc
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and re.search(r"^error: \S", err, re.M)), (i, config, err)
+        codes[code] += 1
+    assert codes[0] >= 20, codes  # most of the sample runs to the end
 
 
 def _bad_setting_case(name: str, source: str):

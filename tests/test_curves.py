@@ -61,6 +61,36 @@ def test_curve_constructor_invariants():
         PurchasesCurve("a", knots, np.array([1.0, 2.0, 0.0]))
 
 
+@pytest.mark.parametrize("cls,knots,rest,message", [
+    (PurchasesCurve, [0.0, 1.0, 2.0], [5.0, np.nan, np.nan], "values must be finite"),
+    (PurchasesCurve, [0.0, 1.0, 2.0], [np.inf, 5.0, 4.0], "values must be finite"),
+    (PurchasesCurve, [0.0, np.nan, 2.0], [5.0, 4.0, 3.0], "knots must be finite"),
+    (PurchasesCurve, [0.0, 1.0, np.inf], [5.0, 4.0, 3.0], "knots must be finite"),
+    (SavingsCurve, [0.0, np.nan, 2.0], [2.0, 1.0], "knots must be finite"),
+    (SavingsCurve, [0.0, 1.0, np.nan], [2.0, 1.0], "knots must be finite"),
+    (SavingsCurve, [0.0, 1.0, np.inf], [2.0, 1.0], "knots must be finite"),
+    (SavingsCurve, [0.0, 1e300, 2e300], [1e10, 1e10], "values must be finite"),  # overflow
+])
+def test_curve_types_refuse_what_their_csv_readers_refuse(cls, knots, rest, message):
+    """A curve holds finite knots and values, as the curve CSVs' columns
+    must, so no curve a fresh run hands on is one a rerun would refuse."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+        cls("H", np.array(knots), np.array(rest))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fit,y,samples,message", [
+    (fit_purchases_curve, [0.0, 1.0, 2.0], [5.0, np.nan, np.nan], "values must be finite"),
+    (fit_purchases_curve, [0.0, 1.0, np.inf], [5.0, 4.0, 3.0], "knots must be finite"),
+    (fit_purchases_curve, [0.0, 2.0, 1.0], [5.0, 4.0, 3.0], "knots must be strictly ascending"),
+    (fit_savings_curve, [0.0, 1.0, np.nan], [0.0, 1.0, 2.0], "knots must be finite"),
+])
+def test_fit_names_the_household_of_a_curve_that_breaks_the_rules(fit, y, samples, message):
+    with np.errstate(all="ignore"), pytest.raises(FitError) as exc:
+        fit("H0007", np.array(y), np.array(samples))
+    assert str(exc.value) == f"household H0007: {message}"
+
+
 def test_eval_and_deriv_basics():
     c = SavingsCurve("a", np.array([0.0, 1.0, 3.0]), np.array([10.0, 4.0]))
     assert c.eval(0.0) == 0.0

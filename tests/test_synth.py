@@ -60,6 +60,50 @@ def test_fresh_generator_maps_no_openssl_and_writes_the_same_bytes(tmp_path, fir
         assert (got / f.name).read_bytes() == f.read_bytes(), f.name
 
 
+# each call generate_scenario makes of its generator, as (method, args)
+_DRAWS = [("uniform", (0.3, 1.0, 4)), ("permutation", (13,)), ("uniform", (0.3, 1.2, 13)),
+          ("integers", (-5, 4, 13)), ("uniform", (0.75, 1.0, 3)), ("uniform", (0.9, 1.1, 3)),
+          ("uniform", (0.85, 1.15, (3, 24))), ("uniform", (0.85, 1.15, 1))]
+_SEEDS = [0, 42, 2**63 + 5]
+
+_NARROW_PROBE = """
+import ast, json, pickle, sys
+from dershare.synth import _default_rng
+draws, seeds = ast.literal_eval(sys.argv[1]), ast.literal_eval(sys.argv[2])
+gens = [_default_rng(seed) for seed in seeds]
+got = [[getattr(g, name)(*args).tobytes().hex() for name, args in draws] for g in gens]
+narrow = sorted(m for m in sys.modules if m.startswith("numpy.random"))
+import numpy as np
+import numpy.random
+copies = [pickle.loads(pickle.dumps(g)) for g in gens]
+print(json.dumps({"draws": got, "narrow": narrow,
+                  "types": [type(g) is np.random.Generator for g in gens + copies],
+                  "pickled": [c.uniform(0, 1, 5).tobytes() == g.uniform(0, 1, 5).tobytes()
+                              for g, c in zip(gens, copies)],
+                  "later": np.random.default_rng(7).integers(0, 100, 3).tolist()}))
+"""
+
+
+def test_narrow_generator_draws_what_default_rng_draws():
+    """A fresh process builds Generator(PCG64(seed)) without numpy.random's
+    __init__; each draw generate_scenario makes equals np.random.default_rng's
+    byte for byte, and a later `import numpy.random` and a pickle round trip
+    of the generator still work."""
+    proc = subprocess.run([sys.executable, "-c", _NARROW_PROBE, repr(_DRAWS), repr(_SEEDS)],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["narrow"] == ["numpy.random._bounded_integers", "numpy.random._common",
+                                "numpy.random._generator", "numpy.random._pcg64",
+                                "numpy.random.bit_generator"]
+    for seed, got in zip(_SEEDS, result["draws"]):
+        oracle = np.random.default_rng(seed)
+        assert got == [getattr(oracle, name)(*a).tobytes().hex() for name, a in _DRAWS], seed
+    assert result["types"] == [True] * 2 * len(_SEEDS)
+    assert result["pickled"] == [True] * len(_SEEDS)
+    assert result["later"] == np.random.default_rng(7).integers(0, 100, 3).tolist()
+
+
 def test_different_seed_differs():
     cfg = SynthConfig(n_households=4, n_days=2, rng_seed=1)
     other = SynthConfig(n_households=4, n_days=2, rng_seed=2)
