@@ -18,16 +18,16 @@ _EXPORTS = {
     "adoption": ("AdoptionOrder", "DemandCurves", "LongRunResult", "LongRunSolver",
                  "SubsidyResult", "build_order", "default_t_grid", "equivalent_subsidy",
                  "long_run_adoption", "sweep_adoption"),
-    "curves": ("HouseholdFit", "HouseholdSamples", "fit_all", "fit_household",
-               "fit_purchases_curve", "fit_savings_curve", "pava_nondecreasing",
-               "pava_nonincreasing", "sample_grid", "sample_household"),
+    "curves": ("HouseholdFit", "HouseholdSamples", "PurchasesCurve", "SavingsCurve", "fit_all",
+               "fit_household", "fit_purchases_curve", "fit_savings_curve",
+               "pava_nondecreasing", "pava_nonincreasing", "sample_grid", "sample_household"),
     "dispatch": ("PeriodTotals", "ScenarioContext"),
     "localness": ("RegionalFlow", "distance_matrix", "haversine_km", "min_cost_flow",
                   "regional_excess", "solve_transport"),
     "market": ("MarketEquilibrium", "clear_market"),
-    "model": ("AssetSpec", "DomainError", "FitError", "HouseholdRecord", "PurchasesCurve",
-              "Region", "SavingsCurve", "Scenario", "SynthConfig", "ValidationError",
-              "compute_net_zero_size", "validate_scenario"),
+    "model": ("AssetSpec", "CurveSet", "DomainError", "FitError", "HouseholdRecord", "Region",
+              "Scenario", "SynthConfig", "ValidationError", "compute_net_zero_size",
+              "validate_scenario"),
     "stakeholders": ("RegimePoint", "billed_sales", "market_emerges", "regime_boundary",
                      "regime_points", "utility_loss", "vendor_gain"),
     "synth": ("generate_scenario",),

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .market import ClearingTable, MarketEquilibrium
-from .model import DomainError, SavingsCurve
+from .model import CurveSet, DomainError
 
 
 @dataclass(frozen=True)
@@ -58,18 +58,17 @@ class AdoptionOrder:
         return int(np.searchsorted(-self.normalized, -p, side="right"))
 
 
-def build_order(curves: Mapping[str, SavingsCurve]) -> AdoptionOrder:
-    ids = sorted(curves)
-    ids.sort(key=lambda hid: -curves[hid].normalized_savings)  # stable: ties stay in id order
-    normalized = np.array([curves[hid].normalized_savings for hid in ids])
-    sizes = np.array([curves[hid].max_size for hid in ids])
-    return AdoptionOrder(
-        ranking=tuple(ids),
-        normalized=normalized,
-        sizes=sizes,
-        cumulative_quantity=np.concatenate([[0.0], np.cumsum(sizes)]),
-        ranks=np.argsort(ids),
-    )
+def build_order(curves: Mapping) -> AdoptionOrder:
+    curves = CurveSet.of(curves)
+    last = curves.offsets[1:] - 1
+    sizes = curves.knots[last]
+    normalized = curves.knot_values[last] / sizes
+    # households by descending normalized savings; the sort is stable, so ties stay in id order
+    ranking = sorted(range(len(curves)), key=(-normalized).tolist().__getitem__)
+    return AdoptionOrder(ranking=tuple(curves.ids[i] for i in ranking),
+                         normalized=normalized[ranking], sizes=sizes[ranking],
+                         cumulative_quantity=np.concatenate([[0.0], np.cumsum(sizes[ranking])]),
+                         ranks=np.array(sorted(range(len(ranking)), key=ranking.__getitem__)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def default_t_grid(n_points: int = 200) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sweep_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
+def sweep_adoption(order: AdoptionOrder, curves: Mapping,
                    t_grid, solver: LongRunSolver | None = None) -> DemandCurves:
     """Market outcomes at every adoption rate in t_grid."""
     solver = solver or LongRunSolver(order, curves)
@@ -123,7 +122,7 @@ class LongRunSolver(ClearingTable):
     rank < k own); equilibrium_at(k) builds each equilibrium once and keeps it.
     """
 
-    def __init__(self, order: AdoptionOrder, curves: Mapping[str, SavingsCurve]):
+    def __init__(self, order: AdoptionOrder, curves: Mapping):
         ClearingTable.__init__(self, curves)
         self.order = order
         self.prices = self._prices(list(accumulate((self.size_units[hid] for hid in order.ranking),
@@ -166,7 +165,7 @@ class LongRunResult:
     no_adoption: bool = False  # p above every household's normalized savings
 
 
-def long_run_adoption(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
+def long_run_adoption(order: AdoptionOrder, curves: Mapping,
                       p: float, solver: LongRunSolver | None = None) -> LongRunResult:
     """Long-run adoption when buying capacity just to rent it out is allowed.
 

@@ -70,8 +70,8 @@ from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, PURCHASES_FILE, R
                  ingest, load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
                  read_text, write_exclusions, write_purchases_curves, write_rows,
                  write_savings_curves, write_scenario)
-from .model import (DEFAULT_SAMPLES, HOURS, AssetSpec, DomainError, FitError, LPError, Scenario,
-                    SynthConfig, ValidationError, from_config, validate_scenario)
+from .model import (DEFAULT_SAMPLES, HOURS, AssetSpec, CurveSet, DomainError, FitError, LPError,
+                    Scenario, SynthConfig, ValidationError, from_config, validate_scenario)
 from .stakeholders import RegimePoint, regime_points
 
 if TYPE_CHECKING:  # the generator, the fit, its LP and the transport solver load in their stages
@@ -436,7 +436,7 @@ class Run:
         return ScenarioContext(scenario, day_indices, require_terminal_soc=self.require_terminal_soc)
 
     @cached_property
-    def curves(self):
+    def curves(self) -> CurveSet:
         return read_savings_curves(self.out / SAVINGS_FILE)
 
     @cached_property
@@ -448,7 +448,7 @@ class Run:
         return LongRunSolver(self.order, self.curves)
 
     @cached_property
-    def purchases(self):
+    def purchases(self) -> CurveSet:
         return read_purchases_curves(self.out / PURCHASES_FILE)
 
     @cached_property
@@ -500,12 +500,12 @@ def _fit(run: Run) -> None:
     ctx = run.context
     print(f"fit: {len(ctx.scenario.households)} households x {run.n_samples + 1} capacity "
           f"samples x {ctx.day_indices.size} days on {threads} worker(s)")
-    fits = fit_all(ctx, run.n_samples, workers=threads)
+    fits = fit_all(ctx, run.n_samples, workers=threads).values()
     # what the readers would return: a curve's values derive from its knots and slopes
-    run.curves = {hid: fits[hid].savings for hid in sorted(fits)}
-    run.purchases = {hid: fits[hid].purchases for hid in sorted(fits)}
-    write_savings_curves(run.out / SAVINGS_FILE, run.curves.values())
-    write_purchases_curves(run.out / PURCHASES_FILE, run.purchases.values())
+    run.curves = CurveSet.of([fit.savings for fit in fits])
+    run.purchases = CurveSet.of([fit.purchases for fit in fits])
+    write_savings_curves(run.out / SAVINGS_FILE, run.curves)
+    write_purchases_curves(run.out / PURCHASES_FILE, run.purchases)
 
 
 def _sweep(run: Run) -> None:

@@ -14,10 +14,9 @@ The buy-side bill component is fitted alongside from the same samples
 as a monotone nonincreasing curve; it feeds the billed-sales analysis
 and costs no extra LP solves.
 
-The curve types themselves, SavingsCurve and PurchasesCurve, live in
-`model` with FitError, so a process that reads fitted curves but fits
-none loads neither this module nor `logging`; they are importable from
-here as well.
+A stage reads fitted curves as a `model.CurveSet`, so a process that
+fits none loads neither this module nor `logging`; the per-household
+views that a set hands out by id, SavingsCurve and PurchasesCurve, are here.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import (DEFAULT_SAMPLES, DomainError, FitError, HouseholdRecord, LPError,
-                    PurchasesCurve, SavingsCurve, Scenario)
+from .model import (DEFAULT_SAMPLES, CurveSet, DomainError, FitError, HouseholdRecord, LPError,
+                    Scenario)
 
 if TYPE_CHECKING:  # the fit loads the dispatch LP when it builds a context
     from .dispatch import ScenarioContext
@@ -38,6 +37,50 @@ log = logging.getLogger(__name__)
 SLOPE_SEPARATION = 1e-6  # $/period/kW per segment step
 MAX_REPAIR_SHARE = 0.01  # largest concavity repair of a sample, per unit of terminal savings
 MIN_R2 = 0.999  # least R^2 of a fitted curve against its samples
+
+
+class _Curve:
+    """One household's curve: household_id, knots (kW, ascending from 0) and
+    values ($/period at the knots), a view of its slices of a CurveSet, which
+    evaluates it. One built on its own, from the arrays its CSV holds, is
+    checked as a set of one."""
+
+    def __init__(self, household_id: str, knots, second):
+        savings = isinstance(self, SavingsCurve)
+        knots, second = np.asarray(knots, dtype=float), np.asarray(second, dtype=float)
+        if knots.ndim != 1 or knots.size < 2:
+            raise ValueError("need at least two knots")
+        if second.shape != (knots.size - savings,):
+            raise ValueError(f"expected {knots.size - 1} slopes, got {second.shape}" if savings
+                             else "values must match knots")
+        vars(self).update(vars(CurveSet([household_id], [knots], [second], savings)[household_id]))
+
+    @property
+    def max_size(self) -> float:
+        return float(self.knots[-1])
+
+    def eval(self, y: float) -> float:
+        return float(self._set.eval([y], [self.household_id])[0])
+
+
+class SavingsCurve(_Curve):
+    """Monotone concave piecewise-linear savings vs. capacity, given by its
+    knots (up to the net-zero size) and slopes ($/period/kW per segment,
+    nonincreasing); its values are their running integral from f(0) = 0."""
+
+    @property
+    def total(self) -> float:
+        """Savings at full own use, f(max_size)."""
+        return float(self.values[-1])
+
+    @property
+    def normalized_savings(self) -> float:
+        return self.total / self.max_size
+
+
+class PurchasesCurve(_Curve):
+    """Monotone nonincreasing buy-side bill component vs. capacity, given by
+    its knots and values."""
 
 
 def pava_nondecreasing(values, weights=None) -> np.ndarray:
@@ -87,9 +130,8 @@ def sample_grid(y_bar: float, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
 
 
 def _fitted(cls, household_id: str, *arrays):
-    """cls(household_id, *arrays); a fitted curve that breaks the curve's
-    rules (the ones its CSV reader enforces) is a FitError naming the
-    household."""
+    """cls(household_id, *arrays), a FitError naming the household if it
+    breaks a curve rule (one its CSV reader enforces)."""
     try:
         return cls(household_id, *arrays)
     except ValueError as exc:
@@ -202,10 +244,8 @@ def sample_household(ctx: ScenarioContext, household: HouseholdRecord,
 def fit_household(ctx: ScenarioContext, household: HouseholdRecord,
                   n_samples: int = DEFAULT_SAMPLES) -> HouseholdFit:
     s = sample_household(ctx, household, n_samples)
-    return HouseholdFit(
-        savings=fit_savings_curve(household.id, s.y, s.savings),
-        purchases=fit_purchases_curve(household.id, s.y, s.purchases),
-    )
+    return HouseholdFit(savings=fit_savings_curve(household.id, s.y, s.savings),
+                        purchases=fit_purchases_curve(household.id, s.y, s.purchases))
 
 
 _WORKER: tuple | None = None  # a fit worker's context, households by id and sample count

@@ -4,6 +4,8 @@ Every CSV a stage reads is declared once in TABLES: its header, each
 column's kind and its row rule. The writers take their headers from it,
 and read_table reads every one of them. Floats are written with repr, so
 a read-back reproduces the exact same values, and bools as true/false.
+A curve file is written from its CurveSet's arrays in one pass, and read
+into one from read_table's matrices, checked once for the whole file.
 Files are written atomically (temp file + rename) so a crashed run
 never leaves a truncated CSV behind.
 """
@@ -23,8 +25,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .model import (HOURS, AssetSpec, HouseholdRecord, PurchasesCurve, Region, SavingsCurve,
-                    Scenario, ValidationError, compute_net_zero_size, validate_scenario)
+from .model import (HOURS, AssetSpec, CurveError, CurveSet, HouseholdRecord, Region, Scenario,
+                    ValidationError, compute_net_zero_size, validate_scenario)
 
 LOW_CONSUMPTION_MEAN_KW = 0.1
 ZERO_READING_FRACTION = 0.5
@@ -359,51 +361,50 @@ def ingest(loads: Mapping[str, tuple[str, np.ndarray]], buy: np.ndarray, sell: n
     return LoadResult(scenario=scenario, exclusions=tuple(exclusions))
 
 
-def write_savings_curves(path: Path, curves: Iterable[SavingsCurve]) -> Path:
-    rows = []
-    for c in sorted(curves, key=lambda c: c.household_id):
-        for k in range(len(c.knots)):
-            slope = repr(float(c.slopes[k])) if k < len(c.slopes) else ""
-            rows.append([c.household_id, k, c.knots[k], c.values[k], slope])
-    return write_rows(path, list(TABLES[SAVINGS_FILE].columns), rows)
+def _write_curves(path: Path, name: str, curves: CurveSet, *last: list) -> Path:
+    """One curve CSV, written in one pass over the set's arrays: a row per
+    knot in id order, its knot index, y and value, then the last columns."""
+    counts = np.diff(curves.offsets).tolist()
+    index = np.arange(curves.knots.size) - np.repeat(curves.offsets[:-1], counts)
+    ids = [hid for hid, count in zip(curves.ids, counts) for _ in range(count)]
+    return write_rows(path, list(TABLES[name].columns), zip(
+        ids, index.tolist(), curves.knots.tolist(), curves.knot_values.tolist(), *last))
 
 
-def _curve(path: Path, line: int, cls, hid: str, *arrays):
-    """The curve cls(hid, *arrays); one that breaks the curve's rules is a
-    ParseError at line, the household's first."""
-    try:
-        return cls(hid, *arrays)
-    except ValueError as exc:
-        raise ParseError(path, line, f"household {hid!r}: {exc}") from None
+def write_savings_curves(path: Path, curves: CurveSet | Iterable) -> Path:
+    curves = CurveSet.of(curves)
+    slopes = np.full(curves.knots.size, "", dtype=object)  # a segment's on its first knot
+    slopes[curves.segment_knots] = list(map(repr, curves.slopes.tolist()))
+    return _write_curves(path, SAVINGS_FILE, curves, slopes.tolist())
 
 
-def read_savings_curves(path: Path) -> dict[str, SavingsCurve]:
-    out = {}
-    for hid, (_, lines, rows) in sorted(read_table(path, TABLES[SAVINGS_FILE]).items()):
-        ys, fs, slopes = rows.T
-        curve = _curve(path, lines[0], SavingsCurve, hid, ys, slopes[:-1])
-        # f is derived from the knots and slopes, so an edited f must not pass silently
-        off = np.abs(fs - curve.values) > 1e-9 * np.maximum(np.abs(curve.values), 1.0)
-        if off.any():
-            k = int(np.argmax(off))
-            raise ParseError(path, lines[k], f"household {hid!r}: f {float(fs[k])!r} at knot {k} "
-                             f"differs from {float(curve.values[k])!r}, the value its knots "
-                             "and slopes give")
-        out[hid] = curve
-    return out
+def write_purchases_curves(path: Path, curves: CurveSet | Iterable) -> Path:
+    return _write_curves(path, PURCHASES_FILE, CurveSet.of(curves))
 
 
-def write_purchases_curves(path: Path, curves: Iterable[PurchasesCurve]) -> Path:
-    rows = []
-    for c in sorted(curves, key=lambda c: c.household_id):
-        for k in range(len(c.knots)):
-            rows.append([c.household_id, k, c.knots[k], c.values[k]])
-    return write_rows(path, list(TABLES[PURCHASES_FILE].columns), rows)
+def _read_curves(path: Path, name: str, savings: bool) -> CurveSet:
+    """The curve CSV at path as a set. A curve that breaks its rules is a
+    ParseError at the household's line of the knot that breaks it, else its
+    first; a savings file's f must be the value its knots and slopes give."""
+    groups = read_table(path, TABLES[name])
+    ids = sorted(groups)
+    lines = [groups[hid][1] for hid in ids]
+    rows = [groups.pop(hid)[2] for hid in ids]
+    try:  # y, then f and slope (a household's last one empty) or purchases
+        return CurveSet(ids, [m[:, 0] for m in rows],
+                        [m[:-1, 2] if savings else m[:, 1] for m in rows], savings,
+                        [m[:, 1] for m in rows] if savings else None)
+    except CurveError as exc:
+        raise ParseError(path, lines[exc.index][exc.knot],
+                         f"household {ids[exc.index]!r}: {exc}") from None
 
 
-def read_purchases_curves(path: Path) -> dict[str, PurchasesCurve]:
-    return {hid: _curve(path, lines[0], PurchasesCurve, hid, *rows.T)
-            for hid, (_, lines, rows) in sorted(read_table(path, TABLES[PURCHASES_FILE]).items())}
+def read_savings_curves(path: Path) -> CurveSet:
+    return _read_curves(path, SAVINGS_FILE, True)
+
+
+def read_purchases_curves(path: Path) -> CurveSet:
+    return _read_curves(path, PURCHASES_FILE, False)
 
 
 def read_sweep(path: Path) -> dict[str, np.ndarray]:

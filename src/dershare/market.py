@@ -35,7 +35,7 @@ smallest power of two any knot needs, so the searches see the true sign
 of E. A market where the owners value every kW above every non-owner
 thus clears at the midpoint with zero volume instead of tipping on
 rounding. Allocations, surpluses and participation at the chosen price
-are computed in one pass over a padded array of all curves, summing in
+are computed in one pass over the CurveSet's flat arrays, summing in
 household-id order, and kept as read-only arrays in that order with a
 mask of the owners, so that a sweep can afford to keep every equilibrium.
 
@@ -51,7 +51,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import DomainError, SavingsCurve
+from .model import CurveSet, DomainError
 
 PARTICIPATION_TOL = 1e-9
 
@@ -61,10 +61,10 @@ class MarketEquilibrium:
     """Clearing outcome for a fixed owner set.
 
     clearing_price is None when one market side is empty (degenerate:
-    no trade, zero volume). allocations hold the capacity each household
-    ends up using and surpluses its gain over the no-market outcome
-    (own-use for owners, nothing for non-owners); owner marks the owners.
-    All three are read-only arrays in the order of ids.
+    no trade, zero volume, and every total 0). allocations hold the
+    capacity each household ends up using and surpluses its gain over the
+    no-market outcome (own-use for owners, nothing for non-owners); owner
+    marks the owners. All three are read-only arrays in the order of ids.
     """
 
     clearing_price: float | None
@@ -73,13 +73,13 @@ class MarketEquilibrium:
     allocations: np.ndarray
     surpluses: np.ndarray
     owner: np.ndarray  # bool
-    owner_surplus_total: float
-    renter_surplus_total: float
-    total_surplus: float
-    owner_participation: float
-    non_owner_participation: float
-    total_participation: float
-    residual: float  # supply minus demand at the clearing price
+    owner_surplus_total: float = 0.0
+    renter_surplus_total: float = 0.0
+    total_surplus: float = 0.0
+    owner_participation: float = 0.0
+    non_owner_participation: float = 0.0
+    total_participation: float = 0.0
+    residual: float = 0.0  # supply minus demand at the clearing price
     degenerate: bool = False
 
     def __post_init__(self):
@@ -103,50 +103,31 @@ def _sum_in_order(values: np.ndarray) -> float:
 class ClearingTable:
     """Every curve's segments sorted by slope, with exact cumulative widths.
 
-    Built once per set of curves; clears any owner set against them.
+    Built once per curve set; clears any owner set against its arrays.
     """
 
-    def __init__(self, curves: Mapping[str, SavingsCurve]):
-        self.curves = curves
-        self.ids = tuple(sorted(curves))
-        rows = [curves[hid] for hid in self.ids]
-        n_seg = max((c.slopes.size for c in rows), default=0)
-        # padded bank, one row per household in id order: slopes pad with
-        # -inf (never >= a price), knots and values repeat their last entry
-        self.slopes = np.full((len(rows), n_seg), -np.inf)
-        self.knots = np.empty((len(rows), n_seg + 1))
-        self.values = np.empty((len(rows), n_seg + 1))
-        for i, c in enumerate(rows):
-            m = c.slopes.size
-            self.slopes[i, :m] = c.slopes
-            self.knots[i, :m + 1] = c.knots
-            self.knots[i, m + 1:] = c.knots[-1]
-            self.values[i, :m + 1] = c.values
-            self.values[i, m + 1:] = c.values[-1]
-        self.sizes = self.knots[:, -1].copy()
-        self.totals = self.values[:, -1].copy()
+    def __init__(self, curves: Mapping):
+        self.curves = curves = CurveSet.of(curves)
+        self.ids = curves.ids
+        self.first = curves.offsets[:-1]  # each household's first knot and segment
+        self.first_segment = self.first - np.arange(len(self.ids))
+        last = curves.offsets[1:] - 1
+        self.sizes, self.totals = curves.knots[last], curves.knot_values[last]
         self.tol = max(1e-6, 1e-9 * _sum_in_order(self.sizes))
 
-        units = _exact_units([v for c in rows for v in c.knots.tolist()])
-        self.size_units: dict[str, int] = {}
-        widths = []
-        start = 0
-        for hid, c in zip(self.ids, rows):
-            ku = units[start:start + c.knots.size]
-            start += c.knots.size
-            widths += [b - a for a, b in zip(ku, ku[1:])]
-            self.size_units[hid] = ku[-1]
+        units = _exact_units(curves.knots.tolist())
+        self.size_units = dict(zip(self.ids, [units[k] for k in last.tolist()]))
         self.total_units = sum(self.size_units.values())
+        widths = [units[k + 1] - units[k] for k in curves.segment_knots.tolist()]
 
-        all_slopes = np.concatenate([np.empty(0)] + [c.slopes for c in rows])
         # np.unique's own sort and adjacent-duplicate mask, without the
         # numpy.ma import that np.unique pays for on first use
-        ascending = np.sort(all_slopes)
-        first = np.ones(ascending.size, dtype=bool)
-        first[1:] = ascending[1:] != ascending[:-1]
-        self.breakpoints = ascending[first][::-1]  # steepest first
+        ascending = np.sort(curves.slopes)
+        distinct = np.ones(ascending.size, dtype=bool)
+        distinct[1:] = ascending[1:] != ascending[:-1]
+        self.breakpoints = ascending[distinct][::-1]  # steepest first
         width_at = [0] * self.breakpoints.size
-        for j, w in zip(np.searchsorted(-self.breakpoints, -all_slopes).tolist(), widths):
+        for j, w in zip(np.searchsorted(-self.breakpoints, -curves.slopes).tolist(), widths):
             width_at[j] += w
         # cum_width[j]: width of the segments steeper than breakpoints[j]
         # (L there); cum_width[j + 1]: of those at least as steep (H there)
@@ -176,18 +157,13 @@ class ClearingTable:
         price; at None (one market side empty) owners keep their whole size.
         owner is a bool array in ids order; the equilibrium keeps it, read-only."""
         if price is None:
-            return MarketEquilibrium(
-                clearing_price=None, volume=0.0, ids=self.ids,
-                allocations=np.where(owner, self.sizes, 0.0), surpluses=np.zeros(len(self.ids)),
-                owner=owner,
-                owner_surplus_total=0.0, renter_surplus_total=0.0, total_surplus=0.0,
-                owner_participation=0.0, non_owner_participation=0.0, total_participation=0.0,
-                residual=0.0, degenerate=True)
-        rows = np.arange(len(self.ids))
-        n_gt = np.count_nonzero(self.slopes > price, axis=1)
-        n_ge = np.count_nonzero(self.slopes >= price, axis=1)
-        lo = self.knots[rows, n_gt]  # each household's argmax interval [lo, hi]
-        hi = self.knots[rows, n_ge]
+            return MarketEquilibrium(None, 0.0, self.ids, np.where(owner, self.sizes, 0.0),
+                                     np.zeros(len(self.ids)), owner, degenerate=True)
+        slopes = self.curves.slopes
+        n_gt = np.add.reduceat(slopes > price, self.first_segment, dtype=np.intp)
+        n_ge = np.add.reduceat(slopes >= price, self.first_segment, dtype=np.intp)
+        lo = self.curves.knots[self.first + n_gt]  # each household's argmax interval [lo, hi]
+        hi = self.curves.knots[self.first + n_ge]
         size = self.sizes
         e_lo = _sum_in_order(np.where(owner, size - hi, -hi))
         e_hi = _sum_in_order(np.where(owner, size - lo, -lo))
@@ -204,9 +180,9 @@ class ClearingTable:
         if abs(residual) > self.tol:
             raise AssertionError(f"market failed to balance: residual {residual} > {self.tol}")
 
-        f = self.values[rows, n_ge]  # exact where y sits on the knot hi
-        for i in np.flatnonzero(y != hi).tolist():
-            f[i] = self.curves[self.ids[i]].eval(y[i])
+        f = self.curves.knot_values[self.first + n_ge]  # exact where y sits on the knot hi
+        rationed = np.flatnonzero(y != hi)
+        f[rationed] = self.curves.eval(y[rationed], [self.ids[i] for i in rationed.tolist()])
         w = np.where(owner, f + price * (size - y) - self.totals, f - price * y)
         owner_total = _sum_in_order(w[owner])
         renter_total = _sum_in_order(w[~owner])
@@ -217,20 +193,17 @@ class ClearingTable:
         n_owners = int(np.count_nonzero(owner))
         n_renters = len(self.ids) - n_owners
         return MarketEquilibrium(
-            clearing_price=float(price),
-            volume=float(supply),
-            ids=self.ids, allocations=y, surpluses=w, owner=owner,
-            owner_surplus_total=float(owner_total),
+            clearing_price=float(price), volume=float(supply), ids=self.ids, allocations=y,
+            surpluses=w, owner=owner, owner_surplus_total=float(owner_total),
             renter_surplus_total=float(renter_total),
             total_surplus=float(owner_total + renter_total),
             owner_participation=n_owner_part / n_owners,
             non_owner_participation=n_renter_part / n_renters,
             total_participation=(n_owner_part + n_renter_part) / len(self.ids),
-            residual=float(residual),
-        )
+            residual=float(residual))
 
 
-def clear_market(curves: Mapping[str, SavingsCurve], owners: Iterable[str]) -> MarketEquilibrium:
+def clear_market(curves: Mapping, owners: Iterable[str]) -> MarketEquilibrium:
     """Find the price equating rental supply and demand and allocate.
 
     Degenerate owner sets (empty, or everyone) yield a no-trade

@@ -14,14 +14,16 @@ its own (`buy`, `sell`, `irradiance`), checked like a household's load.
 
 Every process loads this module, so it also holds what a stage only
 names or reads: the generator's settings (SynthConfig), the fitted
-curve types and every error a stage raises. A run whose generator,
-fit and transport stages are cache hits then never loads `synth`,
-`curves`, `lp` or `logging`.
+curves (a CurveSet of flat arrays, from the fit to the last stage) and
+every error a stage raises. A run whose generator, fit and transport
+stages are cache hits then never loads `synth`, `curves`, `lp` or
+`logging`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +209,13 @@ class SynthConfig:
         if self.offpeak_price < self.sell_mean + self.sell_amplitude:
             raise ValidationError("synth config", "offpeak_price",
                                   "must be >= sell_mean + sell_amplitude to preserve buy >= sell")
+        lat, lon = self.region_center  # the regions lie within region_spread_deg of it
+        spread = abs(self.region_spread_deg)
+        if not (abs(lat) + spread <= 90.0 and abs(lon) + spread <= 180.0):
+            raise ValidationError("synth config", "region_center",
+                                  f"regions up to region_spread_deg = {self.region_spread_deg} "
+                                  f"from {(lat, lon)} would leave latitude [-90, 90] or "
+                                  "longitude [-180, 180]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthConfig":
@@ -331,102 +340,139 @@ def validate_scenario(scenario: Scenario) -> None:
                                   f"stored {hh.net_zero_size!r} but sizing gives {expected!r}")
 
 
-def _check_knots(knots: np.ndarray) -> np.ndarray:
-    knots = np.ascontiguousarray(knots, dtype=float)
-    if knots.ndim != 1 or knots.size < 2:
-        raise ValueError("need at least two knots")
-    if knots[0] != 0.0:
-        raise ValueError("first knot must be 0")
-    if not np.all(np.isfinite(knots)):
-        raise ValueError("knots must be finite")
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must be strictly ascending")
-    knots.setflags(write=False)
-    return knots
+class CurveError(ValueError):
+    """A curve rule broken, as the message; index is the household's in its set,
+    knot the household's knot that breaks it (0 for a rule of the whole curve)."""
 
 
-def _in_domain(y: float, max_size: float) -> float:
-    """y clipped to [0, max_size]; DomainError beyond rounding slack."""
-    y = float(y)
-    if not (-1e-9 * max_size <= y <= max_size * (1 + 1e-9) + 1e-12):
-        raise DomainError(f"y={y} outside [0, {max_size}]")
-    return min(max(y, 0.0), max_size)
+def _frozen(a, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
-class SavingsCurve:
-    """Monotone concave piecewise-linear savings vs. capacity.
+class CurveSet(Mapping):
+    """Fitted curves of one kind, read-only, one per household in ascending id.
 
-    The (knots, slopes) pair is canonical; knot values are derived as
-    the cumulative sum of slope * segment-length with f(0) = 0.
+    Household i's knots (kW, ascending from 0, finite) are
+    knots[offsets[i]:offsets[i + 1]] and its values there ($/period, finite)
+    the same slice of knot_values; segment_knots holds each segment's first
+    knot. A savings set is given each segment's slope ($/period/kW,
+    nonincreasing and nonnegative along a household) and derives the values
+    as their running integral from f(0) = 0; a purchases set (slopes None) is
+    given the buy-side bill at each knot, nonincreasing. Every rule is checked
+    once over the arrays, and a CurveError names the first rule that the first
+    bad household breaks. As a Mapping it hands out each household's curve by
+    id: a SavingsCurve or PurchasesCurve (see `curves`) of its slices.
     """
 
-    household_id: str
-    knots: np.ndarray  # kW, ascending from 0 to the net-zero size
-    slopes: np.ndarray  # $/period/kW per segment, nonincreasing
-    values: np.ndarray = field(init=False)  # $/period at knots
+    def __init__(self, ids, knots, second, savings: bool, written=None):
+        """ids ascending, each household's knots and its slopes or values, and
+        written, a savings file's values, to be within rounding of the derived ones."""
+        self.ids, counts = tuple(ids), [len(k) for k in knots]
+        self.offsets = offsets = _frozen(np.cumsum([0] + counts), np.intp)
+        self.knots = knots = _frozen(np.concatenate(knots or [[]]))
+        second, everyone = np.concatenate(second or [[]]), np.arange(len(counts))
+        knot_of = np.repeat(everyone, counts)  # each knot's household
+        opens = np.ones(knots.size, dtype=bool)  # a knot that starts a segment: not the last
+        opens[offsets[1:] - 1] = False
+        left = np.flatnonzero(opens)
+        seg_of, last = knot_of[left], ~opens[left + 1]  # last: a household's last segment
+        with np.errstate(all="ignore"):  # what is not finite is refused below
+            widths = knots[left + 1] - knots[left]
+            if savings:
+                values, slopes = np.zeros(knots.size), _frozen(second)
+                areas, bounds = slopes * widths, offsets.tolist()
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                    values[a + 1:b] = np.cumsum(areas[a - i:b - i - 1])  # from f(0) = 0.0
+                rules = [("slopes must be finite", ~np.isfinite(slopes), seg_of),
+                         ("slopes must be nonincreasing (concavity)",
+                          (slopes[1:] > slopes[:-1]) & ~last[:-1], seg_of[:-1]),
+                         ("slopes must be nonnegative (monotone savings)",
+                          (slopes < 0) & last, seg_of),
+                         ("values must be finite", ~np.isfinite(values), knot_of)]
+            else:
+                values, slopes = second, None
+                rules = [("values must be finite", ~np.isfinite(values), knot_of),
+                         ("purchases must be nonincreasing in capacity",
+                          values[left + 1] > values[left], seg_of)]
+        rules = [("need at least two knots", np.array(counts) < 2, everyone),
+                 ("first knot must be 0", np.append(knots, 0.0)[offsets[:-1]] != 0.0, everyone),
+                 ("knots must be finite", ~np.isfinite(knots), knot_of),
+                 ("knots must be strictly ascending", widths <= 0, seg_of), *rules]
+        if written is not None:  # an edited value must not pass silently
+            written = np.concatenate(written)
+            rules.append((None, np.abs(written - values) > 1e-9 * np.maximum(np.abs(values), 1.0),
+                          knot_of))
+        # the first bad household of each broken rule (each `of` ascends), and the first of those
+        broken = [(int(of[bad][0]), rule, bad) for rule, bad, of in rules if bad.any()]
+        if broken:
+            i, rule, bad = min(broken, key=lambda hit: hit[0])
+            k = 0 if rule else int(np.argmax(bad[offsets[i]:]))
+            error = CurveError(rule or f"f {float(written[offsets[i] + k])!r} at knot {k} differs "
+                               f"from {float(values[offsets[i] + k])!r}, the value its knots and "
+                               "slopes give")
+            error.index, error.knot = i, k
+            raise error
+        self.slopes, self.knot_values = slopes, _frozen(values)
+        self.segment_knots = _frozen(left, np.intp)
+        self._index = {hid: i for i, hid in enumerate(self.ids)}
 
-    def __post_init__(self):
-        knots = _check_knots(self.knots)
-        slopes = np.ascontiguousarray(self.slopes, dtype=float)
-        if slopes.shape != (knots.size - 1,):
-            raise ValueError(f"expected {knots.size - 1} slopes, got {slopes.shape}")
-        if not np.all(np.isfinite(slopes)):
-            raise ValueError("slopes must be finite")
-        if np.any(np.diff(slopes) > 0):
-            raise ValueError("slopes must be nonincreasing (concavity)")
-        if slopes[-1] < 0:
-            raise ValueError("slopes must be nonnegative (monotone savings)")
-        slopes.setflags(write=False)
-        values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(knots))])
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "values", values)
+    @classmethod
+    def of(cls, curves) -> "CurveSet":
+        """curves as a set: a CurveSet as it is, else SavingsCurve or
+        PurchasesCurve views (or a mapping of them) stacked in id order."""
+        if isinstance(curves, CurveSet):
+            return curves
+        rows = sorted(curves.values() if isinstance(curves, Mapping) else curves,
+                      key=lambda c: c.household_id)
+        savings = not rows or hasattr(rows[0], "slopes")
+        return cls([c.household_id for c in rows], [c.knots for c in rows],
+                   [c.slopes if savings else c.values for c in rows], savings)
 
-    @property
-    def max_size(self) -> float:
-        return float(self.knots[-1])
+    def __getitem__(self, household_id: str):
+        from .curves import PurchasesCurve, SavingsCurve  # the fit's types, loaded with it
+        i = self._index[household_id]
+        a, b = self.offsets[i:i + 2].tolist()
+        view = object.__new__(PurchasesCurve if self.slopes is None else SavingsCurve)
+        vars(view).update(household_id=household_id, knots=self.knots[a:b],
+                          values=self.knot_values[a:b], _set=self)
+        if self.slopes is not None:
+            view.slopes = self.slopes[a - i:b - i - 1]
+        return view
 
-    @property
-    def total(self) -> float:
-        """Savings at full own use, f(max_size)."""
-        return float(self.values[-1])
+    def __iter__(self):
+        return iter(self.ids)
 
-    @property
-    def normalized_savings(self) -> float:
-        return self.total / self.max_size
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def eval(self, y: float) -> float:
-        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
+    def __contains__(self, household_id) -> bool:  # builds no curve, so loads no `curves`
+        return household_id in self._index
 
-
-@dataclass(frozen=True)
-class PurchasesCurve:
-    """Monotone nonincreasing buy-side bill component vs. capacity."""
-
-    household_id: str
-    knots: np.ndarray
-    values: np.ndarray  # $/period
-
-    def __post_init__(self):
-        knots = _check_knots(self.knots)
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != knots.shape:
-            raise ValueError("values must match knots")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        if np.any(np.diff(values) > 0):
-            raise ValueError("purchases must be nonincreasing in capacity")
-        values.setflags(write=False)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def max_size(self) -> float:
-        return float(self.knots[-1])
-
-    def eval(self, y: float) -> float:
-        return float(np.interp(_in_domain(y, self.max_size), self.knots, self.values))
+    def eval(self, y, ids) -> np.ndarray:
+        """Each household of ids at its capacity in y, in that order: y beyond
+        [0, max_size] by more than rounding slack is a DomainError naming the
+        first such y, else y is clipped to it and interpolated with
+        np.interp's arithmetic, term for term, so bit for bit."""
+        rows = np.array([self._index[hid] for hid in ids], dtype=np.intp)
+        first, counts = self.offsets[rows], np.diff(self.offsets)[rows]
+        starts = np.cumsum(counts) - counts
+        last = starts + counts - 1
+        flat = np.repeat(first - starts, counts) + np.arange(counts.sum())
+        knots, values = self.knots[flat], self.knot_values[flat]
+        size = knots[last]
+        y = np.asarray(y, dtype=float)
+        bad = np.flatnonzero(~((-1e-9 * size <= y) & (y <= size * (1 + 1e-9) + 1e-12)))
+        if bad.size:
+            raise DomainError(f"y={float(y[bad[0]])} outside [0, {float(size[bad[0]])}]")
+        y = np.minimum(np.maximum(y, 0.0), size)
+        # j is the last knot at or below y (knots ascend), k the one after it
+        j = starts - 1 + np.add.reduceat(knots <= np.repeat(y, counts), starts, dtype=np.intp)
+        k = np.minimum(j + 1, last)
+        xj, vj = knots[j], values[j]
+        # with finite values this is NaN only at y = xj (an overflowing slope
+        # times 0), where np.interp takes the knot's value instead
+        with np.errstate(all="ignore"):  # np.interp's C loop never warns
+            out = (values[k] - vj) / (knots[k] - xj) * (y - xj) + vj
+        return np.where(xj == y, vj, out)

@@ -8,7 +8,8 @@ loss is the drop in total buy-side bills between the no-market state
 state (everyone dispatches their equilibrium allocation). Whether the
 market emerges is a contest of profit pools: it does iff the vendor's
 profit gain strictly exceeds the utility's profit loss, i.e. iff the
-utility's profit-rate ratio is below vendor_gain / utility_loss.
+utility's profit-rate ratio is below vendor_gain / utility_loss. The
+bills are the purchases CurveSet's eval, every household in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .adoption import AdoptionOrder, LongRunResult, LongRunSolver, long_run_adoption
 from .market import MarketEquilibrium, _sum_in_order
-from .model import DomainError, PurchasesCurve, SavingsCurve
+from .model import CurveSet
 
 
 def vendor_gain(price: float, d_short: float, d_long: float) -> float:
@@ -29,44 +30,10 @@ def vendor_gain(price: float, d_short: float, d_long: float) -> float:
     return price * (d_long - d_short)
 
 
-def _bills(purchases: Mapping[str, PurchasesCurve], ids: Sequence[str],
-           assignment: np.ndarray) -> np.ndarray:
-    """Each household's PurchasesCurve.eval at its assigned capacity, in the
-    order of ids, in one pass: the domain check and clip of `_in_domain`
-    (the error names the first household out of its domain), then
-    np.interp's arithmetic term for term."""
-    rows = [purchases[hid] for hid in ids]
-    counts = np.array([c.knots.size for c in rows], dtype=np.intp)
-    starts = np.cumsum(counts) - counts
-    last = starts + counts - 1
-    knots = np.concatenate([c.knots for c in rows] or [np.empty(0)])
-    values = np.concatenate([c.values for c in rows] or [np.empty(0)])
-    size = knots[last]
-    y = np.asarray(assignment, dtype=float)
-    bad = np.flatnonzero(~((-1e-9 * size <= y) & (y <= size * (1 + 1e-9) + 1e-12)))
-    if bad.size:
-        raise DomainError(f"y={float(y[bad[0]])} outside [0, {float(size[bad[0]])}]")
-    y = np.minimum(np.maximum(y, 0.0), size)
-    # j is the last knot at or below y (knots ascend), k the one after it
-    j = starts - 1 + np.add.reduceat(knots <= np.repeat(y, counts), starts, dtype=np.intp)
-    k = np.minimum(j + 1, last)
-    xj, vj, vk = knots[j], values[j], values[k]
-    with np.errstate(all="ignore"):  # np.interp's C loop never warns
-        slope = (vk - vj) / (knots[k] - xj)
-        out = slope * (y - xj) + vj
-        # a NaN is interpolated from the right knot, else a flat segment's value
-        right = slope * (y - knots[k]) + vk
-        right = np.where(np.isnan(right) & (vj == vk), vj, right)
-        out = np.where(np.isnan(out), right, out)
-    # a knot hit takes the value there (y is clipped, so j is the last knot only on a hit)
-    return np.where(xj == y, vj, out)
-
-
-def billed_sales(purchases: Mapping[str, PurchasesCurve], ids: Sequence[str],
-                 assignment: np.ndarray) -> float:
+def billed_sales(purchases: Mapping, ids: Sequence[str], assignment: np.ndarray) -> float:
     """Total buy-side bills when each household of ids dispatches its
-    assigned capacity, assignment in the order of ids."""
-    return _sum_in_order(_bills(purchases, ids, assignment))
+    assigned capacity, assignment in the order of ids, summed in that order."""
+    return _sum_in_order(CurveSet.of(purchases).eval(assignment, ids))
 
 
 def autarky_assignment(order: AdoptionOrder, k: int) -> np.ndarray:
@@ -75,9 +42,8 @@ def autarky_assignment(order: AdoptionOrder, k: int) -> np.ndarray:
     return np.where(order.ranks < k, order.sizes[order.ranks], 0.0)
 
 
-def utility_loss(purchases: Mapping[str, PurchasesCurve], order: AdoptionOrder,
-                 k_short: int, equilibrium: MarketEquilibrium,
-                 before: float | None = None) -> float:
+def utility_loss(purchases: Mapping, order: AdoptionOrder, k_short: int,
+                 equilibrium: MarketEquilibrium, before: float | None = None) -> float:
     """Billed sales without the market minus billed sales with it. before,
     when given, is the billed sales without the market at k_short."""
     if before is None:
@@ -113,11 +79,12 @@ class RegimePoint:
     long_run: LongRunResult
 
 
-def regime_points(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
+def regime_points(order: AdoptionOrder, purchases: Mapping,
                   long_run: Iterable[LongRunResult]) -> list[RegimePoint]:
     """The blocking threshold at the purchase price of each long-run result.
     Prices that share k_short share its no-market billed sales, which are
     summed once."""
+    purchases = CurveSet.of(purchases)
     before: dict[int, float] = {}
     points = []
     for lr in long_run:
@@ -139,8 +106,7 @@ def regime_points(order: AdoptionOrder, purchases: Mapping[str, PurchasesCurve],
     return points
 
 
-def regime_boundary(order: AdoptionOrder, curves: Mapping[str, SavingsCurve],
-                    purchases: Mapping[str, PurchasesCurve],
+def regime_boundary(order: AdoptionOrder, curves: Mapping, purchases: Mapping,
                     p_grid: Sequence[float],
                     solver: LongRunSolver | None = None) -> list[RegimePoint]:
     """Trace the blocking-threshold curve over a purchase-price grid."""

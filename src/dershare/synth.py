@@ -36,15 +36,8 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .model import (
-    HOURS,
-    AssetSpec,
-    HouseholdRecord,
-    Region,
-    Scenario,
-    SynthConfig,
-    compute_net_zero_size,
-)
+from .model import (HOURS, AssetSpec, HouseholdRecord, Region, Scenario, SynthConfig,
+                    compute_net_zero_size)
 
 
 # what numpy.random.bit_generator's import creates on its way to _hashlib
@@ -55,8 +48,9 @@ def _default_rng(seed: int) -> np.random.Generator:
     """np.random.default_rng(seed), that is Generator(PCG64(seed)), from the
     two extensions alone when neither numpy.random nor _hashlib is loaded
     yet (see the module docstring); otherwise, as under numpy 1.x, which
-    imports numpy.random with numpy, the plain call. A seeded generator
-    never calls secrets, so nothing here runs the fallbacks."""
+    imports numpy.random with numpy, or where either extension will not
+    import, the plain call. A seeded generator never calls secrets, so
+    nothing here runs the fallbacks."""
     if "numpy.random" in sys.modules or "_hashlib" in sys.modules:
         return np.random.default_rng(seed)
     created = [name for name in _CRYPTO_IMPORTERS if name not in sys.modules]
@@ -67,11 +61,13 @@ def _default_rng(seed: int) -> np.random.Generator:
     try:
         from numpy.random._generator import Generator
         from numpy.random._pcg64 import PCG64
+    except ImportError:  # a numpy that keeps them elsewhere: the plain call, once cleaned up
+        Generator = None
     finally:
         del sys.modules["numpy.random"], sys.modules["_hashlib"]
         for name in created:
             sys.modules.pop(name, None)
-    return Generator(PCG64(seed))
+    return np.random.default_rng(seed) if Generator is None else Generator(PCG64(seed))
 
 
 def _window_mask(window: tuple[int, int]) -> np.ndarray:
@@ -133,13 +129,7 @@ def generate_scenario(config: SynthConfig, asset: AssetSpec | None = None) -> Sc
         noise = rng.uniform(0.85, 1.15, (days, HOURS))
         load = base[i] * day_factor[:, None] * shape[None, :] * noise
         size = compute_net_zero_size(load, irradiance, asset.eta_i)
-        households.append(
-            HouseholdRecord(
-                id=f"H{i:0{width}d}",
-                region_id=regions[region_of[i]].id,
-                load=load,
-                net_zero_size=size,
-            )
-        )
+        households.append(HouseholdRecord(f"H{i:0{width}d}", regions[region_of[i]].id, load,
+                                          net_zero_size=size))
 
     return Scenario(tuple(households), buy, sell, irradiance, asset, regions)

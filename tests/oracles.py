@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -471,6 +472,55 @@ def bisection_clear_market(curves, owners) -> OracleEquilibrium:
         total_participation=(n_owner_part + n_renter_part) / len(ids),
         residual=float(residual),
     )
+
+
+def planner_surplus(curves, owners) -> tuple[float, float | None, float | None]:
+    """The most the owners' capacity can save in all: every segment of every
+    curve sorted by slope, steepest first, and filled up to the owners'
+    summed max_size, in exact arithmetic. Each curve is concave and money
+    enters linearly, so a competitive equilibrium reaches this fill (the
+    first welfare theorem). Returns the fill's value, the last slope filled
+    and the first left unfilled (None where there is none)."""
+    segments = sorted(((slope, Fraction(b) - Fraction(a)) for c in curves.values()
+                       for slope, a, b in zip(c.slopes.tolist(), c.knots[:-1].tolist(),
+                                              c.knots[1:].tolist())), key=lambda seg: -seg[0])
+    left = sum(Fraction(curves[hid].max_size) for hid in owners)
+    value, last, unfilled = Fraction(0), None, None
+    for slope, width in segments:
+        if left == 0:
+            unfilled = slope
+            break
+        take = min(width, left)
+        value += Fraction(slope) * take
+        left -= take
+        last = slope
+    return float(value), last, unfilled
+
+
+def planner_misfits(curves, owners, prices, surpluses) -> list[str]:
+    """The rows of a sweep that break the planner's identity: rows owners[i]
+    (a count: the households of highest normalized savings own, ties in id
+    order), with clearing price prices[i] and total surplus surpluses[i].
+    Where everyone or no one owns, no price and zero surplus; else the
+    surplus is planner_surplus less the owners' savings on their own, to
+    1e-12 of all curves' savings, at a price between the last filled slope
+    and the first unfilled one."""
+    ranking = sorted(curves, key=lambda hid: (-curves[hid].normalized_savings, hid))
+    scale = sum(c.total for c in curves.values())
+    found = []
+    for row, (k, price, surplus) in enumerate(zip(owners, prices, surpluses)):
+        if k in (0, len(ranking)):
+            if not (math.isnan(price) and surplus == 0.0):
+                found.append(f"row {row}: {k} owners of {len(ranking)}, price {price}, "
+                             f"surplus {surplus}")
+            continue
+        fill, last, unfilled = planner_surplus(curves, ranking[:k])
+        want = fill - sum(curves[hid].total for hid in ranking[:k])
+        if abs(surplus - want) > 1e-12 * scale:
+            found.append(f"row {row}: total surplus {surplus}, planner {want}")
+        if not ((-math.inf if unfilled is None else unfilled) <= price <= last):
+            found.append(f"row {row}: price {price} outside [{unfilled}, {last}]")
+    return found
 
 
 def random_tied_curve_population(rng: np.random.Generator, n: int) -> dict[str, SavingsCurve]:

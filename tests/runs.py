@@ -1,21 +1,52 @@
-"""Compare two `dershare` run directories.
+"""Compare two `dershare` run directories, or the runs two source trees make.
 
     python tests/runs.py RUN_A RUN_B
+    python tests/runs.py --pair PARENT_SRC CHANGE_SRC
 
-prints each difference on a line of its own and exits 1 if there is any,
-0 if there is none. Every file is compared byte for byte except
-`manifest.json`, which also records when each stage ran and for how
-long; of the manifest, the `outputs` checksums and each stage's
+The first form prints each difference on a line of its own and exits 1
+if there is any, 0 if there is none. Every file is compared byte for
+byte except `manifest.json`, which also records when each stage ran and
+for how long; of the manifest, the `outputs` checksums and each stage's
 `input_hash` are compared.
+
+The second form makes the comparison runs of a bit-for-bit change, RUNS,
+once with each source tree (a directory holding the `dershare` package,
+or a checkout with it under `src`), each in a temporary directory, and
+prints every pair's differences the same way: TINY; the desk run (the
+default config) on one worker and on two; a 60-household run on one day
+and six samples, and its `--p-grid` rerun, which rewrites longrun,
+subsidy and stakeholders. The desk runs take a few seconds each.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 MANIFEST = "manifest.json"
+
+TINY = {
+    "synth": {"n_households": 10, "n_days": 3, "n_regions": 2, "rng_seed": 13},
+    "fit": {"n_samples": 5},
+    "sweep": {"t_grid": "0.1:0.9:9"},
+}
+_DESK = ["--flows-at", "0.4", "--equilibrium-at", "0.3,0.7"]
+_MARKET = ["--threads", "1", "--samples", "6", "--days", "1", "--t-grid", "0.005:0.995:60",
+           "--flows-at", "0.4"]
+# name: (config, then `all`'s flags); a rerun starts from a copy of the run it names
+RUNS = {
+    "tiny": (TINY, ["--threads", "1", "--flows-at", "0.5", "--equilibrium-at", "0.3,0.7"]),
+    "desk-1": ({}, ["--threads", "1", *_DESK]),
+    "desk-2": ({}, ["--threads", "2", *_DESK]),
+    "market": ({"synth": {"n_households": 60, "n_days": 30, "n_regions": 5, "rng_seed": 9}},
+               _MARKET),
+    "market-rerun": ("market", [*_MARKET, "--p-grid", "250:950:17"]),
+}
 
 
 def _manifest_record(run: Path) -> dict:
@@ -48,11 +79,47 @@ def differences(a, b) -> list[str]:
     return found
 
 
+def make_runs(src: Path, root: Path) -> None:
+    """Every run of RUNS, made in root/<name> with the dershare under src."""
+    env = {key: value for key, value in os.environ.items() if key != "DERSHARE_THREADS"}
+    env["PYTHONPATH"] = str(src)
+    for name, (config, flags) in RUNS.items():
+        out = root / name
+        if isinstance(config, str):
+            shutil.copytree(root / config, out)
+            config = json.loads((root / f"{config}.json").read_text())
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(config))
+        subprocess.run([sys.executable, "-m", "dershare", "all", "--out", str(out),
+                        "--config", str(path), *flags], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+
+
+def pair(parent_src, change_src) -> list[str]:
+    """The differences between the runs of RUNS that each source tree makes."""
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = []
+        for side, src in (("parent", Path(parent_src)), ("change", Path(change_src))):
+            if (src / "src" / "dershare").is_dir():
+                src = src / "src"
+            roots.append(Path(tmp) / side)
+            roots[-1].mkdir()
+            make_runs(src.resolve(), roots[-1])
+        for name in RUNS:
+            found += [f"{name}: {line}" for line in differences(*(root / name for root in roots))]
+    return found
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tests/runs.py RUN_A RUN_B", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--pair":
+        found = pair(*argv[1:])
+    elif len(argv) == 2:
+        found = differences(*argv)
+    else:
+        print("usage: python tests/runs.py RUN_A RUN_B\n"
+              "       python tests/runs.py --pair PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
-    found = differences(*argv)
     for line in found:
         print(line)
     return 1 if found else 0

@@ -20,14 +20,8 @@ from dershare.cli import main
 from dershare.io import load_scenario, read_purchases_curves, read_savings_curves, read_sweep
 from dershare.model import HOURS, AssetSpec, ValidationError
 from dershare.synth import SynthConfig
-from oracles import random_curve_population, random_tied_curve_population
-from runs import differences
-
-TINY = {
-    "synth": {"n_households": 10, "n_days": 3, "n_regions": 2, "rng_seed": 13},
-    "fit": {"n_samples": 5},
-    "sweep": {"t_grid": "0.1:0.9:9"},
-}
+from oracles import planner_misfits, random_curve_population, random_tied_curve_population
+from runs import TINY, differences
 
 
 @pytest.fixture()
@@ -503,6 +497,10 @@ OUT_OF_RANGE = {
     "alpha-range": ({"asset": {"alpha": 0}},
                     "config: field 'asset.alpha': must be > 0 and finite, got 0"),
     "x0-range": ({"asset": {"x0": 1.5}}, "config: field 'asset.x0': must be in [0, 1], got 1.5"),
+    "region-range": ({"synth": {"region_center": [-89.9, 10.0], "region_spread_deg": 0.2}},
+                     "config: field 'synth.region_center': regions up to region_spread_deg = "
+                     "0.2 from (-89.9, 10.0) would leave latitude [-90, 90] or longitude "
+                     "[-180, 180]"),
 }
 
 
@@ -752,7 +750,8 @@ def _valid_synth(rng) -> dict:
             "sell_mean": sell_mean, "sell_amplitude": amplitude,
             "daylight_window": _valid_window(rng),
             "irradiance_peak": float(10 ** rng.uniform(-6, 0.3)),
-            "region_center": [float(rng.uniform(-90, 90)), float(rng.uniform(-180, 180))],
+            # a spread below 1 degree keeps the ring of regions on the globe
+            "region_center": [float(rng.uniform(-89, 89)), float(rng.uniform(-179, 179))],
             "region_spread_deg": float(rng.uniform(0.0, 1.0))}
 
 
@@ -1162,6 +1161,13 @@ def test_stages_hand_over_what_reading_their_files_gives(tmp_path, config_path):
     for name, column in read.items():
         held = getattr(run.sweep_table, name)
         assert (held.dtype, held.tobytes()) == (column.dtype, column.tobytes()), name
+
+
+def test_tiny_sweep_reaches_the_planners_optimum(finished_run):
+    sweep = read_sweep(finished_run / cli.SWEEP_FILE)
+    assert planner_misfits(read_savings_curves(finished_run / cli.SAVINGS_FILE),
+                           sweep["owners"].tolist(), sweep["clearing_price"].tolist(),
+                           sweep["total_surplus"].tolist()) == []
 
 
 def test_result_csv_headers_are_pinned(finished_run, tmp_path, config_path):

@@ -7,7 +7,7 @@ from dershare.curves import (FitError, PurchasesCurve, SavingsCurve, fit_purchas
                              fit_savings_curve, pava_nondecreasing, pava_nonincreasing,
                              sample_grid)
 from dershare.dispatch import ScenarioContext
-from dershare.model import HOURS, AssetSpec, DomainError
+from dershare.model import HOURS, AssetSpec, CurveError, CurveSet, DomainError
 from oracles import argmax_interval, one_household, random_concave_curve
 
 
@@ -89,6 +89,75 @@ def test_fit_names_the_household_of_a_curve_that_breaks_the_rules(fit, y, sample
     with np.errstate(all="ignore"), pytest.raises(FitError) as exc:
         fit("H0007", np.array(y), np.array(samples))
     assert str(exc.value) == f"household H0007: {message}"
+
+
+def _breakable_curve(rng, savings: bool):
+    """1-6 knots and their slopes or values, broken in up to two random ways."""
+    knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, int(rng.integers(0, 6))))])
+    second = np.sort(rng.uniform(0.0, 300.0, knots.size - savings))[::-1]
+    for _ in range(int(rng.integers(0, 3)) * (rng.uniform() < 0.4)):
+        a = (knots, second)[int(rng.integers(0, 2))]
+        if a.size:
+            a[rng.integers(0, a.size)] = rng.choice([np.nan, np.inf, -1.0, 0.5, 1e3])
+    return knots, second
+
+
+def _first_rule_broken(knots, second, savings: bool) -> str | None:
+    """The curve rules checked one by one, in order, as each curve type
+    checked itself before curve sets: the first one broken."""
+    if knots.size < 2:
+        return "need at least two knots"
+    if knots[0] != 0.0:
+        return "first knot must be 0"
+    if not np.all(np.isfinite(knots)):
+        return "knots must be finite"
+    if np.any(np.diff(knots) <= 0):
+        return "knots must be strictly ascending"
+    if not np.all(np.isfinite(second)):
+        return "slopes must be finite" if savings else "values must be finite"
+    if np.any(np.diff(second) > 0):
+        return ("slopes must be nonincreasing (concavity)" if savings
+                else "purchases must be nonincreasing in capacity")
+    if savings and second[-1] < 0:
+        return "slopes must be nonnegative (monotone savings)"
+    if savings and not np.all(np.isfinite(np.cumsum(second * np.diff(knots)))):
+        return "values must be finite"
+    return None
+
+
+@pytest.mark.parametrize("cls", [SavingsCurve, PurchasesCurve])
+def test_a_set_refuses_the_first_household_by_the_first_rule_it_breaks(cls):
+    """The set checks every household at once, and names the household and
+    the rule that checking each curve on its own, in id order, would; a
+    curve built alone names that rule too."""
+    savings = cls is SavingsCurve
+    rng = np.random.default_rng(26)
+    refused = 0
+    for trial in range(300):
+        ids = [f"H{i}" for i in range(int(rng.integers(1, 6)))]
+        arrays = [_breakable_curve(rng, savings) for _ in ids]
+        with np.errstate(all="ignore"):
+            rules = [_first_rule_broken(*a, savings) for a in arrays]
+            for hid, a, rule in zip(ids, arrays, rules):
+                if rule is None:
+                    continue
+                with pytest.raises(ValueError) as alone:
+                    cls(hid, *a)
+                assert str(alone.value) == rule
+            want = next(((i, rule) for i, rule in enumerate(rules) if rule), None)
+            try:
+                curves = CurveSet(ids, *zip(*arrays), savings)
+            except CurveError as exc:
+                assert (exc.index, str(exc)) == want, trial
+                refused += 1
+                continue
+        assert want is None, trial
+        for hid, (knots, second) in zip(ids, arrays):  # a view is its slices
+            curve = curves[hid]
+            assert type(curve) is cls and curve.knots.tobytes() == knots.tobytes()
+            assert (curve.slopes if savings else curve.values).tobytes() == second.tobytes()
+            assert curve.values.tobytes() == cls(hid, knots, second).values.tobytes()
+    assert 50 < refused < 250  # both outcomes are drawn often
 
 
 def test_eval_and_deriv_basics():

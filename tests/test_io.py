@@ -286,6 +286,22 @@ def test_savings_value_must_match_knots_and_slopes(tmp_path, line, raw):
     assert (exc.value.path, exc.value.line) == (str(s), line)
 
 
+def test_savings_refusal_names_the_first_bad_household_in_id_order(tmp_path):
+    # H0's f is off and H1's slopes rise: a household at a time, H0 is refused first
+    knots = np.array([0.0, 0.5, 1.0, 1.5])
+    s = write_savings_curves(tmp_path / "s.csv", [SavingsCurve(hid, knots, [3.0, 2.0, 1.0])
+                                                  for hid in ("H0", "H1")])
+    _edit_cell(s, 4, 3, "2.75")
+    _edit_cell(s, 7, 4, "9.0")
+    with pytest.raises(ParseError, match="household 'H0': f 2.75 at knot 2 differs") as exc:
+        read_savings_curves(s)
+    assert exc.value.line == 4
+    _edit_cell(s, 4, 3, "2.5")
+    with pytest.raises(ParseError, match="household 'H1': slopes must be nonincreasing") as exc:
+        read_savings_curves(s)
+    assert exc.value.line == 6
+
+
 def test_savings_value_within_rounding_is_accepted(tmp_path):
     s, _ = _curve_files(tmp_path)
     _edit_cell(s, 4, 3, "2.5000000001")

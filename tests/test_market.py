@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from dershare.adoption import LongRunSolver, build_order
+from dershare.adoption import LongRunSolver, build_order, sweep_adoption
 from dershare.curves import SavingsCurve
 from dershare.market import ClearingTable, _sum_in_order, clear_market
 from dershare.model import DomainError
-from oracles import (bisection_clear_market, by_id, owners_of, random_concave_curve,
-                     random_curve_population, random_tied_curve_population)
+from oracles import (bisection_clear_market, by_id, owners_of, planner_misfits,
+                     random_concave_curve, random_curve_population,
+                     random_tied_curve_population)
 
 EQUILIBRIUM_TOTALS = ("volume", "owner_surplus_total", "renter_surplus_total", "total_surplus",
                       "owner_participation", "non_owner_participation", "total_participation")
@@ -178,6 +179,21 @@ def test_table_matches_bisection_oracle_at_every_k(population, medium_population
             rationed += _rationed(curves, oracle)
     if population == "tied":
         assert rationed > 0  # shared slopes put the price on a jump
+
+
+@pytest.mark.parametrize("population", ["random", "tied"])
+def test_every_sweep_row_reaches_the_planners_optimum(population):
+    """The welfare identity at every owner count, 0 and everyone included:
+    the sweep's total surplus is the planner's greedy fill less the owners'
+    own savings, at a price inside the fill's last slope bracket."""
+    make = random_curve_population if population == "random" else random_tied_curve_population
+    for seed in range(6):
+        curves = make(np.random.default_rng(7000 + seed), 2 + 9 * seed)
+        n = len(curves)
+        table = sweep_adoption(build_order(curves), curves, np.arange(n + 1) / n)
+        assert table.owners.tolist() == list(range(n + 1))
+        assert planner_misfits(curves, table.owners.tolist(), table.clearing_price.tolist(),
+                               table.total_surplus.tolist()) == [], seed
 
 
 def test_no_trade_market_clears_at_the_midpoint():

@@ -6,8 +6,9 @@ import pytest
 from dershare.adoption import LongRunSolver, build_order, long_run_adoption
 from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
-from dershare.model import DomainError, PurchasesCurve, SavingsCurve
-from dershare.stakeholders import (_bills, billed_sales, autarky_assignment, market_emerges,
+from dershare.curves import PurchasesCurve, SavingsCurve
+from dershare.model import CurveSet, DomainError
+from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
                                    regime_boundary, regime_points, utility_loss, vendor_gain)
 
 
@@ -58,33 +59,28 @@ def test_billed_sales_sum_left_to_right():
 
 
 def _random_purchases(rng, n):
-    """n curves with 2-8 knots, some with flat segments, some with infinite
-    values that make np.interp's slope infinite or NaN. A PurchasesCurve
-    refuses infinite values, so those are set past its checks: _bills must
-    still repeat np.interp term for term on them."""
+    """n curves with 2-8 knots, some with flat segments."""
     curves = {}
     for i in range(n):
         knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 3.0, rng.integers(1, 8)))])
         drops = rng.uniform(0.0, 50.0, knots.size - 1) * (rng.uniform(size=knots.size - 1) < 0.8)
         values = rng.uniform(100.0, 2000.0) - np.concatenate([[0.0], np.cumsum(drops)])
-        curve = curves[f"H{i:03d}"] = PurchasesCurve(f"H{i:03d}", knots, values)
-        values = values.copy()
-        if i % 7 == 3:  # np.interp's NaN fallbacks: inf - inf, and -inf * y + inf
-            values[:2] = np.inf
-        elif i % 7 == 5:
-            values[0] = np.inf
-        elif i % 7 == 6:  # -inf * 0 at a knot hit
-            values[-1] = -np.inf
-        elif i % 7 == 1:  # NaN from both knots
-            values[0], values[-1] = np.inf, -np.inf
-        object.__setattr__(curve, "values", values)
+        curves[f"H{i:03d}"] = PurchasesCurve(f"H{i:03d}", knots, values)
     return curves
 
 
+def _interp(curve, y: float) -> float:
+    """The curve at y as np.interp gives it, y clipped to [0, max_size] once
+    it is within rounding slack of it."""
+    size = curve.max_size
+    assert -1e-9 * size <= y <= size * (1 + 1e-9) + 1e-12
+    return float(np.interp(min(max(y, 0.0), size), curve.knots, curve.values))
+
+
 def test_bills_equal_each_curves_eval_bit_for_bit():
-    """The one-pass bills against the per-household eval (_in_domain, then
-    np.interp) at knots, at 0, at max_size, inside the rounding slack
-    beyond both ends, and between knots."""
+    """The set's one-pass eval, and each curve's eval, against np.interp of
+    the clipped capacity, at knots, at 0 and -0.0, at max_size, inside the
+    rounding slack beyond both ends, and between knots."""
     rng = np.random.default_rng(2405)
     for trial in range(40):
         purchases = _random_purchases(rng, int(rng.integers(1, 30)))
@@ -99,8 +95,10 @@ def test_bills_equal_each_curves_eval_bit_for_bit():
                                  float(rng.uniform(0.0, size)),
                                  float(knots[1]) * (1 - 1e-16)]))
         y = np.array(y)
-        want = np.array([purchases[hid].eval(v) for hid, v in zip(ids, y.tolist())])
-        assert _bills(purchases, ids, y).tobytes() == want.tobytes(), trial
+        want = np.array([_interp(purchases[hid], v) for hid, v in zip(ids, y.tolist())])
+        assert CurveSet.of(purchases).eval(y, ids).tobytes() == want.tobytes(), trial
+        each = np.array([purchases[hid].eval(v) for hid, v in zip(ids, y.tolist())])
+        assert each.tobytes() == want.tobytes(), trial
 
 
 def test_bills_name_the_first_household_out_of_its_domain():
@@ -110,11 +108,10 @@ def test_bills_name_the_first_household_out_of_its_domain():
     y = np.array(sizes)
     y[4] = sizes[4] * 1.01
     y[2] = -1e-6
-    with pytest.raises(DomainError) as want:
-        purchases[ids[2]].eval(y[2])
-    with pytest.raises(DomainError) as got:
-        billed_sales(purchases, ids, y)
-    assert str(got.value) == str(want.value)
+    for evaluate in (lambda: purchases[ids[2]].eval(y[2]), lambda: billed_sales(purchases, ids, y)):
+        with pytest.raises(DomainError) as got:
+            evaluate()
+        assert str(got.value) == f"y={float(y[2])} outside [0, {sizes[2]}]"
     y[2] = np.nan
     with pytest.raises(DomainError, match="y=nan outside"):
         billed_sales(purchases, ids, y)

@@ -12,6 +12,7 @@ from dershare.model import ValidationError, validate_scenario
 from dershare.synth import SynthConfig, generate_scenario
 
 from conftest import child_env
+from runs import differences
 
 
 def test_same_seed_is_byte_identical(tmp_path):
@@ -102,6 +103,49 @@ def test_narrow_generator_draws_what_default_rng_draws():
     assert result["types"] == [True] * 2 * len(_SEEDS)
     assert result["pickled"] == [True] * len(_SEEDS)
     assert result["later"] == np.random.default_rng(7).integers(0, 100, 3).tolist()
+
+
+_FALLBACK_PROBE = """
+import json, sys
+from importlib.abc import MetaPathFinder
+refused = []
+
+class RefusePCG64(MetaPathFinder):
+    # a numpy whose _pcg64 the narrow path cannot import: refused while numpy.random
+    # is _default_rng's unexecuted stand-in, found once the real package runs
+    def find_spec(self, name, path, target=None):
+        if name != "numpy.random._pcg64":
+            return None
+        if "__builtins__" not in vars(sys.modules["numpy.random"]):
+            refused.append(name)
+            raise ImportError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, RefusePCG64())
+from dershare.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "refused": refused,
+                  "package": "numpy.random.mtrand" in sys.modules}))
+"""
+
+
+def test_generator_falls_back_to_default_rng_where_the_narrow_import_fails(tmp_path):
+    """Where numpy.random's _generator or _pcg64 will not import on their own,
+    gen-data takes np.random.default_rng after cleaning up, and writes what
+    the narrow path writes."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_households": 6, "n_days": 2, "n_regions": 2,
+                                            "rng_seed": 11}}))
+    narrow, fallback = tmp_path / "narrow", tmp_path / "fallback"
+    args = ["gen-data", "--config", str(config), "--out"]
+    proc = subprocess.run([sys.executable, "-m", "dershare", *args, str(narrow)],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", _FALLBACK_PROBE, *args, str(fallback)],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "code": 0, "refused": ["numpy.random._pcg64"], "package": True}
+    assert differences(narrow, fallback) == []
 
 
 def test_different_seed_differs():
