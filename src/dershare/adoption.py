@@ -60,9 +60,7 @@ class AdoptionOrder:
 
 def build_order(curves: Mapping) -> AdoptionOrder:
     curves = CurveSet.of(curves)
-    last = curves.offsets[1:] - 1
-    sizes = curves.knots[last]
-    normalized = curves.knot_values[last] / sizes
+    sizes, normalized = curves.sizes, curves.totals / curves.sizes
     # households by descending normalized savings; the sort is stable, so ties stay in id order
     ranking = sorted(range(len(curves)), key=(-normalized).tolist().__getitem__)
     return AdoptionOrder(ranking=tuple(curves.ids[i] for i in ranking),

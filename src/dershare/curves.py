@@ -42,18 +42,12 @@ MIN_R2 = 0.999  # least R^2 of a fitted curve against its samples
 class _Curve:
     """One household's curve: household_id, knots (kW, ascending from 0) and
     values ($/period at the knots), a view of its slices of a CurveSet, which
-    evaluates it. One built on its own, from the arrays its CSV holds, is
-    checked as a set of one."""
+    evaluates it. One built on its own, from the arrays its CSV holds, is a
+    set of one, which refuses it with a CurveError (a ValueError)."""
 
     def __init__(self, household_id: str, knots, second):
-        savings = isinstance(self, SavingsCurve)
-        knots, second = np.asarray(knots, dtype=float), np.asarray(second, dtype=float)
-        if knots.ndim != 1 or knots.size < 2:
-            raise ValueError("need at least two knots")
-        if second.shape != (knots.size - savings,):
-            raise ValueError(f"expected {knots.size - 1} slopes, got {second.shape}" if savings
-                             else "values must match knots")
-        vars(self).update(vars(CurveSet([household_id], [knots], [second], savings)[household_id]))
+        vars(self).update(vars(CurveSet([household_id], [knots], [second],
+                                        isinstance(self, SavingsCurve))[household_id]))
 
     @property
     def max_size(self) -> float:

@@ -23,9 +23,10 @@ netting the parts leaves the objective unchanged. Post-solve we net the
 storage split and rebuild the grid vector from the bus balance, then
 verify the objective is reproduced.
 
-A period of D days is one block-diagonal LP (the days couple only
-through y, which is data here), which is much faster than D separate
-solves and gives bit-identical totals regardless of worker count.
+A period of D days is one block-diagonal LP, declared as arrays: one
+day's (rows, cols, values) blocks tiled over the days, which couple only
+through y (data here). It is much faster than D separate solves and
+gives bit-identical totals regardless of worker count.
 
 Warm starts: the objective and the matrix of a block depend only on the
 prices and the asset, so y and the household's load reach the LP only
@@ -81,29 +82,14 @@ class PeriodTotals(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _day_matrix(asset: AssetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equality constraint matrix of a single day (48 x 120) as (rows, cols, values)."""
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    charge_draw = 1.0 / (asset.eta_c * asset.eta_i)
-    discharge_yield = asset.eta_d * asset.eta_i
-    for h in range(HOURS):
-        # bus balance row h
-        add(h, h, -charge_draw)
-        add(h, 24 + h, discharge_yield)
-        add(h, 72 + h, 1.0)
-        add(h, 96 + h, -1.0)
-        # state-of-charge recursion row 24+h
-        add(24 + h, 48 + h, 1.0)
-        add(24 + h, h, -1.0)
-        add(24 + h, 24 + h, 1.0)
-        if h > 0:
-            add(24 + h, 48 + h - 1, -asset.eta_s)
-    return np.array(rows), np.array(cols), np.array(vals, dtype=float)
+    """Equality constraint matrix of a single day (48 x 120) as (rows, cols, values):
+    bus balance rows h, then the state-of-charge recursion rows 24 + h."""
+    h, later = np.arange(HOURS), np.arange(1, HOURS)
+    blocks = [(h, h, -1.0 / (asset.eta_c * asset.eta_i)), (h, 24 + h, asset.eta_d * asset.eta_i),
+              (h, 72 + h, 1.0), (h, 96 + h, -1.0), (24 + h, 48 + h, 1.0), (24 + h, h, -1.0),
+              (24 + h, 24 + h, 1.0), (24 + later, 47 + later, -asset.eta_s)]
+    return tuple(np.concatenate(part) for part in
+                 zip(*((r, c, np.full(r.size, v)) for r, c, v in blocks)))
 
 
 @lru_cache(maxsize=32)
@@ -182,12 +168,8 @@ class ScenarioContext:
         self.n_days = n_days = buy.shape[0]
         asset = scenario.asset
         self.eta_irr = _frozen(asset.eta_i * irr)
-        unit = np.empty(_N_VARS)  # each column's upper bound per kW of capacity
-        unit[_UP] = asset.u_charge_max
-        unit[_UM] = asset.u_discharge_max
-        unit[_X] = asset.alpha
-        unit[_GP] = np.inf
-        unit[_GM] = np.inf
+        unit = np.repeat([asset.u_charge_max, asset.u_discharge_max, asset.alpha, np.inf, np.inf],
+                         HOURS)  # each column's upper bound per kW of capacity, group by group
         self.unit = _frozen(np.tile(unit, n_days))
         self.col_lower = _frozen(np.zeros(_N_VARS * n_days))
         self.start_soc = asset.eta_s * asset.x0 * asset.alpha  # start-of-day charge per kW

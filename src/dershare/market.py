@@ -111,12 +111,10 @@ class ClearingTable:
         self.ids = curves.ids
         self.first = curves.offsets[:-1]  # each household's first knot and segment
         self.first_segment = self.first - np.arange(len(self.ids))
-        last = curves.offsets[1:] - 1
-        self.sizes, self.totals = curves.knots[last], curves.knot_values[last]
-        self.tol = max(1e-6, 1e-9 * _sum_in_order(self.sizes))
+        self.tol = max(1e-6, 1e-9 * _sum_in_order(curves.sizes))
 
-        units = _exact_units(curves.knots.tolist())
-        self.size_units = dict(zip(self.ids, [units[k] for k in last.tolist()]))
+        units = _exact_units(curves.knots.tolist() + curves.sizes.tolist())  # sizes are knots too
+        self.size_units = dict(zip(self.ids, units[curves.knots.size:]))
         self.total_units = sum(self.size_units.values())
         widths = [units[k + 1] - units[k] for k in curves.segment_knots.tolist()]
 
@@ -157,14 +155,14 @@ class ClearingTable:
         price; at None (one market side empty) owners keep their whole size.
         owner is a bool array in ids order; the equilibrium keeps it, read-only."""
         if price is None:
-            return MarketEquilibrium(None, 0.0, self.ids, np.where(owner, self.sizes, 0.0),
+            return MarketEquilibrium(None, 0.0, self.ids, np.where(owner, self.curves.sizes, 0.0),
                                      np.zeros(len(self.ids)), owner, degenerate=True)
         slopes = self.curves.slopes
         n_gt = np.add.reduceat(slopes > price, self.first_segment, dtype=np.intp)
         n_ge = np.add.reduceat(slopes >= price, self.first_segment, dtype=np.intp)
         lo = self.curves.knots[self.first + n_gt]  # each household's argmax interval [lo, hi]
         hi = self.curves.knots[self.first + n_ge]
-        size = self.sizes
+        size = self.curves.sizes
         e_lo = _sum_in_order(np.where(owner, size - hi, -hi))
         e_hi = _sum_in_order(np.where(owner, size - lo, -lo))
         if e_hi - e_lo > 0 and e_lo < 0:
@@ -183,7 +181,7 @@ class ClearingTable:
         f = self.curves.knot_values[self.first + n_ge]  # exact where y sits on the knot hi
         rationed = np.flatnonzero(y != hi)
         f[rationed] = self.curves.eval(y[rationed], [self.ids[i] for i in rationed.tolist()])
-        w = np.where(owner, f + price * (size - y) - self.totals, f - price * y)
+        w = np.where(owner, f + price * (size - y) - self.curves.totals, f - price * y)
         owner_total = _sum_in_order(w[owner])
         renter_total = _sum_in_order(w[~owner])
         floor = PARTICIPATION_TOL * np.maximum(size, 1.0)

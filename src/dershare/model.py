@@ -14,10 +14,10 @@ its own (`buy`, `sell`, `irradiance`), checked like a household's load.
 
 Every process loads this module, so it also holds what a stage only
 names or reads: the generator's settings (SynthConfig), the fitted
-curves (a CurveSet of flat arrays, from the fit to the last stage) and
-every error a stage raises. A run whose generator, fit and transport
-stages are cache hits then never loads `synth`, `curves`, `lp` or
-`logging`.
+curves (a CurveSet of flat arrays, from the fit to the last stage, and
+the one check of a curve) and every error a stage raises. A run whose
+generator, fit and transport stages are cache hits then never loads
+`synth`, `curves`, `lp` or `logging`.
 """
 
 from __future__ import annotations
@@ -344,6 +344,10 @@ class CurveError(ValueError):
     """A curve rule broken, as the message; index is the household's in its set,
     knot the household's knot that breaks it (0 for a rule of the whole curve)."""
 
+    def __init__(self, message: str, index: int = 0, knot: int = 0):
+        super().__init__(message)
+        self.index, self.knot = index, knot
+
 
 def _frozen(a, dtype=float) -> np.ndarray:
     a = np.array(a, dtype=dtype)
@@ -356,26 +360,37 @@ class CurveSet(Mapping):
 
     Household i's knots (kW, ascending from 0, finite) are
     knots[offsets[i]:offsets[i + 1]] and its values there ($/period, finite)
-    the same slice of knot_values; segment_knots holds each segment's first
-    knot. A savings set is given each segment's slope ($/period/kW,
-    nonincreasing and nonnegative along a household) and derives the values
-    as their running integral from f(0) = 0; a purchases set (slopes None) is
-    given the buy-side bill at each knot, nonincreasing. Every rule is checked
-    once over the arrays, and a CurveError names the first rule that the first
-    bad household breaks. As a Mapping it hands out each household's curve by
-    id: a SavingsCurve or PurchasesCurve (see `curves`) of its slices.
+    the same slice of knot_values, sizes and totals its last knot and value;
+    segment_knots holds each segment's first knot. A savings set is given each
+    segment's slope ($/period/kW, nonincreasing and nonnegative along a
+    household) and derives the values as their running integral from f(0) = 0;
+    a purchases set (slopes None) is given the buy-side bill at each knot,
+    nonincreasing. The set alone checks a curve: each household's shapes and
+    id, then every rule once over the arrays, and a CurveError names the first
+    rule that the first bad household breaks. As a Mapping it hands out each
+    household's curve by id: a SavingsCurve or PurchasesCurve (see `curves`).
     """
 
     def __init__(self, ids, knots, second, savings: bool, written=None):
         """ids ascending, each household's knots and its slopes or values, and
         written, a savings file's values, to be within rounding of the derived ones."""
-        self.ids, counts = tuple(ids), [len(k) for k in knots]
+        self.ids = ids = tuple(ids)
+        knots, second = ([np.asarray(a, dtype=float) for a in arrays] for arrays in (knots, second))
+        for i, (hid, k, s) in enumerate(zip(ids, knots, second, strict=True)):  # before arithmetic
+            rule = ("need at least two knots" if k.ndim != 1 or k.size < 2 else
+                    (f"expected {k.size - 1} slopes, got {s.shape}" if savings else
+                     "values must match knots") if s.shape != (k.size - savings,) else
+                    "household ids must ascend, each once" if i and hid <= ids[i - 1] else None)
+            if rule:  # an earlier household's broken rule comes first
+                CurveSet(ids[:i], knots[:i], second[:i], savings, written and written[:i])
+                raise CurveError(rule, i)
+        counts = [k.size for k in knots]
         self.offsets = offsets = _frozen(np.cumsum([0] + counts), np.intp)
         self.knots = knots = _frozen(np.concatenate(knots or [[]]))
         second, everyone = np.concatenate(second or [[]]), np.arange(len(counts))
-        knot_of = np.repeat(everyone, counts)  # each knot's household
+        knot_of, ends = np.repeat(everyone, counts), offsets[1:] - 1  # knot's household, last knots
         opens = np.ones(knots.size, dtype=bool)  # a knot that starts a segment: not the last
-        opens[offsets[1:] - 1] = False
+        opens[ends] = False
         left = np.flatnonzero(opens)
         seg_of, last = knot_of[left], ~opens[left + 1]  # last: a household's last segment
         with np.errstate(all="ignore"):  # what is not finite is refused below
@@ -396,12 +411,11 @@ class CurveSet(Mapping):
                 rules = [("values must be finite", ~np.isfinite(values), knot_of),
                          ("purchases must be nonincreasing in capacity",
                           values[left + 1] > values[left], seg_of)]
-        rules = [("need at least two knots", np.array(counts) < 2, everyone),
-                 ("first knot must be 0", np.append(knots, 0.0)[offsets[:-1]] != 0.0, everyone),
+        rules = [("first knot must be 0", knots[offsets[:-1]] != 0.0, everyone),
                  ("knots must be finite", ~np.isfinite(knots), knot_of),
                  ("knots must be strictly ascending", widths <= 0, seg_of), *rules]
         if written is not None:  # an edited value must not pass silently
-            written = np.concatenate(written)
+            written = np.concatenate(written or [[]])
             rules.append((None, np.abs(written - values) > 1e-9 * np.maximum(np.abs(values), 1.0),
                           knot_of))
         # the first bad household of each broken rule (each `of` ascends), and the first of those
@@ -409,12 +423,11 @@ class CurveSet(Mapping):
         if broken:
             i, rule, bad = min(broken, key=lambda hit: hit[0])
             k = 0 if rule else int(np.argmax(bad[offsets[i]:]))
-            error = CurveError(rule or f"f {float(written[offsets[i] + k])!r} at knot {k} differs "
-                               f"from {float(values[offsets[i] + k])!r}, the value its knots and "
-                               "slopes give")
-            error.index, error.knot = i, k
-            raise error
+            raise CurveError(rule or f"f {float(written[offsets[i] + k])!r} at knot {k} differs "
+                             f"from {float(values[offsets[i] + k])!r}, the value its knots and "
+                             "slopes give", i, k)
         self.slopes, self.knot_values = slopes, _frozen(values)
+        self.sizes, self.totals = _frozen(knots[ends]), _frozen(values[ends])
         self.segment_knots = _frozen(left, np.intp)
         self._index = {hid: i for i, hid in enumerate(self.ids)}
 
@@ -460,8 +473,7 @@ class CurveSet(Mapping):
         starts = np.cumsum(counts) - counts
         last = starts + counts - 1
         flat = np.repeat(first - starts, counts) + np.arange(counts.sum())
-        knots, values = self.knots[flat], self.knot_values[flat]
-        size = knots[last]
+        knots, values, size = self.knots[flat], self.knot_values[flat], self.sizes[rows]
         y = np.asarray(y, dtype=float)
         bad = np.flatnonzero(~((-1e-9 * size <= y) & (y <= size * (1 + 1e-9) + 1e-12)))
         if bad.size:

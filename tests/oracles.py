@@ -13,8 +13,10 @@ argmax interval at each probe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import scipy.sparse as sp
@@ -474,27 +476,30 @@ def bisection_clear_market(curves, owners) -> OracleEquilibrium:
     )
 
 
-def planner_surplus(curves, owners) -> tuple[float, float | None, float | None]:
-    """The most the owners' capacity can save in all: every segment of every
-    curve sorted by slope, steepest first, and filled up to the owners'
-    summed max_size, in exact arithmetic. Each curve is concave and money
+def planner_fill(curves):
+    """The most that q kW of owned capacity can save in all, as a function of
+    q: every segment of every curve sorted by slope, steepest first, and
+    filled up to q, in exact arithmetic. Each curve is concave and money
     enters linearly, so a competitive equilibrium reaches this fill (the
-    first welfare theorem). Returns the fill's value, the last slope filled
-    and the first left unfilled (None where there is none)."""
+    first welfare theorem). The function returns the fill's value, the last
+    slope filled and the first left unfilled (None where there is none); the
+    sort and its running sums are made once, for every q."""
     segments = sorted(((slope, Fraction(b) - Fraction(a)) for c in curves.values()
                        for slope, a, b in zip(c.slopes.tolist(), c.knots[:-1].tolist(),
                                               c.knots[1:].tolist())), key=lambda seg: -seg[0])
-    left = sum(Fraction(curves[hid].max_size) for hid in owners)
-    value, last, unfilled = Fraction(0), None, None
-    for slope, width in segments:
-        if left == 0:
-            unfilled = slope
-            break
-        take = min(width, left)
-        value += Fraction(slope) * take
-        left -= take
-        last = slope
-    return float(value), last, unfilled
+    slopes = [slope for slope, _ in segments]
+    width = list(accumulate((w for _, w in segments), initial=Fraction(0)))
+    value = list(accumulate((Fraction(s) * w for s, w in segments), initial=Fraction(0)))
+
+    def fill(q: Fraction) -> tuple[float, float | None, float | None]:
+        m = bisect_left(width, q)  # the steepest m segments hold q, the last of them in part
+        assert m < len(width), f"{q} kW is more than every segment holds"
+        unfilled = slopes[m] if m < len(slopes) else None
+        if m == 0:
+            return 0.0, None, unfilled
+        return float(value[m - 1] + Fraction(slopes[m - 1]) * (q - width[m - 1])), \
+            slopes[m - 1], unfilled
+    return fill
 
 
 def planner_misfits(curves, owners, prices, surpluses) -> list[str]:
@@ -502,11 +507,15 @@ def planner_misfits(curves, owners, prices, surpluses) -> list[str]:
     (a count: the households of highest normalized savings own, ties in id
     order), with clearing price prices[i] and total surplus surpluses[i].
     Where everyone or no one owns, no price and zero surplus; else the
-    surplus is planner_surplus less the owners' savings on their own, to
-    1e-12 of all curves' savings, at a price between the last filled slope
-    and the first unfilled one."""
+    surplus is planner_fill's value at the owners' summed max_size less the
+    owners' savings on their own, to 1e-12 of all curves' savings, at a price
+    between the last filled slope and the first unfilled one."""
     ranking = sorted(curves, key=lambda hid: (-curves[hid].normalized_savings, hid))
     scale = sum(c.total for c in curves.values())
+    fill = planner_fill(curves)
+    owned = list(accumulate((Fraction(curves[hid].max_size) for hid in ranking),
+                            initial=Fraction(0)))
+    autarky = list(accumulate((curves[hid].total for hid in ranking), initial=0))
     found = []
     for row, (k, price, surplus) in enumerate(zip(owners, prices, surpluses)):
         if k in (0, len(ranking)):
@@ -514,8 +523,8 @@ def planner_misfits(curves, owners, prices, surpluses) -> list[str]:
                 found.append(f"row {row}: {k} owners of {len(ranking)}, price {price}, "
                              f"surplus {surplus}")
             continue
-        fill, last, unfilled = planner_surplus(curves, ranking[:k])
-        want = fill - sum(curves[hid].total for hid in ranking[:k])
+        value, last, unfilled = fill(owned[k])
+        want = value - autarky[k]
         if abs(surplus - want) > 1e-12 * scale:
             found.append(f"row {row}: total surplus {surplus}, planner {want}")
         if not ((-math.inf if unfilled is None else unfilled) <= price <= last):

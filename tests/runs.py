@@ -12,10 +12,11 @@ for how long; of the manifest, the `outputs` checksums and each stage's
 The second form makes the comparison runs of a bit-for-bit change, RUNS,
 once with each source tree (a directory holding the `dershare` package,
 or a checkout with it under `src`), each in a temporary directory, and
-prints every pair's differences the same way: TINY; the desk run (the
-default config) on one worker and on two; a 60-household run on one day
-and six samples, and its `--p-grid` rerun, which rewrites longrun,
-subsidy and stakeholders. The desk runs take a few seconds each.
+prints every pair's differences the same way, or `<run>: identical` for
+a pair with none: TINY; the desk run (the default config) on one worker
+and on two; a 60-household run on one day and six samples, and its
+`--p-grid` rerun, which rewrites longrun, subsidy and stakeholders. The
+desk runs take a few seconds each. It exits as the first form does.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ def make_runs(src: Path, root: Path) -> None:
                        stdout=subprocess.DEVNULL)
 
 
-def pair(parent_src, change_src) -> list[str]:
-    """The differences between the runs of RUNS that each source tree makes."""
-    found = []
+def pair(parent_src, change_src) -> dict[str, list[str]]:
+    """Each run of RUNS by name, with the differences between the runs of it
+    that the two source trees make."""
     with tempfile.TemporaryDirectory() as tmp:
         roots = []
         for side, src in (("parent", Path(parent_src)), ("change", Path(change_src))):
@@ -106,21 +107,22 @@ def pair(parent_src, change_src) -> list[str]:
             roots.append(Path(tmp) / side)
             roots[-1].mkdir()
             make_runs(src.resolve(), roots[-1])
-        for name in RUNS:
-            found += [f"{name}: {line}" for line in differences(*(root / name for root in roots))]
-    return found
+        return {name: differences(*(root / name for root in roots)) for name in RUNS}
 
 
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--pair":
-        found = pair(*argv[1:])
+        runs = pair(*argv[1:])
+        lines = [f"{name}: {line}" for name, found in runs.items()
+                 for line in found or ["identical"]]
+        found = any(runs.values())
     elif len(argv) == 2:
-        found = differences(*argv)
+        lines = found = differences(*argv)
     else:
         print("usage: python tests/runs.py RUN_A RUN_B\n"
               "       python tests/runs.py --pair PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
-    for line in found:
+    for line in lines:
         print(line)
     return 1 if found else 0
 

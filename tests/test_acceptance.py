@@ -20,6 +20,7 @@ from dershare.adoption import (LongRunSolver, build_order, default_t_grid,
                                equivalent_subsidy, long_run_adoption, sweep_adoption)
 from dershare.curves import sample_household
 from dershare.dispatch import ScenarioContext
+from dershare.io import read_savings_curves, read_sweep
 from dershare.localness import min_cost_flow, solve_transport
 from dershare.market import clear_market
 from dershare.model import AssetSpec
@@ -27,7 +28,8 @@ from dershare.stakeholders import (autarky_assignment, billed_sales, market_emer
                                    regime_boundary)
 from dershare.synth import SynthConfig, generate_scenario
 from oracles import (BisectionSolver, bisection_clear_market, by_id, dp_dispatch_cost,
-                     one_household, random_curve_population, random_dispatch_instance)
+                     one_household, planner_misfits, random_curve_population,
+                     random_dispatch_instance)
 from runs import differences
 
 
@@ -232,3 +234,8 @@ def test_criterion_9_desk_scale_determinism(tmp_path):
         run(tmp_path / "b", 8)
         assert len(list((tmp_path / "a").rglob("*.csv"))) >= 12
         assert differences(tmp_path / "a", tmp_path / "b") == [], "worker counts differ"
+    # every sweep row of the desk run reaches the planner's optimum
+    sweep = read_sweep(tmp_path / "a" / "sweep.csv")
+    assert planner_misfits(read_savings_curves(tmp_path / "a" / "savings_curves.csv"),
+                           sweep["owners"].tolist(), sweep["clearing_price"].tolist(),
+                           sweep["total_surplus"].tolist()) == []

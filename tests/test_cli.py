@@ -1170,6 +1170,62 @@ def test_tiny_sweep_reaches_the_planners_optimum(finished_run):
                            sweep["total_surplus"].tolist()) == []
 
 
+def _short_run(finished_run, out, config_path, names) -> dict[str, np.ndarray]:
+    """validate, fit and sweep in out, on finished_run's data with each
+    household's loads.csv rows under the ids names(id), one block each; the
+    sweep's columns."""
+    shutil.copytree(finished_run / cli.DATA_SUBDIR, out / cli.DATA_SUBDIR)
+    path = out / cli.DATA_SUBDIR / "loads.csv"
+    header, *rows = path.read_text().splitlines()
+    blocks: dict[str, list[str]] = {}
+    for row in rows:
+        hid, rest = row.split(",", 1)
+        for name in names(hid):
+            blocks.setdefault(name, []).append(f"{name},{rest}")
+    path.write_text("\n".join([header, *sum(blocks.values(), [])]) + "\n")
+    for stage in ("validate", "fit", "sweep"):
+        assert _run(stage, "--config", config_path, "--out", out) == 0
+    return read_sweep(out / cli.SWEEP_FILE)
+
+
+def test_a_replica_market_clears_at_the_same_prices_with_twice_the_volume(
+        finished_run, tmp_path, config_path):
+    """Each household copied under a new id, which ranks next to it: every
+    short-run clearing price is the same, bit for bit, at twice the owners,
+    and every volume doubles. Long-run counts need not double (the marginal
+    copy faces one more owner), so only the short-run stages are run."""
+    sweep = read_sweep(finished_run / cli.SWEEP_FILE)
+    twice = _short_run(finished_run, tmp_path / "replica", config_path,
+                       lambda hid: (hid, hid + "c"))
+    assert twice["owners"].tolist() == (2 * sweep["owners"]).tolist()
+    assert twice["clearing_price"].tobytes() == sweep["clearing_price"].tobytes()
+    assert twice["volume"] == pytest.approx(2 * sweep["volume"], rel=1e-12, abs=0.0)
+
+
+def test_reversing_the_id_order_moves_no_curve_row_and_no_price(finished_run, tmp_path,
+                                                                config_path):
+    """TINY's ids H0000..H0009 renamed in reverse order: each household's
+    savings_curves.csv rows and every clearing price stay as they were, and
+    every sum, summed in the new id order, agrees to 1e-12 of its column."""
+    def rename(hid):
+        return (f"X{9999 - int(hid[1:]):04d}",)
+
+    def curve_rows(run) -> dict[str, list[str]]:
+        rows: dict[str, list[str]] = {}
+        for line in (run / cli.SAVINGS_FILE).read_text().splitlines()[1:]:
+            hid, rest = line.split(",", 1)
+            rows.setdefault(hid, []).append(rest)
+        return rows
+
+    sweep = read_sweep(finished_run / cli.SWEEP_FILE)
+    renamed = _short_run(finished_run, tmp_path / "renamed", config_path, rename)
+    assert curve_rows(tmp_path / "renamed") == {
+        rename(hid)[0]: rows for hid, rows in curve_rows(finished_run).items()}
+    assert renamed["clearing_price"].tobytes() == sweep["clearing_price"].tobytes()
+    for name, column in sweep.items():
+        assert np.all(np.abs(renamed[name] - column) <= 1e-12 * np.abs(column).max()), name
+
+
 def test_result_csv_headers_are_pinned(finished_run, tmp_path, config_path):
     out = tmp_path / "run"
     shutil.copytree(finished_run, out)

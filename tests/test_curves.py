@@ -7,6 +7,7 @@ from dershare.curves import (FitError, PurchasesCurve, SavingsCurve, fit_purchas
                              fit_savings_curve, pava_nondecreasing, pava_nonincreasing,
                              sample_grid)
 from dershare.dispatch import ScenarioContext
+from dershare.io import write_purchases_curves, write_savings_curves
 from dershare.model import HOURS, AssetSpec, CurveError, CurveSet, DomainError
 from oracles import argmax_interval, one_household, random_concave_curve
 
@@ -158,6 +159,45 @@ def test_a_set_refuses_the_first_household_by_the_first_rule_it_breaks(cls):
             assert (curve.slopes if savings else curve.values).tobytes() == second.tobytes()
             assert curve.values.tobytes() == cls(hid, knots, second).values.tobytes()
     assert 50 < refused < 250  # both outcomes are drawn often
+
+
+_TWO = [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]
+
+
+@pytest.mark.parametrize("ids,knots,second,savings,index,message", [
+    # the slopes add up to the segments, but H0 would take H1's first one
+    (["H0", "H1"], _TWO, [[3.0], [2.0, 1.0, 0.5]], True, 0, "expected 2 slopes, got (1,)"),
+    (["H0", "H1"], _TWO, [[3.0, 2.0], [2.0, 1.0, 0.5]], True, 1, "expected 2 slopes, got (3,)"),
+    (["H0", "H1"], _TWO, [[3.0, 2.0, 1.0], [2.0, 1.0]], False, 1, "values must match knots"),
+    (["H0", "H1"], [_TWO[0], _TWO], [[3.0, 2.0], [2.0, 1.0]], True, 1,
+     "need at least two knots"),
+    (["H0", "H0"], _TWO, [[3.0, 2.0], [2.0, 1.0]], True, 1,
+     "household ids must ascend, each once"),
+    (["H1", "H0"], _TWO, [[3.0, 2.0, 1.0], [2.0, 1.0, 0.0]], False, 1,
+     "household ids must ascend, each once"),
+    # an earlier household's broken rule comes before a later one's shape
+    (["H0", "H1"], [[0.5, 1.0, 2.0], _TWO[1]], [[3.0, 2.0], [2.0]], True, 0,
+     "first knot must be 0"),
+], ids=["misaligned", "slopes", "values", "2-d", "repeated", "descending", "earlier-first"])
+def test_a_set_refuses_what_does_not_fit_together_before_any_arithmetic(ids, knots, second,
+                                                                       savings, index, message):
+    """A second array that does not fit its knots, even where the totals
+    agree, and ids out of order are refused, naming the household."""
+    with pytest.raises(CurveError) as exc:
+        CurveSet(ids, [np.array(k) for k in knots], [np.array(a) for a in second], savings)
+    assert (exc.value.index, exc.value.knot, str(exc.value)) == (index, 0, message)
+
+
+def test_a_household_twice_is_refused_before_its_file_is_written(tmp_path):
+    a = SavingsCurve("A", np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0]))
+    b = PurchasesCurve("A", np.array([0.0, 1.0, 2.0]), np.array([5.0, 4.0, 3.0]))
+    with pytest.raises(CurveError) as exc:
+        CurveSet.of([a, a])
+    assert (exc.value.index, str(exc.value)) == (1, "household ids must ascend, each once")
+    for write, curve in ((write_savings_curves, a), (write_purchases_curves, b)):
+        with pytest.raises(CurveError):
+            write(tmp_path / "curves.csv", [curve, curve])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_and_deriv_basics():
