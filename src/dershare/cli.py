@@ -21,8 +21,8 @@ SETTINGS; a value comes from its flag, else its variable, else the
 config (all checked at load), else its default. The command's flags and
 their variables are checked before its first stage, cached or not.
 
-Each stage is declared once in STAGES (flags, input files with the
-stage that writes each, hashed params, outputs, body), and run_stage,
+Each stage is declared once in STAGES (settings, which give its flags
+and hash; inputs with their writers; outputs; body), and run_stage,
 the whole stage protocol, gives every stage the same require, hash,
 cache check and manifest record. A subcommand runs one entry and `all`
 runs them in order on one Run, which keeps each artifact once it has
@@ -109,7 +109,9 @@ def _file_sha(path: Path) -> str:
 
 
 def _hash_obj(obj) -> str:
-    return sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    """sha256 of obj as sorted JSON: a dataclass as its asdict, an array as its tolist()."""
+    return sha256(json.dumps(obj, sort_keys=True, default=lambda v: (
+        v.tolist() if isinstance(v, np.ndarray) else asdict(v))).encode()).hexdigest()
 
 
 def _read_manifest(out_dir: Path) -> dict:
@@ -261,7 +263,6 @@ SETTINGS = {
                         help="comma list of adoption rates to dump flows for"),
 }
 _BY_KEY = {s.key: name for name, s in SETTINGS.items() if s.key}
-_BY_FLAG = {s.flag: name for name, s in SETTINGS.items() if s.flag}
 _SECTIONS = {key.split(".")[0] for key in _BY_KEY if "." in key}
 
 
@@ -370,20 +371,16 @@ def _load_context(out_dir: Path, cfg: dict, days: int | None) -> ScenarioContext
 
 # ---------------------------------------------------------------- run
 
-def _resolved(name: str) -> cached_property:
-    """A Run attribute holding the setting `name`, resolved on first use."""
-    return cached_property(lambda run: _resolve(name, run.args, run.cfg))
-
-
 @dataclass
 class Run:
     """One invocation on one run directory.
 
-    Settings are resolved when a stage asks for them. Each artifact is
-    set by the stage that makes it, or else loaded from the run directory
-    on first use, and then kept, so the stages of one `all` share a single
-    scenario, curve set and LongRunSolver. cfg holds the values
-    _load_config checked.
+    Each setting is an attribute of its SETTINGS name, resolved on first
+    use and kept; synth (with the seed) and p_grid (else set from the
+    curves) are properties. Each artifact is set by the stage that makes
+    it, or else loaded from the run directory on first use, and then
+    kept, so the stages of one `all` share a single scenario, curve set
+    and LongRunSolver. cfg holds the values _load_config checked.
     """
 
     out: Path
@@ -392,14 +389,11 @@ class Run:
     generated: Scenario | None = None  # the scenario gen-data wrote in this process
     shas: dict[str, str] = field(default_factory=dict)  # run-directory file -> its sha256
 
-    asset = _resolved("asset")
-    require_terminal_soc = _resolved("require_terminal_soc")
-    n_samples = _resolved("n_samples")
-    days = _resolved("days")
-    threads = _resolved("threads")
-    t_grid = _resolved("t_grid")
-    equilibrium_at = _resolved("equilibrium_at")
-    flows_at = _resolved("flows_at")
+    def __getattr__(self, name: str):
+        # synth and p_grid: an AttributeError inside the property must not give the raw value
+        if name not in SETTINGS or hasattr(Run, name):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__.setdefault(name, _resolve(name, self.args, self.cfg))
 
     @cached_property
     def manifest(self) -> dict:
@@ -413,7 +407,7 @@ class Run:
 
     @cached_property
     def synth(self) -> SynthConfig:
-        synth, seed = _resolve("synth", self.args, self.cfg), _resolve("seed", self.args, self.cfg)
+        synth, seed = _resolve("synth", self.args, self.cfg), self.seed
         return synth if seed is None else replace(synth, rng_seed=seed)
 
     @cached_property
@@ -581,17 +575,16 @@ def _stakeholders(run: Run) -> None:
 class Stage:
     """One pipeline stage, declared once.
 
-    inputs pairs each file the stage reads with the stage that writes
-    it. The input hash covers params(run) and the inputs' contents (a
-    stage without input files hashes its params alone); body(run) writes
-    exactly outputs(run).
+    settings names each SETTINGS entry it reads (those with a flag are
+    its command's flags); inputs pairs each file it reads with the stage
+    that writes it. The input hash covers the settings but _UNHASHED and
+    any inputs' contents; body(run) writes exactly outputs(run).
     """
 
     name: str
     help: str
-    flags: tuple[str, ...]
+    settings: tuple[str, ...]
     inputs: tuple[tuple[str, str], ...]
-    params: Callable[[Run], dict]
     outputs: Callable[[Run], list[str]]
     body: Callable[[Run], None]
 
@@ -601,44 +594,36 @@ _CURVES_INPUT = ((SAVINGS_FILE, "fit"),)
 _SWEEP_INPUT = ((SWEEP_FILE, "sweep"),)
 
 STAGES = (
-    Stage("gen-data", "generate a synthetic scenario", ("--seed",), (),
-          lambda run: {"synth": asdict(run.synth), "asset": asdict(run.asset)},
+    Stage("gen-data", "generate a synthetic scenario", ("seed", "synth", "asset"), (),
           lambda run: DATA_RELS, _gen_data),
-    Stage("validate", "ingest and validate the data directory", (), _DATA_INPUTS,
-          lambda run: {"asset": asdict(run.asset)},
+    Stage("validate", "ingest and validate the data directory", ("asset",), _DATA_INPUTS,
           lambda run: [EXCLUSIONS_FILE], _validate),
     Stage("fit", "sample and fit savings and purchases curves",
-          ("--samples", "--days", "--threads"), _DATA_INPUTS,
-          lambda run: {"n_samples": run.n_samples, "days": run.days,
-                       "asset": asdict(run.asset),
-                       "require_terminal_soc": run.require_terminal_soc},
+          ("n_samples", "days", "threads", "asset", "require_terminal_soc"), _DATA_INPUTS,
           lambda run: [SAVINGS_FILE, PURCHASES_FILE], _fit),
-    Stage("sweep", "clear the market along the adoption order",
-          ("--t-grid", "--equilibrium-at"), _CURVES_INPUT,
-          lambda run: {"t_grid": run.t_grid.tolist(), "equilibrium_at": run.equilibrium_at},
+    Stage("sweep", "clear the market along the adoption order", ("t_grid", "equilibrium_at"),
+          _CURVES_INPUT,
           lambda run: [SWEEP_FILE] + ([*_dump_rels("equilibrium", run.equilibrium_at),
                                        SUMMARY_FILE]
                                       if run.equilibrium_at else []),
           _sweep),
-    Stage("longrun", "short- and long-run adoption over purchase prices", ("--p-grid",),
-          _CURVES_INPUT, lambda run: {"p_grid": run.p_grid.tolist()},
-          lambda run: ["longrun.csv"], _longrun),
-    Stage("subsidy", "equivalent direct subsidy over purchase prices", ("--p-grid",),
-          _CURVES_INPUT + _SWEEP_INPUT, lambda run: {"p_grid": run.p_grid.tolist()},
-          lambda run: ["subsidy.csv"], _subsidy),
-    Stage("localness", "regional excesses and min-cost matching", ("--flows-at",),
+    Stage("longrun", "short- and long-run adoption over purchase prices", ("p_grid",),
+          _CURVES_INPUT, lambda run: ["longrun.csv"], _longrun),
+    Stage("subsidy", "equivalent direct subsidy over purchase prices", ("p_grid",),
+          _CURVES_INPUT + _SWEEP_INPUT, lambda run: ["subsidy.csv"], _subsidy),
+    Stage("localness", "regional excesses and min-cost matching", ("flows_at",),
           _DATA_INPUTS + _CURVES_INPUT + _SWEEP_INPUT,
-          lambda run: {"flows_at": run.flows_at},
           lambda run: ["localness.csv"] + _dump_rels("flows", run.flows_at), _localness),
     Stage("stakeholders", "vendor gains against utility losses over purchase prices",
-          ("--p-grid",), _CURVES_INPUT + ((PURCHASES_FILE, "fit"),),
-          lambda run: {"p_grid": run.p_grid.tolist()},
+          ("p_grid",), _CURVES_INPUT + ((PURCHASES_FILE, "fit"),),
           lambda run: ["stakeholders.csv"], _stakeholders),
 )
+# a stage's settings its input hash leaves out: threads changes no result, synth holds the seed
+_UNHASHED = ("threads", "seed")
 
 
 def run_stage(run: Run, stage: Stage) -> None:
-    """The stage protocol: require the stage's inputs, hash its params with
+    """The stage protocol: require the stage's inputs, hash its settings with
     their contents, and report it cached if the manifest holds that hash
     and the checksums of its outputs as they are; else run its body, then
     record the outputs' checksums and the hash in the manifest."""
@@ -646,7 +631,7 @@ def run_stage(run: Run, stage: Stage) -> None:
     for rel, producer in stage.inputs:
         if not (run.out / rel).exists():
             raise StageError(f"missing {rel}; run `dershare {producer}` first")
-    params = stage.params(run)
+    params = {name: getattr(run, name) for name in stage.settings if name not in _UNHASHED}
     input_hash = _hash_obj({"params": params, "inputs": {Path(rel).name: run.sha(rel)
                                                          for rel, _ in stage.inputs}}
                            if stage.inputs else params)
@@ -676,10 +661,14 @@ def run_stage(run: Run, stage: Stage) -> None:
 
 # ---------------------------------------------------------------- entry
 
-ALL_FLAGS = tuple(dict.fromkeys(f for s in STAGES for f in s.flags))
-_COMMANDS = {**{s.name: (s.help, s.flags) for s in STAGES},
-             "all": ("run the full pipeline", ALL_FLAGS)}
-_HELP = {s.flag: s.help for s in SETTINGS.values() if s.flag}
+def _flagged(stages) -> tuple[str, ...]:
+    """The settings the stages name that have a flag, each once, in stage order."""
+    return tuple(dict.fromkeys(name for s in stages for name in s.settings
+                               if SETTINGS[name].flag))
+
+
+_COMMANDS = {**{s.name: (s.help, _flagged([s])) for s in STAGES},
+             "all": ("run the full pipeline", _flagged(STAGES))}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -687,12 +676,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, flags) in _COMMANDS.items():
+    for name, (help_, flagged) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--out", required=True, help="run directory for data and outputs")
         p.add_argument("--config", help="JSON config file")
-        for flag in flags:
-            p.add_argument(flag, help=_HELP[flag])
+        for setting in map(SETTINGS.get, flagged):
+            p.add_argument(setting.flag, help=setting.help)
     return parser
 
 
@@ -701,9 +690,10 @@ def main(argv=None) -> int:
     try:
         # the writers make --out, so a command refused before its first stage leaves none
         run = Run(Path(args.out), args, _load_config(args.config))
-        # a cached stage never reads its flags, so they are checked here
-        for flag in _COMMANDS[args.command][1]:
-            _resolve(_BY_FLAG[flag], args, run.cfg)
+        # a cached stage never reads its flags, so they are checked here; not through run,
+        # whose p_grid would read the curves before run_stage can say they are missing
+        for name in _COMMANDS[args.command][1]:
+            _resolve(name, args, run.cfg)
         for stage in STAGES:
             if args.command in ("all", stage.name):
                 run_stage(run, stage)

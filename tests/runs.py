@@ -16,13 +16,18 @@ prints every pair's differences the same way, or `<run>: identical` for
 a pair with none: TINY; the desk run (the default config) on one worker
 and on two; a 60-household run on one day and six samples, and its
 `--p-grid` rerun, which rewrites longrun, subsidy and stakeholders. The
-desk runs take a few seconds each. It exits as the first form does.
+desk runs take a few seconds each. It then compares the text, with the
+exit code, of `dershare --help` and of `dershare <command> --help` for
+every command either tree lists, and prints `help: identical`, or
+`help: differs: <the command line>` for each that differs. It exits as
+the first form does.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -80,10 +85,16 @@ def differences(a, b) -> list[str]:
     return found
 
 
-def make_runs(src: Path, root: Path) -> None:
-    """Every run of RUNS, made in root/<name> with the dershare under src."""
+def _env(src: Path) -> dict[str, str]:
+    """The environment of a `dershare` child that runs the dershare under src."""
     env = {key: value for key, value in os.environ.items() if key != "DERSHARE_THREADS"}
     env["PYTHONPATH"] = str(src)
+    return env
+
+
+def make_runs(src: Path, root: Path) -> None:
+    """Every run of RUNS, made in root/<name> with the dershare under src."""
+    env = _env(src)
     for name, (config, flags) in RUNS.items():
         out = root / name
         if isinstance(config, str):
@@ -96,18 +107,39 @@ def make_runs(src: Path, root: Path) -> None:
                        stdout=subprocess.DEVNULL)
 
 
+def _help(src: Path, *command: str) -> str:
+    """What `dershare <command> --help` prints with the dershare under src, and its exit code."""
+    proc = subprocess.run([sys.executable, "-m", "dershare", *command, "--help"], env=_env(src),
+                          capture_output=True, text=True)
+    return f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n"
+
+
+def help_differences(a: Path, b: Path) -> list[str]:
+    """`dershare --help`, then `dershare <command> --help` for each command
+    that either top-level help lists, where its text differs between the
+    dershares under a and b."""
+    top = [_help(a), _help(b)]
+    commands = dict.fromkeys(command for text in top
+                             for command in re.search(r"\{(.*?)\}", text).group(1).split(","))
+    found = [] if top[0] == top[1] else ["differs: dershare --help"]
+    return found + [f"differs: dershare {command} --help" for command in commands
+                    if _help(a, command) != _help(b, command)]
+
+
 def pair(parent_src, change_src) -> dict[str, list[str]]:
     """Each run of RUNS by name, with the differences between the runs of it
-    that the two source trees make."""
+    that the two source trees make, then `help` with the help texts that
+    differ."""
+    srcs = [(src / "src" if (src / "src" / "dershare").is_dir() else src).resolve()
+            for src in (Path(parent_src), Path(change_src))]
     with tempfile.TemporaryDirectory() as tmp:
         roots = []
-        for side, src in (("parent", Path(parent_src)), ("change", Path(change_src))):
-            if (src / "src" / "dershare").is_dir():
-                src = src / "src"
+        for side, src in zip(("parent", "change"), srcs):
             roots.append(Path(tmp) / side)
             roots[-1].mkdir()
-            make_runs(src.resolve(), roots[-1])
-        return {name: differences(*(root / name for root in roots)) for name in RUNS}
+            make_runs(src, roots[-1])
+        runs = {name: differences(*(root / name for root in roots)) for name in RUNS}
+    return {**runs, "help": help_differences(*srcs)}
 
 
 def main(argv: list[str]) -> int:

@@ -318,6 +318,56 @@ def test_stage_caching(tmp_path, config_path, capsys):
     assert "cached" not in capsys.readouterr().out
 
 
+# per stage, another value of one setting it names (threads aside), by flag or config key
+OTHER_SETTINGS = {
+    "gen-data": (["--seed", "14"], {}),
+    "validate": ([], {"asset": {"eta_i": 0.9}}),
+    "fit": (["--days", "2"], {}),
+    "sweep": (["--t-grid", "0.2:0.8:4"], {}),
+    "longrun": (["--p-grid", "0.5:2:4"], {}),
+    "subsidy": (["--p-grid", "0.5:2:4"], {}),
+    "localness": (["--flows-at", "0.5"], {}),
+    "stakeholders": (["--p-grid", "0.5:2:4"], {}),
+}
+
+
+def test_each_setting_a_stage_hashes_reruns_it_and_threads_do_not(finished_run, tmp_path,
+                                                                   config_path, capsys):
+    """After an `all`, each stage rerun with another value of a setting it
+    names runs and records a new input hash; fit rerun with only --threads
+    changed is cached."""
+    assert list(OTHER_SETTINGS) == [s.name for s in cli.STAGES]
+    before = json.loads((finished_run / "manifest.json").read_text())["stages"]
+    for stage, (flags, config) in OTHER_SETTINGS.items():
+        out = tmp_path / stage
+        shutil.copytree(finished_run, out)
+        path = tmp_path / f"{stage}.json"
+        path.write_text(json.dumps({**TINY, **config}))
+        capsys.readouterr()
+        assert _run(stage, "--config", path, "--out", out, *flags) == 0
+        assert f"{stage}: wrote " in capsys.readouterr().out
+        after = json.loads((out / "manifest.json").read_text())["stages"]
+        assert after[stage]["input_hash"] != before[stage]["input_hash"], stage
+    out = tmp_path / "threads"
+    shutil.copytree(finished_run, out)
+    assert _run("fit", "--config", config_path, "--out", out, "--threads", "2") == 0
+    assert capsys.readouterr().out == "fit: cached\n"
+
+
+def test_whole_float_sample_count_fits_and_hashes_as_its_int(tmp_path, config_path, capsys):
+    path, out = tmp_path / "float.json", tmp_path / "run"
+    path.write_text(json.dumps({**TINY, "fit": {"n_samples": 6.0}}))
+    assert _run("gen-data", "--config", path, "--out", out) == 0
+    assert _run("fit", "--config", path, "--out", out) == 0
+    rows = Counter(line.split(",")[0] for line in
+                   (out / "savings_curves.csv").read_text().splitlines()[1:])
+    assert len(rows) == 10 and set(rows.values()) == {7}
+    # the same input hash as n_samples 6: the fit is cached
+    capsys.readouterr()
+    assert _run("fit", "--config", config_path, "--out", out, "--samples", "6") == 0
+    assert capsys.readouterr().out == "fit: cached\n"
+
+
 def test_seed_override_changes_data(tmp_path, config_path):
     a, b = tmp_path / "a", tmp_path / "b"
     _run("gen-data", "--config", config_path, "--out", a)
@@ -834,7 +884,8 @@ def _bad_setting_case(name: str, source: str):
     `source`, on the first stage that takes its flag (gen-data if it has none)."""
     setting = cli.SETTINGS[name]
     value, expected = BAD_SETTINGS[name][source]
-    command = next((s.name for s in cli.STAGES if setting.flag in s.flags), "gen-data")
+    command = next((s.name for s in cli.STAGES if setting.flag and name in s.settings),
+                   "gen-data")
     argv, env, config = [command], {}, {}
     if source == "flag":
         argv += [setting.flag, value]
@@ -969,6 +1020,20 @@ def test_helpers_of_the_traced_benchmark_match_the_run(finished_run):
     assert (cli._parse_grid("0.1:0.9:9", default_t_grid).tolist() == run().t_grid.tolist()
             == np.linspace(0.1, 0.9, 9).tolist())
     assert SynthConfig.from_dict(TINY["synth"]) == run().synth
+
+
+def test_run_resolves_a_setting_by_name_once_and_no_other_name(monkeypatch):
+    run = cli.Run(Path("run"), argparse.Namespace(threads="3"), {})
+    resolved, resolve = [], cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda name, *rest: resolved.append(name)
+                        or resolve(name, *rest))
+    assert run.threads == run.threads == 3 and resolved == ["threads"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_setting'"):
+        run.no_such_setting
+    # an AttributeError inside the p_grid property is not answered with the raw setting, None
+    run.order = object()  # with no normalized savings for _auto_p_grid to read
+    with pytest.raises(AttributeError, match="'p_grid'"):
+        run.p_grid
 
 
 def test_edited_sweep_csv_exits_2_naming_file_and_line(finished_run, tmp_path, capsys):
@@ -1320,6 +1385,30 @@ def test_corrupt_input_exits_2_at_its_line_or_changes_no_output(finished_run, tm
                                           err), (stage, err)
 
 
+def test_blank_line_between_data_rows_changes_no_output(finished_run, tmp_path, config_path,
+                                                        capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    loads = out / "data" / "loads.csv"
+    lines = loads.read_bytes().splitlines(keepends=True)
+    loads.write_bytes(b"".join([*lines[:3], b"\r\n", *lines[3:]]))
+    capsys.readouterr()
+    for stage in STAGES[1:]:  # `all` would regenerate the edited file
+        assert _run(stage, "--config", config_path, "--out", out) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+            if ": wrote " in line] == ["validate", "fit", "localness"]
+    # the manifest keeps the checksum gen-data recorded for loads.csv
+    assert differences(finished_run, out) == ["differs: data/loads.csv",
+                                              *(f"manifest.json differs: stages.{stage}.input_hash"
+                                                for stage in ("fit", "localness", "validate"))]
+
+
+def _second_row_in_another_region(lines: list[bytes]) -> list[bytes]:
+    cells = lines[2].split(b",")
+    cells[1] = b"R0" if cells[1] == b"R1" else b"R1"
+    return [*lines[:2], b",".join(cells), *lines[3:]]
+
+
 def _nan_quantity_twice(lines: list[bytes]) -> list[bytes]:
     lines = _set_cell(2, "nan")(lines)  # the first row's adopted_quantity
     return [*lines[:2], *lines[1:]]
@@ -1362,10 +1451,15 @@ def _with_copy_of_first_household_as(hid: bytes):
     ("stakeholders", "purchases_curves.csv", _with_copy_of_first_household_as(b"H9999"),
      "purchases_curves.csv against savings_curves.csv: household 'H9999': a purchases curve "
      "but no savings curve"),
+    ("validate", "data/loads.csv", _second_row_in_another_region,
+     "data/loads.csv:3: household 'H0000': conflicting region_id: ['R0'], first ['R1']"),
+    ("validate", "data/loads.csv", _set_cell(8, "1" * 131_073),
+     "data/loads.csv:2: not CSV: field larger than field limit (131072)"),
 ], ids=["regions-not-utf8", "sweep-nan-and-duplicate", "fit-negative-irradiance",
         "regions-header-only", "irradiance-missing-its-last-day", "regions-byte-order-mark",
         "curves-missing-a-household", "curves-of-a-household-not-in-loads",
-        "purchases-missing-a-household", "purchases-of-a-household-without-savings"])
+        "purchases-missing-a-household", "purchases-of-a-household-without-savings",
+        "household-in-two-regions", "cell-past-the-csv-field-limit"])
 def test_inputs_that_once_passed_or_crashed_exit_2_at_their_line(finished_run, tmp_path, capsys,
                                                                   stage, rel, edit, expected):
     out = tmp_path / "run"

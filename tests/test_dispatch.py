@@ -47,6 +47,13 @@ def test_precondition_violations(asset):
         _bill(ones, ones, -0.2 * ones, -0.3 * ones, asset, 1.0)
 
 
+def test_context_refuses_an_empty_day_selection(asset):
+    ones = np.ones(HOURS)
+    sc = one_household(ones, ones, 0.2 * ones, 0.1 * ones, asset)
+    with pytest.raises(DomainError, match="at least one day"):
+        ScenarioContext(sc, day_indices=[])
+
+
 def test_result_satisfies_dispatch_constraints(asset):
     rng = np.random.default_rng(7)
     for _ in range(10):

@@ -318,6 +318,13 @@ def test_curve_file_without_households_is_a_parse_error(tmp_path, kind):
     assert (exc.value.path, exc.value.line) == (str(path), 1)
 
 
+def test_missing_curve_file_is_a_parse_error_at_line_0(tmp_path):
+    path = tmp_path / "savings_curves.csv"
+    with pytest.raises(ParseError) as exc:
+        read_savings_curves(path)
+    assert str(exc.value) == f"{path}:0: file not found"
+
+
 @pytest.mark.parametrize("index, line, message", [
     ("7", 4, "household 'H0': knot_index 7 outside 0..3"),
     ("1", 4, "household 'H0': duplicate knot_index 1"),
