@@ -22,7 +22,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping
 
 import numpy as np
 
@@ -58,8 +57,7 @@ class AdoptionOrder:
         return int(np.searchsorted(-self.normalized, -p, side="right"))
 
 
-def build_order(curves: Mapping) -> AdoptionOrder:
-    curves = CurveSet.of(curves)
+def build_order(curves: CurveSet) -> AdoptionOrder:
     sizes, normalized = curves.sizes, curves.totals / curves.sizes
     # households by descending normalized savings; the sort is stable, so ties stay in id order
     ranking = sorted(range(len(curves)), key=(-normalized).tolist().__getitem__)
@@ -94,7 +92,7 @@ def default_t_grid(n_points: int = 200) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def sweep_adoption(order: AdoptionOrder, curves: Mapping,
+def sweep_adoption(order: AdoptionOrder, curves: CurveSet,
                    t_grid, solver: LongRunSolver | None = None) -> DemandCurves:
     """Market outcomes at every adoption rate in t_grid."""
     solver = solver or LongRunSolver(order, curves)
@@ -120,7 +118,7 @@ class LongRunSolver(ClearingTable):
     rank < k own); equilibrium_at(k) builds each equilibrium once and keeps it.
     """
 
-    def __init__(self, order: AdoptionOrder, curves: Mapping):
+    def __init__(self, order: AdoptionOrder, curves: CurveSet):
         ClearingTable.__init__(self, curves)
         self.order = order
         self.prices = self._prices(list(accumulate((self.size_units[hid] for hid in order.ranking),
@@ -163,7 +161,7 @@ class LongRunResult:
     no_adoption: bool = False  # p above every household's normalized savings
 
 
-def long_run_adoption(order: AdoptionOrder, curves: Mapping,
+def long_run_adoption(order: AdoptionOrder, curves: CurveSet,
                       p: float, solver: LongRunSolver | None = None) -> LongRunResult:
     """Long-run adoption when buying capacity just to rent it out is allowed.
 
@@ -215,16 +213,14 @@ class SubsidyResult:
     no_increase: bool
 
 
-def equivalent_subsidy(table: DemandCurves, long_run: LongRunResult,
-                       refine: int = 1) -> SubsidyResult:
+def equivalent_subsidy(table: DemandCurves, long_run: LongRunResult) -> SubsidyResult:
     """Direct subsidy matching the market's adoption increase at this price.
 
     Integrates (p - inverse_demand(q)) over the adopted quantity from the
     no-market level to the long-run level. The inverse demand is the
     monotone piecewise-linear interpolation of the sweep's
     (adopted_quantity, short_run_price) columns; the trapezoid rule on
-    all interpolation knots is exact for it, so refine only subdivides
-    segments for convergence checks.
+    all interpolation knots is exact for it.
     """
     p = long_run.price
     delta_q = long_run.delta_q
@@ -241,9 +237,6 @@ def equivalent_subsidy(table: DemandCurves, long_run: LongRunResult,
     a, b = long_run.d_short, long_run.d_long
     inner = qs[(qs > a) & (qs < b)]
     pts = np.concatenate([[a], inner, [b]])
-    if refine > 1:
-        fine = [np.linspace(pts[i], pts[i + 1], refine + 1)[:-1] for i in range(pts.size - 1)]
-        pts = np.concatenate(fine + [[b]])
     integrand = p - np.interp(pts, qs, thresholds)
     widths = np.diff(pts)
     subsidy = float(np.sum(0.5 * (integrand[:-1] + integrand[1:]) * widths))

@@ -67,8 +67,8 @@ from .adoption import (DemandCurves, LongRunResult, LongRunSolver, SubsidyResult
                        default_t_grid, equivalent_subsidy, long_run_adoption, sweep_adoption)
 from .io import (EXCLUSIONS_FILE, IRRADIANCE_FILE, LOADS_FILE, PURCHASES_FILE, REGIONS_FILE,
                  SAVINGS_FILE, SWEEP_FILE, TABLES, TARIFF_BUY_FILE, TARIFF_SELL_FILE, ParseError,
-                 ingest, load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
-                 read_text, write_exclusions, write_purchases_curves, write_rows,
+                 _atomic_open, ingest, load_scenario, read_purchases_curves, read_savings_curves,
+                 read_sweep, read_text, write_exclusions, write_purchases_curves, write_rows,
                  write_savings_curves, write_scenario)
 from .model import (DEFAULT_SAMPLES, HOURS, AssetSpec, CurveSet, DomainError, FitError, LPError,
                     Scenario, SynthConfig, ValidationError, from_config, validate_scenario)
@@ -114,18 +114,25 @@ def _hash_obj(obj) -> str:
         v.tolist() if isinstance(v, np.ndarray) else asdict(v))).encode()).hexdigest()
 
 
+def _read_json(path) -> tuple[str, object]:
+    """The file's text and its JSON value; a missing file or non-JSON text is a ParseError."""
+    try:
+        text = read_text(path)
+        return text, json.loads(text)
+    except FileNotFoundError:
+        raise ParseError(path, 0, "file not found") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno,
+                         f"invalid JSON: {exc.msg} (column {exc.colno})") from None
+
+
 def _read_manifest(out_dir: Path) -> dict:
     """The run's manifest; one that is not JSON, or whose root, `stages`,
     stage entries or `outputs` are not objects, is a ParseError."""
     path = out_dir / MANIFEST_FILE
     if not path.exists():
         return {"version": __version__, "stages": {}, "outputs": {}}
-    text = read_text(path)
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno,
-                         f"invalid JSON: {exc.msg} (column {exc.colno})") from None
+    text, manifest = _read_json(path)
 
     def refuse(what: str, value, key: str | None) -> None:
         # named at its key's line (the manifest is written one key per line), the root where
@@ -282,13 +289,7 @@ def _load_config(path: str | None) -> dict:
     a required terminal charge the asset cannot reach."""
     if not path:
         return {}
-    try:
-        cfg = json.loads(read_text(path))
-    except FileNotFoundError:
-        raise ParseError(path, 0, "file not found") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno,
-                         f"invalid JSON: {exc.msg} (column {exc.colno})") from None
+    _, cfg = _read_json(path)
     config = {}
     for top, value in _check(_object, cfg, ("config", "root")).items():
         entries = [(top, value)]
@@ -565,6 +566,11 @@ def _stakeholders(run: Run) -> None:
                 else "no purchases curve")
         raise DomainError(f"{run.out / PURCHASES_FILE} against {SAVINGS_FILE}: household "
                           f"{differ[0]!r}: {what}")
+    s, p = run.curves, run.purchases  # a fitted pair shares one sample grid
+    if not (np.array_equal(s.offsets, p.offsets) and np.array_equal(s.knots, p.knots)):
+        hid = next(hid for hid in s.ids if not np.array_equal(s[hid].knots, p[hid].knots))
+        raise DomainError(f"{run.out / PURCHASES_FILE} against {SAVINGS_FILE}: household "
+                          f"{hid!r}: knots differ from its savings curve's")
     _write_records(run.out / "stakeholders.csv", _fields(RegimePoint, "long_run"),
                    map(vars, regime_points(run.order, run.purchases, run.long_run)))
 
@@ -652,10 +658,8 @@ def run_stage(run: Run, stage: Stage) -> None:
         "elapsed_s": round(time.time() - started, 3),
     }
     manifest["version"] = __version__
-    path = run.out / MANIFEST_FILE
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
+    with _atomic_open(run.out / MANIFEST_FILE) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"{stage.name}: wrote {', '.join(outputs)} ({time.time() - started:.1f}s)")
 
 
@@ -672,8 +676,7 @@ _COMMANDS = {**{s.name: (s.help, _flagged([s])) for s in STAGES},
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dershare", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog="dershare", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, flagged) in _COMMANDS.items():

@@ -26,7 +26,8 @@ verify the objective is reproduced.
 A period of D days is one block-diagonal LP, declared as arrays: one
 day's (rows, cols, values) blocks tiled over the days, which couple only
 through y (data here). It is much faster than D separate solves and
-gives bit-identical totals regardless of worker count.
+gives bit-identical totals regardless of worker count. Its matrix is not
+cached: a process builds one context (the fit's, or a worker's).
 
 Warm starts: the objective and the matrix of a block depend only on the
 prices and the asset, so y and the household's load reach the LP only
@@ -59,7 +60,7 @@ objective's consistency on every call.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +81,6 @@ class PeriodTotals(NamedTuple):
     sale_credit: float
 
 
-@lru_cache(maxsize=8)
 def _day_matrix(asset: AssetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Equality constraint matrix of a single day (48 x 120) as (rows, cols, values):
     bus balance rows h, then the state-of-charge recursion rows 24 + h."""
@@ -92,7 +92,6 @@ def _day_matrix(asset: AssetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                  zip(*((r, c, np.full(r.size, v)) for r, c, v in blocks)))
 
 
-@lru_cache(maxsize=32)
 def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
     """The block-diagonal matrix of n_days days, in LPModel's column-compressed form."""
     rows, cols, vals = _day_matrix(asset)
@@ -111,7 +110,7 @@ def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
     start = np.zeros(n_cols + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
     arrays = (start, rows[order].astype(np.int32), vals[order])
-    return (n_rows, n_cols), tuple(map(_frozen, arrays))  # cached: shared by every model
+    return (n_rows, n_cols), tuple(map(_frozen, arrays))
 
 
 class _Period(NamedTuple):

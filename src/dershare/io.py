@@ -67,6 +67,7 @@ class Kind:
 ID = None  # a text column, kept as written
 FINITE, NONNEGATIVE, WHOLE, RATE, MAYBE_NAN = (
     Kind(), Kind(0.0), Kind(0.0, whole=True), Kind(0.0, 1.0), Kind(nan=True))
+LATITUDE, LONGITUDE = Kind(-90.0, 90.0), Kind(-180.0, 180.0)  # degrees
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ TABLES = {
     LOADS_FILE: Table({"household_id": ID, "region_id": ID, "day": WHOLE, **_HOURLY},
                       "household_id", "day"),  # kWh
     **dict.fromkeys([IRRADIANCE_FILE, TARIFF_BUY_FILE, TARIFF_SELL_FILE], _DAYS),
-    REGIONS_FILE: Table({"region_id": ID, "lat": FINITE, "lon": FINITE}, "region_id"),
+    REGIONS_FILE: Table({"region_id": ID, "lat": LATITUDE, "lon": LONGITUDE}, "region_id"),
     # slope: of the segment starting at the knot, empty on the last knot
     SAVINGS_FILE: Table({**_KNOTS, "f": FINITE, "slope": MAYBE_NAN}, "household_id", "knot_index"),
     PURCHASES_FILE: Table({**_KNOTS, "purchases": FINITE}, "household_id", "knot_index"),
@@ -291,11 +292,11 @@ class LoadResult:
 
 
 def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
-    """Parse a scenario directory and ingest it (see ingest). The tariffs
-    and loads span the irradiance's days, and each household's region is
-    in regions.csv; a breach of these or of a file's table is a ParseError.
-    A tariff file is read on its own and its day count compared, so a
-    count unlike the irradiance's is named with both.
+    """Parse a scenario directory and ingest it (see ingest). The irradiance
+    is not all zero, the tariffs and loads span its days, and each
+    household's region is in regions.csv; a breach of these or of a file's
+    table is a ParseError. A tariff file is read on its own and its day
+    count compared, so a count unlike the irradiance's is named with both.
     """
     data_dir = Path(data_dir)
 
@@ -308,7 +309,10 @@ def load_scenario(data_dir: Path, asset: AssetSpec | None = None) -> LoadResult:
             raise ParseError(data_dir / name, lines[min(len(irradiance), len(days) - 1)],
                              f"{len(days)} days, but {IRRADIANCE_FILE} has {len(irradiance)}")
         return days
-    irradiance = read(IRRADIANCE_FILE)[None][2]
+    [(_, lines, irradiance)] = read(IRRADIANCE_FILE).values()
+    if not irradiance.any():
+        raise ParseError(data_dir / IRRADIANCE_FILE, lines[0],
+                         "every value is zero: net-zero sizing requires positive total irradiance")
     buy, sell = days(TARIFF_BUY_FILE), days(TARIFF_SELL_FILE)
     regions = [Region(rid, float(lat), float(lon))
                for rid, (_, _, [[lat, lon]]) in read(REGIONS_FILE).items()]

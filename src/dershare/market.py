@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -106,8 +106,8 @@ class ClearingTable:
     Built once per curve set; clears any owner set against its arrays.
     """
 
-    def __init__(self, curves: Mapping):
-        self.curves = curves = CurveSet.of(curves)
+    def __init__(self, curves: CurveSet):
+        self.curves = curves
         self.ids = curves.ids
         self.first = curves.offsets[:-1]  # each household's first knot and segment
         self.first_segment = self.first - np.arange(len(self.ids))
@@ -201,7 +201,7 @@ class ClearingTable:
             residual=float(residual))
 
 
-def clear_market(curves: Mapping, owners: Iterable[str]) -> MarketEquilibrium:
+def clear_market(curves: CurveSet, owners: Iterable[str]) -> MarketEquilibrium:
     """Find the price equating rental supply and demand and allocate.
 
     Degenerate owner sets (empty, or everyone) yield a no-trade

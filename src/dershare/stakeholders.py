@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,10 +30,10 @@ def vendor_gain(price: float, d_short: float, d_long: float) -> float:
     return price * (d_long - d_short)
 
 
-def billed_sales(purchases: Mapping, ids: Sequence[str], assignment: np.ndarray) -> float:
+def billed_sales(purchases: CurveSet, ids: Sequence[str], assignment: np.ndarray) -> float:
     """Total buy-side bills when each household of ids dispatches its
     assigned capacity, assignment in the order of ids, summed in that order."""
-    return _sum_in_order(CurveSet.of(purchases).eval(assignment, ids))
+    return _sum_in_order(purchases.eval(assignment, ids))
 
 
 def autarky_assignment(order: AdoptionOrder, k: int) -> np.ndarray:
@@ -42,12 +42,8 @@ def autarky_assignment(order: AdoptionOrder, k: int) -> np.ndarray:
     return np.where(order.ranks < k, order.sizes[order.ranks], 0.0)
 
 
-def utility_loss(purchases: Mapping, order: AdoptionOrder, k_short: int,
-                 equilibrium: MarketEquilibrium, before: float | None = None) -> float:
-    """Billed sales without the market minus billed sales with it. before,
-    when given, is the billed sales without the market at k_short."""
-    if before is None:
-        before = billed_sales(purchases, equilibrium.ids, autarky_assignment(order, k_short))
+def utility_loss(purchases: CurveSet, equilibrium: MarketEquilibrium, before: float) -> float:
+    """Billed sales without the market, before, minus billed sales with it."""
     return before - billed_sales(purchases, equilibrium.ids, equilibrium.allocations)
 
 
@@ -79,12 +75,11 @@ class RegimePoint:
     long_run: LongRunResult
 
 
-def regime_points(order: AdoptionOrder, purchases: Mapping,
+def regime_points(order: AdoptionOrder, purchases: CurveSet,
                   long_run: Iterable[LongRunResult]) -> list[RegimePoint]:
     """The blocking threshold at the purchase price of each long-run result.
     Prices that share k_short share its no-market billed sales, which are
     summed once."""
-    purchases = CurveSet.of(purchases)
     before: dict[int, float] = {}
     points = []
     for lr in long_run:
@@ -92,7 +87,7 @@ def regime_points(order: AdoptionOrder, purchases: Mapping,
             before[lr.k_short] = billed_sales(purchases, lr.equilibrium.ids,
                                               autarky_assignment(order, lr.k_short))
         gain = vendor_gain(lr.price, lr.d_short, lr.d_long)
-        loss = utility_loss(purchases, order, lr.k_short, lr.equilibrium, before[lr.k_short])
+        loss = utility_loss(purchases, lr.equilibrium, before[lr.k_short])
         if gain <= 0:
             threshold = None
         elif loss <= 0:
@@ -106,7 +101,7 @@ def regime_points(order: AdoptionOrder, purchases: Mapping,
     return points
 
 
-def regime_boundary(order: AdoptionOrder, curves: Mapping, purchases: Mapping,
+def regime_boundary(order: AdoptionOrder, curves: CurveSet, purchases: CurveSet,
                     p_grid: Sequence[float],
                     solver: LongRunSolver | None = None) -> list[RegimePoint]:
     """Trace the blocking-threshold curve over a purchase-price grid."""

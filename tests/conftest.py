@@ -16,7 +16,7 @@ from dershare.curves import (HouseholdFit, fit_purchases_curve, fit_savings_curv
                              sample_household)
 from dershare.adoption import build_order
 from dershare.dispatch import ScenarioContext
-from dershare.model import AssetSpec
+from dershare.model import AssetSpec, CurveSet
 from dershare.synth import SynthConfig, generate_scenario
 
 ACCEPTANCE_LINES: list[str] = []
@@ -91,8 +91,8 @@ def medium_population():
             savings=fit_savings_curve(hh.id, s.y, s.savings),
             purchases=fit_purchases_curve(hh.id, s.y, s.purchases),
         )
-    curves = {hid: f.savings for hid, f in fits.items()}
-    purchases = {hid: f.purchases for hid, f in fits.items()}
+    curves = CurveSet.of([f.savings for f in fits.values()])
+    purchases = CurveSet.of([f.purchases for f in fits.values()])
     return SimpleNamespace(
         config=config,
         scenario=scenario,

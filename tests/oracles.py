@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 from dershare.adoption import LongRunSolver
 from dershare.curves import SavingsCurve
 from dershare.market import PARTICIPATION_TOL
-from dershare.model import HOURS, AssetSpec, DomainError, HouseholdRecord, Scenario
+from dershare.model import HOURS, AssetSpec, CurveSet, DomainError, HouseholdRecord, Scenario
 
 SOC_GRID_POINTS = 200
 
@@ -295,8 +295,8 @@ def random_concave_curve(rng: np.random.Generator, household_id: str,
     return SavingsCurve(household_id, knots, slopes)
 
 
-def random_curve_population(rng: np.random.Generator, n: int) -> dict[str, SavingsCurve]:
-    return {f"H{i:03d}": random_concave_curve(rng, f"H{i:03d}") for i in range(n)}
+def random_curve_population(rng: np.random.Generator, n: int) -> CurveSet:
+    return CurveSet.of([random_concave_curve(rng, f"H{i:03d}") for i in range(n)])
 
 
 def argmax_interval(curve: SavingsCurve, r: float) -> tuple[float, float]:
@@ -532,17 +532,34 @@ def planner_misfits(curves, owners, prices, surpluses) -> list[str]:
     return found
 
 
-def random_tied_curve_population(rng: np.random.Generator, n: int) -> dict[str, SavingsCurve]:
+def random_tied_curve_population(rng: np.random.Generator, n: int) -> CurveSet:
     """Curves whose slopes come from five shared values, so many households are
     indifferent at the same price and clearing often has to ration."""
-    curves = {}
+    curves = []
     for i in range(n):
         hid = f"T{i:03d}"
         m = int(rng.integers(1, 5))
         slopes = np.sort(rng.choice([40.0, 80.0, 120.0, 160.0, 200.0], m, replace=False))[::-1]
         knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, m))])
-        curves[hid] = SavingsCurve(hid, knots, slopes)
-    return curves
+        curves.append(SavingsCurve(hid, knots, slopes))
+    return CurveSet.of(curves)
+
+
+def refined_subsidy(table, long_run, refine: int = 10) -> float:
+    """The equivalent subsidy's integral of (p - inverse demand) from d_short
+    to d_long by the trapezoid rule, each segment between the sweep's adopted
+    quantities cut into refine equal parts. The inverse demand is the sweep's
+    first short-run price at each quantity, interpolated linearly."""
+    first = {}
+    for q, price in zip(table.adopted_quantity.tolist(), table.short_run_price.tolist()):
+        if not math.isnan(price):
+            first.setdefault(q, price)
+    qs = sorted(first)
+    a, b = long_run.d_short, long_run.d_long
+    cuts = [a, *(q for q in qs if a < q < b), b]
+    pts = [x + (y - x) * j / refine for x, y in zip(cuts, cuts[1:]) for j in range(refine)] + [b]
+    gap = long_run.price - np.interp(pts, qs, [first[q] for q in qs])
+    return sum(0.5 * (gap[i] + gap[i + 1]) * (pts[i + 1] - pts[i]) for i in range(len(pts) - 1))
 
 
 class BisectionSolver(LongRunSolver):

@@ -15,8 +15,10 @@ or a checkout with it under `src`), each in a temporary directory, and
 prints every pair's differences the same way, or `<run>: identical` for
 a pair with none: TINY; the desk run (the default config) on one worker
 and on two; a 60-household run on one day and six samples, and its
-`--p-grid` rerun, which rewrites longrun, subsidy and stakeholders. The
-desk runs take a few seconds each. It then compares the text, with the
+rerun with a new `--p-grid` and `--flows-at`, which rewrites longrun,
+subsidy, localness and stakeholders. Its localness stage parses the
+scenario from the five data files, which no fresh run does. The desk
+runs take a few seconds each. It then compares the text, with the
 exit code, of `dershare --help` and of `dershare <command> --help` for
 every command either tree lists, and prints `help: identical`, or
 `help: differs: <the command line>` for each that differs. It exits as
@@ -51,7 +53,7 @@ RUNS = {
     "desk-2": ({}, ["--threads", "2", *_DESK]),
     "market": ({"synth": {"n_households": 60, "n_days": 30, "n_regions": 5, "rng_seed": 9}},
                _MARKET),
-    "market-rerun": ("market", [*_MARKET, "--p-grid", "250:950:17"]),
+    "market-rerun": ("market", [*_MARKET, "--p-grid", "250:950:17", "--flows-at", "0.6"]),
 }
 
 

@@ -29,7 +29,7 @@ from dershare.stakeholders import (autarky_assignment, billed_sales, market_emer
 from dershare.synth import SynthConfig, generate_scenario
 from oracles import (BisectionSolver, bisection_clear_market, by_id, dp_dispatch_cost,
                      one_household, planner_misfits, random_curve_population,
-                     random_dispatch_instance)
+                     random_dispatch_instance, refined_subsidy)
 from runs import differences
 
 
@@ -154,12 +154,12 @@ def test_criterion_6_subsidy_integral(medium_population):
         for q in np.linspace(0.05, 0.95, 19):
             p = float(np.quantile(order.normalized, q))
             lr = long_run_adoption(order, curves, p, solver)
-            coarse = equivalent_subsidy(table, lr, refine=1)
-            fine = equivalent_subsidy(table, lr, refine=10)
+            coarse = equivalent_subsidy(table, lr)
             if lr.delta_q <= 0:
                 assert coarse.subsidy == 0.0 and coarse.no_increase
             else:
-                assert fine.subsidy == pytest.approx(coarse.subsidy, rel=5e-3, abs=1e-12)
+                assert refined_subsidy(table, lr) == pytest.approx(coarse.subsidy, rel=5e-3,
+                                                                   abs=1e-12)
                 checked += 1
         assert checked > 0
 

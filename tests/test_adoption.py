@@ -8,8 +8,8 @@ from dershare.adoption import (DemandCurves, LongRunResult, LongRunSolver, build
                                default_t_grid, equivalent_subsidy, long_run_adoption,
                                sweep_adoption)
 from dershare.curves import SavingsCurve
-from dershare.model import DomainError
-from oracles import random_curve_population
+from dershare.model import CurveSet, DomainError
+from oracles import random_curve_population, refined_subsidy
 
 
 def curve_with_normalized(hid, ns, y_bar=1.0):
@@ -18,7 +18,7 @@ def curve_with_normalized(hid, ns, y_bar=1.0):
 
 
 def test_build_order_ranks_by_normalized_savings():
-    curves = {"B": curve_with_normalized("B", 200.0), "A": curve_with_normalized("A", 300.0)}
+    curves = CurveSet.of([curve_with_normalized("B", 200.0), curve_with_normalized("A", 300.0)])
     order = build_order(curves)
     assert order.ranking == ("A", "B")
     np.testing.assert_allclose(order.normalized, [300.0, 200.0])
@@ -26,7 +26,7 @@ def test_build_order_ranks_by_normalized_savings():
 
 
 def test_build_order_breaks_ties_by_id():
-    curves = {h: curve_with_normalized(h, 100.0) for h in ("c", "a", "b")}
+    curves = CurveSet.of([curve_with_normalized(h, 100.0) for h in ("c", "a", "b")])
     order = build_order(curves)
     assert order.ranking == ("a", "b", "c")
 
@@ -74,7 +74,7 @@ def test_cached_equilibria_are_read_only():
 
 
 def test_count_at_rate_rounding():
-    curves = {f"h{i}": curve_with_normalized(f"h{i}", 100.0 + i) for i in range(10)}
+    curves = CurveSet.of([curve_with_normalized(f"h{i}", 100.0 + i) for i in range(10)])
     order = build_order(curves)
     assert order.count_at_rate(0.0) == 0
     assert order.count_at_rate(1e-4) == 1  # any positive rate adopts someone
@@ -145,8 +145,8 @@ def test_long_run_refuses_a_price_that_is_not_finite_and_positive(rng, p):
 def test_long_run_saturates_when_price_below_all_rents():
     # owners all value capacity at 390; the one remaining renter at 150; any
     # purchase price in between keeps own-to-rent profitable to the very end
-    curves = {f"h{i}": curve_with_normalized(f"h{i}", 390.0) for i in range(5)}
-    curves["last"] = curve_with_normalized("last", 150.0)
+    curves = CurveSet.of([*(curve_with_normalized(f"h{i}", 390.0) for i in range(5)),
+                          curve_with_normalized("last", 150.0)])
     order = build_order(curves)
     lr = long_run_adoption(order, curves, 200.0)
     assert lr.k_short == 5
@@ -156,9 +156,9 @@ def test_long_run_saturates_when_price_below_all_rents():
     # three households value 0.9 kW at 210 and the rest at 1 (189.1 per kW): at 200 only
     # the first of four buys without the market, and the rent stays at 210 or more until
     # the last one buys, so every count short of n fails the long-run test
-    curves = {"h0": curve_with_normalized("h0", 400.0),
-              **{hid: SavingsCurve(hid, np.array([0.0, 0.9, 1.0]), np.array([210.0, 1.0]))
-                 for hid in ("h1", "h2", "h3")}}
+    curves = CurveSet.of([curve_with_normalized("h0", 400.0),
+                          *(SavingsCurve(hid, np.array([0.0, 0.9, 1.0]), np.array([210.0, 1.0]))
+                            for hid in ("h1", "h2", "h3"))])
     lr = long_run_adoption(build_order(curves), curves, 200.0)
     assert (lr.k_short, lr.k_long, lr.saturated) == (1, 4, True)
     assert (lr.r_at_long, lr.r_before_long) == (None, 210.0)
@@ -166,7 +166,7 @@ def test_long_run_saturates_when_price_below_all_rents():
 
 def test_long_run_when_everyone_adopts_without_the_market():
     # a price at or below every household's normalized savings: no one is left to pull in
-    curves = {f"h{i}": curve_with_normalized(f"h{i}", 300.0 + i) for i in range(4)}
+    curves = CurveSet.of([curve_with_normalized(f"h{i}", 300.0 + i) for i in range(4)])
     order = build_order(curves)
     solver = LongRunSolver(order, curves)
     lr = long_run_adoption(order, curves, 100.0, solver)
@@ -257,8 +257,7 @@ def test_subsidy_refinement_agrees(rng):
         lr = long_run_adoption(order, curves, p, solver)
         if lr.delta_q <= 0:
             continue
-        coarse = equivalent_subsidy(table, lr, refine=1)
-        fine = equivalent_subsidy(table, lr, refine=10)
-        assert fine.subsidy == pytest.approx(coarse.subsidy, rel=5e-3, abs=1e-12)
+        coarse = equivalent_subsidy(table, lr)
+        assert refined_subsidy(table, lr) == pytest.approx(coarse.subsidy, rel=5e-3, abs=1e-12)
         checked += 1
     assert checked > 0

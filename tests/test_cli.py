@@ -1311,9 +1311,17 @@ def test_cli_surface_is_pinned():
     assert {name: options(p) for name, p in sub.choices.items()} == CLI_SURFACE
 
 
+def test_top_level_help_is_the_docstrings_first_line(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    text = capsys.readouterr().out
+    assert cli.__doc__.splitlines()[0] in text
+    assert "run_stage" not in text and "STAGES" not in text
+
+
 # One bad value for each column kind of io.TABLES; for an ID column, an id no other row has.
 BAD_CELLS = {io.ID: "X9", io.FINITE: "nan", io.NONNEGATIVE: "-1.0", io.WHOLE: "1.5",
-             io.RATE: "1.5", io.MAYBE_NAN: "inf"}
+             io.RATE: "1.5", io.MAYBE_NAN: "inf", io.LATITUDE: "95.0", io.LONGITUDE: "-180.5"}
 
 
 def _readers(name: str) -> list[tuple[str, str]]:
@@ -1427,6 +1435,18 @@ def _with_copy_of_first_household_as(hid: bytes):
     return edit
 
 
+def _first_household_knots_halved(lines: list[bytes]) -> list[bytes]:
+    first = lines[1].split(b",")[0] + b","
+    halved = [line.split(b",") for line in lines if line.startswith(first)]
+    for cells in halved:
+        cells[2] = repr(float(cells[2]) / 2).encode()
+    return [lines[0], *map(b",".join, halved), *lines[1 + len(halved):]]
+
+
+def _every_hour_zero(lines: list[bytes]) -> list[bytes]:
+    return [lines[0], *(line.split(b",")[0] + b",0.0" * 24 + b"\r\n" for line in lines[1:])]
+
+
 @pytest.mark.parametrize("stage, rel, edit, expected", [
     ("validate", "data/regions.csv", _corruptions(io.TABLES["regions.csv"])["not-utf8"],
      "data/regions.csv:2: not UTF-8 at byte 1"),
@@ -1455,11 +1475,21 @@ def _with_copy_of_first_household_as(hid: bytes):
      "data/loads.csv:3: household 'H0000': conflicting region_id: ['R0'], first ['R1']"),
     ("validate", "data/loads.csv", _set_cell(8, "1" * 131_073),
      "data/loads.csv:2: not CSV: field larger than field limit (131072)"),
+    # a purchases curve on other knots than its savings curve's
+    ("stakeholders", "purchases_curves.csv", _first_household_knots_halved,
+     "purchases_curves.csv against savings_curves.csv: household 'H0000': knots differ from "
+     "its savings curve's"),
+    ("validate", "data/regions.csv", _set_cell(1, "95.0"),
+     "data/regions.csv:2: field 'lat': not in [-90, 90]: '95.0'"),
+    ("validate", "data/irradiance.csv", _every_hour_zero,
+     "data/irradiance.csv:2: every value is zero: net-zero sizing requires positive total "
+     "irradiance"),
 ], ids=["regions-not-utf8", "sweep-nan-and-duplicate", "fit-negative-irradiance",
         "regions-header-only", "irradiance-missing-its-last-day", "regions-byte-order-mark",
         "curves-missing-a-household", "curves-of-a-household-not-in-loads",
         "purchases-missing-a-household", "purchases-of-a-household-without-savings",
-        "household-in-two-regions", "cell-past-the-csv-field-limit"])
+        "household-in-two-regions", "cell-past-the-csv-field-limit",
+        "purchases-on-other-knots", "latitude-past-the-pole", "irradiance-all-zero"])
 def test_inputs_that_once_passed_or_crashed_exit_2_at_their_line(finished_run, tmp_path, capsys,
                                                                   stage, rel, edit, expected):
     out = tmp_path / "run"

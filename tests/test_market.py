@@ -4,7 +4,7 @@ import pytest
 from dershare.adoption import LongRunSolver, build_order, sweep_adoption
 from dershare.curves import SavingsCurve
 from dershare.market import ClearingTable, _sum_in_order, clear_market
-from dershare.model import DomainError
+from dershare.model import CurveSet, DomainError
 from oracles import (bisection_clear_market, by_id, owners_of, planner_misfits,
                      random_concave_curve, random_curve_population,
                      random_tied_curve_population)
@@ -30,7 +30,7 @@ def test_sum_in_order_adds_what_a_loop_from_zero_adds(rng):
 def test_two_household_hand_example():
     # owner values capacity at 100 per kW, renter at 200: the full kW moves,
     # the midpoint rule prices it at 150, and the gain splits 50/50
-    curves = {"own": linear_curve("own", 100.0), "rent": linear_curve("rent", 200.0)}
+    curves = CurveSet.of([linear_curve("own", 100.0), linear_curve("rent", 200.0)])
     eq = clear_market(curves, {"own"})
     assert eq.clearing_price == pytest.approx(150.0)
     assert eq.volume == pytest.approx(1.0)
@@ -43,7 +43,7 @@ def test_two_household_hand_example():
 def test_identical_linear_curves_trade_without_gains():
     # with identical constant marginal savings there are no gains from trade:
     # every equilibrium (here the proportional-rationing one) has zero surplus
-    curves = {f"h{i}": linear_curve(f"h{i}", 120.0, y_bar=2.0) for i in range(6)}
+    curves = CurveSet.of([linear_curve(f"h{i}", 120.0, y_bar=2.0) for i in range(6)])
     eq = clear_market(curves, {"h0", "h1"})
     assert eq.clearing_price == pytest.approx(120.0)
     assert abs(eq.residual) <= 1e-9
@@ -55,7 +55,7 @@ def test_identical_linear_curves_trade_without_gains():
 def test_identical_concave_curves_split_symmetrically():
     knots = np.array([0.0, 1.0, 2.0])
     slopes = np.array([200.0, 80.0])
-    curves = {f"h{i}": SavingsCurve(f"h{i}", knots, slopes) for i in range(4)}
+    curves = CurveSet.of([SavingsCurve(f"h{i}", knots, slopes) for i in range(4)])
     eq = clear_market(curves, {"h0"})  # 1 owner, 3 renters
     # symmetry: everyone ends up with the same capacity, an equal share of
     # the single adopted asset
@@ -66,7 +66,7 @@ def test_identical_concave_curves_split_symmetrically():
 
 
 def test_degenerate_owner_sets_report_no_trade():
-    curves = {f"h{i}": linear_curve(f"h{i}", 100.0 + i) for i in range(3)}
+    curves = CurveSet.of([linear_curve(f"h{i}", 100.0 + i) for i in range(3)])
     for owners in (set(), {"h0", "h1", "h2"}):
         eq = clear_market(curves, owners)
         assert eq.degenerate
@@ -78,7 +78,7 @@ def test_degenerate_owner_sets_report_no_trade():
 
 
 def test_owners_without_curves_are_refused():
-    curves = {f"h{i}": linear_curve(f"h{i}", 100.0 + i) for i in range(3)}
+    curves = CurveSet.of([linear_curve(f"h{i}", 100.0 + i) for i in range(3)])
     with pytest.raises(DomainError) as exc:
         clear_market(curves, {"h0", "x1", "x0"})
     assert str(exc.value) == "owner ids without curves: ['x0', 'x1']"
@@ -121,7 +121,7 @@ def test_equilibrium_order_invariance(rng):
     curves = random_curve_population(rng, 20)
     owners = sorted(curves)[:8]
     eq1 = clear_market(curves, owners)
-    shuffled = {h: curves[h] for h in reversed(sorted(curves))}
+    shuffled = CurveSet.of({h: curves[h] for h in reversed(sorted(curves))})
     eq2 = clear_market(shuffled, list(reversed(owners)))
     assert eq1.clearing_price == eq2.clearing_price
     assert eq1.volume == eq2.volume
@@ -138,7 +138,7 @@ def test_marginal_households_ration_proportionally():
         "o2": SavingsCurve("o2", knots * 2, np.array([300.0, 100.0])),
     }
     renter = {"r": linear_curve("r", 100.0, y_bar=1.5)}
-    curves = {**owners, **renter}
+    curves = CurveSet.of({**owners, **renter})
     eq = clear_market(curves, {"o1", "o2"})
     assert eq.clearing_price == pytest.approx(100.0)
     allocations = by_id(eq, "allocations")
@@ -201,12 +201,12 @@ def test_no_trade_market_clears_at_the_midpoint():
     # from the steepest non-owner slope (100) to the flattest owner slope
     # (250). Summed in floats, the owners' sizes come to 0.8999999999999999
     # and their segment widths to 0.9, which would move r_a up to 250.
-    curves = {
-        "a": SavingsCurve("a", np.array([0.0, 0.1, 0.2]), np.array([300.0, 250.0])),
-        "b": SavingsCurve("b", np.array([0.0, 0.1, 0.7]), np.array([280.0, 260.0])),
-        "c": SavingsCurve("c", np.array([0.0, 0.4]), np.array([100.0])),
-        "d": SavingsCurve("d", np.array([0.0, 0.2, 0.5]), np.array([90.0, 60.0])),
-    }
+    curves = CurveSet.of([
+        SavingsCurve("a", np.array([0.0, 0.1, 0.2]), np.array([300.0, 250.0])),
+        SavingsCurve("b", np.array([0.0, 0.1, 0.7]), np.array([280.0, 260.0])),
+        SavingsCurve("c", np.array([0.0, 0.4]), np.array([100.0])),
+        SavingsCurve("d", np.array([0.0, 0.2, 0.5]), np.array([90.0, 60.0])),
+    ])
     eq = clear_market(curves, {"a", "b"})
     assert eq.clearing_price == 175.0
     assert eq.volume == 0.0 and eq.total_surplus == 0.0
@@ -222,4 +222,4 @@ def test_breakpoints_are_the_distinct_slopes_steepest_first(population):
         curves = make(np.random.default_rng(5000 + seed), 1 + 15 * seed)
         expected = np.unique(np.concatenate([c.slopes for c in curves.values()]))[::-1]
         assert ClearingTable(curves).breakpoints.tolist() == expected.tolist()
-    assert ClearingTable({}).breakpoints.size == 0
+    assert ClearingTable(CurveSet.of([])).breakpoints.size == 0

@@ -53,8 +53,8 @@ def test_autarky_assignment_holds_the_first_k_at_full_size_in_id_order(medium_po
 def test_billed_sales_sum_left_to_right():
     # a compensated sum (Python 3.12's sum() over floats) would keep the 1.0
     bills = {"a": 1e16, "b": 1.0, "c": -1e16}
-    purchases = {hid: PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([v, v]))
-                 for hid, v in bills.items()}
+    purchases = CurveSet.of([PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([v, v]))
+                             for hid, v in bills.items()])
     assert billed_sales(purchases, list(bills), np.full(3, 0.5)) == 0.0
 
 
@@ -102,7 +102,7 @@ def test_bills_equal_each_curves_eval_bit_for_bit():
 
 
 def test_bills_name_the_first_household_out_of_its_domain():
-    purchases = _random_purchases(np.random.default_rng(7), 6)
+    purchases = CurveSet.of(_random_purchases(np.random.default_rng(7), 6))
     ids = sorted(purchases)
     sizes = [purchases[hid].max_size for hid in ids]
     y = np.array(sizes)
@@ -115,7 +115,7 @@ def test_bills_name_the_first_household_out_of_its_domain():
     y[2] = np.nan
     with pytest.raises(DomainError, match="y=nan outside"):
         billed_sales(purchases, ids, y)
-    assert billed_sales({}, [], np.empty(0)) == 0.0
+    assert billed_sales(CurveSet.of([]), [], np.empty(0)) == 0.0
 
 
 def test_utility_loss_zero_without_changes(medium_population):
@@ -123,7 +123,8 @@ def test_utility_loss_zero_without_changes(medium_population):
     order = medium_population.order
     # a "market" that leaves every allocation at the autarky point
     eq = clear_market(medium_population.curves, set())  # degenerate: owners empty
-    assert utility_loss(purchases, order, 0, eq) == pytest.approx(0.0, abs=1e-12)
+    before = billed_sales(purchases, eq.ids, autarky_assignment(order, 0))
+    assert utility_loss(purchases, eq, before) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_utility_loss_positive_on_market(medium_population):
@@ -132,7 +133,8 @@ def test_utility_loss_positive_on_market(medium_population):
     purchases = medium_population.purchases
     k = 18
     eq = clear_market(curves, order.owners_at(k))
-    loss = utility_loss(purchases, order, k, eq)
+    before = billed_sales(purchases, eq.ids, autarky_assignment(order, k))
+    loss = utility_loss(purchases, eq, before)
     # renters displace billed energy with rented capacity: the utility loses
     assert loss > 0
 
@@ -206,9 +208,10 @@ def test_threshold_is_infinite_when_the_utility_loses_nothing():
     # five owners value capacity at 390 and the last household at 150, so at 200 the
     # market pulls the last one in; flat purchases curves bill the same at any capacity
     ns = {**{f"h{i}": 390.0 for i in range(5)}, "last": 150.0}
-    curves = {hid: SavingsCurve(hid, np.array([0.0, 1.0]), np.array([v])) for hid, v in ns.items()}
-    purchases = {hid: PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([10.0, 10.0]))
-                 for hid in ns}
+    curves = CurveSet.of([SavingsCurve(hid, np.array([0.0, 1.0]), np.array([v]))
+                          for hid, v in ns.items()])
+    purchases = CurveSet.of([PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([10.0, 10.0]))
+                             for hid in ns])
     order = build_order(curves)
     [pt] = regime_points(order, purchases, [long_run_adoption(order, curves, 200.0)])
     assert (pt.delta_q, pt.vendor_gain, pt.utility_loss) == (1.0, 200.0, 0.0)
@@ -229,8 +232,7 @@ def test_regime_points_equal_the_per_price_formula(medium_population):
     points = regime_points(order, purchases, results)
     for pt, lr in zip(points, results):
         ids = lr.equilibrium.ids
-        loss = (billed_sales(purchases, ids, autarky_assignment(order, lr.k_short))
-                - billed_sales(purchases, ids, lr.equilibrium.allocations))
-        assert pt.utility_loss == loss == utility_loss(purchases, order, lr.k_short,
-                                                       lr.equilibrium)
+        before = billed_sales(purchases, ids, autarky_assignment(order, lr.k_short))
+        loss = before - billed_sales(purchases, ids, lr.equilibrium.allocations)
+        assert pt.utility_loss == loss == utility_loss(purchases, lr.equilibrium, before)
         assert [pt] == regime_points(order, purchases, [lr])
