@@ -2,9 +2,10 @@
 
 The pipeline: synthesize or ingest hourly household data, solve each
 household's daily dispatch LP over a capacity grid, fit monotone concave
-savings curves, clear the capacity rental market at any adoption level,
-and derive adoption equilibria, localness, stakeholder, and subsidy
-metrics from the cleared markets.
+savings curves (a `CurveSet` per curve kind, each household's fit a set
+of one), clear the capacity rental market at any adoption level, and
+derive adoption equilibria, localness, stakeholder, and subsidy metrics
+from the cleared markets.
 
 Each public name below is imported from its module on first use, so a
 process loads only the modules it touches: a `dershare` command whose
@@ -18,9 +19,9 @@ _EXPORTS = {
     "adoption": ("AdoptionOrder", "DemandCurves", "LongRunResult", "LongRunSolver",
                  "SubsidyResult", "build_order", "default_t_grid", "equivalent_subsidy",
                  "long_run_adoption", "sweep_adoption"),
-    "curves": ("HouseholdFit", "HouseholdSamples", "PurchasesCurve", "SavingsCurve", "fit_all",
-               "fit_household", "fit_purchases_curve", "fit_savings_curve",
-               "pava_nondecreasing", "pava_nonincreasing", "sample_grid", "sample_household"),
+    "curves": ("HouseholdFit", "HouseholdSamples", "fit_all", "fit_household",
+               "fit_purchases_curve", "fit_savings_curve", "pava_nondecreasing",
+               "pava_nonincreasing", "sample_grid", "sample_household"),
     "dispatch": ("PeriodTotals", "ScenarioContext"),
     "localness": ("RegionalFlow", "distance_matrix", "haversine_km", "min_cost_flow",
                   "regional_excess", "solve_transport"),

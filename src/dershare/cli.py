@@ -495,10 +495,8 @@ def _fit(run: Run) -> None:
     ctx = run.context
     print(f"fit: {len(ctx.scenario.households)} households x {run.n_samples + 1} capacity "
           f"samples x {ctx.day_indices.size} days on {threads} worker(s)")
-    fits = fit_all(ctx, run.n_samples, workers=threads).values()
     # what the readers would return: a curve's values derive from its knots and slopes
-    run.curves = CurveSet.of([fit.savings for fit in fits])
-    run.purchases = CurveSet.of([fit.purchases for fit in fits])
+    run.curves, run.purchases = fit_all(ctx, run.n_samples, workers=threads)
     write_savings_curves(run.out / SAVINGS_FILE, run.curves)
     write_purchases_curves(run.out / PURCHASES_FILE, run.purchases)
 
@@ -560,15 +558,15 @@ def _localness(run: Run) -> None:
 
 
 def _stakeholders(run: Run) -> None:
-    differ = sorted(run.curves.keys() ^ run.purchases.keys())
+    s, p = run.curves, run.purchases
+    differ = sorted(set(s) ^ set(p))
     if differ:
-        what = ("a purchases curve but no savings curve" if differ[0] in run.purchases
-                else "no purchases curve")
+        what = "a purchases curve but no savings curve" if differ[0] in p else "no purchases curve"
         raise DomainError(f"{run.out / PURCHASES_FILE} against {SAVINGS_FILE}: household "
                           f"{differ[0]!r}: {what}")
-    s, p = run.curves, run.purchases  # a fitted pair shares one sample grid
     if not (np.array_equal(s.offsets, p.offsets) and np.array_equal(s.knots, p.knots)):
-        hid = next(hid for hid in s.ids if not np.array_equal(s[hid].knots, p[hid].knots))
+        knots = (np.split(c.knots, c.offsets[1:-1]) for c in (s, p))  # each household's
+        hid = next(hid for hid, a, b in zip(s.ids, *knots) if not np.array_equal(a, b))
         raise DomainError(f"{run.out / PURCHASES_FILE} against {SAVINGS_FILE}: household "
                           f"{hid!r}: knots differ from its savings curve's")
     _write_records(run.out / "stakeholders.csv", _fields(RegimePoint, "long_run"),
@@ -675,12 +673,15 @@ _COMMANDS = {**{s.name: (s.help, _flagged([s])) for s in STAGES},
              "all": ("run the full pipeline", _flagged(STAGES))}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every command's parser; given argv, only those it may name get flags: one parses them."""
     parser = argparse.ArgumentParser(prog="dershare", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, flagged) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
+        if argv is not None and name not in argv:
+            continue
         p.add_argument("--out", required=True, help="run directory for data and outputs")
         p.add_argument("--config", help="JSON config file")
         for setting in map(SETTINGS.get, flagged):
@@ -689,7 +690,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         # the writers make --out, so a command refused before its first stage leaves none
         run = Run(Path(args.out), args, _load_config(args.config))
@@ -702,6 +703,11 @@ def main(argv=None) -> int:
                 run_stage(run, stage)
     except (StageError, DomainError, ValidationError, ParseError, LPError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # --out or --config where the file system refuses it
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     return 0
 

@@ -14,9 +14,9 @@ The buy-side bill component is fitted alongside from the same samples
 as a monotone nonincreasing curve; it feeds the billed-sales analysis
 and costs no extra LP solves.
 
-A stage reads fitted curves as a `model.CurveSet`, so a process that
-fits none loads neither this module nor `logging`; the per-household
-views that a set hands out by id, SavingsCurve and PurchasesCurve, are here.
+A fitted curve is a `model.CurveSet` of one household, the type every
+stage reads, so a process that fits none loads neither this module nor
+`logging`; fit_all stacks the fits into the fit stage's two sets.
 """
 
 from __future__ import annotations
@@ -37,44 +37,6 @@ log = logging.getLogger(__name__)
 SLOPE_SEPARATION = 1e-6  # $/period/kW per segment step
 MAX_REPAIR_SHARE = 0.01  # largest concavity repair of a sample, per unit of terminal savings
 MIN_R2 = 0.999  # least R^2 of a fitted curve against its samples
-
-
-class _Curve:
-    """One household's curve: household_id, knots (kW, ascending from 0) and
-    values ($/period at the knots), a view of its slices of a CurveSet, which
-    evaluates it. One built on its own, from the arrays its CSV holds, is a
-    set of one, which refuses it with a CurveError (a ValueError)."""
-
-    def __init__(self, household_id: str, knots, second):
-        vars(self).update(vars(CurveSet([household_id], [knots], [second],
-                                        isinstance(self, SavingsCurve))[household_id]))
-
-    @property
-    def max_size(self) -> float:
-        return float(self.knots[-1])
-
-    def eval(self, y: float) -> float:
-        return float(self._set.eval([y], [self.household_id])[0])
-
-
-class SavingsCurve(_Curve):
-    """Monotone concave piecewise-linear savings vs. capacity, given by its
-    knots (up to the net-zero size) and slopes ($/period/kW per segment,
-    nonincreasing); its values are their running integral from f(0) = 0."""
-
-    @property
-    def total(self) -> float:
-        """Savings at full own use, f(max_size)."""
-        return float(self.values[-1])
-
-    @property
-    def normalized_savings(self) -> float:
-        return self.total / self.max_size
-
-
-class PurchasesCurve(_Curve):
-    """Monotone nonincreasing buy-side bill component vs. capacity, given by
-    its knots and values."""
 
 
 def pava_nondecreasing(values, weights=None) -> np.ndarray:
@@ -123,16 +85,16 @@ def sample_grid(y_bar: float, n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     return np.concatenate([[0.0], np.linspace(0.01 * y_bar, y_bar, n_samples)])
 
 
-def _fitted(cls, household_id: str, *arrays):
-    """cls(household_id, *arrays), a FitError naming the household if it
-    breaks a curve rule (one its CSV reader enforces)."""
+def _fitted(household_id: str, knots, second, savings: bool) -> CurveSet:
+    """The household's curve as a set of one, a FitError naming the household
+    if it breaks a curve rule (one its CSV reader enforces)."""
     try:
-        return cls(household_id, *arrays)
+        return CurveSet([household_id], [knots], [second], savings)
     except ValueError as exc:
         raise FitError(f"household {household_id}: {exc}") from None
 
 
-def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
+def fit_savings_curve(household_id: str, y_samples, f_samples) -> CurveSet:
     """Fit the concave monotone piecewise-linear curve to savings samples.
 
     Raises FitError when the concavity repair moves any sample by more
@@ -187,10 +149,10 @@ def fit_savings_curve(household_id: str, y_samples, f_samples) -> SavingsCurve:
         else:
             log.debug("household %s: slope separation skipped (flat zero tail)", household_id)
 
-    return _fitted(SavingsCurve, household_id, y, slopes)
+    return _fitted(household_id, y, slopes, True)
 
 
-def fit_purchases_curve(household_id: str, y_samples, p_samples) -> PurchasesCurve:
+def fit_purchases_curve(household_id: str, y_samples, p_samples) -> CurveSet:
     """Fit the nonincreasing buy-side component, anchored exactly at y = 0.
 
     Monotonicity of purchases in capacity is expected but not guaranteed
@@ -207,7 +169,7 @@ def fit_purchases_curve(household_id: str, y_samples, p_samples) -> PurchasesCur
     proj = pava_nonincreasing(p)
     proj[0] = p[0]  # keep the no-asset bill exact
     proj = np.minimum.accumulate(proj)
-    return _fitted(PurchasesCurve, household_id, y, proj)
+    return _fitted(household_id, y, proj, False)
 
 
 class HouseholdSamples(NamedTuple):
@@ -216,9 +178,9 @@ class HouseholdSamples(NamedTuple):
     purchases: np.ndarray
 
 
-class HouseholdFit(NamedTuple):
-    savings: SavingsCurve
-    purchases: PurchasesCurve
+class HouseholdFit(NamedTuple):  # each a set of one
+    savings: CurveSet
+    purchases: CurveSet
 
 
 def sample_household(ctx: ScenarioContext, household: HouseholdRecord,
@@ -253,26 +215,26 @@ def _fit_worker_init(scenario: Scenario, day_indices, require_terminal_soc: bool
                scenario.household_map(), n_samples)
 
 
-def _fit_worker(household_id: str) -> tuple[str, HouseholdFit]:
+def _fit_worker(household_id: str) -> HouseholdFit:
     ctx, households, n_samples = _WORKER
-    return household_id, fit_household(ctx, households[household_id], n_samples)
+    return fit_household(ctx, households[household_id], n_samples)
 
 
 def fit_all(ctx: ScenarioContext, n_samples: int = DEFAULT_SAMPLES,
-            workers: int = 1) -> dict[str, HouseholdFit]:
-    """Fit every household, optionally across worker processes.
-
-    Results are keyed and assembled in sorted household-id order, so the
-    output is identical for any worker count.
-    """
+            workers: int = 1) -> tuple[CurveSet, CurveSet]:
+    """Fit every household, optionally across worker processes: the savings
+    and purchases sets, stacked in household-id order, so the output is
+    identical for any worker count."""
     households = ctx.scenario.household_map()
     ids = sorted(households)
     if workers <= 1:
-        return {hid: fit_household(ctx, households[hid], n_samples) for hid in ids}
-    # imported here so that a single-worker process never loads it
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            max_workers=workers, initializer=_fit_worker_init,
-            initargs=(ctx.scenario, ctx.day_indices, ctx.require_terminal_soc, n_samples),
-    ) as pool:
-        return dict(pool.map(_fit_worker, ids, chunksize=4))
+        fits = [fit_household(ctx, households[hid], n_samples) for hid in ids]
+    else:
+        # imported here so that a single-worker process never loads it
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                max_workers=workers, initializer=_fit_worker_init,
+                initargs=(ctx.scenario, ctx.day_indices, ctx.require_terminal_soc, n_samples),
+        ) as pool:
+            fits = list(pool.map(_fit_worker, ids, chunksize=4))
+    return CurveSet.of([f.savings for f in fits]), CurveSet.of([f.purchases for f in fits])

@@ -14,16 +14,15 @@ its own (`buy`, `sell`, `irradiance`), checked like a household's load.
 
 Every process loads this module, so it also holds what a stage only
 names or reads: the generator's settings (SynthConfig), the fitted
-curves (a CurveSet of flat arrays, from the fit to the last stage, and
-the one check of a curve) and every error a stage raises. A run whose
-generator, fit and transport stages are cache hits then never loads
-`synth`, `curves`, `lp` or `logging`.
+curves (CurveSet, the one curve type from a household's fit, a set of
+one, to the last stage, and the one check of a curve) and every error
+a stage raises. A run whose generator, fit and transport stages are
+cache hits then never loads `synth`, `curves`, `lp` or `logging`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,8 +354,9 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return a
 
 
-class CurveSet(Mapping):
-    """Fitted curves of one kind, read-only, one per household in ascending id.
+class CurveSet:
+    """Fitted curves of one kind, read-only, one per household in ascending id:
+    the fit's result for one household is a set of one.
 
     Household i's knots (kW, ascending from 0, finite) are
     knots[offsets[i]:offsets[i + 1]] and its values there ($/period, finite)
@@ -367,8 +367,7 @@ class CurveSet(Mapping):
     a purchases set (slopes None) is given the buy-side bill at each knot,
     nonincreasing. The set alone checks a curve: each household's shapes and
     id, then every rule once over the arrays, and a CurveError names the first
-    rule that the first bad household breaks. As a Mapping it hands out each
-    household's curve by id: a SavingsCurve or PurchasesCurve (see `curves`).
+    rule that the first bad household breaks. Iterating a set gives its ids.
     """
 
     def __init__(self, ids, knots, second, savings: bool, written=None):
@@ -432,27 +431,17 @@ class CurveSet(Mapping):
         self._index = {hid: i for i, hid in enumerate(self.ids)}
 
     @classmethod
-    def of(cls, curves) -> "CurveSet":
-        """curves as a set: a CurveSet as it is, else SavingsCurve or
-        PurchasesCurve views (or a mapping of them) stacked in id order."""
-        if isinstance(curves, CurveSet):
-            return curves
-        rows = sorted(curves.values() if isinstance(curves, Mapping) else curves,
-                      key=lambda c: c.household_id)
-        savings = not rows or hasattr(rows[0], "slopes")
-        return cls([c.household_id for c in rows], [c.knots for c in rows],
-                   [c.slopes if savings else c.values for c in rows], savings)
-
-    def __getitem__(self, household_id: str):
-        from .curves import PurchasesCurve, SavingsCurve  # the fit's types, loaded with it
-        i = self._index[household_id]
-        a, b = self.offsets[i:i + 2].tolist()
-        view = object.__new__(PurchasesCurve if self.slopes is None else SavingsCurve)
-        vars(view).update(household_id=household_id, knots=self.knots[a:b],
-                          values=self.knot_values[a:b], _set=self)
-        if self.slopes is not None:
-            view.slopes = self.slopes[a - i:b - i - 1]
-        return view
+    def of(cls, sets) -> "CurveSet":
+        """sets as one: a CurveSet as it is, else sets of one kind whose
+        households differ, stacked in id order."""
+        if isinstance(sets, CurveSet):
+            return sets
+        rows = sorted(((s, i, *s.offsets[i:i + 2].tolist()) for s in sets for i in range(len(s))),
+                      key=lambda row: row[0].ids[row[1]])
+        savings = not rows or rows[0][0].slopes is not None
+        return cls([s.ids[i] for s, i, _, _ in rows], [s.knots[a:b] for s, _, a, b in rows],
+                   [s.slopes[a - i:b - i - 1] if savings else s.knot_values[a:b]
+                    for s, i, a, b in rows], savings)
 
     def __iter__(self):
         return iter(self.ids)
@@ -460,7 +449,7 @@ class CurveSet(Mapping):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, household_id) -> bool:  # builds no curve, so loads no `curves`
+    def __contains__(self, household_id) -> bool:
         return household_id in self._index
 
     def eval(self, y, ids) -> np.ndarray:

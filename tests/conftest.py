@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import dershare
-from dershare.curves import (HouseholdFit, fit_purchases_curve, fit_savings_curve,
-                             sample_household)
+from dershare.curves import fit_purchases_curve, fit_savings_curve, sample_household
 from dershare.adoption import build_order
 from dershare.dispatch import ScenarioContext
 from dershare.model import AssetSpec, CurveSet
@@ -82,23 +81,15 @@ def medium_population():
     config = SynthConfig(n_households=56, n_days=8, n_regions=4, rng_seed=101)
     scenario = generate_scenario(config)
     ctx = ScenarioContext(scenario)
-    samples = {}
-    fits = {}
-    for hh in scenario.households:
-        s = sample_household(ctx, hh, n_samples=12)
-        samples[hh.id] = s
-        fits[hh.id] = HouseholdFit(
-            savings=fit_savings_curve(hh.id, s.y, s.savings),
-            purchases=fit_purchases_curve(hh.id, s.y, s.purchases),
-        )
-    curves = CurveSet.of([f.savings for f in fits.values()])
-    purchases = CurveSet.of([f.purchases for f in fits.values()])
+    samples = {hh.id: sample_household(ctx, hh, n_samples=12) for hh in scenario.households}
+    curves = CurveSet.of([fit_savings_curve(hid, s.y, s.savings) for hid, s in samples.items()])
+    purchases = CurveSet.of([fit_purchases_curve(hid, s.y, s.purchases)
+                             for hid, s in samples.items()])
     return SimpleNamespace(
         config=config,
         scenario=scenario,
         ctx=ctx,
         samples=samples,
-        fits=fits,
         curves=curves,
         purchases=purchases,
         order=build_order(curves),

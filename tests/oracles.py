@@ -23,7 +23,6 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from dershare.adoption import LongRunSolver
-from dershare.curves import SavingsCurve
 from dershare.market import PARTICIPATION_TOL
 from dershare.model import HOURS, AssetSpec, CurveSet, DomainError, HouseholdRecord, Scenario
 
@@ -283,8 +282,20 @@ def one_household(load, irr, buy, sell, asset: AssetSpec) -> Scenario:
     return Scenario((HouseholdRecord("H0", "R0", load, 1.0),), buy, sell, irr, asset)
 
 
+def curve(household_id: str, knots, second, savings: bool = True) -> CurveSet:
+    """One household's curve, a set of one: its knots and slopes, or values if not savings."""
+    return CurveSet([household_id], [knots], [second], savings)
+
+
+def split(curves: CurveSet) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each household's knots and slopes by id, the savings set's arrays cut at its offsets."""
+    cuts = curves.offsets[1:-1]
+    return dict(zip(curves.ids, zip(np.split(curves.knots, cuts),
+                                    np.split(curves.slopes, cuts - np.arange(1, len(curves))))))
+
+
 def random_concave_curve(rng: np.random.Generator, household_id: str,
-                         max_segments: int = 8) -> SavingsCurve:
+                         max_segments: int = 8) -> CurveSet:
     """A strictly concave monotone piecewise-linear curve with random knots."""
     n_seg = int(rng.integers(2, max_segments + 1))
     y_bar = rng.uniform(0.5, 5.0)
@@ -292,15 +303,16 @@ def random_concave_curve(rng: np.random.Generator, household_id: str,
     cum = np.cumsum(widths)
     knots = y_bar * np.concatenate([[0.0], cum / cum[-1]])
     slopes = np.sort(rng.uniform(rng.uniform(5, 120), rng.uniform(150, 400), n_seg))[::-1]
-    return SavingsCurve(household_id, knots, slopes)
+    return curve(household_id, knots, slopes)
 
 
 def random_curve_population(rng: np.random.Generator, n: int) -> CurveSet:
     return CurveSet.of([random_concave_curve(rng, f"H{i:03d}") for i in range(n)])
 
 
-def argmax_interval(curve: SavingsCurve, r: float) -> tuple[float, float]:
-    """The set of maximizers of f(y) - r*y over [0, max_size].
+def argmax_interval(knots, slopes, r: float) -> tuple[float, float]:
+    """The set of maximizers of f(y) - r*y over [0, max_size], for the curve
+    of these knots and slopes.
 
     A closed interval: a single point unless r equals one of the segment
     slopes, in which case it is that whole segment. Its upper end is the
@@ -308,24 +320,24 @@ def argmax_interval(curve: SavingsCurve, r: float) -> tuple[float, float]:
     """
     if r < 0:
         raise DomainError(f"rental price must be >= 0, got {r}")
-    neg = -curve.slopes  # ascending
+    neg = -slopes  # ascending
     n_ge = int(np.searchsorted(neg, -r, side="right"))  # slopes >= r
     n_gt = int(np.searchsorted(neg, -r, side="left"))  # slopes > r
-    return float(curve.knots[n_gt]), float(curve.knots[n_ge])
+    return float(knots[n_gt]), float(knots[n_ge])
 
 
-def _excess_bounds(ids, curves, owner_ids, r: float):
+def _excess_bounds(pieces, size, owner_ids, r: float):
     """(E_low, E_high, intervals): excess supply using the largest and the
     smallest maximizer for every household, plus each argmax interval."""
     e_low = 0.0
     e_high = 0.0
     intervals = {}
-    for hid in ids:
-        lo, hi = argmax_interval(curves[hid], r)
+    for hid, (knots, slopes) in pieces.items():
+        lo, hi = argmax_interval(knots, slopes, r)
         intervals[hid] = (lo, hi)
         if hid in owner_ids:
-            e_low += curves[hid].max_size - hi
-            e_high += curves[hid].max_size - lo
+            e_low += size[hid] - hi
+            e_high += size[hid] - lo
         else:
             e_low -= hi
             e_high -= lo
@@ -368,9 +380,10 @@ def bisection_clear_market(curves, owners) -> OracleEquilibrium:
     probe. Same conventions as `dershare.market.clear_market`: the midpoint
     of the clearing interval, proportional rationing at a jump."""
     ids = sorted(curves)
+    pieces, size = split(curves), dict(zip(curves.ids, curves.sizes.tolist()))
     owner_ids = frozenset(owners)
     if not owner_ids or len(owner_ids) == len(ids):
-        allocations = {hid: (curves[hid].max_size if hid in owner_ids else 0.0) for hid in ids}
+        allocations = {hid: (size[hid] if hid in owner_ids else 0.0) for hid in ids}
         return OracleEquilibrium(
             clearing_price=None, volume=0.0, allocations=allocations,
             surpluses={hid: 0.0 for hid in ids}, owner_ids=owner_ids,
@@ -378,17 +391,17 @@ def bisection_clear_market(curves, owners) -> OracleEquilibrium:
             owner_participation=0.0, non_owner_participation=0.0, total_participation=0.0,
             residual=0.0, degenerate=True)
 
-    total_size = sum(curves[hid].max_size for hid in ids)
+    total_size = sum(size[hid] for hid in ids)
     tol = max(1e-6, 1e-9 * total_size)
 
     # candidate prices: every segment slope of every curve
-    breakpoints = np.unique(np.concatenate([curves[hid].slopes for hid in ids]))
+    breakpoints = np.unique(np.concatenate([slopes for _, slopes in pieces.values()]))
 
     def e_high(r):
-        return _excess_bounds(ids, curves, owner_ids, r)[1]
+        return _excess_bounds(pieces, size, owner_ids, r)[1]
 
     def e_low(r):
-        return _excess_bounds(ids, curves, owner_ids, r)[0]
+        return _excess_bounds(pieces, size, owner_ids, r)[0]
 
     # smallest breakpoint where the optimistic excess turns nonnegative
     lo_i, hi_i = 0, breakpoints.size - 1
@@ -420,7 +433,7 @@ def bisection_clear_market(curves, owners) -> OracleEquilibrium:
         raise AssertionError(f"clearing interval is empty: [{r_a}, {r_b}]")
 
     price = 0.5 * (r_a + r_b)
-    e_lo, e_hi, intervals = _excess_bounds(ids, curves, owner_ids, price)
+    e_lo, e_hi, intervals = _excess_bounds(pieces, size, owner_ids, price)
     allocations = {}
     if e_hi - e_lo > 0 and e_lo < 0:
         # jump straddling zero: ration the indifferent households
@@ -432,7 +445,7 @@ def bisection_clear_market(curves, owners) -> OracleEquilibrium:
         for hid in ids:
             allocations[hid] = intervals[hid][1]
 
-    supply = sum(curves[hid].max_size - allocations[hid] for hid in ids if hid in owner_ids)
+    supply = sum(size[hid] - allocations[hid] for hid in ids if hid in owner_ids)
     demand = sum(allocations[hid] for hid in ids if hid not in owner_ids)
     residual = supply - demand
     if abs(residual) > tol:
@@ -443,18 +456,18 @@ def bisection_clear_market(curves, owners) -> OracleEquilibrium:
     renter_total = 0.0
     n_owner_part = 0
     n_renter_part = 0
-    for hid in ids:
-        c = curves[hid]
+    f = curves.eval([allocations[hid] for hid in ids], ids).tolist()
+    for hid, f_y, total in zip(ids, f, curves.totals.tolist()):
         y = allocations[hid]
         if hid in owner_ids:
-            w = c.eval(y) + price * (c.max_size - y) - c.total
+            w = f_y + price * (size[hid] - y) - total
             owner_total += w
-            if c.max_size - y > PARTICIPATION_TOL * max(c.max_size, 1.0):
+            if size[hid] - y > PARTICIPATION_TOL * max(size[hid], 1.0):
                 n_owner_part += 1
         else:
-            w = c.eval(y) - price * y
+            w = f_y - price * y
             renter_total += w
-            if y > PARTICIPATION_TOL * max(c.max_size, 1.0):
+            if y > PARTICIPATION_TOL * max(size[hid], 1.0):
                 n_renter_part += 1
         surpluses[hid] = w
 
@@ -484,9 +497,9 @@ def planner_fill(curves):
     first welfare theorem). The function returns the fill's value, the last
     slope filled and the first left unfilled (None where there is none); the
     sort and its running sums are made once, for every q."""
-    segments = sorted(((slope, Fraction(b) - Fraction(a)) for c in curves.values()
-                       for slope, a, b in zip(c.slopes.tolist(), c.knots[:-1].tolist(),
-                                              c.knots[1:].tolist())), key=lambda seg: -seg[0])
+    segments = sorted(((slope, Fraction(b) - Fraction(a)) for knots, slopes in split(curves).values()
+                       for slope, a, b in zip(slopes.tolist(), knots[:-1].tolist(),
+                                              knots[1:].tolist())), key=lambda seg: -seg[0])
     slopes = [slope for slope, _ in segments]
     width = list(accumulate((w for _, w in segments), initial=Fraction(0)))
     value = list(accumulate((Fraction(s) * w for s, w in segments), initial=Fraction(0)))
@@ -510,12 +523,12 @@ def planner_misfits(curves, owners, prices, surpluses) -> list[str]:
     surplus is planner_fill's value at the owners' summed max_size less the
     owners' savings on their own, to 1e-12 of all curves' savings, at a price
     between the last filled slope and the first unfilled one."""
-    ranking = sorted(curves, key=lambda hid: (-curves[hid].normalized_savings, hid))
-    scale = sum(c.total for c in curves.values())
+    size, total = (dict(zip(curves.ids, a.tolist())) for a in (curves.sizes, curves.totals))
+    ranking = sorted(curves, key=lambda hid: (-total[hid] / size[hid], hid))
+    scale = sum(total.values())
     fill = planner_fill(curves)
-    owned = list(accumulate((Fraction(curves[hid].max_size) for hid in ranking),
-                            initial=Fraction(0)))
-    autarky = list(accumulate((curves[hid].total for hid in ranking), initial=0))
+    owned = list(accumulate((Fraction(size[hid]) for hid in ranking), initial=Fraction(0)))
+    autarky = list(accumulate((total[hid] for hid in ranking), initial=0))
     found = []
     for row, (k, price, surplus) in enumerate(zip(owners, prices, surpluses)):
         if k in (0, len(ranking)):
@@ -541,7 +554,7 @@ def random_tied_curve_population(rng: np.random.Generator, n: int) -> CurveSet:
         m = int(rng.integers(1, 5))
         slopes = np.sort(rng.choice([40.0, 80.0, 120.0, 160.0, 200.0], m, replace=False))[::-1]
         knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, m))])
-        curves.append(SavingsCurve(hid, knots, slopes))
+        curves.append(curve(hid, knots, slopes))
     return CurveSet.of(curves)
 
 

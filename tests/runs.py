@@ -21,8 +21,10 @@ scenario from the five data files, which no fresh run does. The desk
 runs take a few seconds each. It then compares the text, with the
 exit code, of `dershare --help` and of `dershare <command> --help` for
 every command either tree lists, and prints `help: identical`, or
-`help: differs: <the command line>` for each that differs. It exits as
-the first form does.
+`help: differs: <the command line>` for each that differs, and last
+`src: <parent> -> <change> lines`, what `wc -l src/dershare/*.py`
+totals in each tree. It exits as the first form does, whatever the
+line counts.
 """
 
 from __future__ import annotations
@@ -128,12 +130,23 @@ def help_differences(a: Path, b: Path) -> list[str]:
                     if _help(a, command) != _help(b, command)]
 
 
+def _package_root(src) -> Path:
+    """The directory holding a source tree's `dershare` package: src, or a checkout's src."""
+    src = Path(src)
+    return (src / "src" if (src / "src" / "dershare").is_dir() else src).resolve()
+
+
+def src_lines(src) -> int:
+    """The lines of the tree's package modules, as `wc -l src/dershare/*.py` totals them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (_package_root(src) / "dershare").glob("*.py"))
+
+
 def pair(parent_src, change_src) -> dict[str, list[str]]:
     """Each run of RUNS by name, with the differences between the runs of it
     that the two source trees make, then `help` with the help texts that
     differ."""
-    srcs = [(src / "src" if (src / "src" / "dershare").is_dir() else src).resolve()
-            for src in (Path(parent_src), Path(change_src))]
+    srcs = [_package_root(src) for src in (parent_src, change_src)]
     with tempfile.TemporaryDirectory() as tmp:
         roots = []
         for side, src in zip(("parent", "change"), srcs):
@@ -149,6 +162,7 @@ def main(argv: list[str]) -> int:
         runs = pair(*argv[1:])
         lines = [f"{name}: {line}" for name, found in runs.items()
                  for line in found or ["identical"]]
+        lines.append(f"src: {src_lines(argv[1])} -> {src_lines(argv[2])} lines")
         found = any(runs.values())
     elif len(argv) == 2:
         lines = found = differences(*argv)

@@ -95,13 +95,14 @@ def test_criterion_3_clearing_identities():
             allocations, surpluses = by_id(eq, "allocations"), by_id(eq, "surpluses")
             assert allocations == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
             assert surpluses == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
-            total_size = sum(c.max_size for c in curves.values())
-            supply = sum(curves[h].max_size - allocations[h] for h in sorted(owners))
+            size, total = (dict(zip(ids, a.tolist())) for a in (curves.sizes, curves.totals))
+            total_size = sum(size.values())
+            supply = sum(size[h] - allocations[h] for h in sorted(owners))
             demand = sum(allocations[h] for h in ids if h not in owners)
             assert abs(supply - demand) <= max(1e-6, 1e-9 * total_size)
             assert all(w >= -1e-9 for w in surpluses.values())
-            direct = (sum(curves[h].eval(allocations[h]) for h in ids)
-                      - sum(curves[h].total for h in sorted(owners)))
+            direct = (sum(curves.eval([allocations[h] for h in ids], ids).tolist())
+                      - sum(total[h] for h in sorted(owners)))
             assert sum(surpluses.values()) == pytest.approx(direct, rel=1e-6, abs=1e-9)
 
 
@@ -196,7 +197,7 @@ def test_criterion_8_stakeholder_identities(medium_population):
                       "flips at the threshold"):
         order = medium_population.order
         purchases = medium_population.purchases
-        baseline = sum(purchases[hid].values[0] for hid in sorted(purchases))
+        baseline = sum(purchases.knot_values[purchases.offsets[:-1]].tolist())  # each at y = 0
         assert billed_sales(purchases, sorted(order.ranking),
                             autarky_assignment(order, 0)) == baseline
         p_grid = np.quantile(order.normalized, np.linspace(0.1, 0.9, 9))

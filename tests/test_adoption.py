@@ -7,14 +7,13 @@ import pytest
 from dershare.adoption import (DemandCurves, LongRunResult, LongRunSolver, build_order,
                                default_t_grid, equivalent_subsidy, long_run_adoption,
                                sweep_adoption)
-from dershare.curves import SavingsCurve
 from dershare.model import CurveSet, DomainError
-from oracles import random_curve_population, refined_subsidy
+from oracles import curve, random_curve_population, refined_subsidy
 
 
 def curve_with_normalized(hid, ns, y_bar=1.0):
     # single segment: normalized savings equals the slope
-    return SavingsCurve(hid, np.array([0.0, y_bar]), np.array([float(ns)]))
+    return curve(hid, np.array([0.0, y_bar]), np.array([float(ns)]))
 
 
 def test_build_order_ranks_by_normalized_savings():
@@ -34,13 +33,14 @@ def test_build_order_breaks_ties_by_id():
 def test_rate_demand_membership(rng):
     curves = random_curve_population(rng, 40)
     order = build_order(curves)
+    normalized = dict(zip(curves.ids, (curves.totals / curves.sizes).tolist()))
     for p in rng.uniform(50, 400, 25):
         k = order.rate_demand_count(p)
         adopters = order.owners_at(k)
         for hid in adopters:
-            assert curves[hid].normalized_savings >= p
+            assert normalized[hid] >= p
         for hid in set(curves) - adopters:
-            assert curves[hid].normalized_savings < p
+            assert normalized[hid] < p
 
 
 def test_cached_equilibria_hold_arrays_not_an_object_per_household():
@@ -102,7 +102,7 @@ def test_sweep_volume_bounds_and_extremes(rng):
     assert math.isnan(table.clearing_price[0]) and math.isnan(table.clearing_price[-1])
     one_owner = table.owners == 1
     if one_owner.any():
-        top = curves[order.ranking[0]].max_size
+        top = curves.sizes[curves.ids.index(order.ranking[0])]
         assert np.all(table.volume[one_owner] <= top + 1e-12)
     assert np.all(table.volume <= table.adopted_quantity + 1e-12)
     # quantity nondecreasing, thresholds nonincreasing along the sweep
@@ -157,7 +157,7 @@ def test_long_run_saturates_when_price_below_all_rents():
     # the first of four buys without the market, and the rent stays at 210 or more until
     # the last one buys, so every count short of n fails the long-run test
     curves = CurveSet.of([curve_with_normalized("h0", 400.0),
-                          *(SavingsCurve(hid, np.array([0.0, 0.9, 1.0]), np.array([210.0, 1.0]))
+                          *(curve(hid, np.array([0.0, 0.9, 1.0]), np.array([210.0, 1.0]))
                             for hid in ("h1", "h2", "h3"))])
     lr = long_run_adoption(build_order(curves), curves, 200.0)
     assert (lr.k_short, lr.k_long, lr.saturated) == (1, 4, True)

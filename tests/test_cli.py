@@ -457,6 +457,25 @@ def test_malformed_config_exits_2_naming_file_and_line(tmp_path, capsys):
     _assert_input_error(capsys, code, "config: field 'root': expected a JSON object, got [1]")
 
 
+def test_a_path_the_file_system_refuses_exits_2_naming_it(tmp_path, config_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    _assert_input_error(capsys, _run("all", "--out", afile, "--config", config_path),
+                        f"error: {afile / cli.DATA_SUBDIR}: Not a directory\n")
+    assert afile.read_text() == "kept\n"
+    _assert_input_error(capsys, _run("all", "--out", tmp_path / "run", "--config", tmp_path),
+                        f"error: {tmp_path}: Is a directory\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_os_error_that_names_no_path_is_not_caught(tmp_path, config_path, monkeypatch):
+    def full(run, stage):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli, "run_stage", full)
+    with pytest.raises(OSError, match="No space left on device"):
+        _run("all", "--out", tmp_path / "run", "--config", config_path)
+
+
 def test_short_loads_row_exits_2_naming_file_and_line(tmp_path, config_path, capsys):
     out = tmp_path / "run"
     _run("gen-data", "--config", config_path, "--out", out)
@@ -1215,12 +1234,10 @@ def test_stages_hand_over_what_reading_their_files_gives(tmp_path, config_path):
     assert_same_load(run.loaded, load_scenario(out / cli.DATA_SUBDIR, run.asset))
     for held, read in ((run.curves, read_savings_curves(out / cli.SAVINGS_FILE)),
                        (run.purchases, read_purchases_curves(out / cli.PURCHASES_FILE))):
-        assert list(held) == list(read) == sorted(read)
-        for hid, curve in read.items():
-            assert type(held[hid]) is type(curve)
-            for name in ("knots", "slopes", "values"):
-                if hasattr(curve, name):
-                    assert getattr(held[hid], name).tobytes() == getattr(curve, name).tobytes()
+        assert type(held) is type(read) and list(held) == list(read) == sorted(read)
+        for name in ("offsets", "knots", "slopes", "knot_values", "sizes", "totals"):
+            assert getattr(held, name) is None is getattr(read, name) or \
+                getattr(held, name).tobytes() == getattr(read, name).tobytes(), name
     read = read_sweep(out / cli.SWEEP_FILE)
     assert list(read) == [f.name for f in fields(run.sweep_table)]
     for name, column in read.items():
@@ -1265,6 +1282,66 @@ def test_a_replica_market_clears_at_the_same_prices_with_twice_the_volume(
     assert twice["owners"].tolist() == (2 * sweep["owners"]).tolist()
     assert twice["clearing_price"].tobytes() == sweep["clearing_price"].tobytes()
     assert twice["volume"] == pytest.approx(2 * sweep["volume"], rel=1e-12, abs=0.0)
+
+
+# Each column of each output CSV under loads x 2: "x2" cells are exactly twice the original
+# (kW, $ and localness' objective, flow times squared distance), the rest the same text
+# (prices, counts, shares, flags and ids).
+LOAD_LAW = {
+    "exclusions.csv": {},
+    "savings_curves.csv": {"y": "x2", "f": "x2"},
+    "purchases_curves.csv": {"y": "x2", "purchases": "x2"},
+    "sweep.csv": {name: "x2" for name in ("adopted_quantity", "volume", "owner_surplus",
+                                          "renter_surplus", "total_surplus")},
+    "equilibrium_t0.3.csv": {"y_star": "x2", "surplus": "x2"},
+    "equilibrium_t0.7.csv": {"y_star": "x2", "surplus": "x2"},
+    "equilibrium_summary.csv": {"volume": "x2", "owner_surplus": "x2", "renter_surplus": "x2",
+                                "total_surplus": "x2"},
+    "longrun.csv": {"d_short": "x2", "d_long": "x2", "delta_q": "x2"},
+    "subsidy.csv": {"delta_q": "x2", "subsidy": "x2"},
+    "localness.csv": {"volume": "x2", "objective": "x2"},
+    "flows_t0.5.csv": {"kw": "x2"},
+    "stakeholders.csv": {"delta_q": "x2", "vendor_gain": "x2", "utility_loss": "x2"},
+}
+
+
+def test_twice_the_loads_doubles_every_kw_and_dollar_and_keeps_every_price(finished_run,
+                                                                            tmp_path):
+    """Every bound of the dispatch LP is linear in the load and y together, and
+    the net-zero size in the load, so doubling every load doubles the sample
+    grid, every bill and knot value and keeps every slope; the market then
+    keeps every price, count, share and flag and doubles every kW and $. A
+    power of two scales exactly, so the law holds bit for bit, validate to
+    stakeholders. The meter filter's 0.1 kW is absolute: TINY's mean loads
+    are 0.56-1.6 kW, none within a factor 2 of it, so both runs keep the
+    same households."""
+    data = finished_run / cli.DATA_SUBDIR
+    header, *rows = (data / "loads.csv").read_text().splitlines()
+    means = {}
+    for row in rows:
+        hid, rest = row.split(",", 1)
+        means.setdefault(hid, []).extend(map(float, rest.split(",")[2:]))
+    assert all(not 0.05 <= np.mean(v) < 0.2 for v in means.values())
+    runs = [tmp_path / "once", tmp_path / "twice"]
+    for run in runs:
+        shutil.copytree(data, run / cli.DATA_SUBDIR)
+    cells = [row.split(",") for row in rows]
+    (runs[1] / cli.DATA_SUBDIR / "loads.csv").write_text("\n".join(
+        [header, *(",".join(c[:3] + [repr(2 * float(v)) for v in c[3:]]) for c in cells)]) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    dumps = {"sweep": ["--equilibrium-at", "0.3,0.7"], "localness": ["--flows-at", "0.5"]}
+    for run in runs:
+        for stage in STAGES[1:]:
+            assert _run(stage, "--config", config, "--out", run, *dumps.get(stage, [])) == 0
+    assert sorted(p.name for p in runs[0].glob("*.csv")) == sorted(LOAD_LAW)
+    for name, laws in LOAD_LAW.items():
+        (head, *once), (head2, *twice) = ((run / name).read_text().splitlines() for run in runs)
+        assert head == head2 and len(once) == len(twice) and set(laws) <= set(head.split(","))
+        for row, (a, b) in enumerate(zip(once, twice)):
+            for column, x, y in zip(head.split(","), a.split(","), b.split(",")):
+                ok = float(y) == 2 * float(x) if laws.get(column) == "x2" else x == y
+                assert ok, (name, row, column, x, y)
 
 
 def test_reversing_the_id_order_moves_no_curve_row_and_no_price(finished_run, tmp_path,

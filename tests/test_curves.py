@@ -3,13 +3,12 @@ import logging
 import numpy as np
 import pytest
 
-from dershare.curves import (FitError, PurchasesCurve, SavingsCurve, fit_purchases_curve,
-                             fit_savings_curve, pava_nondecreasing, pava_nonincreasing,
-                             sample_grid)
+from dershare.curves import (FitError, fit_purchases_curve, fit_savings_curve,
+                             pava_nondecreasing, pava_nonincreasing, sample_grid)
 from dershare.dispatch import ScenarioContext
 from dershare.io import write_purchases_curves, write_savings_curves
 from dershare.model import HOURS, AssetSpec, CurveError, CurveSet, DomainError
-from oracles import argmax_interval, one_household, random_concave_curve
+from oracles import argmax_interval, curve, one_household, random_concave_curve, split
 
 
 # ---------------------------------------------------------------- projection
@@ -49,34 +48,39 @@ def test_pava_nonincreasing_mirrors():
 
 # ---------------------------------------------------------------- curve type
 
+def _kind_id(value):
+    """A parameter `savings` as its curve kind's name in test ids."""
+    return ("PurchasesCurve", "SavingsCurve")[value] if type(value) is bool else None
+
+
 def test_curve_constructor_invariants():
     knots = np.array([0.0, 1.0, 2.0])
-    SavingsCurve("a", knots, np.array([2.0, 1.0]))
+    curve("a", knots, np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
-        SavingsCurve("a", knots, np.array([1.0, 2.0]))  # convex
+        curve("a", knots, np.array([1.0, 2.0]))  # convex
     with pytest.raises(ValueError):
-        SavingsCurve("a", knots, np.array([1.0, -0.5]))  # decreasing tail
+        curve("a", knots, np.array([1.0, -0.5]))  # decreasing tail
     with pytest.raises(ValueError):
-        SavingsCurve("a", np.array([0.5, 1.0, 2.0]), np.array([2.0, 1.0]))
+        curve("a", np.array([0.5, 1.0, 2.0]), np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
-        PurchasesCurve("a", knots, np.array([1.0, 2.0, 0.0]))
+        curve("a", knots, np.array([1.0, 2.0, 0.0]), savings=False)
 
 
-@pytest.mark.parametrize("cls,knots,rest,message", [
-    (PurchasesCurve, [0.0, 1.0, 2.0], [5.0, np.nan, np.nan], "values must be finite"),
-    (PurchasesCurve, [0.0, 1.0, 2.0], [np.inf, 5.0, 4.0], "values must be finite"),
-    (PurchasesCurve, [0.0, np.nan, 2.0], [5.0, 4.0, 3.0], "knots must be finite"),
-    (PurchasesCurve, [0.0, 1.0, np.inf], [5.0, 4.0, 3.0], "knots must be finite"),
-    (SavingsCurve, [0.0, np.nan, 2.0], [2.0, 1.0], "knots must be finite"),
-    (SavingsCurve, [0.0, 1.0, np.nan], [2.0, 1.0], "knots must be finite"),
-    (SavingsCurve, [0.0, 1.0, np.inf], [2.0, 1.0], "knots must be finite"),
-    (SavingsCurve, [0.0, 1e300, 2e300], [1e10, 1e10], "values must be finite"),  # overflow
-])
-def test_curve_types_refuse_what_their_csv_readers_refuse(cls, knots, rest, message):
+@pytest.mark.parametrize("savings,knots,rest,message", [
+    (False, [0.0, 1.0, 2.0], [5.0, np.nan, np.nan], "values must be finite"),
+    (False, [0.0, 1.0, 2.0], [np.inf, 5.0, 4.0], "values must be finite"),
+    (False, [0.0, np.nan, 2.0], [5.0, 4.0, 3.0], "knots must be finite"),
+    (False, [0.0, 1.0, np.inf], [5.0, 4.0, 3.0], "knots must be finite"),
+    (True, [0.0, np.nan, 2.0], [2.0, 1.0], "knots must be finite"),
+    (True, [0.0, 1.0, np.nan], [2.0, 1.0], "knots must be finite"),
+    (True, [0.0, 1.0, np.inf], [2.0, 1.0], "knots must be finite"),
+    (True, [0.0, 1e300, 2e300], [1e10, 1e10], "values must be finite"),  # overflow
+], ids=_kind_id)
+def test_curve_types_refuse_what_their_csv_readers_refuse(savings, knots, rest, message):
     """A curve holds finite knots and values, as the curve CSVs' columns
     must, so no curve a fresh run hands on is one a rerun would refuse."""
     with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
-        cls("H", np.array(knots), np.array(rest))
+        curve("H", np.array(knots), np.array(rest), savings)
     assert str(exc.value) == message
 
 
@@ -126,12 +130,12 @@ def _first_rule_broken(knots, second, savings: bool) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("cls", [SavingsCurve, PurchasesCurve])
-def test_a_set_refuses_the_first_household_by_the_first_rule_it_breaks(cls):
+@pytest.mark.parametrize("savings", [True, False], ids=_kind_id)
+def test_a_set_refuses_the_first_household_by_the_first_rule_it_breaks(savings):
     """The set checks every household at once, and names the household and
     the rule that checking each curve on its own, in id order, would; a
-    curve built alone names that rule too."""
-    savings = cls is SavingsCurve
+    curve built alone names that rule too. A set that passes holds each
+    curve as its slices, and is what stacking the curves built alone gives."""
     rng = np.random.default_rng(26)
     refused = 0
     for trial in range(300):
@@ -143,7 +147,7 @@ def test_a_set_refuses_the_first_household_by_the_first_rule_it_breaks(cls):
                 if rule is None:
                     continue
                 with pytest.raises(ValueError) as alone:
-                    cls(hid, *a)
+                    curve(hid, *a, savings)
                 assert str(alone.value) == rule
             want = next(((i, rule) for i, rule in enumerate(rules) if rule), None)
             try:
@@ -153,11 +157,18 @@ def test_a_set_refuses_the_first_household_by_the_first_rule_it_breaks(cls):
                 refused += 1
                 continue
         assert want is None, trial
-        for hid, (knots, second) in zip(ids, arrays):  # a view is its slices
-            curve = curves[hid]
-            assert type(curve) is cls and curve.knots.tobytes() == knots.tobytes()
-            assert (curve.slopes if savings else curve.values).tobytes() == second.tobytes()
-            assert curve.values.tobytes() == cls(hid, knots, second).values.tobytes()
+        alone = [curve(hid, *a, savings) for hid, a in zip(ids, arrays)]
+        for i, ((knots, second), one) in enumerate(zip(arrays, alone)):
+            a, b = curves.offsets[i:i + 2]
+            assert curves.knots[a:b].tobytes() == knots.tobytes()
+            assert (curves.slopes[a - i:b - i - 1] if savings else
+                    curves.knot_values[a:b]).tobytes() == second.tobytes()
+            assert curves.knot_values[a:b].tobytes() == one.knot_values.tobytes()
+        stacked = CurveSet.of(alone[::-1])
+        assert stacked.ids == curves.ids
+        for name in ("offsets", "knots", "knot_values", "slopes", "sizes", "totals",
+                     "segment_knots"):
+            assert np.array_equal(getattr(stacked, name), getattr(curves, name)), name
     assert 50 < refused < 250  # both outcomes are drawn often
 
 
@@ -189,44 +200,42 @@ def test_a_set_refuses_what_does_not_fit_together_before_any_arithmetic(ids, kno
 
 
 def test_a_household_twice_is_refused_before_its_file_is_written(tmp_path):
-    a = SavingsCurve("A", np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0]))
-    b = PurchasesCurve("A", np.array([0.0, 1.0, 2.0]), np.array([5.0, 4.0, 3.0]))
+    a = curve("A", np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0]))
+    b = curve("A", np.array([0.0, 1.0, 2.0]), np.array([5.0, 4.0, 3.0]), savings=False)
     with pytest.raises(CurveError) as exc:
         CurveSet.of([a, a])
     assert (exc.value.index, str(exc.value)) == (1, "household ids must ascend, each once")
-    for write, curve in ((write_savings_curves, a), (write_purchases_curves, b)):
+    for write, one in ((write_savings_curves, a), (write_purchases_curves, b)):
         with pytest.raises(CurveError):
-            write(tmp_path / "curves.csv", [curve, curve])
+            write(tmp_path / "curves.csv", [one, one])
     assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_and_deriv_basics():
-    c = SavingsCurve("a", np.array([0.0, 1.0, 3.0]), np.array([10.0, 4.0]))
-    assert c.eval(0.0) == 0.0
-    assert c.eval(1.0) == 10.0
-    assert c.eval(3.0) == 18.0
-    assert c.eval(2.0) == pytest.approx(14.0)  # linear interpolation
+    c = curve("a", np.array([0.0, 1.0, 3.0]), np.array([10.0, 4.0]))
+    np.testing.assert_array_equal(c.eval([0.0, 1.0, 3.0], ["a"] * 3), [0.0, 10.0, 18.0])
+    assert c.eval([2.0], ["a"])[0] == pytest.approx(14.0)  # linear interpolation
     # the knot values are the running integral of the slopes
-    np.testing.assert_array_equal(np.diff(c.values) / np.diff(c.knots), c.slopes)
+    np.testing.assert_array_equal(np.diff(c.knot_values) / np.diff(c.knots), c.slopes)
     with pytest.raises(DomainError):
-        c.eval(3.5)
+        c.eval([3.5], ["a"])
     with pytest.raises(DomainError):
-        c.eval(-0.5)
+        c.eval([-0.5], ["a"])
 
 
 def _demanded(c, r):
     """Capacity demanded at rental price r, by the clearing oracle's argmax."""
-    return argmax_interval(c, r)[1]
+    return argmax_interval(c.knots, c.slopes, r)[1]
 
 
 def test_inverse_marginal_edges():
-    c = SavingsCurve("a", np.array([0.0, 1.0, 3.0]), np.array([10.0, 4.0]))
+    c = curve("a", np.array([0.0, 1.0, 3.0]), np.array([10.0, 4.0]))
     assert _demanded(c, 0.0) == 3.0  # free rent: take everything
     assert _demanded(c, 11.0) == 0.0  # above the initial slope
     assert _demanded(c, 4.0) == 3.0
     assert _demanded(c, 10.0) == 1.0
     assert _demanded(c, 7.0) == 1.0
-    assert argmax_interval(c, 10.0) == (0.0, 1.0)
+    assert argmax_interval(c.knots, c.slopes, 10.0) == (0.0, 1.0)
     with pytest.raises(DomainError):
         _demanded(c, -1.0)
 
@@ -234,15 +243,17 @@ def test_inverse_marginal_edges():
 def test_inverse_marginal_maximizes_both_market_objectives(rng):
     for i in range(10):
         c = random_concave_curve(rng, f"h{i}")
+        size = c.sizes[0]
         for r in rng.uniform(0.0, 450.0, 5):
             y_star = _demanded(c, r)
-            best = c.eval(y_star) - r * y_star
-            candidates = np.concatenate([c.knots, rng.uniform(0, c.max_size, 1000)])
-            for y in candidates:
-                assert best >= c.eval(y) - r * y - 1e-9
-            # the owner objective differs by the constant r * max_size
-            owner_best = c.eval(y_star) + r * (c.max_size - y_star)
-            assert owner_best == pytest.approx(best + r * c.max_size, rel=1e-12, abs=1e-9)
+            f_star = c.eval([y_star], c.ids)[0]
+            best = f_star - r * y_star
+            candidates = np.concatenate([c.knots, rng.uniform(0, size, 1000)])
+            assert np.all(best >= c.eval(candidates, c.ids * candidates.size) - r * candidates
+                          - 1e-9)
+            # the owner objective differs by the constant r * size
+            owner_best = f_star + r * (size - y_star)
+            assert owner_best == pytest.approx(best + r * size, rel=1e-12, abs=1e-9)
 
 
 def test_demand_nonincreasing_in_price(rng):
@@ -268,10 +279,12 @@ def test_fit_preserves_endpoints_exactly():
     y = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     f = np.array([0.0, 30.0, 50.0, 62.0, 70.0])  # already concave
     c = fit_savings_curve("a", y, f)
-    assert c.eval(0.0) == 0.0
-    assert c.eval(2.0) == pytest.approx(70.0, rel=1e-12)
+    assert c.ids == ("a",)
+    f_0, f_2 = c.eval([0.0, 2.0], ["a", "a"])
+    assert f_0 == 0.0
+    assert f_2 == pytest.approx(70.0, rel=1e-12)
     # interior knots may shift by order epsilon from the slope separation
-    np.testing.assert_allclose(c.values, f, atol=1e-5)
+    np.testing.assert_allclose(c.knot_values, f, atol=1e-5)
 
 
 def test_fit_repairs_small_noise(caplog):
@@ -281,7 +294,7 @@ def test_fit_repairs_small_noise(caplog):
     with caplog.at_level(logging.INFO, logger="dershare.curves"):
         c = fit_savings_curve("a", y, noisy)
     assert np.all(np.diff(c.slopes) < 0)  # strictly decreasing after separation
-    assert c.eval(2.0) == pytest.approx(noisy[-1], rel=1e-9)
+    assert c.eval([2.0], ["a"])[0] == pytest.approx(noisy[-1], rel=1e-9)
 
 
 def test_fit_rejects_gross_violation():
@@ -321,14 +334,14 @@ def test_fit_slope_separation_preserves_total(rng):
     f = np.concatenate([[0.0], np.cumsum(slopes_true * np.diff(y))])
     c = fit_savings_curve("a", y, f)
     assert np.all(np.diff(c.slopes) < 0)
-    assert c.total == pytest.approx(f[-1], rel=1e-9)
+    assert c.totals[0] == pytest.approx(f[-1], rel=1e-9)
 
 
 def test_fit_slope_separation_clamps_a_last_slope_at_zero():
     # the last slope is ~1e-10; separating it from the first by 1e-8 rounds it below 0
     c = fit_savings_curve("H", [0.0, 0.01, 1.0], [0.0, 0.4, 0.400000000099])
     assert c.slopes[-1] == 0.0 and c.slopes[0] > 40.0
-    assert c.total == pytest.approx(0.400000000099, rel=1e-9)
+    assert c.totals[0] == pytest.approx(0.400000000099, rel=1e-9)
 
 
 def test_flat_zero_savings_from_dispatch():
@@ -343,7 +356,7 @@ def test_flat_zero_savings_from_dispatch():
     f = bills[0] - bills
     assert np.max(np.abs(f)) < 1e-7
     c = fit_savings_curve("a", grid, np.zeros_like(f))
-    assert c.total == 0.0
+    assert c.totals[0] == 0.0
     assert _demanded(c, 1.0) == 0.0
     assert _demanded(c, 0.0) == 2.0
 
@@ -351,46 +364,49 @@ def test_flat_zero_savings_from_dispatch():
 def test_midpoint_envelope(medium_population):
     # interpolated values sit on the chord of neighboring samples and below
     # the extended tangents, as concave interpolation requires
-    for fit in list(medium_population.fits.values())[:8]:
-        c = fit.savings
-        for k in range(1, len(c.knots) - 2):
-            mid = 0.5 * (c.knots[k] + c.knots[k + 1])
-            chord = 0.5 * (c.values[k] + c.values[k + 1])
-            assert c.eval(mid) == pytest.approx(chord, rel=1e-12, abs=1e-9)
-            tangent_left = c.values[k] + c.slopes[k - 1] * (mid - c.knots[k])
-            tangent_right = c.values[k + 1] - c.slopes[min(k + 1, len(c.slopes) - 1)] * (c.knots[k + 1] - mid)
-            assert c.eval(mid) <= min(tangent_left, tangent_right) + 1e-9
+    curves = medium_population.curves
+    for i, (hid, (knots, slopes)) in enumerate(list(split(curves).items())[:8]):
+        values = curves.knot_values[curves.offsets[i]:curves.offsets[i + 1]]
+        for k in range(1, len(knots) - 2):
+            mid = 0.5 * (knots[k] + knots[k + 1])
+            chord = 0.5 * (values[k] + values[k + 1])
+            f_mid = curves.eval([mid], [hid])[0]
+            assert f_mid == pytest.approx(chord, rel=1e-12, abs=1e-9)
+            tangent_left = values[k] + slopes[k - 1] * (mid - knots[k])
+            tangent_right = values[k + 1] - slopes[min(k + 1, len(slopes) - 1)] * (knots[k + 1] - mid)
+            assert f_mid <= min(tangent_left, tangent_right) + 1e-9
 
 
 def test_population_fit_quality(medium_population):
     for hid, s in medium_population.samples.items():
-        c = medium_population.fits[hid].savings
-        fitted = np.array([c.eval(y) for y in s.y])
+        fitted = medium_population.curves.eval(s.y, [hid] * s.y.size)
         ss_res = float(np.sum((fitted - s.savings) ** 2))
         ss_tot = float(np.sum((s.savings - s.savings.mean()) ** 2))
         assert 1.0 - ss_res / ss_tot >= 0.999
 
 
 def test_initial_slopes_cluster_terminal_slopes_spread(medium_population):
-    first = np.array([f.savings.slopes[0] for f in medium_population.fits.values()])
-    last = np.array([f.savings.slopes[-1] for f in medium_population.fits.values()])
+    pieces = split(medium_population.curves).values()
+    first = np.array([slopes[0] for _, slopes in pieces])
+    last = np.array([slopes[-1] for _, slopes in pieces])
     cv_first = first.std() / first.mean()
     cv_last = last.std() / last.mean()
     assert cv_first < cv_last
 
 
 def test_purchases_fit_anchored_and_monotone(medium_population):
-    for hid, s in medium_population.samples.items():
-        p = medium_population.fits[hid].purchases
-        assert p.values[0] == s.purchases[0]  # exact no-asset bill
-        assert np.all(np.diff(p.values) <= 0)
+    p = medium_population.purchases
+    for i, hid in enumerate(p.ids):
+        values = p.knot_values[p.offsets[i]:p.offsets[i + 1]]
+        assert values[0] == medium_population.samples[hid].purchases[0]  # exact no-asset bill
+        assert np.all(np.diff(values) <= 0)
 
 
 def test_purchases_fit_warns_on_rise(caplog):
     y = np.array([0.0, 1.0, 2.0])
     p = np.array([100.0, 90.0, 95.0])
     with caplog.at_level(logging.WARNING, logger="dershare.curves"):
-        curve = fit_purchases_curve("a", y, p)
+        c = fit_purchases_curve("a", y, p)
     assert any("rises" in rec.message for rec in caplog.records)
-    assert curve.values[0] == 100.0
-    assert np.all(np.diff(curve.values) <= 0)
+    assert c.knot_values[0] == 100.0
+    assert np.all(np.diff(c.knot_values) <= 0)

@@ -305,14 +305,11 @@ def test_fit_is_bit_identical_for_any_worker_count():
     from dershare.curves import fit_all
     from dershare.synth import SynthConfig, generate_scenario
     sc = generate_scenario(SynthConfig(n_households=6, n_days=5, rng_seed=53))
-    one, two = (fit_all(ScenarioContext(sc), n_samples=6, workers=w) for w in (1, 2))
-    assert list(one) == list(two)
-    for hid, fit in one.items():
-        other = two[hid]
-        for got, want in ((other.savings.knots, fit.savings.knots),
-                          (other.savings.slopes, fit.savings.slopes),
-                          (other.purchases.values, fit.purchases.values)):
-            assert got.tobytes() == want.tobytes()
+    (s1, p1), (s2, p2) = (fit_all(ScenarioContext(sc), n_samples=6, workers=w) for w in (1, 2))
+    assert s1.ids == p1.ids == s2.ids == p2.ids == tuple(sorted(h.id for h in sc.households))
+    for got, want in ((s2.offsets, s1.offsets), (s2.knots, s1.knots), (s2.slopes, s1.slopes),
+                      (p2.offsets, p1.offsets), (p2.knot_values, p1.knot_values)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_template_basis_skips_the_cold_solve():

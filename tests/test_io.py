@@ -5,14 +5,14 @@ import pytest
 
 from conftest import assert_same_load
 from dershare.adoption import DemandCurves
-from dershare.curves import PurchasesCurve, SavingsCurve
 from dershare.io import (IRRADIANCE_FILE, LOADS_FILE, REGIONS_FILE, SWEEP_FILE, TABLES,
                          TARIFF_BUY_FILE, TARIFF_SELL_FILE, Exclusion, ParseError, ingest,
                          load_scenario, read_purchases_curves, read_savings_curves, read_sweep,
                          write_exclusions, write_purchases_curves, write_rows,
                          write_savings_curves, write_scenario)
-from dershare.model import ValidationError
+from dershare.model import CurveSet, ValidationError
 from dershare.synth import SynthConfig, generate_scenario
+from oracles import curve
 
 
 @pytest.fixture()
@@ -245,25 +245,22 @@ def test_curve_csv_round_trip_exact(tmp_path):
     for i in range(4):
         knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 5))])
         slopes = np.sort(rng.uniform(10, 300, 5))[::-1]
-        curves.append(SavingsCurve(f"H{i}", knots, slopes))
-        purchases.append(PurchasesCurve(f"H{i}", knots, np.sort(rng.uniform(0, 100, 6))[::-1]))
+        curves.append(curve(f"H{i}", knots, slopes))
+        purchases.append(curve(f"H{i}", knots, np.sort(rng.uniform(0, 100, 6))[::-1], False))
     write_savings_curves(tmp_path / "s.csv", curves)
     write_purchases_curves(tmp_path / "p.csv", purchases)
-    back_s = read_savings_curves(tmp_path / "s.csv")
-    back_p = read_purchases_curves(tmp_path / "p.csv")
-    for c in curves:
-        np.testing.assert_array_equal(back_s[c.household_id].knots, c.knots)
-        np.testing.assert_array_equal(back_s[c.household_id].slopes, c.slopes)
-        np.testing.assert_array_equal(back_s[c.household_id].values, c.values)
-    for c in purchases:
-        np.testing.assert_array_equal(back_p[c.household_id].values, c.values)
+    for back, written in ((read_savings_curves(tmp_path / "s.csv"), CurveSet.of(curves)),
+                          (read_purchases_curves(tmp_path / "p.csv"), CurveSet.of(purchases))):
+        assert back.ids == written.ids
+        for name in ("offsets", "knots", "slopes", "knot_values"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(written, name))
 
 
 def _curve_files(tmp_path):
     knots = np.array([0.0, 0.5, 1.0, 1.5])
-    s = write_savings_curves(tmp_path / "s.csv", [SavingsCurve("H0", knots, [3.0, 2.0, 1.0])])
+    s = write_savings_curves(tmp_path / "s.csv", [curve("H0", knots, [3.0, 2.0, 1.0])])
     p = write_purchases_curves(tmp_path / "p.csv",
-                               [PurchasesCurve("H0", knots, [9.0, 8.0, 7.0, 6.0])])
+                               [curve("H0", knots, [9.0, 8.0, 7.0, 6.0], False)])
     return s, p
 
 
@@ -289,7 +286,7 @@ def test_savings_value_must_match_knots_and_slopes(tmp_path, line, raw):
 def test_savings_refusal_names_the_first_bad_household_in_id_order(tmp_path):
     # H0's f is off and H1's slopes rise: a household at a time, H0 is refused first
     knots = np.array([0.0, 0.5, 1.0, 1.5])
-    s = write_savings_curves(tmp_path / "s.csv", [SavingsCurve(hid, knots, [3.0, 2.0, 1.0])
+    s = write_savings_curves(tmp_path / "s.csv", [curve(hid, knots, [3.0, 2.0, 1.0])
                                                   for hid in ("H0", "H1")])
     _edit_cell(s, 4, 3, "2.75")
     _edit_cell(s, 7, 4, "9.0")
@@ -305,7 +302,7 @@ def test_savings_refusal_names_the_first_bad_household_in_id_order(tmp_path):
 def test_savings_value_within_rounding_is_accepted(tmp_path):
     s, _ = _curve_files(tmp_path)
     _edit_cell(s, 4, 3, "2.5000000001")
-    np.testing.assert_array_equal(read_savings_curves(s)["H0"].values, [0.0, 1.5, 2.5, 3.0])
+    np.testing.assert_array_equal(read_savings_curves(s).knot_values, [0.0, 1.5, 2.5, 3.0])
 
 
 @pytest.mark.parametrize("kind", ["savings", "purchases"])

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from dershare.adoption import LongRunSolver, build_order, sweep_adoption
-from dershare.curves import SavingsCurve
 from dershare.market import ClearingTable, _sum_in_order, clear_market
 from dershare.model import CurveSet, DomainError
-from oracles import (bisection_clear_market, by_id, owners_of, planner_misfits,
+from oracles import (bisection_clear_market, by_id, curve, owners_of, planner_misfits,
                      random_concave_curve, random_curve_population,
-                     random_tied_curve_population)
+                     random_tied_curve_population, split)
 
 EQUILIBRIUM_TOTALS = ("volume", "owner_surplus_total", "renter_surplus_total", "total_surplus",
                       "owner_participation", "non_owner_participation", "total_participation")
 
 
 def linear_curve(hid, slope, y_bar=1.0):
-    return SavingsCurve(hid, np.array([0.0, y_bar]), np.array([float(slope)]))
+    return curve(hid, np.array([0.0, y_bar]), np.array([float(slope)]))
 
 
 def test_sum_in_order_adds_what_a_loop_from_zero_adds(rng):
@@ -55,7 +54,7 @@ def test_identical_linear_curves_trade_without_gains():
 def test_identical_concave_curves_split_symmetrically():
     knots = np.array([0.0, 1.0, 2.0])
     slopes = np.array([200.0, 80.0])
-    curves = CurveSet.of([SavingsCurve(f"h{i}", knots, slopes) for i in range(4)])
+    curves = CurveSet.of([curve(f"h{i}", knots, slopes) for i in range(4)])
     eq = clear_market(curves, {"h0"})  # 1 owner, 3 renters
     # symmetry: everyone ends up with the same capacity, an equal share of
     # the single adopted asset
@@ -93,22 +92,23 @@ def test_randomized_clearing_identities(seed):
     if not owners or len(owners) == len(ids):
         owners = set(ids[:20])
     eq = clear_market(curves, owners)
-    total_size = sum(c.max_size for c in curves.values())
-    assert abs(eq.residual) <= max(1e-6, 1e-9 * total_size)
+    size, total = (dict(zip(ids, a.tolist())) for a in (curves.sizes, curves.totals))
+    assert abs(eq.residual) <= max(1e-6, 1e-9 * sum(size.values()))
     allocations = by_id(eq, "allocations")
     for hid, w in by_id(eq, "surpluses").items():
         assert w >= -1e-9, hid
     for hid, y in allocations.items():
-        assert -1e-12 <= y <= curves[hid].max_size + 1e-12
+        assert -1e-12 <= y <= size[hid] + 1e-12
     # rent payments cancel: total surplus is the allocation gain alone
-    direct = (sum(curves[h].eval(allocations[h]) for h in ids)
-              - sum(curves[h].total for h in owners))
+    direct = (sum(curves.eval([allocations[h] for h in ids], ids).tolist())
+              - sum(total[h] for h in owners))
     assert eq.total_surplus == pytest.approx(direct, rel=1e-6, abs=1e-9)
 
 
 def test_price_nonincreasing_in_nested_owner_sets(rng):
     curves = random_curve_population(rng, 30)
-    ids = sorted(curves, key=lambda h: -curves[h].normalized_savings)
+    normalized = dict(zip(curves.ids, (curves.totals / curves.sizes).tolist()))
+    ids = sorted(curves, key=lambda h: -normalized[h])
     prices = []
     for k in range(1, len(ids)):
         eq = clear_market(curves, ids[:k])
@@ -121,7 +121,8 @@ def test_equilibrium_order_invariance(rng):
     curves = random_curve_population(rng, 20)
     owners = sorted(curves)[:8]
     eq1 = clear_market(curves, owners)
-    shuffled = CurveSet.of({h: curves[h] for h in reversed(sorted(curves))})
+    pieces = split(curves)
+    shuffled = CurveSet.of([curve(h, *pieces[h]) for h in reversed(sorted(curves))])
     eq2 = clear_market(shuffled, list(reversed(owners)))
     assert eq1.clearing_price == eq2.clearing_price
     assert eq1.volume == eq2.volume
@@ -133,12 +134,9 @@ def test_marginal_households_ration_proportionally():
     # two owners share the indifferent slope; both must trade the same
     # fraction of their indifference span
     knots = np.array([0.0, 1.0, 2.0])
-    owners = {
-        "o1": SavingsCurve("o1", knots, np.array([300.0, 100.0])),
-        "o2": SavingsCurve("o2", knots * 2, np.array([300.0, 100.0])),
-    }
-    renter = {"r": linear_curve("r", 100.0, y_bar=1.5)}
-    curves = CurveSet.of({**owners, **renter})
+    curves = CurveSet.of([curve("o1", knots, np.array([300.0, 100.0])),
+                          curve("o2", knots * 2, np.array([300.0, 100.0])),
+                          linear_curve("r", 100.0, y_bar=1.5)])
     eq = clear_market(curves, {"o1", "o2"})
     assert eq.clearing_price == pytest.approx(100.0)
     allocations = by_id(eq, "allocations")
@@ -158,7 +156,8 @@ def assert_matches_oracle(eq, oracle):
 
 
 def _rationed(curves, eq) -> bool:
-    return any(y not in curves[hid].knots for hid, y in eq.allocations.items())
+    pieces = split(curves)
+    return any(y not in pieces[hid][0] for hid, y in eq.allocations.items())
 
 
 @pytest.mark.parametrize("population", ["medium", "random", "tied"])
@@ -202,10 +201,10 @@ def test_no_trade_market_clears_at_the_midpoint():
     # (250). Summed in floats, the owners' sizes come to 0.8999999999999999
     # and their segment widths to 0.9, which would move r_a up to 250.
     curves = CurveSet.of([
-        SavingsCurve("a", np.array([0.0, 0.1, 0.2]), np.array([300.0, 250.0])),
-        SavingsCurve("b", np.array([0.0, 0.1, 0.7]), np.array([280.0, 260.0])),
-        SavingsCurve("c", np.array([0.0, 0.4]), np.array([100.0])),
-        SavingsCurve("d", np.array([0.0, 0.2, 0.5]), np.array([90.0, 60.0])),
+        curve("a", np.array([0.0, 0.1, 0.2]), np.array([300.0, 250.0])),
+        curve("b", np.array([0.0, 0.1, 0.7]), np.array([280.0, 260.0])),
+        curve("c", np.array([0.0, 0.4]), np.array([100.0])),
+        curve("d", np.array([0.0, 0.2, 0.5]), np.array([90.0, 60.0])),
     ])
     eq = clear_market(curves, {"a", "b"})
     assert eq.clearing_price == 175.0
@@ -220,6 +219,6 @@ def test_breakpoints_are_the_distinct_slopes_steepest_first(population):
     make = random_curve_population if population == "random" else random_tied_curve_population
     for seed in range(6):
         curves = make(np.random.default_rng(5000 + seed), 1 + 15 * seed)
-        expected = np.unique(np.concatenate([c.slopes for c in curves.values()]))[::-1]
+        expected = np.unique(np.concatenate([s for _, s in split(curves).values()]))[::-1]
         assert ClearingTable(curves).breakpoints.tolist() == expected.tolist()
     assert ClearingTable(CurveSet.of([])).breakpoints.size == 0

@@ -6,10 +6,10 @@ import pytest
 from dershare.adoption import LongRunSolver, build_order, long_run_adoption
 from dershare.dispatch import ScenarioContext
 from dershare.market import clear_market
-from dershare.curves import PurchasesCurve, SavingsCurve
 from dershare.model import CurveSet, DomainError
 from dershare.stakeholders import (billed_sales, autarky_assignment, market_emerges,
                                    regime_boundary, regime_points, utility_loss, vendor_gain)
+from oracles import curve
 
 
 def test_vendor_gain_arithmetic():
@@ -32,7 +32,7 @@ def test_vendor_gain_matches_subsidy_delta_q(medium_population):
 def test_baseline_identity(medium_population):
     purchases = medium_population.purchases
     order = medium_population.order
-    t_bl = sum(purchases[hid].values[0] for hid in sorted(purchases))
+    t_bl = sum(purchases.knot_values[purchases.offsets[:-1]].tolist())  # each bill at y = 0
     # zero adoption: billed sales equal the pre-adoption total bill exactly
     assert billed_sales(purchases, sorted(order.ranking), autarky_assignment(order, 0)) == t_bl
     households = medium_population.scenario.household_map()
@@ -53,28 +53,28 @@ def test_autarky_assignment_holds_the_first_k_at_full_size_in_id_order(medium_po
 def test_billed_sales_sum_left_to_right():
     # a compensated sum (Python 3.12's sum() over floats) would keep the 1.0
     bills = {"a": 1e16, "b": 1.0, "c": -1e16}
-    purchases = CurveSet.of([PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([v, v]))
+    purchases = CurveSet.of([curve(hid, np.array([0.0, 1.0]), np.array([v, v]), savings=False)
                              for hid, v in bills.items()])
     assert billed_sales(purchases, list(bills), np.full(3, 0.5)) == 0.0
 
 
 def _random_purchases(rng, n):
-    """n curves with 2-8 knots, some with flat segments."""
+    """n curves with 2-8 knots, some with flat segments, each a set of one, by id."""
     curves = {}
     for i in range(n):
         knots = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 3.0, rng.integers(1, 8)))])
         drops = rng.uniform(0.0, 50.0, knots.size - 1) * (rng.uniform(size=knots.size - 1) < 0.8)
         values = rng.uniform(100.0, 2000.0) - np.concatenate([[0.0], np.cumsum(drops)])
-        curves[f"H{i:03d}"] = PurchasesCurve(f"H{i:03d}", knots, values)
+        curves[f"H{i:03d}"] = curve(f"H{i:03d}", knots, values, savings=False)
     return curves
 
 
-def _interp(curve, y: float) -> float:
-    """The curve at y as np.interp gives it, y clipped to [0, max_size] once
-    it is within rounding slack of it."""
-    size = curve.max_size
+def _interp(one, y: float) -> float:
+    """The set of one's curve at y as np.interp gives it, y clipped to
+    [0, size] once it is within rounding slack of it."""
+    size = float(one.sizes[0])
     assert -1e-9 * size <= y <= size * (1 + 1e-9) + 1e-12
-    return float(np.interp(min(max(y, 0.0), size), curve.knots, curve.values))
+    return float(np.interp(min(max(y, 0.0), size), one.knots, one.knot_values))
 
 
 def test_bills_equal_each_curves_eval_bit_for_bit():
@@ -96,19 +96,20 @@ def test_bills_equal_each_curves_eval_bit_for_bit():
                                  float(knots[1]) * (1 - 1e-16)]))
         y = np.array(y)
         want = np.array([_interp(purchases[hid], v) for hid, v in zip(ids, y.tolist())])
-        assert CurveSet.of(purchases).eval(y, ids).tobytes() == want.tobytes(), trial
-        each = np.array([purchases[hid].eval(v) for hid, v in zip(ids, y.tolist())])
+        assert CurveSet.of(purchases.values()).eval(y, ids).tobytes() == want.tobytes(), trial
+        each = np.array([purchases[hid].eval([v], [hid])[0] for hid, v in zip(ids, y.tolist())])
         assert each.tobytes() == want.tobytes(), trial
 
 
 def test_bills_name_the_first_household_out_of_its_domain():
-    purchases = CurveSet.of(_random_purchases(np.random.default_rng(7), 6))
+    purchases = CurveSet.of(_random_purchases(np.random.default_rng(7), 6).values())
     ids = sorted(purchases)
-    sizes = [purchases[hid].max_size for hid in ids]
+    sizes = purchases.sizes.tolist()
     y = np.array(sizes)
     y[4] = sizes[4] * 1.01
     y[2] = -1e-6
-    for evaluate in (lambda: purchases[ids[2]].eval(y[2]), lambda: billed_sales(purchases, ids, y)):
+    for evaluate in (lambda: purchases.eval(y[2:3], ids[2:3]),
+                     lambda: billed_sales(purchases, ids, y)):
         with pytest.raises(DomainError) as got:
             evaluate()
         assert str(got.value) == f"y={float(y[2])} outside [0, {sizes[2]}]"
@@ -149,7 +150,7 @@ def test_billed_sales_matches_lp_resolve(medium_population):
     ctx = ScenarioContext(sc)
     for hid, y in list(zip(eq.ids, eq.allocations.tolist()))[::6][:10]:
         direct = ctx.annual_bill(hh_map[hid], y).purchases
-        fitted = medium_population.purchases[hid].eval(y)
+        fitted = medium_population.purchases.eval([y], [hid])[0]
         assert fitted == pytest.approx(direct, rel=0.01)
 
 
@@ -208,9 +209,9 @@ def test_threshold_is_infinite_when_the_utility_loses_nothing():
     # five owners value capacity at 390 and the last household at 150, so at 200 the
     # market pulls the last one in; flat purchases curves bill the same at any capacity
     ns = {**{f"h{i}": 390.0 for i in range(5)}, "last": 150.0}
-    curves = CurveSet.of([SavingsCurve(hid, np.array([0.0, 1.0]), np.array([v]))
+    curves = CurveSet.of([curve(hid, np.array([0.0, 1.0]), np.array([v]))
                           for hid, v in ns.items()])
-    purchases = CurveSet.of([PurchasesCurve(hid, np.array([0.0, 1.0]), np.array([10.0, 10.0]))
+    purchases = CurveSet.of([curve(hid, np.array([0.0, 1.0]), np.array([10.0, 10.0]), False)
                              for hid in ns])
     order = build_order(curves)
     [pt] = regime_points(order, purchases, [long_run_adoption(order, curves, 200.0)])
