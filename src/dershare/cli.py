@@ -475,6 +475,11 @@ def _write_records(path: Path, columns: list[str], records, missing="") -> None:
 
 
 def _gen_data(run: Run) -> None:
+    recorded = run.manifest.get("outputs", {})
+    for rel in DATA_RELS:  # a data file gen-data did not write is the user's: never overwrite it
+        if (run.out / rel).exists() and recorded.get(rel) != run.sha(rel):
+            raise StageError(f"{rel} is not the file gen-data wrote; remove it to regenerate it, "
+                             "or run the stages from `dershare validate` to use it")
     from .synth import generate_scenario
     scenario = generate_scenario(run.synth, run.asset)
     validate_scenario(scenario)

@@ -231,10 +231,13 @@ def fit_all(ctx: ScenarioContext, n_samples: int = DEFAULT_SAMPLES,
         fits = [fit_household(ctx, households[hid], n_samples) for hid in ids]
     else:
         # imported here so that a single-worker process never loads it
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_fit_worker_init,
-                initargs=(ctx.scenario, ctx.day_indices, ctx.require_terminal_soc, n_samples),
-        ) as pool:
-            fits = list(pool.map(_fit_worker, ids, chunksize=4))
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=workers, initializer=_fit_worker_init,
+                    initargs=(ctx.scenario, ctx.day_indices, ctx.require_terminal_soc, n_samples),
+            ) as pool:
+                fits = list(pool.map(_fit_worker, ids, chunksize=4))
+        except BrokenProcessPool:
+            raise FitError("fit: a worker process died") from None
     return CurveSet.of([f.savings for f in fits]), CurveSet.of([f.purchases for f in fits])

@@ -12,8 +12,9 @@ subject to the hourly bus balance
     grid = load - eta_i * irradiance * y
            + charge / (eta_c * eta_i) - (eta_d * eta_i) * discharge,
 
-rate limits scaled by y, state-of-charge limits [0, alpha * y], and the
-self-discharging storage recursion  x_h = eta_s * x_{h-1} + u_h.
+rate limits scaled by y, state-of-charge limits [0, alpha * y] (a required
+terminal charge raises the last hour's to [x0 * alpha * y, alpha * y]), and
+the self-discharging storage recursion  x_h = eta_s * x_{h-1} + u_h.
 
 Because buy >= sell >= 0 in every hour, splitting the signed variables
 into nonnegative parts is exact: simultaneously positive parts are
@@ -92,7 +93,7 @@ def _day_matrix(asset: AssetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                  zip(*((r, c, np.full(r.size, v)) for r, c, v in blocks)))
 
 
-def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
+def _period_matrix(asset: AssetSpec, n_days: int):
     """The block-diagonal matrix of n_days days, in LPModel's column-compressed form."""
     rows, cols, vals = _day_matrix(asset)
     day = np.arange(n_days)[:, None]
@@ -100,12 +101,6 @@ def _period_matrix(asset: AssetSpec, n_days: int, require_terminal_soc: bool):
     cols = (cols + _N_VARS * day).ravel()
     vals = np.tile(vals, n_days)
     n_rows, n_cols = 2 * HOURS * n_days, _N_VARS * n_days
-    if require_terminal_soc:
-        # one row per day: -x_24 <= -x0 * alpha * y
-        rows = np.concatenate([rows, n_rows + np.arange(n_days)])
-        cols = np.concatenate([cols, np.arange(n_days) * _N_VARS + (_X.stop - 1)])
-        vals = np.concatenate([vals, -np.ones(n_days)])
-        n_rows += n_days
     order = np.lexsort((rows, cols))
     start = np.zeros(n_cols + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n_cols), out=start[1:])
@@ -139,9 +134,9 @@ class ScenarioContext:
 
     The constructor checks the prices and computes once what depends on
     neither the load nor y: eta_i * irradiance, the column bounds per kW
-    and the storage factors. Each is a left-hand part of the expression a
-    solve evaluated before it was hoisted (eta_i * irr * y is
-    (eta_i * irr) * y), so precomputing it changes no bit of a result.
+    (lower and unit) and the storage factors. Each is a left-hand part of
+    the expression a solve evaluated before it was hoisted (eta_i * irr * y
+    is (eta_i * irr) * y), so precomputing it changes no bit of a result.
     Consecutive capacities of one household warm-start from each other;
     another household starts from the template basis, which the first
     positive capacity billed computes once.
@@ -170,9 +165,11 @@ class ScenarioContext:
         unit = np.repeat([asset.u_charge_max, asset.u_discharge_max, asset.alpha, np.inf, np.inf],
                          HOURS)  # each column's upper bound per kW of capacity, group by group
         self.unit = _frozen(np.tile(unit, n_days))
-        self.col_lower = _frozen(np.zeros(_N_VARS * n_days))
+        lower = np.zeros((n_days, _N_VARS))  # each column's lower bound per kW
+        if require_terminal_soc:
+            lower[:, _X.stop - 1] = asset.x0 * asset.alpha  # x_24 >= x0 * alpha * y
+        self.lower = _frozen(lower.ravel())
         self.start_soc = asset.eta_s * asset.x0 * asset.alpha  # start-of-day charge per kW
-        self.end_soc = -asset.x0 * asset.alpha  # -x_24 <= -x0 * alpha * y, per kW
         self.charge_div = asset.eta_c * asset.eta_i
         self.discharge_yield = asset.eta_d * asset.eta_i
         self._template = None  # the model's optimal basis for the template household
@@ -181,7 +178,7 @@ class ScenarioContext:
     @cached_property
     def _model(self) -> LPModel:
         """The D-day block LP of these prices; only its bounds depend on the load and y."""
-        a = _period_matrix(self.scenario.asset, self.n_days, self.require_terminal_soc)
+        a = _period_matrix(self.scenario.asset, self.n_days)
         c = np.zeros((self.n_days, _N_VARS))
         c[:, _GP] = self.buy
         c[:, _GM] = -self.sell
@@ -201,17 +198,11 @@ class ScenarioContext:
                            float(np.dot(load.ravel(), buy.ravel())), 0.0)
 
         net = load - self.eta_irr * y
-        n_balance = 2 * HOURS * n_days
-        row_upper = np.zeros(n_balance + (n_days if self.require_terminal_soc else 0))
-        b = row_upper[:n_balance].reshape(n_days, 2 * HOURS)
+        b = np.zeros((n_days, 2 * HOURS))  # every row is an equality: b <= a @ x <= b
         b[:, :HOURS] = net
         b[:, HOURS] = self.start_soc * y  # start-of-day charge enters hour 1
-        row_lower = row_upper
-        if self.require_terminal_soc:
-            row_upper[n_balance:] = self.end_soc * y
-            row_lower = row_upper.copy()
-            row_lower[n_balance:] = -np.inf
-        sol = model.solve(row_lower, row_upper, self.col_lower, self.unit * y, start)
+        b = b.ravel()
+        sol = model.solve(b, b, self.lower * y, self.unit * y, start)
         blocks = sol.x.reshape(n_days, _N_VARS)
         u = blocks[:, _UP] - blocks[:, _UM]  # netting the charge/discharge split
         soc = blocks[:, _X]

@@ -13,7 +13,8 @@ The second form makes the comparison runs of a bit-for-bit change, RUNS,
 once with each source tree (a directory holding the `dershare` package,
 or a checkout with it under `src`), each in a temporary directory, and
 prints every pair's differences the same way, or `<run>: identical` for
-a pair with none: TINY; the desk run (the default config) on one worker
+a pair with none: TINY, and TINY with the terminal charge required from
+a half-charged start; the desk run (the default config) on one worker
 and on two; a 60-household run on one day and six samples, and its
 rerun with a new `--p-grid` and `--flows-at`, which rewrites longrun,
 subsidy, localness and stakeholders. Its localness stage parses the
@@ -48,9 +49,11 @@ TINY = {
 _DESK = ["--flows-at", "0.4", "--equilibrium-at", "0.3,0.7"]
 _MARKET = ["--threads", "1", "--samples", "6", "--days", "1", "--t-grid", "0.005:0.995:60",
            "--flows-at", "0.4"]
+_TINY = ["--threads", "1", "--flows-at", "0.5", "--equilibrium-at", "0.3,0.7"]
 # name: (config, then `all`'s flags); a rerun starts from a copy of the run it names
 RUNS = {
-    "tiny": (TINY, ["--threads", "1", "--flows-at", "0.5", "--equilibrium-at", "0.3,0.7"]),
+    "tiny": (TINY, _TINY),
+    "tiny-terminal": ({**TINY, "require_terminal_soc": True, "asset": {"x0": 0.5}}, _TINY),
     "desk-1": ({}, ["--threads", "1", *_DESK]),
     "desk-2": ({}, ["--threads", "2", *_DESK]),
     "market": ({"synth": {"n_households": 60, "n_days": 30, "n_regions": 5, "rng_seed": 9}},

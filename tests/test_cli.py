@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -375,6 +376,47 @@ def test_seed_override_changes_data(tmp_path, config_path):
     assert (a / "data/loads.csv").read_bytes() != (b / "data/loads.csv").read_bytes()
 
 
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_gen_data_never_overwrites_data_it_did_not_write(finished_run, tmp_path, config_path,
+                                                          capsys):
+    """A data file whose bytes are not the ones gen-data recorded is the
+    user's: one value doubled in a finished run's loads.csv, or data files in
+    a directory with no manifest. gen-data and `all` exit 2 naming the first
+    such file, and every byte stays as it was."""
+    edited, supplied = tmp_path / "edited", tmp_path / "supplied"
+    shutil.copytree(finished_run, edited)
+    shutil.copytree(finished_run / cli.DATA_SUBDIR, supplied / cli.DATA_SUBDIR)
+    loads = edited / cli.DATA_SUBDIR / "loads.csv"
+    header, first, *rows = loads.read_text().splitlines(keepends=True)
+    cells = first.split(",")
+    cells[3] = repr(2 * float(cells[3]))
+    loads.write_text("".join([header, ",".join(cells), *rows]))
+    for out in (edited, supplied):
+        before = _files(out)
+        for command in ("gen-data", "all"):
+            capsys.readouterr()
+            assert _run(command, "--config", config_path, "--out", out) == 2
+            assert capsys.readouterr().err == (
+                "error: data/loads.csv is not the file gen-data wrote; remove it to regenerate "
+                "it, or run the stages from `dershare validate` to use it\n")
+            assert _files(out) == before
+
+
+def test_gen_data_rewrites_its_own_data_with_a_new_seed(finished_run, tmp_path, config_path,
+                                                        capsys):
+    out = tmp_path / "run"
+    shutil.copytree(finished_run, out)
+    original = _files(out / cli.DATA_SUBDIR)
+    assert _run("gen-data", "--config", config_path, "--out", out, "--seed", "99") == 0
+    assert _files(out / cli.DATA_SUBDIR)["loads.csv"] != original["loads.csv"]
+    # the manifest now records the new seed's files, so the old seed writes over them again
+    assert _run("gen-data", "--config", config_path, "--out", out) == 0
+    assert _files(out / cli.DATA_SUBDIR) == original
+
+
 def test_thread_count_does_not_change_outputs(tmp_path, config_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _run("all", "--config", config_path, "--out", a, "--threads", "1") == 0
@@ -512,6 +554,22 @@ def test_fit_failure_exits_2_naming_the_household(tmp_path, config_path, capsys,
     capsys.readouterr()
     code = _run("fit", "--config", config_path, "--out", out)
     _assert_input_error(capsys, code, "household H", "concavity repair moved a sample")
+
+
+def _die(household_id):
+    os._exit(1)
+
+
+def test_a_fit_worker_that_dies_exits_2(tmp_path, config_path, capsys, monkeypatch):
+    # forked workers inherit the patch, and pickle _die by its name in this module
+    import dershare.curves
+    out = tmp_path / "run"
+    assert _run("gen-data", "--config", config_path, "--out", out) == 0
+    monkeypatch.setattr(dershare.curves, "_fit_worker", _die)
+    capsys.readouterr()
+    code = _run("fit", "--config", config_path, "--out", out, "--threads", "2")
+    assert (code, capsys.readouterr().err) == (2, "error: fit: a worker process died\n")
+    assert not (out / cli.SAVINGS_FILE).exists()
 
 
 def test_transport_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -1305,17 +1363,11 @@ LOAD_LAW = {
 }
 
 
-def test_twice_the_loads_doubles_every_kw_and_dollar_and_keeps_every_price(finished_run,
-                                                                            tmp_path):
-    """Every bound of the dispatch LP is linear in the load and y together, and
-    the net-zero size in the load, so doubling every load doubles the sample
-    grid, every bill and knot value and keeps every slope; the market then
-    keeps every price, count, share and flag and doubles every kW and $. A
-    power of two scales exactly, so the law holds bit for bit, validate to
-    stakeholders. The meter filter's 0.1 kW is absolute: TINY's mean loads
-    are 0.56-1.6 kW, none within a factor 2 of it, so both runs keep the
-    same households."""
-    data = finished_run / cli.DATA_SUBDIR
+def _assert_load_law(data: Path, config: dict, tmp_path: Path) -> None:
+    """validate to stakeholders on data and on data with every load doubled,
+    under config: every cell of every output CSV obeys LOAD_LAW, bit for bit.
+    The meter filter's 0.1 kW is absolute, so no household's mean load may
+    lie within a factor 2 of it: then both runs keep the same households."""
     header, *rows = (data / "loads.csv").read_text().splitlines()
     means = {}
     for row in rows:
@@ -1328,12 +1380,12 @@ def test_twice_the_loads_doubles_every_kw_and_dollar_and_keeps_every_price(finis
     cells = [row.split(",") for row in rows]
     (runs[1] / cli.DATA_SUBDIR / "loads.csv").write_text("\n".join(
         [header, *(",".join(c[:3] + [repr(2 * float(v)) for v in c[3:]]) for c in cells)]) + "\n")
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     dumps = {"sweep": ["--equilibrium-at", "0.3,0.7"], "localness": ["--flows-at", "0.5"]}
     for run in runs:
         for stage in STAGES[1:]:
-            assert _run(stage, "--config", config, "--out", run, *dumps.get(stage, [])) == 0
+            assert _run(stage, "--config", path, "--out", run, *dumps.get(stage, [])) == 0
     assert sorted(p.name for p in runs[0].glob("*.csv")) == sorted(LOAD_LAW)
     for name, laws in LOAD_LAW.items():
         (head, *once), (head2, *twice) = ((run / name).read_text().splitlines() for run in runs)
@@ -1342,6 +1394,33 @@ def test_twice_the_loads_doubles_every_kw_and_dollar_and_keeps_every_price(finis
             for column, x, y in zip(head.split(","), a.split(","), b.split(",")):
                 ok = float(y) == 2 * float(x) if laws.get(column) == "x2" else x == y
                 assert ok, (name, row, column, x, y)
+
+
+def test_twice_the_loads_doubles_every_kw_and_dollar_and_keeps_every_price(finished_run,
+                                                                            tmp_path):
+    """Every bound of the dispatch LP is linear in the load and y together, and
+    the net-zero size in the load, so doubling every load doubles the sample
+    grid, every bill and knot value and keeps every slope; the market then
+    keeps every price, count, share and flag and doubles every kW and $. A
+    power of two scales exactly, so the law holds bit for bit, validate to
+    stakeholders. TINY's mean loads are 0.56-1.6 kW, none within a factor 2
+    of the meter filter's 0.1 kW."""
+    _assert_load_law(finished_run / cli.DATA_SUBDIR, TINY, tmp_path)
+
+
+MARKET_60 = {"synth": {"n_households": 60, "n_days": 1, "rng_seed": 5}, "fit": {"n_samples": 6},
+             "sweep": {"t_grid": "0.005:0.995:60"}}
+
+
+def test_twice_the_loads_of_60_households_on_one_day_obey_the_load_law(tmp_path):
+    """The load law on a market of 60 households, one day each, six samples:
+    many more owners clear at each rental price than in TINY. Their mean
+    loads are 0.34-1.9 kW, none within a factor 2 of the meter filter's
+    0.1 kW."""
+    path, out = tmp_path / "config.json", tmp_path / "generated"
+    path.write_text(json.dumps(MARKET_60))
+    assert _run("gen-data", "--config", path, "--out", out) == 0
+    _assert_load_law(out / cli.DATA_SUBDIR, MARKET_60, tmp_path)
 
 
 def test_reversing_the_id_order_moves_no_curve_row_and_no_price(finished_run, tmp_path,
@@ -1478,7 +1557,7 @@ def test_blank_line_between_data_rows_changes_no_output(finished_run, tmp_path, 
     lines = loads.read_bytes().splitlines(keepends=True)
     loads.write_bytes(b"".join([*lines[:3], b"\r\n", *lines[3:]]))
     capsys.readouterr()
-    for stage in STAGES[1:]:  # `all` would regenerate the edited file
+    for stage in STAGES[1:]:  # `all` would refuse the edited file at gen-data
         assert _run(stage, "--config", config_path, "--out", out) == 0
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
             if ": wrote " in line] == ["validate", "fit", "localness"]

@@ -183,25 +183,34 @@ def test_day_subsampling_scales_totals():
     assert half.annual_bill(hh, 0.0).bill == pytest.approx(full.annual_bill(hh, 0.0).bill, rel=0.2)
 
 
-@pytest.mark.parametrize("terminal", [False, True])
 @pytest.mark.parametrize("n_days", [1, 7, 30])
-def test_period_matrix_equals_scipy_sparse_build(asset, n_days, terminal):
+def test_period_matrix_equals_scipy_sparse_build(asset, n_days):
     # the numpy build hands HiGHS exactly the arrays scipy.sparse would
     import scipy.sparse as sp
     from dershare.dispatch import _day_matrix, _period_matrix
     rows, cols, vals = _day_matrix(asset)
     day = sp.coo_matrix((vals, (rows, cols)), shape=(2 * HOURS, 5 * HOURS))
     expected = sp.block_diag([day] * n_days, format="csc")
-    if terminal:
-        last_soc = np.arange(n_days) * 5 * HOURS + 3 * HOURS - 1
-        terminal_rows = sp.csc_matrix((-np.ones(n_days), (np.arange(n_days), last_soc)),
-                                      shape=(n_days, n_days * 5 * HOURS))
-        expected = sp.vstack([expected, terminal_rows], format="csc")
-    shape, arrays = _period_matrix(asset, n_days, terminal)
+    shape, arrays = _period_matrix(asset, n_days)
     assert shape == expected.shape
     for got, want in zip(arrays, (expected.indptr, expected.indices, expected.data)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+def test_terminal_charge_is_a_lower_bound_on_each_days_last_charge():
+    # the required terminal charge adds no row: the model keeps its 48 equality
+    # rows per day, and x_24's per-kW lower bound is x0 * alpha, every other one 0
+    from dershare.synth import SynthConfig, generate_scenario
+    asset = AssetSpec(x0=0.5)
+    sc = generate_scenario(SynthConfig(n_households=1, n_days=4, rng_seed=43), asset)
+    ctx = ScenarioContext(sc, require_terminal_soc=True)
+    n_cols, n_rows = ctx._model._shape
+    assert (n_rows, n_cols) == (2 * HOURS * 4, 5 * HOURS * 4)
+    last = np.arange(4) * 5 * HOURS + 3 * HOURS - 1
+    np.testing.assert_array_equal(ctx.lower[last], np.full(4, asset.x0 * asset.alpha))
+    assert not np.delete(ctx.lower, last).any()
+    assert not ScenarioContext(sc).lower.any()
 
 
 def test_missing_highs_binding_names_the_directory(monkeypatch):
@@ -242,7 +251,7 @@ def _assert_matches_oracle(totals, oracle, scale=1.0):
 @pytest.mark.parametrize("terminal", [False, True])
 def test_block_lp_matches_cold_linprog_oracle(terminal):
     # criterion 2's instances, one day at a time and as five-day blocks; a
-    # half-charged start makes the terminal rows bind
+    # half-charged start makes the terminal bounds bind
     asset = AssetSpec(x0=0.5) if terminal else AssetSpec()
     rng = np.random.default_rng(7001)
     days = [random_dispatch_instance(rng) for _ in range(40)]
