@@ -183,11 +183,15 @@ def test_day_subsampling_scales_totals():
     assert half.annual_bill(hh, 0.0).bill == pytest.approx(full.annual_bill(hh, 0.0).bill, rel=0.2)
 
 
+@pytest.mark.parametrize("terminal", [False, True])
 @pytest.mark.parametrize("n_days", [1, 7, 30])
-def test_period_matrix_equals_scipy_sparse_build(asset, n_days):
-    # the numpy build hands HiGHS exactly the arrays scipy.sparse would
+def test_period_matrix_equals_scipy_sparse_build(asset, n_days, terminal):
+    # the numpy build hands HiGHS exactly the arrays scipy.sparse would; a
+    # required terminal charge adds no row: the model keeps its 48 equality
+    # rows per day, and x_24's per-kW lower bound is x0 * alpha, every other one 0
     import scipy.sparse as sp
     from dershare.dispatch import _day_matrix, _period_matrix
+    from dershare.synth import SynthConfig, generate_scenario
     rows, cols, vals = _day_matrix(asset)
     day = sp.coo_matrix((vals, (rows, cols)), shape=(2 * HOURS, 5 * HOURS))
     expected = sp.block_diag([day] * n_days, format="csc")
@@ -196,21 +200,15 @@ def test_period_matrix_equals_scipy_sparse_build(asset, n_days):
     for got, want in zip(arrays, (expected.indptr, expected.indices, expected.data)):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-
-
-def test_terminal_charge_is_a_lower_bound_on_each_days_last_charge():
-    # the required terminal charge adds no row: the model keeps its 48 equality
-    # rows per day, and x_24's per-kW lower bound is x0 * alpha, every other one 0
-    from dershare.synth import SynthConfig, generate_scenario
-    asset = AssetSpec(x0=0.5)
-    sc = generate_scenario(SynthConfig(n_households=1, n_days=4, rng_seed=43), asset)
-    ctx = ScenarioContext(sc, require_terminal_soc=True)
+    half_charged = AssetSpec(x0=0.5)
+    sc = generate_scenario(SynthConfig(n_households=1, n_days=n_days, rng_seed=43), half_charged)
+    ctx = ScenarioContext(sc, require_terminal_soc=terminal)
     n_cols, n_rows = ctx._model._shape
-    assert (n_rows, n_cols) == (2 * HOURS * 4, 5 * HOURS * 4)
-    last = np.arange(4) * 5 * HOURS + 3 * HOURS - 1
-    np.testing.assert_array_equal(ctx.lower[last], np.full(4, asset.x0 * asset.alpha))
+    assert (n_rows, n_cols) == expected.shape
+    last = np.arange(n_days) * 5 * HOURS + 3 * HOURS - 1
+    np.testing.assert_array_equal(
+        ctx.lower[last], np.full(n_days, half_charged.x0 * half_charged.alpha if terminal else 0.0))
     assert not np.delete(ctx.lower, last).any()
-    assert not ScenarioContext(sc).lower.any()
 
 
 def test_missing_highs_binding_names_the_directory(monkeypatch):
