@@ -574,7 +574,7 @@ def _stakeholders(run: Run) -> None:
         hid = next(hid for hid, a, b in zip(s.ids, *knots) if not np.array_equal(a, b))
         raise DomainError(f"{run.out / PURCHASES_FILE} against {SAVINGS_FILE}: household "
                           f"{hid!r}: knots differ from its savings curve's")
-    _write_records(run.out / "stakeholders.csv", _fields(RegimePoint, "long_run"),
+    _write_records(run.out / "stakeholders.csv", _fields(RegimePoint),
                    map(vars, regime_points(run.order, run.purchases, run.long_run)))
 
 

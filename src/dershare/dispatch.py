@@ -22,7 +22,8 @@ never strictly better, so an optimal vertex satisfies complementarity
 except possibly at hours with degenerate (equal or zero) prices, where
 netting the parts leaves the objective unchanged. Post-solve we net the
 storage split and rebuild the grid vector from the bus balance, then
-verify the objective is reproduced.
+verify the objective is reproduced. A solve returns the period totals
+(bill, purchases, sale credit); the per-hour dispatch is not kept.
 
 A period of D days is one block-diagonal LP, declared as arrays: one
 day's (rows, cols, values) blocks tiled over the days, which couple only
@@ -108,17 +109,6 @@ def _period_matrix(asset: AssetSpec, n_days: int):
     return (n_rows, n_cols), tuple(map(_frozen, arrays))
 
 
-class _Period(NamedTuple):
-    grid: np.ndarray  # (days, 24) kWh, signed
-    u: np.ndarray  # (days, 24) kWh, positive = charging
-    soc: np.ndarray  # (days, 24) kWh at end of each hour
-    purchases: float
-    sale_credit: float
-
-    def totals(self) -> PeriodTotals:
-        return PeriodTotals(self.purchases + self.sale_credit, self.purchases, self.sale_credit)
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -184,18 +174,17 @@ class ScenarioContext:
         c[:, _GM] = -self.sell
         return LPModel(c.ravel(), a)
 
-    def _solve(self, household: HouseholdRecord, y: float, start=None) -> _Period:
-        """Optimal dispatch of the household at capacity y (y = 0: load . buy),
-        from basis start, else the model's last one (none yet: a cold solve)."""
+    def _solve(self, household: HouseholdRecord, y: float, start=None) -> PeriodTotals:
+        """The household's unscaled period totals at capacity y (y = 0: load . buy),
+        solved from basis start, else the model's last one (none yet: cold)."""
         model = self._model  # built on the first call even at y = 0: later, peak RSS rose 0.4 MB
         if y < 0:
             raise DomainError(f"capacity y must be >= 0, got {y}")
         load = np.asarray(household.load[self.day_indices], dtype=float)
         n_days, buy = self.n_days, self.buy
-        if y == 0.0:
-            # no asset: the grid carries the load
-            return _Period(load.copy(), np.zeros_like(load), np.zeros_like(load),
-                           float(np.dot(load.ravel(), buy.ravel())), 0.0)
+        if y == 0.0:  # no asset: the grid carries the load
+            purchases = float(np.dot(load.ravel(), buy.ravel()))
+            return PeriodTotals(purchases, purchases, 0.0)
 
         net = load - self.eta_irr * y
         b = np.zeros((n_days, 2 * HOURS))  # every row is an equality: b <= a @ x <= b
@@ -205,7 +194,6 @@ class ScenarioContext:
         sol = model.solve(b, b, self.lower * y, self.unit * y, start)
         blocks = sol.x.reshape(n_days, _N_VARS)
         u = blocks[:, _UP] - blocks[:, _UM]  # netting the charge/discharge split
-        soc = blocks[:, _X]
         grid = (net + np.maximum(u, 0.0) / self.charge_div
                 + self.discharge_yield * np.minimum(u, 0.0))
         purchases = float((np.maximum(grid, 0.0) * buy).sum())
@@ -213,7 +201,7 @@ class ScenarioContext:
         if abs(purchases + credits - sol.objective) > _OBJ_CONSISTENCY_TOL * (1.0 + abs(sol.objective)):
             raise LPError(f"split-variable netting changed the objective: "
                           f"{purchases + credits!r} vs {sol.objective!r}")
-        return _Period(grid, u, soc, purchases, credits)
+        return PeriodTotals(purchases + credits, purchases, credits)
 
     def _start(self, household_id: str):
         """The basis this household's solve starts from (None: the model's
@@ -230,5 +218,4 @@ class ScenarioContext:
     def annual_bill(self, household: HouseholdRecord, y: float) -> PeriodTotals:
         """Period bill (and decomposition) for the household at capacity y."""
         start = self._start(household.id) if y > 0 else None
-        p = self._solve(household, y, start)
-        return PeriodTotals(*(self.scale * np.array(p.totals())))
+        return PeriodTotals(*(self.scale * np.array(self._solve(household, y, start))))

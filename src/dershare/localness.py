@@ -118,7 +118,6 @@ class RegionalFlow:
     """
 
     region_ids: tuple[str, ...]
-    excess: np.ndarray  # raw s_k, kW
     flow: np.ndarray  # |Z| x |Z| kW, zero diagonal
     objective: float
     fraction_local: float
@@ -131,8 +130,8 @@ def min_cost_flow(excess, distances, volume: float,
     """Match regional surpluses to shortages at minimum squared-distance cost.
 
     Tiny clearing imbalance between total surplus and total shortage is
-    absorbed by scaling the larger side down before solving; the
-    reported excesses stay untouched.
+    absorbed by scaling the larger side down before solving;
+    fraction_local is computed from the unscaled excesses.
     """
     excess = np.asarray(excess, dtype=float)
     distances = np.asarray(distances, dtype=float)
@@ -168,6 +167,6 @@ def min_cost_flow(excess, distances, volume: float,
         flow[np.ix_(rows, cols)] = sub_flow
 
     return RegionalFlow(
-        region_ids=tuple(region_ids), excess=excess, flow=flow,
+        region_ids=tuple(region_ids), flow=flow,
         objective=float(objective), fraction_local=float(fraction_local),
         volume=float(volume), degenerate=(volume <= 0))

@@ -80,7 +80,6 @@ class MarketEquilibrium:
     non_owner_participation: float = 0.0
     total_participation: float = 0.0
     residual: float = 0.0  # supply minus demand at the clearing price
-    degenerate: bool = False
 
     def __post_init__(self):
         for a in (self.allocations, self.surpluses, self.owner):
@@ -113,8 +112,9 @@ class ClearingTable:
         self.first_segment = self.first - np.arange(len(self.ids))
         self.tol = max(1e-6, 1e-9 * _sum_in_order(curves.sizes))
 
-        units = _exact_units(curves.knots.tolist() + curves.sizes.tolist())  # sizes are knots too
-        self.size_units = dict(zip(self.ids, units[curves.knots.size:]))
+        units = _exact_units(curves.knots.tolist())
+        ends = (curves.offsets[1:] - 1).tolist()  # each household's last knot is its size
+        self.size_units = {hid: units[k] for hid, k in zip(self.ids, ends)}
         self.total_units = sum(self.size_units.values())
         widths = [units[k + 1] - units[k] for k in curves.segment_knots.tolist()]
 
@@ -156,7 +156,7 @@ class ClearingTable:
         owner is a bool array in ids order; the equilibrium keeps it, read-only."""
         if price is None:
             return MarketEquilibrium(None, 0.0, self.ids, np.where(owner, self.curves.sizes, 0.0),
-                                     np.zeros(len(self.ids)), owner, degenerate=True)
+                                     np.zeros(len(self.ids)), owner)
         slopes = self.curves.slopes
         n_gt = np.add.reduceat(slopes > price, self.first_segment, dtype=np.intp)
         n_ge = np.add.reduceat(slopes >= price, self.first_segment, dtype=np.intp)

@@ -72,7 +72,6 @@ class RegimePoint:
     utility_loss: float
     threshold: float | None
     emerges_at_unit_ratio: bool
-    long_run: LongRunResult
 
 
 def regime_points(order: AdoptionOrder, purchases: CurveSet,
@@ -96,8 +95,7 @@ def regime_points(order: AdoptionOrder, purchases: CurveSet,
             threshold = gain / loss
         points.append(RegimePoint(price=lr.price, delta_q=lr.delta_q, vendor_gain=gain,
                                   utility_loss=loss, threshold=threshold,
-                                  emerges_at_unit_ratio=market_emerges(gain, loss, 1.0),
-                                  long_run=lr))
+                                  emerges_at_unit_ratio=market_emerges(gain, loss, 1.0)))
     return points
 
 

@@ -19,8 +19,11 @@ and on two; a 60-household run on one day and six samples, and its
 rerun with a new `--p-grid` and `--flows-at`, which rewrites longrun,
 subsidy, localness and stakeholders. Its localness stage parses the
 scenario from the five data files, which no fresh run does. The desk
-runs take a few seconds each. It then compares the text, with the
-exit code, of `dershare --help` and of `dershare <command> --help` for
+runs take a few seconds each. A pair whose standard outputs differ,
+each stage's `(N.Ns)` elapsed time masked, also prints `<run>: stdout
+differs: <the change's first differing line>`: the benchmark harness
+parses those stage lines. It then compares the text, with the exit
+code, of `dershare --help` and of `dershare <command> --help` for
 every command either tree lists, and prints `help: identical`, or
 `help: differs: <the command line>` for each that differs, and last
 `src: <parent> -> <change> lines`, what `wc -l src/dershare/*.py`
@@ -40,6 +43,7 @@ import tempfile
 from pathlib import Path
 
 MANIFEST = "manifest.json"
+ELAPSED = re.compile(r"\(\d+\.\ds\)")  # a stage line's elapsed time, e.g. (1.2s)
 
 TINY = {
     "synth": {"n_households": 10, "n_days": 3, "n_regions": 2, "rng_seed": 13},
@@ -99,8 +103,20 @@ def _env(src: Path) -> dict[str, str]:
     return env
 
 
+def stdout_differences(a: str, b: str) -> list[str]:
+    """`stdout differs: <line>` with b's first line that differs from a's
+    (`<end>` where b ends first), or nothing where the texts are equal, each
+    elapsed time masked."""
+    a, b = (ELAPSED.sub("(N.Ns)", text) for text in (a, b))
+    if a == b:
+        return []
+    lines = [text.splitlines() + ["<end>"] for text in (a, b)]
+    return [f"stdout differs: {next((y for x, y in zip(*lines) if x != y), '<end>')}"]
+
+
 def make_runs(src: Path, root: Path) -> None:
-    """Every run of RUNS, made in root/<name> with the dershare under src."""
+    """Every run of RUNS, made in root/<name> with the dershare under src;
+    its standard output goes to root/<name>.stdout."""
     env = _env(src)
     for name, (config, flags) in RUNS.items():
         out = root / name
@@ -109,9 +125,10 @@ def make_runs(src: Path, root: Path) -> None:
             config = json.loads((root / f"{config}.json").read_text())
         path = root / f"{name}.json"
         path.write_text(json.dumps(config))
-        subprocess.run([sys.executable, "-m", "dershare", "all", "--out", str(out),
-                        "--config", str(path), *flags], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        proc = subprocess.run([sys.executable, "-m", "dershare", "all", "--out", str(out),
+                               "--config", str(path), *flags], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True)
+        (root / f"{name}.stdout").write_text(proc.stdout)
 
 
 def _help(src: Path, *command: str) -> str:
@@ -147,8 +164,8 @@ def src_lines(src) -> int:
 
 def pair(parent_src, change_src) -> dict[str, list[str]]:
     """Each run of RUNS by name, with the differences between the runs of it
-    that the two source trees make, then `help` with the help texts that
-    differ."""
+    that the two source trees make and between their standard outputs, then
+    `help` with the help texts that differ."""
     srcs = [_package_root(src) for src in (parent_src, change_src)]
     with tempfile.TemporaryDirectory() as tmp:
         roots = []
@@ -156,7 +173,8 @@ def pair(parent_src, change_src) -> dict[str, list[str]]:
             roots.append(Path(tmp) / side)
             roots[-1].mkdir()
             make_runs(src, roots[-1])
-        runs = {name: differences(*(root / name for root in roots)) for name in RUNS}
+        runs = {name: differences(*(root / name for root in roots)) + stdout_differences(
+                    *((root / f"{name}.stdout").read_text() for root in roots)) for name in RUNS}
     return {**runs, "help": help_differences(*srcs)}
 
 

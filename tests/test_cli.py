@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -22,7 +23,7 @@ from dershare.io import load_scenario, read_purchases_curves, read_savings_curve
 from dershare.model import HOURS, AssetSpec, ValidationError
 from dershare.synth import SynthConfig
 from oracles import planner_misfits, random_curve_population, random_tied_curve_population
-from runs import TINY, differences
+from runs import TINY, differences, stdout_differences
 
 
 @pytest.fixture()
@@ -445,6 +446,14 @@ def test_run_comparison_names_each_difference(finished_run, tmp_path):
     proc = subprocess.run([sys.executable, str(script), str(finished_run), str(copy)],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout.splitlines()) == (1, found)
+
+
+def test_run_comparison_names_the_first_stdout_line_that_differs():
+    once = "validate: wrote exclusions.csv (0.1s)\nfit: wrote savings_curves.csv (2.3s)\n"
+    assert stdout_differences(once, once.replace("2.3s", "12.0s")) == []
+    assert stdout_differences(once, once.replace("fit: wrote", "fit: made")) == [
+        "stdout differs: fit: made savings_curves.csv (N.Ns)"]
+    assert stdout_differences(once, once.split("fit")[0]) == ["stdout differs: <end>"]
 
 
 def test_days_subsample_runs(tmp_path, config_path):
@@ -1363,6 +1372,59 @@ LOAD_LAW = {
 }
 
 
+def _law_runs(data: Path, config: dict, tmp_path: Path, doubled: dict[str, int]) -> list[Path]:
+    """validate to stakeholders under config, with the sweep's and
+    localness' dumps, on data and on a copy of data whose files named in
+    doubled hold twice each cell after their first doubled[name] columns;
+    the two run directories."""
+    runs = [tmp_path / "once", tmp_path / "twice"]
+    for run in runs:
+        shutil.copytree(data, run / cli.DATA_SUBDIR)
+    for name, keep in doubled.items():
+        header, *rows = (data / name).read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        (runs[1] / cli.DATA_SUBDIR / name).write_text("\n".join([header, *(
+            ",".join(c[:keep] + [repr(2 * float(v)) for v in c[keep:]]) for c in cells)]) + "\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    dumps = {"sweep": ["--equilibrium-at", "0.3,0.7"], "localness": ["--flows-at", "0.5"]}
+    for run in runs:
+        for stage in STAGES[1:]:
+            assert _run(stage, "--config", path, "--out", run, *dumps.get(stage, [])) == 0
+    return runs
+
+
+def _misfits(law: str | None, pairs: list[tuple[str, str]]) -> list[int]:
+    """The rows of one column's (once, twice) cell pairs that break its law:
+    None, the same text; "x2", exactly twice; "~x2", twice to within
+    TARIFF_TAU of the column's largest doubled magnitude; "~", the same to
+    1e-15 relative. A cell that is not a finite number keeps its text."""
+    if law is None:
+        return [row for row, (x, y) in enumerate(pairs) if x != y]
+    numbers = {row: (float(x), float(y)) for row, (x, y) in enumerate(pairs)
+               if x and math.isfinite(float(x))}
+    scale = max((2 * abs(x) for x, _ in numbers.values()), default=0.0)
+    holds = {"x2": lambda x, y: y == 2 * x,
+             "~x2": lambda x, y: abs(y - 2 * x) <= TARIFF_TAU * scale,
+             "~": lambda x, y: abs(y - x) <= 1e-15 * abs(x)}[law]
+    return [row for row, (x, y) in enumerate(pairs)
+            if not (holds(*numbers[row]) if row in numbers else x == y)]
+
+
+def _assert_law(runs: list[Path], laws: dict[str, dict[str, str]]) -> None:
+    """Every cell of every output CSV of runs[1] against runs[0]'s obeys its
+    column's law in laws (see _misfits)."""
+    assert sorted(p.name for p in runs[0].glob("*.csv")) == sorted(laws)
+    for name, columns in laws.items():
+        (head, *once), (head2, *twice) = ((run / name).read_text().splitlines() for run in runs)
+        assert head == head2 and len(once) == len(twice) and set(columns) <= set(head.split(","))
+        rows = [list(zip(a.split(","), b.split(","))) for a, b in zip(once, twice)]
+        for j, column in enumerate(head.split(",")):
+            pairs = [row[j] for row in rows]
+            bad = _misfits(columns.get(column), pairs)
+            assert not bad, (name, column, [(row, *pairs[row]) for row in bad[:3]])
+
+
 def _assert_load_law(data: Path, config: dict, tmp_path: Path) -> None:
     """validate to stakeholders on data and on data with every load doubled,
     under config: every cell of every output CSV obeys LOAD_LAW, bit for bit.
@@ -1374,26 +1436,7 @@ def _assert_load_law(data: Path, config: dict, tmp_path: Path) -> None:
         hid, rest = row.split(",", 1)
         means.setdefault(hid, []).extend(map(float, rest.split(",")[2:]))
     assert all(not 0.05 <= np.mean(v) < 0.2 for v in means.values())
-    runs = [tmp_path / "once", tmp_path / "twice"]
-    for run in runs:
-        shutil.copytree(data, run / cli.DATA_SUBDIR)
-    cells = [row.split(",") for row in rows]
-    (runs[1] / cli.DATA_SUBDIR / "loads.csv").write_text("\n".join(
-        [header, *(",".join(c[:3] + [repr(2 * float(v)) for v in c[3:]]) for c in cells)]) + "\n")
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    dumps = {"sweep": ["--equilibrium-at", "0.3,0.7"], "localness": ["--flows-at", "0.5"]}
-    for run in runs:
-        for stage in STAGES[1:]:
-            assert _run(stage, "--config", path, "--out", run, *dumps.get(stage, [])) == 0
-    assert sorted(p.name for p in runs[0].glob("*.csv")) == sorted(LOAD_LAW)
-    for name, laws in LOAD_LAW.items():
-        (head, *once), (head2, *twice) = ((run / name).read_text().splitlines() for run in runs)
-        assert head == head2 and len(once) == len(twice) and set(laws) <= set(head.split(","))
-        for row, (a, b) in enumerate(zip(once, twice)):
-            for column, x, y in zip(head.split(","), a.split(","), b.split(",")):
-                ok = float(y) == 2 * float(x) if laws.get(column) == "x2" else x == y
-                assert ok, (name, row, column, x, y)
+    _assert_law(_law_runs(data, config, tmp_path, {"loads.csv": 3}), LOAD_LAW)
 
 
 def test_twice_the_loads_doubles_every_kw_and_dollar_and_keeps_every_price(finished_run,
@@ -1412,15 +1455,62 @@ MARKET_60 = {"synth": {"n_households": 60, "n_days": 1, "rng_seed": 5}, "fit": {
              "sweep": {"t_grid": "0.005:0.995:60"}}
 
 
-def test_twice_the_loads_of_60_households_on_one_day_obey_the_load_law(tmp_path):
+@pytest.fixture(scope="module")
+def market_60_data(tmp_path_factory) -> Path:
+    """The data files gen-data writes for MARKET_60."""
+    root = tmp_path_factory.mktemp("market_60")
+    path = root / "config.json"
+    path.write_text(json.dumps(MARKET_60))
+    assert _run("gen-data", "--config", path, "--out", root / "run") == 0
+    return root / "run" / cli.DATA_SUBDIR
+
+
+def test_twice_the_loads_of_60_households_on_one_day_obey_the_load_law(market_60_data,
+                                                                      tmp_path):
     """The load law on a market of 60 households, one day each, six samples:
     many more owners clear at each rental price than in TINY. Their mean
     loads are 0.34-1.9 kW, none within a factor 2 of the meter filter's
     0.1 kW."""
-    path, out = tmp_path / "config.json", tmp_path / "generated"
-    path.write_text(json.dumps(MARKET_60))
-    assert _run("gen-data", "--config", path, "--out", out) == 0
-    _assert_load_law(out / cli.DATA_SUBDIR, MARKET_60, tmp_path)
+    _assert_load_law(market_60_data, MARKET_60, tmp_path)
+
+
+# The fit separates a curve's equal slopes by SLOPE_SEPARATION, an absolute 1e-6 $/kW that
+# does not scale with the tariffs, so a doubled price or $ cell is off twice its value by up
+# to 3.4e-6 of its column's largest magnitude on MARKET_60's run (9.6e-7 on TINY's).
+TARIFF_TAU = 5e-6
+
+# Each column of each output CSV under tariffs x 2 (laws as _misfits reads them): bills,
+# values, slopes and prices double ("purchases" and "utility_loss", sums of bills, exactly);
+# every kW, count, share, flag and id keeps its text; the blocking threshold, a ratio of $,
+# stays to rounding.
+TARIFF_LAW = {
+    "exclusions.csv": {},
+    "savings_curves.csv": {"f": "~x2", "slope": "~x2"},
+    "purchases_curves.csv": {"purchases": "x2"},
+    "sweep.csv": {name: "~x2" for name in ("short_run_price", "clearing_price", "owner_surplus",
+                                           "renter_surplus", "total_surplus")},
+    "equilibrium_t0.3.csv": {"surplus": "~x2"},
+    "equilibrium_t0.7.csv": {"surplus": "~x2"},
+    "equilibrium_summary.csv": {name: "~x2" for name in ("clearing_price", "owner_surplus",
+                                                         "renter_surplus", "total_surplus")},
+    "longrun.csv": {"price": "~x2", "r_at_long": "~x2", "r_before_long": "~x2"},
+    "subsidy.csv": {"price": "~x2", "subsidy": "~x2"},
+    "localness.csv": {},
+    "flows_t0.5.csv": {},
+    "stakeholders.csv": {"price": "~x2", "vendor_gain": "~x2", "utility_loss": "x2",
+                         "threshold": "~"},
+}
+
+
+def test_twice_the_tariffs_of_60_households_double_every_price_and_keep_every_kw(
+        market_60_data, tmp_path):
+    """Doubling both tariffs doubles the dispatch LP's objective and moves none
+    of its bounds, so every bill, value, slope and price doubles and every
+    kW, count and share stays, validate to stakeholders, up to the slope
+    separation (TARIFF_TAU)."""
+    runs = _law_runs(market_60_data, MARKET_60, tmp_path, {"tariff_buy.csv": 1,
+                                                           "tariff_sell.csv": 1})
+    _assert_law(runs, TARIFF_LAW)
 
 
 def test_reversing_the_id_order_moves_no_curve_row_and_no_price(finished_run, tmp_path,

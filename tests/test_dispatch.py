@@ -54,18 +54,23 @@ def test_context_refuses_an_empty_day_selection(asset):
         ScenarioContext(sc, day_indices=[])
 
 
-def test_result_satisfies_dispatch_constraints(asset):
+def test_block_lp_solution_satisfies_dispatch_constraints(asset):
+    """The block LP's optimum, solved with row bounds stated from the
+    physics, obeys the storage recursion and boxes; _solve's bill is the
+    price of the grid netted from it."""
     rng = np.random.default_rng(7)
     for _ in range(10):
         load, irr, buy, sell, y = random_dispatch_instance(rng)
         sc = one_household(load, irr, buy, sell, asset)
-        res = ScenarioContext(sc)._solve(sc.households[0], y)
-        grid, u, soc = res.grid[0], res.u[0], res.soc[0]
-        # bill decomposition
-        assert res.totals().bill == pytest.approx(res.purchases + res.sale_credit, abs=1e-9)
-        assert res.sale_credit <= 1e-12
+        ctx = ScenarioContext(sc)
+        x0 = asset.x0 * asset.alpha * y
+        b = np.concatenate([load - asset.eta_i * irr * y,  # bus balance
+                            [asset.eta_s * x0], np.zeros(HOURS - 1)])  # storage recursion
+        x = ctx._model.solve(b, b, np.zeros(5 * HOURS), ctx.unit * y).x
+        charge, discharge, soc, imports, exports = x.reshape(5, HOURS)
+        u = charge - discharge
         # state-of-charge recursion and box constraints
-        x_prev = asset.x0 * asset.alpha * y
+        x_prev = x0
         for h in range(HOURS):
             assert soc[h] == pytest.approx(asset.eta_s * x_prev + u[h], abs=1e-7)
             x_prev = soc[h]
@@ -73,10 +78,17 @@ def test_result_satisfies_dispatch_constraints(asset):
         assert np.all(u <= asset.u_charge_max * y + 1e-9)
         assert np.all(u >= -asset.u_discharge_max * y - 1e-9)
         # bus balance
-        g = (load - asset.eta_i * irr * y
-             + np.maximum(u, 0) / (asset.eta_c * asset.eta_i)
-             + asset.eta_d * asset.eta_i * np.minimum(u, 0))
-        np.testing.assert_allclose(grid, g, atol=1e-9)
+        np.testing.assert_allclose(
+            imports - exports, load - asset.eta_i * irr * y + charge / (asset.eta_c * asset.eta_i)
+            - asset.eta_d * asset.eta_i * discharge, atol=1e-9)
+        # the bill prices the grid netted from x, and decomposes
+        grid = (load - asset.eta_i * irr * y + np.maximum(u, 0) / (asset.eta_c * asset.eta_i)
+                + asset.eta_d * asset.eta_i * np.minimum(u, 0))
+        res = ctx._solve(sc.households[0], y)
+        assert res.bill == pytest.approx(np.maximum(grid, 0) @ buy + np.minimum(grid, 0) @ sell,
+                                         rel=1e-9)
+        assert res.bill == pytest.approx(res.purchases + res.sale_credit, abs=1e-9)
+        assert res.sale_credit <= 0.0
 
 
 def test_period_matches_sum_of_days(asset):

@@ -68,7 +68,6 @@ def test_degenerate_owner_sets_report_no_trade():
     curves = CurveSet.of([linear_curve(f"h{i}", 100.0 + i) for i in range(3)])
     for owners in (set(), {"h0", "h1", "h2"}):
         eq = clear_market(curves, owners)
-        assert eq.degenerate
         assert eq.clearing_price is None
         assert eq.volume == 0.0
         assert eq.total_surplus == 0.0
@@ -148,7 +147,7 @@ def test_marginal_households_ration_proportionally():
 
 def assert_matches_oracle(eq, oracle):
     assert eq.clearing_price == oracle.clearing_price
-    assert owners_of(eq) == oracle.owner_ids and eq.degenerate == oracle.degenerate
+    assert owners_of(eq) == oracle.owner_ids and (eq.clearing_price is None) == oracle.degenerate
     assert by_id(eq, "allocations") == pytest.approx(oracle.allocations, rel=1e-12, abs=1e-12)
     assert by_id(eq, "surpluses") == pytest.approx(oracle.surpluses, rel=1e-12, abs=1e-12)
     for name in EQUILIBRIUM_TOTALS:

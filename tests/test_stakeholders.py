@@ -185,15 +185,10 @@ def test_regime_points_from_long_run_results_match_the_boundary(medium_populatio
     purchases = medium_population.purchases
     ps = [float(p) for p in np.quantile(order.normalized, [0.05, 0.3, 0.5, 0.7, 0.95])] + [1e9]
     solver = LongRunSolver(order, curves)
-    shared = regime_points(order, purchases,
-                           [long_run_adoption(order, curves, p, solver) for p in ps])
-
-    def row(pt):
-        return (pt.price, pt.delta_q, pt.vendor_gain, pt.utility_loss, pt.threshold,
-                pt.emerges_at_unit_ratio, pt.long_run.k_short, pt.long_run.k_long)
-    assert [row(pt) for pt in shared] == [row(pt) for pt in
-                                          regime_boundary(order, curves, purchases, ps)]
-    assert shared[-1].long_run.no_adoption and shared[-1].threshold is None
+    long_run = [long_run_adoption(order, curves, p, solver) for p in ps]
+    shared = regime_points(order, purchases, long_run)
+    assert shared == regime_boundary(order, curves, purchases, ps)
+    assert long_run[-1].no_adoption and shared[-1].threshold is None
 
 
 def test_profit_scaling_linearity():
